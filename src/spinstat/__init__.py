@@ -7,7 +7,6 @@ from .algebra import (
     ExactMatrix,
     Scalar,
     SymmetryClass,
-    antisym_eigensplit,
     hermitian_signature,
     kernel,
     symmetry_decompose,
@@ -27,7 +26,6 @@ __all__ = [
     "ExactMatrix",
     "Scalar",
     "SymmetryClass",
-    "antisym_eigensplit",
     "hermitian_signature",
     "kernel",
     "symmetry_decompose",

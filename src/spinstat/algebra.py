@@ -3,16 +3,17 @@
 Everything downstream (representation theory, kinematic-term analysis,
 operator algebra) runs on the two types defined here: ``Scalar``, a complex
 number with ``fractions.Fraction`` real and imaginary parts, and
-``ExactMatrix``, an immutable dense matrix of scalars.  No floating point
-enters except in ``antisym_eigensplit``, which may return float magnitudes
-for certified-irrational eigenvalues.
+``ExactMatrix``, an immutable dense matrix of scalars.  One pivoted
+symmetric elimination, ``pivoted_elimination``, yields the canonical
+principal index set of the constraint split and, by Sylvester's law of
+inertia, every hermitian signature.  No floating point enters any
+computation.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import math
 from fractions import Fraction
 
 __all__ = [
@@ -22,7 +23,7 @@ __all__ = [
     "SymmetryClass",
     "symmetry_decompose",
     "kernel",
-    "antisym_eigensplit",
+    "pivoted_elimination",
     "hermitian_signature",
 ]
 
@@ -167,6 +168,9 @@ class Scalar:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
+        # equal values hash alike: Scalar(1) == 1, so hash(Scalar(1)) == hash(1)
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
@@ -516,30 +520,6 @@ class ExactMatrix:
             raise ZeroDivisionError("matrix is singular")
         return reduced.submatrix(range(n), range(n, 2 * n))
 
-    def determinant(self) -> Scalar:
-        if not self.is_square:
-            raise DimensionError("determinant needs a square matrix")
-        # Fraction-free would be faster, but charpoly is already exact and
-        # these matrices stay small.
-        c0 = self.charpoly()[0]
-        return c0 if self.rows % 2 == 0 else -c0
-
-    def charpoly(self) -> tuple[Scalar, ...]:
-        """Coefficients of det(tI - M), ascending, leading coefficient 1.
-
-        Faddeev-LeVerrier: exact over the scalar field, no pivoting noise.
-        """
-        if not self.is_square:
-            raise DimensionError("charpoly needs a square matrix")
-        n = self.rows
-        coeffs = [ZERO] * n + [ONE]
-        m = ExactMatrix.zeros(n)
-        ident = ExactMatrix.identity(n)
-        for k in range(1, n + 1):
-            m = self @ m + ident.scale(coeffs[n - k + 1])
-            coeffs[n - k] = (self @ m).trace() * Scalar(Fraction(-1, k))
-        return tuple(coeffs)
-
 
 # ---------------------------------------------------------------------------
 # module-level operations
@@ -573,279 +553,70 @@ def kernel(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
     return m.kernel_basis()
 
 
-# -- polynomial machinery for the eigen-pair split -------------------------
-# Polynomials are lists of Fractions, ascending powers, trimmed.
+def pivoted_elimination(m: ExactMatrix) -> tuple[tuple[int, ...], tuple[ExactMatrix, ...]]:
+    """Exact symmetric elimination with 1x1 and 2x2 pivots (Bunch-Kaufman).
 
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_derive(p: list[Fraction]) -> list[Fraction]:
-    return _trim([k * c for k, c in enumerate(p)][1:])
-
-
-def _poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        coeff = num[k + len(den) - 1] / den[-1]
-        q[k] = coeff
-        for j, d in enumerate(den):
-            num[k + j] -= coeff * d
-    return _trim(q), _trim(num)
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _squarefree_factors(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun's algorithm: [(factor, multiplicity)] with factors square-free."""
-    out = []
-    g = _poly_gcd(p, _poly_derive(p))
-    if len(g) <= 1:
-        return [(p, 1)]
-    w = _poly_divmod(p, g)[0]
-    mult = 1
-    while len(w) > 1:
-        y = _poly_gcd(w, g)
-        factor = _poly_divmod(w, y)[0]
-        if len(factor) > 1:
-            out.append((factor, mult))
-        w = y
-        g = _poly_divmod(g, y)[0]
-        mult += 1
-    if len(g) > 1:
-        # remaining factor is a perfect power pattern; recurse
-        for f, m in _squarefree_factors(g):
-            out.append((f, m * mult))
-    return out
-
-
-def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [list(p), _poly_derive(p)]
-    while len(chain[-1]) > 0 and len(chain[-1]) > 1:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return [c for c in chain if c]
-
-
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _root_bound(p: list[Fraction]) -> Fraction:
-    lead = abs(p[-1])
-    return Fraction(1) + max(abs(c) for c in p) / lead
-
-
-def _isolate_real_roots(p: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open intervals each holding exactly one root of square-free p."""
-    chain = _sturm_chain(p)
-    bound = _root_bound(p)
-    intervals = []
-    stack = [(-bound, bound)]
-    while stack:
-        a, b = stack.pop()
-        count = _sign_variations(chain, a) - _sign_variations(chain, b)
-        if count == 0:
-            continue
-        if count == 1:
-            intervals.append((a, b))
-            continue
-        mid = (a + b) / 2
-        # nudge off an exact root so interval ends stay sign-definite
-        while _poly_eval(p, mid) == 0:
-            mid += (b - a) / 64
-        stack.append((a, mid))
-        stack.append((mid, b))
-    intervals.sort()
-    return intervals
-
-
-def _bisect_root(p: list[Fraction], lo: Fraction, hi: Fraction) -> float:
-    flo = _poly_eval(p, lo)
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        fmid = _poly_eval(p, mid)
-        if fmid == 0:
-            return float(mid)
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if float(hi - lo) < 1e-14 * max(1.0, abs(float(lo))):
-            break
-    return float((lo + hi) / 2)
-
-
-def _divisors(n: int, cap: int = 200000) -> list[int] | None:
-    """All positive divisors, or None when n is too composite to enumerate."""
-    n = abs(n)
-    if n == 0:
-        return None
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-        if len(small) + len(large) > cap or d > 2_000_000:
-            return None
-    return small + large[::-1]
-
-
-def _rational_roots(p: list[Fraction]) -> list[tuple[Fraction, int]]:
-    """Rational roots with multiplicities, found exactly and deflated."""
-    # scale to integer coefficients
-    denom = math.lcm(*[c.denominator for c in p])
-    ints = [int(c * denom) for c in p]
-    while ints and ints[0] == 0:
-        # zero roots are handled by the caller; strip defensively
-        ints = ints[1:]
-    if not ints:
-        return []
-    p0 = _divisors(ints[0])
-    pl = _divisors(ints[-1])
-    if p0 is None or pl is None:
-        return []
-    candidates = set()
-    for a in p0:
-        for b in pl:
-            candidates.add(Fraction(a, b))
-            candidates.add(Fraction(-a, b))
-    work = list(p)
-    found = []
-    for cand in sorted(candidates):
-        mult = 0
-        while len(work) > 1 and _poly_eval(work, cand) == 0:
-            work = _poly_divmod(work, [-cand, Fraction(1)])[0]
-            mult += 1
-        if mult:
-            found.append((cand, mult))
-    return found
-
-
-def antisym_eigensplit(m: ExactMatrix):
-    """Eigenvalue magnitudes of a matrix with M^T = -M, as (mu, multiplicity).
-
-    Accepts the two shapes that occur in practice: all entries real (spectrum
-    +-i*mu) or all entries purely imaginary (Hermitian case, spectrum +-mu).
-    Either way the characteristic polynomial is even in its nonzero part and
-    the returned mu are the nonnegative magnitudes, ascending, with the pair
-    counted once.  A zero eigenvalue is reported as mu = 0 with its full
-    algebraic multiplicity.
-
-    Rational magnitudes come back as Fraction, certified by exact root
-    search and deflation.  Irrational ones come back as float (Sturm
-    isolation plus bisection, abs error below 1e-12); they are certified
-    nonzero because the rational stage already deflated every zero root.
+    For a symmetric, antisymmetric or hermitian matrix, returns the
+    leftmost index set S with M[S,S] invertible and |S| = rank(M),
+    ascending, and the pivot blocks in elimination order.  The pivot is
+    the first active index with a nonzero diagonal entry; when every
+    active diagonal entry is zero, the first nonzero off-diagonal entry in
+    row order gives a 2x2 block with zero diagonal, invertible because its
+    determinant is -b^2, +b^2 or -|b|^2 for the entry b.  Schur
+    complements keep the transpose symmetry, so the loop stops only when
+    the remaining block is zero.  Each step is a congruence, so for a
+    hermitian matrix the blocks carry its inertia (Sylvester's law).
     """
     if not m.is_square:
-        raise DimensionError("eigensplit needs a square matrix")
-    if not (-m.transpose() == m):
-        raise ValueError("matrix must satisfy M^T = -M")
-    if not (m.is_real() or m.is_imaginary()):
-        raise ValueError("entries must be all real or all purely imaginary")
-    hermitian_case = m.is_imaginary() and not m.is_zero()
+        raise DimensionError("elimination needs a square matrix")
+    work = [list(row) for row in m]
+    active = list(range(m.rows))
+    selected: list[int] = []
+    blocks: list[ExactMatrix] = []
+    while active:
+        pivot = next(((i,) for i in active if not work[i][i].is_zero), None)
+        if pivot is None:
+            pivot = next(((i, j) for a, i in enumerate(active) for j in active[a + 1:]
+                          if not work[i][j].is_zero), None)
+        if pivot is None:
+            break
+        block = ExactMatrix([[work[r][c] for c in pivot] for r in pivot])
+        selected.extend(pivot)
+        blocks.append(block)
+        active = [r for r in active if r not in pivot]
+        _schur_update(work, pivot, block.inverse(), active)
+    return tuple(sorted(selected)), tuple(blocks)
 
-    coeffs = m.charpoly()
-    if any(not c.is_real for c in coeffs):
-        raise ValueError("characteristic polynomial is not real")
-    p = [c.re for c in coeffs]
 
-    # strip lambda^z
-    z = 0
-    while p[0] == 0:
-        p = p[1:]
-        z += 1
-    # the remaining polynomial must be even: p(l) = q(l^2)
-    if any(c != 0 for c in p[1::2]):
-        raise ValueError("spectrum is not symmetric under negation")
-    q = p[0::2]
-
-    results = []
-    if z:
-        results.append((Fraction(0), z))
-
-    for t, mult in _rational_roots(q):
-        # real case: t = -mu^2 <= 0; hermitian case: t = +mu^2 >= 0
-        signed = -t if not hermitian_case else t
-        if signed < 0:
-            raise ValueError("eigenvalue pair with impossible sign pattern")
-        num, den = signed.numerator, signed.denominator
-        root_n, root_d = math.isqrt(num * den), den
-        if root_n * root_n == num * den:
-            results.append((Fraction(root_n, root_d), mult))
-        else:
-            results.append((math.sqrt(float(signed)), mult))
-        for _ in range(mult):
-            q = _poly_divmod(q, [-t, Fraction(1)])[0]
-
-    if len(q) > 1:
-        for factor, mult in _squarefree_factors(q):
-            for lo, hi in _isolate_real_roots(factor):
-                t = _bisect_root(factor, lo, hi)
-                mu2 = -t if not hermitian_case else t
-                if mu2 <= 0:
-                    raise ValueError("irrational eigenvalue with impossible sign")
-                results.append((math.sqrt(mu2), mult))
-
-    results.sort(key=lambda pair: float(pair[0]))
-    return results
+def _schur_update(work, pivot, inv: ExactMatrix, rest) -> None:
+    """Replace work[rest, rest] by its Schur complement over the pivot,
+    skipping the rows and columns the pivot does not couple to."""
+    size = len(pivot)
+    pivot_rows = [work[p] for p in pivot]
+    cols = [c for c in rest if any(not row[c].is_zero for row in pivot_rows)]
+    for r in rest:
+        row = work[r]
+        coupling = [row[p] for p in pivot]
+        if all(x.is_zero for x in coupling):
+            continue
+        factors = [sum((coupling[a] * inv[a, b] for a in range(size)), start=ZERO)
+                   for b in range(size)]
+        for c in cols:
+            row[c] = row[c] - sum((f * pr[c] for f, pr in zip(factors, pivot_rows)),
+                                  start=ZERO)
 
 
 def hermitian_signature(m: ExactMatrix) -> tuple[int, int, int]:
     """Signature (positives, negatives, zeros) of a hermitian matrix.
 
-    A hermitian matrix has only real eigenvalues, so Descartes' rule of
-    signs on the characteristic polynomial counts them exactly: the zero
-    multiplicity is the power of t dividing the polynomial, and the sign
-    variations of the remaining coefficients (of p(t) and p(-t)) give the
-    positive and negative counts with no slack.
+    The signature survives the congruences of pivoted_elimination
+    (Sylvester's law of inertia), so it is read off the pivot blocks: a
+    1x1 block counts by the sign of its real entry, a 2x2 block has zero
+    diagonal and determinant -|b|^2 < 0, hence one eigenvalue of each
+    sign, and the rank deficit counts the zeros.
     """
     if not m.is_hermitian():
         raise ValueError("signature is defined for hermitian matrices only")
-    coeffs = []
-    for c in m.charpoly():
-        if c.im != 0:
-            raise ValueError("hermitian matrix produced complex charpoly")
-        coeffs.append(c.re)
-
-    zeros = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        zeros += 1
-
-    def variations(seq):
-        signs = [1 if c > 0 else -1 for c in seq if c != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    positives = variations(coeffs)
-    negatives = variations([c if k % 2 == 0 else -c for k, c in enumerate(coeffs)])
-    return positives, negatives, zeros
+    indices, blocks = pivoted_elimination(m)
+    positives = sum(1 if b.rows == 2 else int(b[0, 0].re > 0) for b in blocks)
+    return positives, len(indices) - positives, m.rows - len(indices)

@@ -4,10 +4,12 @@ Antisymmetrizing the kinematic matrix over a 2-valued internal label makes
 the full matrix block off-diagonal, [[0, M], [-M, 0]].  Diagonalizing that
 flavor structure splits the theory into sectors whose kinematic terms carry
 opposite signs, and the minus sector is a Hilbert space with negative-norm
-states; this module detects the pattern, performs the diagonalization
-exactly when the eigenvalue magnitudes are rational, and attaches the
-concrete one-quantum negative-norm witness.  It also hosts the
-absorption-emission balance lint on mode expansions.
+states.  This module detects the pattern, reads the sector signs off the
+inertia of the hermitian form i*K0 (no eigenvalues needed), writes down
+the diagonalization in closed form for the diagonal pairings the builder
+emits, and attaches the concrete one-quantum negative-norm witness; all of
+it in exact arithmetic.  It also hosts the absorption-emission balance
+lint on mode expansions.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from .algebra import (
     ExactMatrix,
     Scalar,
     SymmetryClass,
-    antisym_eigensplit,
-    kernel,
+    hermitian_signature,
     symmetry_decompose,
 )
 from .fock import GramResult, ModeExpansion, gram_matrix, parse_relation_table
@@ -39,7 +40,7 @@ __all__ = [
     "kirchoff_check",
 ]
 
-_NUMERIC_TOL = 1e-9
+I = Scalar(0, 1)
 
 
 @dataclass(frozen=True)
@@ -78,235 +79,64 @@ def detect_flavor_antisymmetry(m: ExactMatrix) -> FlavorSplit:
 class FlavorDiagonalization:
     """Spectral data of an antisymmetric flavor matrix.
 
-    On the exact path `transformation` holds unnormalized eigenvector
-    columns with rational-complex entries and `column_norms_squared` their
-    squared lengths, so unitarity reads V-dagger V = diag(norms) exactly.
-    When an eigenvalue magnitude is irrational the numeric fields carry
-    validated floating-point results instead and the matrix fields are None.
+    `transformation` holds unnormalized eigenvector columns with
+    rational-complex entries and `column_norms_squared` their squared
+    lengths, so unitarity reads V-dagger V = diag(norms) exactly.  Every
+    entry is exact, so `exact` is always true.
     """
 
     exact: bool
-    eigenvalues: tuple
-    diagonal: ExactMatrix | None
-    transformation: ExactMatrix | None
-    column_norms_squared: tuple | None
-    numeric_eigenvalues: tuple | None = None
-    numeric_columns: tuple | None = None
+    eigenvalues: tuple[Scalar, ...]
+    diagonal: ExactMatrix
+    transformation: ExactMatrix
+    column_norms_squared: tuple[Fraction, ...]
 
 
-def _scalar_to_complex(s: Scalar) -> complex:
-    return complex(float(s.re), float(s.im))
+def diagonalize_flavor(lam: ExactMatrix) -> FlavorDiagonalization:
+    """Diagonalize a flavor pairing [[0, W], [-W, 0]] with W diagonal and
+    positive, the shape build_kinematic emits, eigenvalues ascending by
+    imaginary part (so the 2x2 unit case gives diag(-i, i)).
 
-
-def _leading_one(column: list[Scalar]) -> list[Scalar]:
-    for entry in column:
-        if not entry.is_zero:
-            return [x / entry for x in column]
-    return column
-
-
-def _project_out(candidate: list[Scalar], accepted: list[list[Scalar]]):
-    v = list(candidate)
-    for b in accepted:
-        norm = Scalar(0)
-        overlap = Scalar(0)
-        for bi, vi in zip(b, v):
-            norm = norm + bi.conjugate() * bi
-            overlap = overlap + bi.conjugate() * vi
-        factor = overlap / norm
-        v = [vi - factor * bi for bi, vi in zip(b, v)]
-    if all(x.is_zero for x in v):
-        return None
-    return v
-
-
-def _exact_minus_vectors(lam: ExactMatrix, mu: Fraction, mult: int):
-    """Independent eigenvectors for eigenvalue -i*mu, mu > 0, rational.
-
-    Kernel vectors w of lam^2 + mu^2 project onto the -i*mu eigenspace via
-    w + (i/mu) lam w; orthogonalizing the images keeps the first `mult`
-    independent ones in kernel order.
+    The spectrum is +-i*w_k: column e_k - i*e_{h+k} carries -i*w_k and its
+    conjugate +i*w_k, each of squared norm 2.  The -i*w columns come first,
+    largest w first, then the +i*w columns, smallest w first; equal w keep
+    ascending k.  The pairing makes the diagonal traceless.  Any other
+    matrix raises ValueError; its sector signs still come exactly from
+    flavor_diagnosis.
     """
-    n = lam.rows
-    squared = lam @ lam + ExactMatrix.identity(n).scale(Scalar(mu * mu))
-    factor = Scalar(0, Fraction(1, 1) / mu)
-    accepted: list[list[Scalar]] = []
-    for w in kernel(squared):
-        image = lam @ ExactMatrix([[x] for x in w])
-        candidate = [wi + factor * image[i, 0] for i, wi in enumerate(w)]
-        fresh = _project_out(candidate, accepted)
-        if fresh is not None:
-            accepted.append(fresh)
-        if len(accepted) == mult:
-            break
-    assert len(accepted) == mult, "eigenspace dimension mismatch"
-    return [_leading_one(v) for v in accepted]
+    split = detect_flavor_antisymmetry(lam)
+    h = lam.rows // 2
+    w = [split.block[k, k] for k in range(h)] if split.is_flavor_antisymmetric else []
+    if (not w or split.block != ExactMatrix.diagonal(w)
+            or not all(x.is_real and x.re > 0 for x in w)):
+        raise ValueError(
+            "flavor diagonalization needs a real antisymmetric pairing "
+            "[[0, W], [-W, 0]] with W diagonal and positive")
 
-
-def _exact_diagonalization(lam: ExactMatrix, split) -> FlavorDiagonalization:
-    minus_by_mu = {}
-    zero_columns: list[list[Scalar]] = []
-    for mu, mult in split:
-        if mu == 0:
-            zero_columns = [_leading_one(list(w)) for w in kernel(lam)]
-            assert len(zero_columns) == mult
-        else:
-            minus_by_mu[mu] = _exact_minus_vectors(lam, mu, mult)
-
-    eigenvalues: list[Scalar] = []
-    columns: list[list[Scalar]] = []
-    nonzero_ascending = [mu for mu, _ in split if mu != 0]
-    for mu in reversed(nonzero_ascending):
-        for v in minus_by_mu[mu]:
-            eigenvalues.append(Scalar(0, -mu))
-            columns.append(v)
-    for v in zero_columns:
-        eigenvalues.append(Scalar(0))
-        columns.append(v)
-    for mu in nonzero_ascending:
-        for v in minus_by_mu[mu]:
-            eigenvalues.append(Scalar(0, mu))
-            columns.append([x.conjugate() for x in v])
+    # column e_k + phase*e_{h+k} has eigenvalue phase*w_k
+    order = ([(k, -I) for k in sorted(range(h), key=lambda k: (-w[k].re, k))]
+             + [(k, I) for k in sorted(range(h), key=lambda k: (w[k].re, k))])
+    eigenvalues = [phase * w[k] for k, phase in order]
+    columns = []
+    for k, phase in order:
+        column = [Scalar(0)] * lam.rows
+        column[k] = Scalar(1)
+        column[h + k] = phase
+        columns.append(column)
 
     v_matrix = ExactMatrix.from_columns(columns)
     d_matrix = ExactMatrix.diagonal(eigenvalues)
-    norms = []
-    for col in columns:
-        total = Scalar(0)
-        for x in col:
-            total = total + x.conjugate() * x
-        assert total.is_real and not total.is_zero
-        norms.append(total.re)
-
+    norms = (Fraction(2),) * lam.rows
     assert lam @ v_matrix == v_matrix @ d_matrix
-    gram = v_matrix.conjugate().transpose() @ v_matrix
-    assert gram == ExactMatrix.diagonal(norms)
-    assert sum(eigenvalues, Scalar(0)) == Scalar(0)
+    assert v_matrix.dagger() @ v_matrix == ExactMatrix.diagonal(norms)
 
     return FlavorDiagonalization(
         exact=True,
         eigenvalues=tuple(eigenvalues),
         diagonal=d_matrix,
         transformation=v_matrix,
-        column_norms_squared=tuple(norms),
+        column_norms_squared=norms,
     )
-
-
-def _float_kernel(rows: list[list[float]]) -> list[list[float]]:
-    m = [row[:] for row in rows]
-    n = len(m)
-    width = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        if r == n:
-            break
-        p = max(range(r, n), key=lambda i: abs(m[i][c]))
-        if abs(m[p][c]) < _NUMERIC_TOL:
-            continue
-        m[r], m[p] = m[p], m[r]
-        piv = m[r][c]
-        m[r] = [x / piv for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0.0] * width
-        v[fc] = 1.0
-        for rr, pc in enumerate(pivots):
-            v[pc] = -m[rr][fc]
-        basis.append(v)
-    return basis
-
-
-def _numeric_diagonalization(lam: ExactMatrix, split) -> FlavorDiagonalization:
-    n = lam.rows
-    rows = [[float(lam[i, j].re) for j in range(n)] for i in range(n)]
-
-    def matvec(v):
-        return [sum(rows[i][j] * v[j] for j in range(n)) for i in range(n)]
-
-    minus_by_mu: dict[float, list[list[complex]]] = {}
-    zero_columns: list[list[complex]] = []
-    for mu, mult in split:
-        if mu == 0:
-            zero_columns = [[complex(x) for x in w] for w in _float_kernel(rows)]
-            assert len(zero_columns) == mult
-            continue
-        m = float(mu)
-        squared = [
-            [sum(rows[i][k] * rows[k][j] for k in range(n)) + (m * m if i == j else 0.0)
-             for j in range(n)]
-            for i in range(n)
-        ]
-        accepted: list[list[complex]] = []
-        for w in _float_kernel(squared):
-            image = matvec(w)
-            cand = [w[i] + (1j / m) * image[i] for i in range(n)]
-            for b in accepted:
-                overlap = sum(x.conjugate() * y for x, y in zip(b, cand))
-                cand = [y - overlap * x for x, y in zip(b, cand)]
-            size = sum(abs(x) ** 2 for x in cand) ** 0.5
-            if size > 1e-6:
-                accepted.append([x / size for x in cand])
-            if len(accepted) == mult:
-                break
-        assert len(accepted) == mult, "numeric eigenspace dimension mismatch"
-        minus_by_mu[m] = accepted
-
-    eigenvalues: list[complex] = []
-    columns: list[list[complex]] = []
-    nonzero = [float(mu) for mu, _ in split if mu != 0]
-    for m in reversed(nonzero):
-        for v in minus_by_mu[m]:
-            eigenvalues.append(complex(0.0, -m))
-            columns.append(v)
-    for v in zero_columns:
-        size = sum(abs(x) ** 2 for x in v) ** 0.5
-        eigenvalues.append(0j)
-        columns.append([x / size for x in v])
-    for m in nonzero:
-        for v in minus_by_mu[m]:
-            eigenvalues.append(complex(0.0, m))
-            columns.append([x.conjugate() for x in v])
-
-    for value, col in zip(eigenvalues, columns):
-        image = [sum(rows[i][j] * col[j] for j in range(n)) for i in range(n)]
-        residual = max(abs(image[i] - value * col[i]) for i in range(n))
-        assert residual < 1e-6, "numeric eigenpair residual too large"
-
-    return FlavorDiagonalization(
-        exact=False,
-        eigenvalues=tuple(eigenvalues),
-        diagonal=None,
-        transformation=None,
-        column_norms_squared=None,
-        numeric_eigenvalues=tuple(eigenvalues),
-        numeric_columns=tuple(tuple(col) for col in columns),
-    )
-
-
-def diagonalize_flavor(lam: ExactMatrix) -> FlavorDiagonalization:
-    """Diagonalize a real antisymmetric matrix, eigenvalues ascending by
-    imaginary part (so the 2x2 unit case gives diag(-i, i)).
-
-    The eigenvalue pairing +-i*mu makes the diagonal traceless
-    automatically.  Rational magnitudes take the exact path; irrational
-    ones fall back to validated floating point.
-    """
-    if not lam.is_square:
-        raise DimensionError("diagonalization needs a square matrix")
-    if not (-lam.transpose() == lam) or not lam.is_real():
-        raise ValueError("flavor diagonalization needs a real antisymmetric matrix")
-    split = antisym_eigensplit(lam)
-    if all(isinstance(mu, Fraction) for mu, _ in split):
-        return _exact_diagonalization(lam, split)
-    return _numeric_diagonalization(lam, split)
 
 
 @dataclass(frozen=True)
@@ -336,11 +166,10 @@ class FlavorDiagnosis:
         return self.diagonalization.column_norms_squared
 
 
-def _sign_of(value) -> int:
-    imag = value.im if isinstance(value, Scalar) else value.imag
-    if imag < 0:
+def _sign_of(value: Scalar) -> int:
+    if value.im < 0:
         return 1
-    if imag > 0:
+    if value.im > 0:
         return -1
     return 0
 
@@ -357,6 +186,23 @@ def _negative_norm_witness() -> GramResult:
     return witness
 
 
+def _diagnosis(signs, diagonalization, block, spin, note=None) -> FlavorDiagnosis:
+    negative = -1 in signs
+    inverted = False
+    if spin is not None and block is not None:
+        integral = as_two_j(spin) % 2 == 0
+        inverted = integral and symmetry_decompose(block)[2] is SymmetryClass.SYMMETRIC
+    return FlavorDiagnosis(
+        is_flavor_antisymmetric=True,
+        diagonalization=diagonalization,
+        sector_signs=tuple(signs),
+        negative_norm=negative,
+        inverted_connection_attempt=inverted,
+        witness=_negative_norm_witness() if negative else None,
+        note=note,
+    )
+
+
 def sector_sign_analysis(
     diagonalization: FlavorDiagonalization,
     block: ExactMatrix | None = None,
@@ -371,21 +217,8 @@ def sector_sign_analysis(
     symmetric, the combination that would have made integral-spin fields
     anticommute.
     """
-    signs = tuple(_sign_of(v) for v in diagonalization.eigenvalues)
-    negative = -1 in signs
-    inverted = False
-    if spin is not None and block is not None:
-        integral = as_two_j(spin) % 2 == 0
-        inverted = integral and symmetry_decompose(block)[2] is SymmetryClass.SYMMETRIC
-    witness = _negative_norm_witness() if negative else None
-    return FlavorDiagnosis(
-        is_flavor_antisymmetric=True,
-        diagonalization=diagonalization,
-        sector_signs=signs,
-        negative_norm=negative,
-        inverted_connection_attempt=inverted,
-        witness=witness,
-    )
+    signs = [_sign_of(v) for v in diagonalization.eigenvalues]
+    return _diagnosis(signs, diagonalization, block, spin)
 
 
 def flavor_diagnosis(k0: ExactMatrix, spin=None) -> FlavorDiagnosis:
@@ -393,7 +226,13 @@ def flavor_diagnosis(k0: ExactMatrix, spin=None) -> FlavorDiagnosis:
 
     Matrices without the flavor-antisymmetric pattern keep the usual
     arguments intact: every sector sign is +1 by the normalization
-    convention and there is nothing to diagonalize.
+    convention and there is nothing to diagonalize.  For a real
+    antisymmetric K0 the sector signs are the inertia of the hermitian
+    form i*K0, +1 for each positive eigenvalue (i*K0 maps the -i*mu
+    eigenvectors of K0 to +mu), then 0 for each zero, then -1 for each
+    negative one.  They need no eigenvalues, so they are exact for any
+    such K0; the diagonalization is attached when K0 has the shape
+    diagonalize_flavor handles.
     """
     split = detect_flavor_antisymmetry(k0)
     if not split.is_flavor_antisymmetric:
@@ -418,8 +257,15 @@ def flavor_diagnosis(k0: ExactMatrix, spin=None) -> FlavorDiagnosis:
             note="flavor block is not a real symmetric form; "
                  "sector diagonalization not attempted",
         )
-    diagonalization = diagonalize_flavor(k0)
-    return sector_sign_analysis(diagonalization, split.block, spin)
+    positives, negatives, zeros = hermitian_signature(k0.scale(I))
+    signs = [1] * positives + [0] * zeros + [-1] * negatives
+    try:
+        diagonalization, note = diagonalize_flavor(k0), None
+    except ValueError:
+        diagonalization = None
+        note = ("flavor block is not diagonal and positive; sector signs "
+                "from the inertia of i*K0, no diagonalization attached")
+    return _diagnosis(signs, diagonalization, split.block, spin, note)
 
 
 @dataclass(frozen=True)

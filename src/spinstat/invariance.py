@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import DimensionError, ExactMatrix, Scalar, SymmetryClass, symmetry_decompose
+from .algebra import (
+    DimensionError,
+    ExactMatrix,
+    Scalar,
+    SymmetryClass,
+    pivoted_elimination,
+    symmetry_decompose,
+)
 from .su2 import as_two_j
 
 __all__ = [
@@ -147,59 +154,6 @@ def momentum_map(k0: ExactMatrix, statistics: str) -> ExactMatrix:
     raise ValueError(f"statistics must be 'bose' or 'fermi', got {statistics!r}")
 
 
-def _principal_pivot_indices(p: ExactMatrix) -> list[int]:
-    """Leftmost index set S with P[S,S] invertible and |S| = rank(P).
-
-    Works by exact Schur-complement pivoting.  P is symmetric or
-    antisymmetric here, so whenever no diagonal pivot survives, the first
-    nonzero off-diagonal entry gives an invertible 2x2 principal block
-    (its determinant is -+ the entry squared), and Schur complements
-    preserve the transpose symmetry, so the loop never stalls early.
-    """
-    n = p.rows
-    work = [[p[i, j] for j in range(n)] for i in range(n)]
-    active = list(range(n))
-    selected: list[int] = []
-
-    while active:
-        pivot = None
-        for i in active:
-            if not work[i][i].is_zero:
-                pivot = (i,)
-                break
-        if pivot is None:
-            for ai, i in enumerate(active):
-                for j in active[ai + 1:]:
-                    if not work[i][j].is_zero:
-                        pivot = (i, j)
-                        break
-                if pivot:
-                    break
-        if pivot is None:
-            break
-
-        selected.extend(pivot)
-        rest = [r for r in active if r not in pivot]
-        if len(pivot) == 1:
-            (i,) = pivot
-            inv = Scalar(1) / work[i][i]
-            for r in rest:
-                for c in rest:
-                    work[r][c] = work[r][c] - work[r][i] * inv * work[i][c]
-        else:
-            i, j = pivot
-            det = work[i][i] * work[j][j] - work[i][j] * work[j][i]
-            for r in rest:
-                ri, rj = work[r][i], work[r][j]
-                for c in rest:
-                    ic, jc = work[i][c], work[j][c]
-                    adj = (ri * (work[j][j] * ic - work[i][j] * jc)
-                           + rj * (work[i][i] * jc - work[j][i] * ic))
-                    work[r][c] = work[r][c] - adj / det
-        active = rest
-    return sorted(selected)
-
-
 @dataclass(frozen=True)
 class ConstraintSplit:
     """Partition of field components into canonical pairs and constraints."""
@@ -217,14 +171,15 @@ def constraint_split(k0: ExactMatrix, statistics: str) -> ConstraintSplit:
 
     The momentum map P (see momentum_map) annihilates pure-constraint
     directions; the canonical indices are the leftmost principal set on
-    which P is invertible.  The returned nonsingular_block is K0 itself
-    restricted to those indices, which for a wave-operator matrix with
-    three spatial-gradient constraints comes out as the familiar 2x2 core.
+    which P is invertible, as found by algebra.pivoted_elimination.  The
+    returned nonsingular_block is K0 itself restricted to those indices,
+    which for a wave-operator matrix with three spatial-gradient
+    constraints comes out as the familiar 2x2 core.
     """
     if not k0.is_square:
         raise ValueError("kinematic matrix must be square")
     p = momentum_map(k0, statistics)
-    canonical = _principal_pivot_indices(p)
+    canonical = pivoted_elimination(p)[0]
     constraint = [i for i in range(k0.rows) if i not in canonical]
 
     if canonical:

@@ -128,6 +128,13 @@ def _parse_bool(raw: str, line_no: int, key: str) -> bool:
     raise TheoryParseError(line_no, f"{key} must be true or false, got {raw!r}")
 
 
+def _parse_count(raw: str, line_no: int, key: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise TheoryParseError(line_no, f"{key} must be an integer, got {raw!r}") from None
+
+
 def _parse_field(rest: str, line_no: int) -> FieldSpec:
     tokens = rest.split()
     if not tokens:
@@ -155,8 +162,8 @@ def _parse_field(rest: str, line_no: int) -> FieldSpec:
             line_no, f"spin {spin_label(two_j)} exceeds the supported maximum "
             f"{spin_label(MAX_TWO_J)}")
 
-    flavors = int(attrs.pop("flavors", "1"))
-    copies = int(attrs.pop("copies", "1"))
+    flavors = _parse_count(attrs.pop("flavors", "1"), line_no, "flavors")
+    copies = _parse_count(attrs.pop("copies", "1"), line_no, "copies")
     if flavors < 1 or copies < 1:
         raise TheoryParseError(line_no, "flavors and copies must be >= 1")
     hermitian = _parse_bool(attrs.pop("hermitian", "true"), line_no, "hermitian")

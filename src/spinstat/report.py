@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ExactMatrix, Scalar, symmetry_decompose
+from .algebra import ExactMatrix, symmetry_decompose
 from .flavor import FlavorDiagnosis, KirchoffResult, flavor_diagnosis, kirchoff_check
 from .fock import ModeExpansion, ModeTerm
 from .invariance import (
@@ -145,12 +145,6 @@ def _matrix_json(m: ExactMatrix | None):
     return None if m is None else m.to_nested_strings()
 
 
-def _value_str(v) -> str:
-    if isinstance(v, Scalar):
-        return str(v)
-    return repr(complex(v))
-
-
 def _flavor_json(name: str, d: FlavorDiagnosis) -> dict:
     out = {
         "field": name,
@@ -164,14 +158,12 @@ def _flavor_json(name: str, d: FlavorDiagnosis) -> dict:
     }
     if d.diagonalization is not None:
         dg = d.diagonalization
-        norms = dg.column_norms_squared
         out["diagonalization"] = {
             "exact": dg.exact,
-            "eigenvalues": [_value_str(v) for v in dg.eigenvalues],
+            "eigenvalues": [str(v) for v in dg.eigenvalues],
             "diagonal": _matrix_json(dg.diagonal),
             "transformation": _matrix_json(dg.transformation),
-            "column_norms_squared":
-                None if norms is None else [str(n) for n in norms],
+            "column_norms_squared": [str(n) for n in dg.column_norms_squared],
         }
     if d.witness is not None:
         out["witness"] = {

@@ -9,10 +9,12 @@ from spinstat.algebra import (
     ExactMatrix,
     Scalar,
     SymmetryClass,
-    antisym_eigensplit,
+    hermitian_signature,
     kernel,
+    pivoted_elimination,
     symmetry_decompose,
 )
+from oracles import charpoly, descartes_signature, leibniz_determinant
 
 # -- strategies -------------------------------------------------------------
 
@@ -87,6 +89,12 @@ def test_scalar_mixed_coercion():
     assert Scalar(1, 1) * 2 == Scalar(2, 2)
     assert 1 + Scalar(0, 1) == Scalar(1, 1)
     assert Scalar(3) / Fraction(3, 2) == Scalar(2)
+
+
+def test_scalar_hash_agrees_with_equal_numbers():
+    assert len({Scalar(1), 1}) == 1
+    assert hash(Scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert {Scalar(0, 1): "i"}[Scalar.parse("0+1i")] == "i"
 
 
 # -- ExactMatrix basics -----------------------------------------------------
@@ -180,15 +188,16 @@ def test_inverse_roundtrip(m):
 def test_charpoly_hand_value():
     m = ExactMatrix([[2, 1], [1, 2]])
     # det(tI - M) = (t-2)^2 - 1 = t^2 - 4t + 3
-    assert m.charpoly() == (Scalar(3), Scalar(-4), Scalar(1))
-    assert m.determinant() == Scalar(3)
+    assert charpoly(m) == (Scalar(3), Scalar(-4), Scalar(1))
+    assert leibniz_determinant(m) == Scalar(3)
 
 
 @given(square_matrices(3))
 def test_charpoly_constant_term_is_det(m):
-    coeffs = m.charpoly()
+    # the two oracles agree: det(-M) = (-1)^n det(M)
+    coeffs = charpoly(m)
     sign = 1 if m.rows % 2 == 0 else -1
-    assert m.determinant() == coeffs[0] * sign
+    assert leibniz_determinant(m) == coeffs[0] * sign
 
 
 # -- symmetry decomposition -------------------------------------------------
@@ -260,32 +269,41 @@ def blockdiag(*mats):
     return ExactMatrix.block(grid)
 
 
+def i_times(m):
+    return m.scale(Scalar(0, 1))
+
+
+# The spectrum of a real antisymmetric M is +-i*mu pairs plus zeros, and
+# i*M is hermitian with eigenvalues +-mu, so the signature of i*M splits
+# the spectrum exactly (Sylvester's law), with no eigenvalue computed.
+
+
 def test_eigensplit_single_pair():
-    assert antisym_eigensplit(rot_block(1)) == [(Fraction(1), 1)]
+    assert hermitian_signature(i_times(rot_block(1))) == (1, 1, 0)
 
 
 def test_eigensplit_two_blocks():
     m = blockdiag(rot_block(1), rot_block(3))
-    assert antisym_eigensplit(m) == [(Fraction(1), 1), (Fraction(3), 1)]
+    assert hermitian_signature(i_times(m)) == (2, 2, 0)
 
 
 def test_eigensplit_multiplicity():
     m = blockdiag(rot_block(2), rot_block(2))
-    assert antisym_eigensplit(m) == [(Fraction(2), 2)]
+    assert hermitian_signature(i_times(m)) == (2, 2, 0)
 
 
 def test_eigensplit_zero_modes():
     m = blockdiag(rot_block(1), ExactMatrix.zeros(1))
-    assert antisym_eigensplit(m) == [(Fraction(0), 1), (Fraction(1), 1)]
+    assert hermitian_signature(i_times(m)) == (1, 1, 1)
 
 
 def test_eigensplit_rational_fraction():
-    assert antisym_eigensplit(rot_block(Fraction(2, 3))) == [(Fraction(2, 3), 1)]
+    assert hermitian_signature(i_times(rot_block(Fraction(2, 3)))) == (1, 1, 0)
 
 
 def test_eigensplit_hermitian_variant():
     m = ExactMatrix([["0", "0+1i"], ["0-1i", "0"]])
-    assert antisym_eigensplit(m) == [(Fraction(1), 1)]
+    assert hermitian_signature(m) == (1, 1, 0)
 
 
 def test_eigensplit_hermitian_with_kernel():
@@ -298,11 +316,12 @@ def test_eigensplit_hermitian_with_kernel():
             ["0", "0", "0", "0", "0"],
         ]
     )
-    assert antisym_eigensplit(beta0) == [(Fraction(0), 3), (Fraction(1), 1)]
+    assert hermitian_signature(beta0) == (1, 1, 3)
 
 
 def test_eigensplit_irrational_magnitudes():
-    # charpoly is l^4 + 3 l^2 + 1, so mu are the golden ratio and its inverse
+    # charpoly is l^4 + 3 l^2 + 1, so mu are the golden ratio and its
+    # inverse; the signature is still exact
     m = ExactMatrix(
         [
             [0, 1, 1, 0],
@@ -311,31 +330,88 @@ def test_eigensplit_irrational_magnitudes():
             [0, -1, 0, 0],
         ]
     )
-    split = antisym_eigensplit(m)
-    assert [mult for _, mult in split] == [1, 1]
-    phi = (1 + 5 ** 0.5) / 2
-    assert isinstance(split[0][0], float) and isinstance(split[1][0], float)
-    assert abs(split[0][0] - 1 / phi) < 1e-9
-    assert abs(split[1][0] - phi) < 1e-9
+    assert hermitian_signature(i_times(m)) == (2, 2, 0)
+    assert descartes_signature(i_times(m)) == (2, 2, 0)
 
 
 def test_eigensplit_rejects_non_antisymmetric():
+    # i*M is hermitian exactly when M is real antisymmetric
     with pytest.raises(ValueError):
-        antisym_eigensplit(ExactMatrix([[1, 0], [0, 1]]))
+        hermitian_signature(i_times(ExactMatrix([[1, 0], [0, 1]])))
     with pytest.raises(ValueError):
-        antisym_eigensplit(ExactMatrix([["0", "1+1i"], ["-1-1i", "0"]]))
+        hermitian_signature(i_times(ExactMatrix([["0", "1+1i"], ["-1-1i", "0"]])))
 
 
 @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=3))
 def test_eigensplit_matches_block_construction(mus):
     blocks = [rot_block(mu) if mu else ExactMatrix.zeros(1) for mu in mus]
     m = blockdiag(*blocks)
-    split = antisym_eigensplit(m)
-    expected = {}
-    for mu in mus:
-        key = Fraction(abs(mu))
-        expected[key] = expected.get(key, 0) + 1
-    assert {mu: mult for mu, mult in split} == expected
-    # reported pair count accounts for the whole dimension
-    total = sum((1 if mu == 0 else 2) * mult for mu, mult in split)
-    assert total == m.rows
+    pairs = sum(1 for mu in mus if mu)
+    zeros = len(mus) - pairs
+    assert hermitian_signature(i_times(m)) == (pairs, pairs, zeros)
+
+
+# -- pivoted elimination and the inertia ------------------------------------
+
+sparse_scalars = st.one_of(st.just(Scalar(0)), scalars)
+
+
+@st.composite
+def hermitian_matrices(draw, n_max=6):
+    """Hermitian matrices with complex entries, sometimes a zero diagonal,
+    and sometimes rank-deficient as a congruence B^H H B through a thin B."""
+    n = draw(st.integers(min_value=1, max_value=n_max))
+    zero_diagonal = draw(st.booleans())
+    rows = [[Scalar(0)] * n for _ in range(n)]
+    for i in range(n):
+        if not zero_diagonal:
+            rows[i][i] = Scalar(draw(small_fractions))
+        for j in range(i + 1, n):
+            rows[i][j] = draw(sparse_scalars)
+            rows[j][i] = rows[i][j].conjugate()
+    h = ExactMatrix(rows)
+    rank_cap = draw(st.integers(min_value=1, max_value=n))
+    if rank_cap < n:
+        b = ExactMatrix([[draw(sparse_scalars) for _ in range(n)]
+                         for _ in range(rank_cap)])
+        h = b.dagger() @ h.principal(range(rank_cap)) @ b
+    return h
+
+
+@given(hermitian_matrices())
+def test_signature_matches_charpoly_descartes(m):
+    assert hermitian_signature(m) == descartes_signature(m)
+
+
+def test_signature_hand_values():
+    assert hermitian_signature(ExactMatrix([[2, 1], [1, 2]])) == (2, 0, 0)
+    assert hermitian_signature(ExactMatrix([[0, 1], [1, 0]])) == (1, 1, 0)
+    assert hermitian_signature(ExactMatrix([[1, 1], [1, 1]])) == (1, 0, 1)
+    assert hermitian_signature(ExactMatrix.diagonal([-1, 0, 3])) == (1, 1, 1)
+    with pytest.raises(ValueError, match="hermitian"):
+        hermitian_signature(ExactMatrix([[0, 1], [0, 0]]))
+
+
+@given(st.sampled_from(["symmetric", "antisymmetric"]), square_matrices(5))
+def test_pivoted_elimination_selects_a_full_rank_principal_block(kind, m):
+    p = m + m.T if kind == "symmetric" else m - m.T
+    indices, blocks = pivoted_elimination(p)
+    assert list(indices) == sorted(set(indices))
+    assert sum(b.rows for b in blocks) == len(indices) == p.rank()
+    if indices:
+        assert p.principal(indices).rank() == len(indices)
+
+
+@given(hermitian_matrices())
+def test_pivoted_elimination_rank_on_hermitian_input(m):
+    indices, _ = pivoted_elimination(m)
+    assert len(indices) == m.rank()
+    if indices:
+        assert m.principal(indices).rank() == len(indices)
+
+
+def test_pivoted_elimination_takes_a_2x2_pivot_on_a_zero_diagonal():
+    m = ExactMatrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+    indices, blocks = pivoted_elimination(m)
+    assert indices == (0, 2)
+    assert blocks == (ExactMatrix([[0, 1], [1, 0]]),)

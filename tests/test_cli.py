@@ -110,6 +110,14 @@ def test_parse_error_exits_1(tmp_path):
     assert "line 2" in proc.stderr
 
 
+def test_non_integer_flavors_exits_1_with_line(tmp_path):
+    bad = tmp_path / "bad.th"
+    bad.write_text("theory t\nfield phi spin=0 flavors=abc\n")
+    proc = run_cli("analyze", str(bad))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: line 2:")
+
+
 def test_declared_statistics_contradiction_exits_2(tmp_path):
     th = tmp_path / "contra.th"
     th.write_text("theory contra\nfield phi spin=0 copies=2 statistics=fermi\n")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinstat.algebra import DimensionError, ExactMatrix, Scalar
+from spinstat.algebra import DimensionError, ExactMatrix, Scalar, hermitian_signature
 from spinstat.flavor import (
     FlavorDiagnosis,
     KirchoffResult,
@@ -125,34 +125,39 @@ def test_degenerate_eigenvalue_keeps_unitarity():
 
 
 def test_singular_matrix_reports_zero_sectors():
+    # one +-i pair and two zero modes, read off the inertia of i*lam
     lam = ExactMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-    result = diagonalize_flavor(lam)
-    assert [v.im for v in result.eigenvalues] == [-1, 0, 0, 1]
-    assert result.diagonal[1, 1] == Scalar(0)
+    assert hermitian_signature(lam.scale(I)) == (1, 1, 2)
+    with pytest.raises(ValueError):
+        diagonalize_flavor(lam)
 
 
 def test_random_known_spectra_round_trip():
     rng = random.Random(83)
     for _ in range(20):
-        mus = sorted(
-            Fraction(rng.randrange(1, 7), rng.randrange(1, 4)) for _ in range(rng.choice((1, 2)))
-        )
+        mus = [Fraction(rng.randrange(1, 7), rng.randrange(1, 4))
+               for _ in range(rng.choice((1, 2, 3)))]
+        lam = flavor_pair(ExactMatrix.diagonal(mus))
+        result = diagonalize_flavor(lam)
+        assert result.exact
+        expected = sorted([-mu for mu in mus] + [mu for mu in mus])
+        assert [v.im for v in result.eigenvalues] == expected
+        assert lam @ result.transformation == result.transformation @ result.diagonal
+        signs = sector_sign_analysis(result).sector_signs
+        assert signs == (1,) * len(mus) + (-1,) * len(mus)
+
+        # a shuffled block-diagonal form is no flavor pairing, but the
+        # inertia of i*lam still splits its spectrum into equal halves
         n = 2 * len(mus)
         entries = [[Fraction(0)] * n for _ in range(n)]
         for k, mu in enumerate(mus):
             entries[2 * k][2 * k + 1] = mu
             entries[2 * k + 1][2 * k] = -mu
-        lam = ExactMatrix(entries)
-        perm = list(range(lam.rows))
+        perm = list(range(n))
         rng.shuffle(perm)
-        shuffled = ExactMatrix([[lam[perm[i], perm[j]] for j in range(lam.rows)]
-                                for i in range(lam.rows)])
-        result = diagonalize_flavor(shuffled)
-        assert result.exact
-        expected = sorted([-mu for mu in mus] + [mu for mu in mus])
-        assert sorted(v.im for v in result.eigenvalues) == expected
-        signs = [1 if v.im < 0 else -1 for v in result.eigenvalues]
-        assert signs.count(1) == signs.count(-1)
+        shuffled = ExactMatrix([[entries[perm[i]][perm[j]] for j in range(n)]
+                                for i in range(n)])
+        assert hermitian_signature(shuffled.scale(I)) == (len(mus), len(mus), 0)
 
 
 def test_diagonalization_rejects_non_antisymmetric():
@@ -170,25 +175,14 @@ def test_diagonalization_rejects_rectangles():
         diagonalize_flavor(ExactMatrix.zeros(2, 3))
 
 
-# -- diagonalization, numeric fallback --------------------------------------------
-
-
-def test_irrational_magnitudes_take_the_numeric_path():
-    lam = ExactMatrix([
-        [0, 1, 0, 0],
-        [-1, 0, 2, 0],
-        [0, -2, 0, 3],
-        [0, 0, -3, 0],
-    ])
-    result = diagonalize_flavor(lam)
-    assert not result.exact
-    assert result.transformation is None
-    imags = [v.imag for v in result.numeric_eigenvalues]
-    assert imags == sorted(imags)
-    assert len(imags) == 4
-    assert abs(sum(imags)) < 1e-9
-    for col in result.numeric_columns:
-        assert abs(sum(abs(x) ** 2 for x in col) - 1.0) < 1e-9
+@pytest.mark.parametrize("block", [
+    ExactMatrix([[1, 1], [1, 0]]),     # symmetric but not diagonal
+    ExactMatrix.diagonal([1, -2]),     # a negative weight
+    ExactMatrix.diagonal([1, 0]),      # a zero weight
+])
+def test_diagonalization_needs_a_positive_diagonal_pairing(block):
+    with pytest.raises(ValueError, match="diagonal and positive"):
+        diagonalize_flavor(flavor_pair(block))
 
 
 # -- sector signs and the full diagnosis -------------------------------------------
@@ -228,10 +222,22 @@ def test_sign_balance_for_larger_blocks():
 
 
 def test_zero_eigenvalues_carry_no_sign():
-    lam = ExactMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-    diagnosis = sector_sign_analysis(diagonalize_flavor(lam))
+    diagnosis = flavor_diagnosis(flavor_pair(ExactMatrix.diagonal([1, 0])))
     assert diagnosis.sector_signs == (1, 0, 0, -1)
     assert diagnosis.negative_norm
+    assert diagnosis.diagonalization is None
+
+
+def test_irrational_pairing_signs_are_exact():
+    # W = [[1, 1], [1, 0]] has eigenvalues (1 +- sqrt 5)/2, so the pairing's
+    # spectrum is irrational; the signs come from an exact inertia all the same
+    diagnosis = flavor_diagnosis(flavor_pair(ExactMatrix([[1, 1], [1, 0]])), 0)
+    assert diagnosis.sector_signs == (1, 1, -1, -1)
+    assert diagnosis.negative_norm
+    assert diagnosis.inverted_connection_attempt
+    assert diagnosis.witness.signature == (0, 1, 0)
+    assert diagnosis.diagonalization is None
+    assert "no diagonalization attached" in diagnosis.note
 
 
 def test_flavor_diagonal_theory_keeps_positive_signs():

@@ -87,6 +87,14 @@ def test_parse_error_reports_line_number():
     assert str(err.value).startswith("line 2:")
 
 
+@pytest.mark.parametrize("attr", ["flavors=abc", "copies=1.5", "flavors="])
+def test_non_integer_counts_report_line_number(attr):
+    with pytest.raises(TheoryParseError) as err:
+        parse(f"theory t\nfield a spin=0 {attr}\n")
+    assert err.value.line == 2
+    assert "must be an integer" in str(err.value)
+
+
 def test_explicit_matrix_loads_and_validates(tmp_path):
     (tmp_path / "k.json").write_text('[["0", "0+1i"], ["0-1i", "0"]]')
     spec = parse(
