@@ -8,7 +8,6 @@ from .algebra import (
     Scalar,
     SymmetryClass,
     hermitian_signature,
-    kernel,
     symmetry_decompose,
 )
 from .model import TheoryParseError, TheorySpec, build_kinematic, parse_theory
@@ -27,7 +26,6 @@ __all__ = [
     "Scalar",
     "SymmetryClass",
     "hermitian_signature",
-    "kernel",
     "symmetry_decompose",
     "TheoryParseError",
     "TheorySpec",

@@ -22,7 +22,6 @@ __all__ = [
     "ExactMatrix",
     "SymmetryClass",
     "symmetry_decompose",
-    "kernel",
     "pivoted_elimination",
     "hermitian_signature",
 ]
@@ -38,7 +37,10 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -66,7 +68,7 @@ class Scalar:
         if not t:
             raise ValueError("empty scalar literal")
         if not t.endswith("i"):
-            return Scalar(Fraction(t))
+            return Scalar(t)
         body = t[:-1]
         # Find the sign separating the real part from the imaginary part.
         # Signs at position 0 or right after '/' belong to a single number.
@@ -84,8 +86,8 @@ class Scalar:
         elif im_part == "-":
             im = Fraction(-1)
         else:
-            im = Fraction(im_part)
-        return Scalar(Fraction(re_part), im)
+            im = _as_fraction(im_part)
+        return Scalar(re_part, im)
 
     @staticmethod
     def coerce(value) -> "Scalar":
@@ -297,10 +299,6 @@ class ExactMatrix:
         return ExactMatrix(out)
 
     @staticmethod
-    def from_nested(nested) -> "ExactMatrix":
-        return ExactMatrix(nested)
-
-    @staticmethod
     def loads(text: str) -> "ExactMatrix":
         """Parse the serialized form: a JSON nested array of scalar strings."""
         try:
@@ -490,25 +488,6 @@ class ExactMatrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def kernel_basis(self) -> list[tuple[Scalar, ...]]:
-        """Basis of the right null space, one vector per free column.
-
-        Each basis vector has a 1 in its free coordinate and the negated
-        reduced coefficients in the pivot coordinates, so the result is
-        deterministic given the matrix.
-        """
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            vec = [ZERO] * self.cols
-            vec[f] = ONE
-            for r, p in enumerate(pivots):
-                vec[p] = -reduced[r, f]
-            basis.append(tuple(vec))
-        return basis
-
     def inverse(self) -> "ExactMatrix":
         if not self.is_square:
             raise DimensionError("inverse needs a square matrix")
@@ -546,11 +525,6 @@ def symmetry_decompose(m: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, Symmet
     else:
         cls = SymmetryClass.MIXED
     return sym, anti, cls
-
-
-def kernel(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
-    """Exact basis of the right null space (see ExactMatrix.kernel_basis)."""
-    return m.kernel_basis()
 
 
 def pivoted_elimination(m: ExactMatrix) -> tuple[tuple[int, ...], tuple[ExactMatrix, ...]]:

@@ -8,8 +8,7 @@ states.  This module detects the pattern, reads the sector signs off the
 inertia of the hermitian form i*K0 (no eigenvalues needed), writes down
 the diagonalization in closed form for the diagonal pairings the builder
 emits, and attaches the concrete one-quantum negative-norm witness; all of
-it in exact arithmetic.  It also hosts the absorption-emission balance
-lint on mode expansions.
+it in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .algebra import (
     hermitian_signature,
     symmetry_decompose,
 )
-from .fock import GramResult, ModeExpansion, gram_matrix, parse_relation_table
+from .fock import GramResult, gram_matrix, parse_relation_table
 from .su2 import as_two_j
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "FlavorDiagnosis",
     "sector_sign_analysis",
     "flavor_diagnosis",
-    "KirchoffResult",
-    "kirchoff_check",
 ]
 
 I = Scalar(0, 1)
@@ -266,39 +263,3 @@ def flavor_diagnosis(k0: ExactMatrix, spin=None) -> FlavorDiagnosis:
         note = ("flavor block is not diagonal and positive; sector signs "
                 "from the inertia of i*K0, no diagonalization attached")
     return _diagnosis(signs, diagonalization, split.block, spin, note)
-
-
-@dataclass(frozen=True)
-class KirchoffResult:
-    """Absorption-emission balance verdict for one field's mode expansion."""
-
-    compliant: bool
-    detail: str | None = None
-
-
-def kirchoff_check(expansion: ModeExpansion) -> KirchoffResult:
-    """A field must create and annihilate quanta in the same modes.
-
-    Emission and absorption stay in balance only when each mode appears in
-    both parts of the expansion, which is also what hermiticity of the
-    field demands.  Mode labels are compared as sets, so the verdict does
-    not depend on how the modes are named or ordered.
-    """
-    created = expansion.labels("creator")
-    annihilated = expansion.labels("annihilator")
-    if not expansion.terms:
-        return KirchoffResult(False, f"field {expansion.field} has no mode terms")
-    if not annihilated:
-        return KirchoffResult(
-            False, f"field {expansion.field} has a creation-only expansion")
-    if not created:
-        return KirchoffResult(
-            False, f"field {expansion.field} has an annihilation-only expansion")
-    if created != annihilated:
-        lopsided = sorted(created.symmetric_difference(annihilated))
-        return KirchoffResult(
-            False,
-            f"field {expansion.field} creates and annihilates different modes: "
-            + ", ".join(lopsided),
-        )
-    return KirchoffResult(True)

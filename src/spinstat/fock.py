@@ -10,8 +10,7 @@ wrong sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .algebra import ExactMatrix, Scalar, hermitian_signature
 
@@ -25,8 +24,6 @@ __all__ = [
     "adjoint_word",
     "GramResult",
     "gram_matrix",
-    "ModeTerm",
-    "ModeExpansion",
 ]
 
 _ZERO = Scalar(0)
@@ -137,7 +134,10 @@ def parse_relation_table(text: str) -> RelationTable:
                 raise ValueError(
                     f"line {line_no}: second pair symbol is the creator "
                     f"and must end in 'dag'")
-            value = Scalar.parse("".join(tokens[4:]))
+            try:
+                value = Scalar.parse("".join(tokens[4:]))
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: bad pair value: {exc}") from None
             pairs.append((a, c, value))
         else:
             raise ValueError(f"line {line_no}: unknown directive {tokens[0]!r}")
@@ -300,44 +300,3 @@ def gram_matrix(states, table: RelationTable) -> GramResult:
             "gram matrix came out non-hermitian; the relation table is not "
             "consistent with its own adjoint structure")
     return GramResult(matrix, hermitian_signature(matrix))
-
-
-@dataclass(frozen=True)
-class ModeTerm:
-    """One term of a field's mode expansion."""
-
-    symbol: str
-    kind: str
-    mode: str
-    frequency: Fraction
-
-    def __post_init__(self):
-        if self.kind not in ("annihilator", "creator"):
-            raise ValueError(f"kind must be annihilator or creator, got {self.kind!r}")
-        freq = Fraction(self.frequency)
-        object.__setattr__(self, "frequency", freq)
-        if freq <= 0:
-            raise ValueError(f"mode frequency must be positive, got {freq}")
-
-    @property
-    def phase(self) -> str:
-        """Plane-wave tag; annihilation parts carry the negative frequency."""
-        return "e^{-i(kx-wt)}" if self.kind == "annihilator" else "e^{+i(kx-wt)}"
-
-    @property
-    def normalization(self) -> str:
-        return f"1/sqrt(2*{self.frequency})"
-
-
-@dataclass(frozen=True)
-class ModeExpansion:
-    """A field written as a sum of creation and annihilation mode terms."""
-
-    field: str
-    terms: tuple[ModeTerm, ...] = dc_field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-
-    def labels(self, kind: str) -> frozenset[str]:
-        return frozenset(t.mode for t in self.terms if t.kind == kind)

@@ -2,10 +2,12 @@
 
 The first-order Lagrangian couples fields through K0 both to their time
 derivatives and, in momentum space, through the antisymmetrized combination
-Lambda_rs = K0_rs (d_t acting left minus right).  Three facts are mechanized
-here: which transpose symmetry a spin forces on K0, when the kinematic term
-is identically zero (the wrong-parity case), and how K0 splits field
-components into canonical pairs versus constraints.
+Lambda_rs = K0_rs (d_t acting left minus right).  The derivative factor is
+odd under swapping r and s, so commuting fields keep only the antisymmetric
+part of K0 and anticommuting fields only the symmetric part.  Three facts
+are mechanized here: which transpose symmetry a spin forces on K0, whether
+K0 is rotation invariant, and how K0 splits field components into canonical
+pairs versus constraints.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .algebra import (
     Scalar,
     SymmetryClass,
     pivoted_elimination,
-    symmetry_decompose,
 )
 from .su2 import as_two_j
 
@@ -27,8 +28,6 @@ __all__ = [
     "required_symmetry",
     "InvarianceReport",
     "check_su2_invariance",
-    "LambdaOperator",
-    "kinematic_term_is_trivial",
     "momentum_map",
     "ConstraintSplit",
     "constraint_split",
@@ -77,71 +76,6 @@ def check_su2_invariance(k0: ExactMatrix, gens) -> InvarianceReport:
         if entries:
             violations.append((axis, entries))
     return InvarianceReport(not violations, tuple(violations))
-
-
-@dataclass(frozen=True)
-class LambdaOperator:
-    """The bilinear kernel K0_rs (d_t^(r) - d_t^(s)) of the kinematic term.
-
-    Only the numeric part is stored.  Because the derivative factor is odd
-    under swapping r and s, the operator's effective transpose symmetry is
-    the opposite of K0's; this flip is why a symmetric K0 pairs with
-    anticommuting fields and vice versa.
-    """
-
-    k0: ExactMatrix
-
-    @property
-    def symmetry_class(self) -> SymmetryClass:
-        cls = symmetry_decompose(self.k0)[2]
-        if cls is SymmetryClass.SYMMETRIC:
-            return SymmetryClass.ANTISYMMETRIC
-        if cls is SymmetryClass.ANTISYMMETRIC:
-            return SymmetryClass.SYMMETRIC
-        return cls
-
-
-def kinematic_term_is_trivial(k0: ExactMatrix, statistics: str) -> bool:
-    """Whether sum_rs K0_rs (xi_r xi-dot_s - xi-dot_r xi_s) vanishes identically.
-
-    Expands the bilinear over placeholder symbols that commute (bose) or
-    anticommute (fermi), canonical-orders every monomial and collects
-    coefficients.  This is the machine form of the statement that K0 with
-    the same symmetry as the field scalar product gives no Lagrangian:
-    symmetric K0 with commuting fields dies, antisymmetric K0 with
-    anticommuting fields dies.
-    """
-    if statistics not in ("bose", "fermi"):
-        raise ValueError(f"statistics must be 'bose' or 'fermi', got {statistics!r}")
-    fermi = statistics == "fermi"
-    if not k0.is_square:
-        raise ValueError("kinematic matrix must be square")
-
-    coeffs: dict[tuple, Scalar] = {}
-
-    def accumulate(sym_a, sym_b, coeff):
-        if fermi and sym_a == sym_b:
-            return  # anticommuting square vanishes
-        if sym_a <= sym_b:
-            key, sign = (sym_a, sym_b), 1
-        else:
-            key, sign = (sym_b, sym_a), -1 if fermi else 1
-        total = coeffs.get(key, Scalar(0)) + coeff * sign
-        if total.is_zero:
-            coeffs.pop(key, None)
-        else:
-            coeffs[key] = total
-
-    n = k0.rows
-    for r in range(n):
-        for s in range(n):
-            krs = k0[r, s]
-            if krs.is_zero:
-                continue
-            # symbol = (index, dotted)
-            accumulate((r, 0), (s, 1), krs)
-            accumulate((r, 1), (s, 0), -krs)
-    return not coeffs
 
 
 def momentum_map(k0: ExactMatrix, statistics: str) -> ExactMatrix:

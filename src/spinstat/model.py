@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 MAX_TWO_J = 8
+# largest total component count parse_theory accepts; the dense builders
+# allocate dimension^2 exact scalars, so the bound is checked before that
+MAX_DIMENSION = 1024
 
 NOTE_NO_FORM = "no valid kinematic form; field doubling required"
 NOTE_NOT_UNIQUE = "kinematic form not unique; specify explicitly"
@@ -171,9 +174,8 @@ def _parse_field(rest: str, line_no: int) -> FieldSpec:
         raise TheoryParseError(
             line_no,
             "non-hermitian fields are not supported: every field must carry "
-            "both creation and annihilation parts (the mode-expansion "
-            "completeness check relies on it); model a complex field as a "
-            "doubled hermitian pair instead")
+            "both creation and annihilation parts; model a complex field as "
+            "a doubled hermitian pair instead")
     statistics = attrs.pop("statistics", "auto")
     if statistics not in ("auto", "bose", "fermi"):
         raise TheoryParseError(
@@ -188,6 +190,7 @@ def parse_theory(text: str, base_dir: str | pathlib.Path = ".") -> TheorySpec:
     base = pathlib.Path(base_dir)
     name = None
     fields: list[FieldSpec] = []
+    dimension = 0
     kinematic_mode = "auto"
     explicit_path: str | None = None
     flavor_mode = "diagonal"
@@ -210,6 +213,11 @@ def parse_theory(text: str, base_dir: str | pathlib.Path = ".") -> TheorySpec:
             f = _parse_field(rest, line_no)
             if any(existing.name == f.name for existing in fields):
                 raise TheoryParseError(line_no, f"duplicate field {f.name!r}")
+            dimension += f.block_dimension
+            if dimension > MAX_DIMENSION:
+                raise TheoryParseError(
+                    line_no, f"theory has {dimension} components, over the "
+                    f"supported maximum {MAX_DIMENSION}")
             fields.append(f)
         elif directive == "kinematic":
             if seen_kinematic:
@@ -354,8 +362,8 @@ def _form_space_dims(f: FieldSpec) -> tuple[int, int]:
     space carries one symmetric invariant (the positive metric) and three
     antisymmetric ones, giving c(c+1)/2 + 3c(c-1)/2 symmetric and
     c(c-1)/2 + 3c(c+1)/2 antisymmetric combinations.  The generic nullspace
-    solver (su2.invariant_form_space) confirms these numbers on small cases
-    in the tests; it is not run here to keep building fast.
+    solver in tests/oracles.py confirms these numbers on small cases; it is
+    not run here to keep building fast.
     """
     c = f.copies
     sym_pairs = c * (c + 1) // 2

@@ -2,21 +2,20 @@
 
 This is the glue between the parser and the checks: build the kinematic
 matrix, test rotation invariance, judge each field's statistics, split
-off the constraints, diagnose flavor-antisymmetric pairings, and lint
-the mode expansions for absorption-emission balance.  The result is a
-single report object with a stable JSON rendering, so repeated runs on
-the same input are byte-identical.
+off the constraints and diagnose flavor-antisymmetric pairings.  The
+result is a single report object with a stable JSON rendering, so
+repeated runs on the same input are byte-identical.  Rendering also
+states each field's absorption-emission (Kirchoff) balance, which
+hermiticity decides.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import ExactMatrix, symmetry_decompose
-from .flavor import FlavorDiagnosis, KirchoffResult, flavor_diagnosis, kirchoff_check
-from .fock import ModeExpansion, ModeTerm
+from .flavor import FlavorDiagnosis, flavor_diagnosis
 from .invariance import (
     ConstraintSplit,
     InvarianceReport,
@@ -49,21 +48,6 @@ class AmbiguousKinematicError(ValueError):
     """The automatic builder found several candidate kinematic forms."""
 
 
-def field_expansion(f: FieldSpec) -> ModeExpansion:
-    """Canonical hermitian mode expansion of a declared field.
-
-    One representative mode per flavor sector, carrying both an
-    annihilation and a creation part: the (a + adag) structure that a
-    hermitian field forces and that keeps emission tied to absorption.
-    """
-    terms = []
-    for fl in range(1, f.flavors + 1):
-        mode = f.name if f.flavors == 1 else f"{f.name}.f{fl}"
-        terms.append(ModeTerm("a", "annihilator", mode, Fraction(1)))
-        terms.append(ModeTerm("adag", "creator", mode, Fraction(1)))
-    return ModeExpansion(f.name, tuple(terms))
-
-
 @dataclass(frozen=True)
 class VerdictReport:
     """Everything the analysis derived about one theory."""
@@ -76,7 +60,6 @@ class VerdictReport:
     split: ConstraintSplit | None
     surface: SurfaceVariation | None
     flavor_by_field: tuple[tuple[str, FlavorDiagnosis], ...]
-    kirchoff: tuple[tuple[str, KirchoffResult], ...]
     status: str
 
     @property
@@ -124,9 +107,6 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
             d.negative_norm for _, d in flavor_by_field):
         status = "REJECTED_NEGATIVE_NORM"
 
-    kirchoff = tuple(
-        (f.name, kirchoff_check(field_expansion(f))) for f in spec.fields)
-
     return VerdictReport(
         spec=spec,
         build=build,
@@ -136,9 +116,21 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
         split=split,
         surface=surface,
         flavor_by_field=tuple(flavor_by_field),
-        kirchoff=kirchoff,
         status=status,
     )
+
+
+def _kirchoff_json(f: FieldSpec) -> dict:
+    """Absorption-emission balance of the field's mode expansion.
+
+    A hermitian field expands as a + adag in every mode, so it emits in
+    exactly the modes it absorbs in; hermiticity is the whole verdict.
+    """
+    if f.hermitian:
+        return {"compliant": True, "detail": None}
+    return {"compliant": False,
+            "detail": f"field {f.name} is not hermitian, so its creation "
+                      f"parts need not match its annihilation parts"}
 
 
 def _matrix_json(m: ExactMatrix | None):
@@ -177,11 +169,9 @@ def report_to_dict(report: VerdictReport) -> dict:
     """JSON-ready dict with a fixed key order throughout."""
     spec = report.spec
     kin = report.build.kinematic
-    lint = dict(report.kirchoff)
 
     fields = []
-    for v in report.verdict.verdicts:
-        kr = lint[v.field]
+    for f, v in zip(spec.fields, report.verdict.verdicts):
         fields.append({
             "name": v.field,
             "spin": v.spin,
@@ -190,7 +180,7 @@ def report_to_dict(report: VerdictReport) -> dict:
             "michel_parity": v.michel_parity,
             "statistics_declared": v.statistics_declared,
             "contradiction": v.contradiction,
-            "kirchoff": {"compliant": kr.compliant, "detail": kr.detail},
+            "kirchoff": _kirchoff_json(f),
         })
 
     labels = kin.index_map if kin is not None else spec.index_map()
@@ -249,8 +239,7 @@ def report_to_json(report: VerdictReport) -> str:
 
 def _field_lines(report: VerdictReport) -> list[str]:
     lines = []
-    lint = dict(report.kirchoff)
-    for v in report.verdict.verdicts:
+    for f, v in zip(report.spec.fields, report.verdict.verdicts):
         stat = v.consistent_statistics
         lines.append(
             f"field {v.field}: spin {v.spin}, K0 must be "
@@ -259,8 +248,8 @@ def _field_lines(report: VerdictReport) -> list[str]:
             f"michel parity {v.michel_parity:+d}")
         if v.contradiction:
             lines.append(f"  contradiction: {v.contradiction}")
-        kr = lint[v.field]
-        verdict = "compliant" if kr.compliant else f"violation ({kr.detail})"
+        lint = _kirchoff_json(f)
+        verdict = "compliant" if lint["compliant"] else f"violation ({lint['detail']})"
         lines.append(f"  kirchoff lint: {verdict}")
     return lines
 

@@ -12,23 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ExactMatrix, Scalar, SymmetryClass, symmetry_decompose
-from .invariance import ConstraintSplit, constraint_split, momentum_map, required_symmetry
+from .algebra import ExactMatrix, SymmetryClass, symmetry_decompose
+from .invariance import momentum_map, required_symmetry
 from .model import FieldSpec, KinematicBuild, TheorySpec, build_kinematic
-from .su2 import michel_parity, spin_label
+from .su2 import michel_parity
 
 __all__ = [
     "SurfaceVariation",
     "surface_variation_consistency",
-    "CanonicalRelations",
-    "canonical_momenta",
     "StatisticsVerdict",
     "TheoryVerdict",
     "statistics_for_class",
     "spin_statistics_verdict",
 ]
-
-_I = Scalar(0, 1)
 
 _SURVIVING_PART = {"bose": "antisymmetric", "fermi": "symmetric"}
 
@@ -55,61 +51,6 @@ def surface_variation_consistency(k0: ExactMatrix, statistics: str) -> SurfaceVa
     else:
         detail = f"K0 has no {_SURVIVING_PART[statistics]} part"
     return SurfaceVariation(False, f"generator commutes with all fields: {detail}")
-
-
-@dataclass(frozen=True)
-class CanonicalRelations:
-    """Momenta and bracket tables produced by a consistent variation.
-
-    momentum_map holds P with Pi = P @ xi.  On the canonical index set the
-    bracket [xi_n, Pi_j] (commutator for bose, anticommutator for fermi) is
-    i*delta; bracket_coefficients stores that matrix and field_bracket the
-    induced [xi_a, xi_b] table.  Both are None when nothing is canonical.
-    """
-
-    statistics: str
-    bracket: str
-    momentum_map: ExactMatrix
-    split: ConstraintSplit
-    field_bracket: ExactMatrix | None
-    bracket_coefficients: ExactMatrix | None
-
-
-def canonical_momenta(k0: ExactMatrix, statistics: str) -> CanonicalRelations:
-    """Canonical momenta Pi = P xi and the bracket tables they impose.
-
-    The field bracket is normalized by the generator requirement
-    [xi_n, G] = i delta-xi_n, which pins [xi_n, Pi_j] = i*delta on the
-    canonical block; the overall scale of K0 therefore never enters.
-    A zero K0 yields the empty relation set, but asking for statistics
-    that a nonzero K0 cannot support is an error.
-    """
-    variation = surface_variation_consistency(k0, statistics)
-    if not variation.consistent and not k0.is_zero():
-        raise ValueError(variation.reason)
-    split = constraint_split(k0, statistics)
-    bracket = "commutator" if statistics == "bose" else "anticommutator"
-
-    if split.canonical_indices:
-        p_canon = split.momentum_restricted
-        field_bracket = p_canon.transpose().inverse().scale(_I)
-        coefficients = field_bracket @ p_canon.transpose()
-        n = len(split.canonical_indices)
-        assert coefficients == ExactMatrix.identity(n).scale(_I)
-        expected = (SymmetryClass.ANTISYMMETRIC if statistics == "bose"
-                    else SymmetryClass.SYMMETRIC)
-        assert symmetry_decompose(field_bracket)[2] is expected
-    else:
-        field_bracket = None
-        coefficients = None
-    return CanonicalRelations(
-        statistics=statistics,
-        bracket=bracket,
-        momentum_map=momentum_map(k0, statistics),
-        split=split,
-        field_bracket=field_bracket,
-        bracket_coefficients=coefficients,
-    )
 
 
 @dataclass(frozen=True)

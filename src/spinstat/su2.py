@@ -14,17 +14,15 @@ row is m = -j.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import ExactMatrix, Scalar, symmetry_decompose, SymmetryClass
+from .algebra import ExactMatrix, Scalar
 
 __all__ = [
     "SpinGenerators",
     "HermitianBasis",
-    "FormSpace",
     "as_two_j",
     "spin_label",
     "michel_parity",
@@ -32,14 +30,16 @@ __all__ = [
     "invariant_bilinear",
     "hermitian_basis",
     "realify",
-    "invariant_form_space",
 ]
 
 
 def as_two_j(j) -> int:
     """Normalize a spin given as int, Fraction, float or '3/2' text to 2j."""
     if isinstance(j, str):
-        j = Fraction(j)
+        try:
+            j = Fraction(j)
+        except ZeroDivisionError:
+            raise ValueError(f"spin {j!r} has a zero denominator") from None
     if isinstance(j, float):
         j = Fraction(j).limit_denominator(2)
     if isinstance(j, int):
@@ -303,70 +303,3 @@ def _hermitian_basis_cached(two_j: int) -> HermitianBasis:
         if not g.is_imaginary():
             raise AssertionError("half-integral realification failed")
     return HermitianBasis(two_j, u, new_gens, form, doubled=True)
-
-
-# -- invariant form spaces ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FormSpace:
-    """Invariant bilinear forms of a generator set, split by transpose parity."""
-
-    sym_dim: int
-    antisym_dim: int
-    sym_basis: tuple[ExactMatrix, ...]
-    antisym_basis: tuple[ExactMatrix, ...]
-
-
-def _span_basis(matrices, n: int) -> tuple[ExactMatrix, ...]:
-    """Canonical basis (rref row space) of a list of vectorized matrices."""
-    rows = [[m[i, k] for i in range(n) for k in range(n)] for m in matrices]
-    rows = [r for r in rows if any(not x.is_zero for x in r)]
-    if not rows:
-        return ()
-    reduced, pivots = ExactMatrix(rows).rref()
-    out = []
-    for r in range(len(pivots)):
-        flat = reduced.row(r)
-        out.append(ExactMatrix([flat[i * n:(i + 1) * n] for i in range(n)]))
-    return tuple(out)
-
-
-def invariant_form_space(gens) -> FormSpace:
-    """All bilinear forms M with J^T M + M J = 0 for every given generator.
-
-    Solved exactly as one linear system in the n^2 matrix entries; the
-    result is split into symmetric and antisymmetric parts (the space is
-    closed under transposition because the defining equation is).
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    n = gens[0].rows
-    for g in gens:
-        if g.shape != (n, n):
-            raise ValueError("generators must share one square shape")
-
-    rows = []
-    for g in gens:
-        for i in range(n):
-            for k in range(n):
-                # equation (i,k):  sum_l g_{li} M_{lk} + g_{lk} M_{il} = 0
-                row = [Scalar(0)] * (n * n)
-                for l in range(n):
-                    row[l * n + k] += g[l, i]
-                    row[i * n + l] += g[l, k]
-                rows.append(row)
-    solutions = ExactMatrix(rows).kernel_basis()
-
-    half = Scalar(Fraction(1, 2))
-    sym_parts, anti_parts = [], []
-    for vec in solutions:
-        m = ExactMatrix([vec[i * n:(i + 1) * n] for i in range(n)])
-        mt = m.transpose()
-        sym_parts.append((m + mt).scale(half))
-        anti_parts.append((m - mt).scale(half))
-
-    sym_basis = _span_basis(sym_parts, n)
-    antisym_basis = _span_basis(anti_parts, n)
-    return FormSpace(len(sym_basis), len(antisym_basis), sym_basis, antisym_basis)

@@ -1,11 +1,20 @@
-"""Independent oracles for the exact linear algebra.
+"""Independent oracles the tests compare spinstat against.
 
-Nothing here shares code with ``spinstat.algebra`` beyond the matrix type:
-the characteristic polynomial comes from Faddeev-LeVerrier, signatures
-from Descartes' rule of signs on it, and determinants from the Leibniz
-sum over permutations.
+Nothing here shares code with the routines under test beyond the matrix
+type and its ``rref``:
+
+- the characteristic polynomial comes from Faddeev-LeVerrier, signatures
+  from Descartes' rule of signs on it, and determinants from the Leibniz
+  sum over permutations;
+- null spaces come straight from the reduced row echelon form;
+- the invariant bilinear forms of a generator set come from solving
+  J^T M + M J = 0 as one linear system in the entries of M, which checks
+  the counting argument behind ``model._form_space_dims``;
+- whether a kinematic term vanishes comes from expanding it over
+  placeholder symbols, which checks ``invariance.momentum_map``.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -64,3 +73,116 @@ def leibniz_determinant(m: ExactMatrix) -> Scalar:
             term = term * m[row, col]
         total = total + term
     return total
+
+
+def nullspace(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
+    """Basis of the right null space, one vector per free column.
+
+    Each basis vector has a 1 in its free coordinate and the negated
+    reduced coefficients in the pivot coordinates, so the result is
+    deterministic given the matrix.
+    """
+    reduced, pivots = m.rref()
+    basis = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        vec = [Scalar(0)] * m.cols
+        vec[free] = Scalar(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced[r, free]
+        basis.append(tuple(vec))
+    return basis
+
+
+@dataclass(frozen=True)
+class FormSpace:
+    """Invariant bilinear forms of a generator set, split by transpose parity."""
+
+    sym_dim: int
+    antisym_dim: int
+    sym_basis: tuple[ExactMatrix, ...]
+    antisym_basis: tuple[ExactMatrix, ...]
+
+
+def _span_basis(matrices, n: int) -> tuple[ExactMatrix, ...]:
+    """Canonical basis (rref row space) of a list of vectorized matrices."""
+    rows = [[m[i, k] for i in range(n) for k in range(n)] for m in matrices]
+    rows = [r for r in rows if any(not x.is_zero for x in r)]
+    if not rows:
+        return ()
+    reduced, pivots = ExactMatrix(rows).rref()
+    out = []
+    for r in range(len(pivots)):
+        flat = reduced.row(r)
+        out.append(ExactMatrix([flat[i * n:(i + 1) * n] for i in range(n)]))
+    return tuple(out)
+
+
+def invariant_form_space(gens) -> FormSpace:
+    """All bilinear forms M with J^T M + M J = 0 for every given generator.
+
+    Solved exactly as one linear system in the n^2 matrix entries; the
+    result is split into symmetric and antisymmetric parts (the space is
+    closed under transposition because the defining equation is).
+    """
+    gens = list(gens)
+    n = gens[0].rows
+    rows = []
+    for g in gens:
+        for i in range(n):
+            for k in range(n):
+                # equation (i,k):  sum_l g_{li} M_{lk} + g_{lk} M_{il} = 0
+                row = [Scalar(0)] * (n * n)
+                for l in range(n):
+                    row[l * n + k] += g[l, i]
+                    row[i * n + l] += g[l, k]
+                rows.append(row)
+
+    half = Scalar(Fraction(1, 2))
+    sym_parts, anti_parts = [], []
+    for vec in nullspace(ExactMatrix(rows)):
+        m = ExactMatrix([vec[i * n:(i + 1) * n] for i in range(n)])
+        mt = m.transpose()
+        sym_parts.append((m + mt).scale(half))
+        anti_parts.append((m - mt).scale(half))
+
+    sym_basis = _span_basis(sym_parts, n)
+    antisym_basis = _span_basis(anti_parts, n)
+    return FormSpace(len(sym_basis), len(antisym_basis), sym_basis, antisym_basis)
+
+
+def kinematic_term_is_trivial(k0: ExactMatrix, statistics: str) -> bool:
+    """Whether sum_rs K0_rs (xi_r xi-dot_s - xi-dot_r xi_s) vanishes identically.
+
+    Expands the bilinear over placeholder symbols that commute (bose) or
+    anticommute (fermi), canonical-orders every monomial and collects
+    coefficients.  This is the machine form of the statement that K0 with
+    the same symmetry as the field scalar product gives no Lagrangian:
+    symmetric K0 with commuting fields dies, antisymmetric K0 with
+    anticommuting fields dies.
+    """
+    if statistics not in ("bose", "fermi"):
+        raise ValueError(f"statistics must be 'bose' or 'fermi', got {statistics!r}")
+    fermi = statistics == "fermi"
+    coeffs: dict[tuple, Scalar] = {}
+
+    def accumulate(sym_a, sym_b, coeff):
+        if fermi and sym_a == sym_b:
+            return  # anticommuting square vanishes
+        if sym_a <= sym_b:
+            key, sign = (sym_a, sym_b), 1
+        else:
+            key, sign = (sym_b, sym_a), -1 if fermi else 1
+        total = coeffs.get(key, Scalar(0)) + coeff * sign
+        if total.is_zero:
+            coeffs.pop(key, None)
+        else:
+            coeffs[key] = total
+
+    for r in range(k0.rows):
+        for s in range(k0.cols):
+            krs = k0[r, s]
+            if not krs.is_zero:
+                # symbol = (index, dotted)
+                accumulate((r, 0), (s, 1), krs)
+                accumulate((r, 1), (s, 0), -krs)
+    return not coeffs

@@ -118,6 +118,14 @@ def test_non_integer_flavors_exits_1_with_line(tmp_path):
     assert proc.stderr.startswith("error: line 2:")
 
 
+def test_zero_denominator_spin_exits_1_with_line(tmp_path):
+    bad = tmp_path / "bad.th"
+    bad.write_text("theory t\nfield x spin=1/0\n")
+    proc = run_cli("analyze", str(bad))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: line 2:")
+
+
 def test_declared_statistics_contradiction_exits_2(tmp_path):
     th = tmp_path / "contra.th"
     th.write_text("theory contra\nfield phi spin=0 copies=2 statistics=fermi\n")
@@ -298,3 +306,12 @@ def test_fock_needs_word_or_gram(bose_table):
 def test_fock_missing_table_exits_1():
     proc = run_cli("fock", "/nonexistent.rel", "--word", "a")
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_fock_bad_pair_value_exits_1_with_line(value, tmp_path):
+    table = tmp_path / "bad.rel"
+    table.write_text(f"bracket = commutator\npair c cdag = {value}\n")
+    proc = run_cli("fock", str(table), "--word", "c cdag")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: line 2: bad pair value")

@@ -6,14 +6,11 @@ import pytest
 from spinstat.algebra import DimensionError, ExactMatrix, Scalar, hermitian_signature
 from spinstat.flavor import (
     FlavorDiagnosis,
-    KirchoffResult,
     detect_flavor_antisymmetry,
     diagonalize_flavor,
     flavor_diagnosis,
-    kirchoff_check,
     sector_sign_analysis,
 )
-from spinstat.fock import ModeExpansion, ModeTerm
 
 I = Scalar(0, 1)
 
@@ -263,73 +260,3 @@ def test_odd_dimension_diagnosis_has_no_sectors():
     assert not diagnosis.is_flavor_antisymmetric
     assert diagnosis.sector_signs == ()
     assert "odd dimension" in diagnosis.note
-
-
-# -- absorption-emission balance ------------------------------------------------------
-
-
-def _term(symbol, kind, mode):
-    return ModeTerm(symbol, kind, mode, Fraction(1))
-
-
-def test_balanced_expansion_is_compliant():
-    expansion = ModeExpansion("xi", (
-        _term("a", "annihilator", "k1"),
-        _term("adag", "creator", "k1"),
-        _term("a2", "annihilator", "k2"),
-        _term("a2dag", "creator", "k2"),
-    ))
-    assert kirchoff_check(expansion) == KirchoffResult(True)
-
-
-def test_oscillator_coupling_is_compliant():
-    expansion = ModeExpansion("q", (
-        _term("a", "annihilator", "ground"),
-        _term("adag", "creator", "ground"),
-    ))
-    assert kirchoff_check(expansion).compliant
-
-
-def test_creation_only_field_is_a_violation():
-    expansion = ModeExpansion("xi", (_term("adag", "creator", "k1"),))
-    result = kirchoff_check(expansion)
-    assert not result.compliant
-    assert "xi" in result.detail
-    assert "creation-only" in result.detail
-
-
-def test_annihilation_only_field_is_a_violation():
-    result = kirchoff_check(ModeExpansion("eta", (_term("a", "annihilator", "k1"),)))
-    assert not result.compliant
-    assert "annihilation-only" in result.detail
-
-
-def test_mismatched_modes_are_a_violation():
-    expansion = ModeExpansion("xi", (
-        _term("a", "annihilator", "k1"),
-        _term("adag", "creator", "k2"),
-    ))
-    result = kirchoff_check(expansion)
-    assert not result.compliant
-    assert "different modes" in result.detail
-    assert "k1" in result.detail and "k2" in result.detail
-
-
-def test_empty_expansion_is_a_violation():
-    result = kirchoff_check(ModeExpansion("xi"))
-    assert not result.compliant
-    assert "no mode terms" in result.detail
-
-
-def test_verdict_is_relabel_invariant():
-    def build(first, second):
-        return ModeExpansion("xi", (
-            _term("a", "annihilator", first),
-            _term("b", "annihilator", second),
-            _term("adag", "creator", second),
-            _term("bdag", "creator", first),
-        ))
-
-    assert kirchoff_check(build("k1", "k2")).compliant
-    assert kirchoff_check(build("left", "right")).compliant
-    assert kirchoff_check(build("k2", "k1")).compliant

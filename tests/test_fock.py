@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from spinstat.algebra import ExactMatrix, Scalar
 from spinstat.fock import (
-    ModeExpansion,
-    ModeTerm,
     OperatorWord,
     RelationTable,
     UnknownSymbolError,
@@ -263,6 +261,13 @@ def test_parse_enforces_dag_naming():
         parse_relation_table("bracket = commutator\npair a b = 1")
     with pytest.raises(ValueError, match="must not end in 'dag'"):
         parse_relation_table("bracket = commutator\npair adag bdag = 1")
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc", "1/0+2i"])
+def test_parse_reports_the_line_of_a_bad_pair_value(value):
+    with pytest.raises(ValueError, match=r"^line 3: bad pair value"):
+        parse_relation_table(
+            f"bracket = commutator\npair a adag = 1\npair c cdag = {value}")
 
 
 def test_table_rejects_bad_bracket_kind():
@@ -689,34 +694,3 @@ def test_two_mode_witness_gram_agrees_with_metric_realization():
 def test_gram_of_unknown_symbol():
     with pytest.raises(UnknownSymbolError):
         gram_matrix([("qdag",)], BOSE_CROSS)
-
-
-# -- mode expansions -----------------------------------------------------------------
-
-
-def test_mode_term_validation():
-    term = ModeTerm("a", "annihilator", "k1", Fraction(3, 2))
-    assert term.phase == "e^{-i(kx-wt)}"
-    assert term.normalization == "1/sqrt(2*3/2)"
-    creator = ModeTerm("bdag", "creator", "k1", 2)
-    assert creator.phase == "e^{+i(kx-wt)}"
-    assert creator.frequency == Fraction(2)
-    with pytest.raises(ValueError, match="positive"):
-        ModeTerm("a", "annihilator", "k1", 0)
-    with pytest.raises(ValueError, match="kind"):
-        ModeTerm("a", "lowering", "k1", 1)
-
-
-def test_mode_expansion_label_sets():
-    expansion = ModeExpansion(
-        "phi",
-        (
-            ModeTerm("a", "annihilator", "k1", 1),
-            ModeTerm("bdag", "creator", "k1", 1),
-            ModeTerm("a2", "annihilator", "k2", 2),
-            ModeTerm("bdag2", "creator", "k2", 2),
-        ),
-    )
-    assert expansion.labels("annihilator") == {"k1", "k2"}
-    assert expansion.labels("creator") == {"k1", "k2"}
-    assert ModeExpansion("psi").labels("creator") == frozenset()

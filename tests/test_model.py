@@ -2,11 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import invariant_form_space
 from spinstat.algebra import ExactMatrix
 from spinstat.model import (
+    MAX_DIMENSION,
     NOTE_NO_FORM,
     NOTE_NOT_UNIQUE,
+    FieldSpec,
     TheoryParseError,
+    _form_space_dims,
     build_kinematic,
     parse_theory,
     serialize_theory,
@@ -63,6 +67,9 @@ def test_parse_full_attribute_set():
         ("theory t\nfield a spin=0\nfield a spin=1\n", "duplicate field"),
         ("theory t\nfield a spin=2/3\n", "integer or half-integer"),
         ("theory t\nfield a spin=9/2\n", "exceeds the supported maximum"),
+        ("theory t\nfield a spin=1/0\n", "line 2: spin '1/0' has a zero denominator"),
+        ("theory t\nfield x spin=1 copies=2 flavors=99999999999\n",
+         "line 2: theory has 599999999994 components, over the supported maximum"),
         ("theory t\nfield a spin=0 hermitian=false\n", "annihilation"),
         ("theory t\nfield a spin=0 statistics=maybe\n", "statistics"),
         ("theory t\nfield a spin=0 charge=1\n", "unknown field attribute"),
@@ -95,6 +102,17 @@ def test_non_integer_counts_report_line_number(attr):
     assert "must be an integer" in str(err.value)
 
 
+def test_dimension_bound_counts_the_running_total():
+    # 1000 + 24 components sit exactly on the bound; the next field crosses it
+    text = ("theory t\nfield a spin=0 flavors=1000\n"
+            "field b spin=1/2 copies=3 flavors=2\n")
+    assert parse(text).dimension == MAX_DIMENSION
+    with pytest.raises(TheoryParseError) as err:
+        parse(text + "field c spin=0\n")
+    assert err.value.line == 4
+    assert f"{MAX_DIMENSION + 1} components" in str(err.value)
+
+
 def test_explicit_matrix_loads_and_validates(tmp_path):
     (tmp_path / "k.json").write_text('[["0", "0+1i"], ["0-1i", "0"]]')
     spec = parse(
@@ -112,6 +130,12 @@ def test_explicit_matrix_loads_and_validates(tmp_path):
         parse("theory t\nfield phi spin=0\nkinematic explicit missing.json\n",
               base_dir=tmp_path)
     assert "cannot read" in str(err.value)
+
+    (tmp_path / "zero.json").write_text('[["1/0"]]')
+    with pytest.raises(TheoryParseError) as err:
+        parse("theory t\nfield phi spin=0\nkinematic explicit zero.json\n",
+              base_dir=tmp_path)
+    assert "zero denominator" in str(err.value)
 
 
 def test_antisymmetric_pair_conflicts_with_explicit(tmp_path):
@@ -286,3 +310,15 @@ def test_built_kinematic_is_rotation_invariant(two_j):
     zero = ExactMatrix.zeros(k.rows)
     for g in theory_generators(spec):
         assert g.transpose() @ k + k @ g == zero
+
+
+# at most 8 components each, so the n^2-unknown solver stays fast; two
+# copies of spin 3/2 would be 16
+@pytest.mark.parametrize("two_j,copies",
+                         [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+def test_form_space_dims_match_the_generic_solver(two_j, copies):
+    f = FieldSpec("f", two_j, copies=copies)
+    outer = ExactMatrix.identity(copies)
+    gens = [ExactMatrix.kron(outer, g) for g in hermitian_basis(f.spin).generators]
+    space = invariant_form_space(gens)
+    assert _form_space_dims(f) == (space.sym_dim, space.antisym_dim)

@@ -1,15 +1,16 @@
+import importlib
 import json
+import pkgutil
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from spinstat.flavor import kirchoff_check
-from spinstat.model import parse_theory
+import spinstat
+from spinstat.model import FieldSpec, TheorySpec, parse_theory
 from spinstat.report import (
     AmbiguousKinematicError,
     analyze_theory,
-    field_expansion,
     render_text,
     report_to_dict,
     report_to_json,
@@ -95,9 +96,36 @@ def test_half_integral_flavor_pair_is_ambiguous():
 
 @pytest.mark.parametrize("flavors", [1, 2, 3])
 def test_field_expansion_passes_kirchoff(flavors):
-    spec = parse_theory(f"theory t\nfield phi spin=0 flavors={flavors}\n")
-    result = kirchoff_check(field_expansion(spec.fields[0]))
-    assert result.compliant
+    # a hermitian field expands as a + adag in every flavor sector
+    report = analyze(f"theory t\nfield phi spin=0 flavors={flavors}\n")
+    doc = report_to_dict(report)
+    assert doc["fields"][0]["kirchoff"] == {"compliant": True, "detail": None}
+    assert "  kirchoff lint: compliant\n" in render_text(report)
+
+
+def test_non_hermitian_field_violates_kirchoff():
+    # the parser rejects hermitian=false, but a library-built spec can carry it
+    spec = TheorySpec("t", (FieldSpec("x", 2, 1, 2, hermitian=False),
+                            FieldSpec("y", 1)))
+    report = analyze_theory(spec)
+    doc = report_to_dict(report)
+    jsonschema.validate(doc, SCHEMA)
+    x, y = doc["fields"]
+    assert x["kirchoff"]["compliant"] is False
+    assert "field x" in x["kirchoff"]["detail"]
+    assert y["kirchoff"] == {"compliant": True, "detail": None}
+    assert "  kirchoff lint: violation (field x " in render_text(report)
+
+
+def test_every_public_name_resolves():
+    for info in pkgutil.iter_modules(spinstat.__path__, "spinstat."):
+        if info.name == "spinstat.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.__all__ lists {name}"
+    for name in spinstat.__all__:
+        assert hasattr(spinstat, name), f"spinstat.__all__ lists {name}"
 
 
 def test_render_text_contains_verdict_tokens():

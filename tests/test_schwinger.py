@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import kinematic_term_is_trivial
 from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass, symmetry_decompose
-from spinstat.invariance import kinematic_term_is_trivial
+from spinstat.invariance import constraint_split, momentum_map
 from spinstat.model import build_kinematic, parse_theory
 from spinstat.schwinger import (
-    CanonicalRelations,
     SurfaceVariation,
-    canonical_momenta,
     spin_statistics_verdict,
     statistics_for_class,
     surface_variation_consistency,
@@ -99,37 +98,31 @@ def test_pure_classes_pick_exactly_one_statistics(m):
 # -- canonical momenta --------------------------------------------------------
 
 
+def field_bracket(split):
+    """[xi_a, xi_b] on the canonical block, pinned by [xi_n, Pi_j] = i*delta."""
+    return split.momentum_restricted.transpose().inverse().scale(I)
+
+
 def test_doubled_scalar_momenta():
     k = doubled_scalar_k()
-    rel = canonical_momenta(k, "bose")
-    assert rel.bracket == "commutator"
+    p = momentum_map(k, "bose")
     # the momentum conjugate to the first component is the second one
-    assert rel.momentum_map == -k
-    assert rel.momentum_map[0, 0].is_zero
-    assert not rel.momentum_map[0, 1].is_zero
-    assert rel.split.canonical_indices == (0, 1)
-    assert rel.bracket_coefficients == ExactMatrix.identity(2).scale(I)
+    assert p == -k
+    assert p[0, 0].is_zero
+    assert not p[0, 1].is_zero
+    assert constraint_split(k, "bose").canonical_indices == (0, 1)
 
 
 def test_majorana_momentum_is_the_field_itself():
     k = ExactMatrix.identity(4)
-    rel = canonical_momenta(k, "fermi")
-    assert rel.bracket == "anticommutator"
-    assert rel.momentum_map == k
-    assert rel.field_bracket == ExactMatrix.identity(4).scale(I)
-    assert rel.bracket_coefficients == ExactMatrix.identity(4).scale(I)
+    assert momentum_map(k, "fermi") == k
+    assert field_bracket(constraint_split(k, "fermi")) == k.scale(I)
 
 
 def test_zero_k_gives_empty_relations():
-    rel = canonical_momenta(ExactMatrix.zeros(3, 3), "bose")
-    assert rel.split.canonical_indices == ()
-    assert rel.field_bracket is None
-    assert rel.bracket_coefficients is None
-
-
-def test_wrong_statistics_raises_with_reason():
-    with pytest.raises(ValueError, match="generator commutes with all fields"):
-        canonical_momenta(doubled_scalar_k(), "fermi")
+    split = constraint_split(ExactMatrix.zeros(3, 3), "bose")
+    assert split.canonical_indices == ()
+    assert split.momentum_restricted is None
 
 
 def test_constrained_momenta_restrict_to_canonical_block():
@@ -137,9 +130,10 @@ def test_constrained_momenta_restrict_to_canonical_block():
     data = [[Scalar(0)] * rows for _ in range(rows)]
     data[0][1] = I
     data[1][0] = -I
-    rel = canonical_momenta(ExactMatrix(data), "bose")
-    assert rel.split.canonical_indices == (0, 1)
-    assert rel.bracket_coefficients == ExactMatrix.identity(2).scale(I)
+    split = constraint_split(ExactMatrix(data), "bose")
+    assert split.canonical_indices == (0, 1)
+    assert split.momentum_restricted == ExactMatrix([[0, -I], [I, 0]])
+    assert field_bracket(split) == ExactMatrix([[0, -1], [1, 0]])
 
 
 @given(square_matrices(3), st.sampled_from(["bose", "fermi"]))
@@ -147,8 +141,7 @@ def test_bracket_tables_have_the_bracket_symmetry(m, statistics):
     half = Scalar(Fraction(1, 2))
     hermitian = (m + m.dagger()).scale(half)
     if surface_variation_consistency(hermitian, statistics).consistent:
-        rel = canonical_momenta(hermitian, statistics)
-        cls = symmetry_decompose(rel.field_bracket)[2]
+        cls = symmetry_decompose(field_bracket(constraint_split(hermitian, statistics)))[2]
         expected = (SymmetryClass.ANTISYMMETRIC if statistics == "bose"
                     else SymmetryClass.SYMMETRIC)
         assert cls is expected

@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import charpoly
+from oracles import charpoly, invariant_form_space
 from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass, symmetry_decompose
 from spinstat.su2 import (
     as_two_j,
     hermitian_basis,
     invariant_bilinear,
-    invariant_form_space,
     michel_parity,
     realify,
     spin_generators,
