@@ -6,6 +6,7 @@ from .algebra import (
     DimensionError,
     ExactMatrix,
     Scalar,
+    SelfCheckError,
     SymmetryClass,
     hermitian_signature,
     symmetry_decompose,
@@ -24,6 +25,7 @@ __all__ = [
     "DimensionError",
     "ExactMatrix",
     "Scalar",
+    "SelfCheckError",
     "SymmetryClass",
     "hermitian_signature",
     "symmetry_decompose",

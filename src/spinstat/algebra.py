@@ -3,11 +3,12 @@
 Everything downstream (representation theory, kinematic-term analysis,
 operator algebra) runs on the two types defined here: ``Scalar``, a complex
 number with ``fractions.Fraction`` real and imaginary parts, and
-``ExactMatrix``, an immutable dense matrix of scalars.  One pivoted
-symmetric elimination, ``pivoted_elimination``, yields the canonical
-principal index set of the constraint split and, by Sylvester's law of
-inertia, every hermitian signature.  No floating point enters any
-computation.
+``ExactMatrix``, an immutable matrix of scalars that stores only its
+nonzero entries, so the cost of every kernel grows with the nonzeros
+rather than with rows x cols.  One pivoted symmetric elimination,
+``pivoted_elimination``, yields the canonical principal index set of the
+constraint split and, by Sylvester's law of inertia, every hermitian
+signature.  No floating point enters any computation.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from fractions import Fraction
 
 __all__ = [
     "DimensionError",
+    "SelfCheckError",
+    "self_check",
     "Scalar",
     "ExactMatrix",
     "SymmetryClass",
@@ -29,6 +32,21 @@ __all__ = [
 
 class DimensionError(ValueError):
     """Shapes do not line up for the requested operation."""
+
+
+class SelfCheckError(Exception):
+    """A derived result failed the independent check that guards it.
+
+    Raised instead of ``assert`` so the check also runs under
+    ``python -O``.  It means a defect in spinstat, not bad input, so it is
+    deliberately not a ValueError.
+    """
+
+
+def self_check(condition: bool, message: str) -> None:
+    """Raise SelfCheckError with the message unless the condition holds."""
+    if not condition:
+        raise SelfCheckError(message)
 
 
 def _as_fraction(value) -> Fraction:
@@ -228,20 +246,37 @@ class SymmetryClass(enum.Enum):
 
 
 class ExactMatrix:
-    """Immutable dense matrix of ``Scalar`` entries."""
+    """Immutable matrix of ``Scalar`` entries, stored by its nonzeros.
 
-    __slots__ = ("rows", "cols", "_data")
+    Each row is a mapping from column to entry that holds the nonzero
+    entries only, so every kernel costs the number of nonzeros rather than
+    rows x cols, and equal matrices store equal mappings, which keeps
+    ``==`` and ``hash`` exact.  Indexing, ``row``, ``column``, iteration
+    and the serialized forms still present every entry, zeros included.
+    """
+
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows):
-        data = tuple(tuple(Scalar.coerce(x) for x in row) for row in rows)
-        if not data or not data[0]:
-            raise DimensionError("matrix needs at least one row and column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
+        dense = [[Scalar.coerce(x) for x in row] for row in rows]
+        if dense and any(len(row) != len(dense[0]) for row in dense):
             raise DimensionError("ragged rows")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_data", data)
+        self._set(len(dense[0]) if dense else 0, [dict(enumerate(row)) for row in dense])
+
+    def _set(self, cols: int, entries) -> None:
+        rows = tuple({c: x for c, x in row.items() if x} for row in entries)
+        if not rows or cols < 1:
+            raise DimensionError("matrix needs at least one row and column")
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_rows", rows)
+
+    @staticmethod
+    def _from_rows(cols: int, entries) -> "ExactMatrix":
+        """Build from one {column: entry} mapping per row; zeros are dropped."""
+        m = object.__new__(ExactMatrix)
+        m._set(cols, entries)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -251,52 +286,49 @@ class ExactMatrix:
     @staticmethod
     def zeros(rows: int, cols: int | None = None) -> "ExactMatrix":
         cols = rows if cols is None else cols
-        return ExactMatrix([[ZERO] * cols for _ in range(rows)])
+        return ExactMatrix._from_rows(cols, [{}] * rows)
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[ONE if i == j else ZERO for j in range(n)]
-                            for i in range(n)])
+        return ExactMatrix._from_rows(n, [{i: ONE} for i in range(n)])
 
     @staticmethod
     def diagonal(values) -> "ExactMatrix":
         vals = [Scalar.coerce(v) for v in values]
-        n = len(vals)
-        return ExactMatrix([[vals[i] if i == j else ZERO for j in range(n)]
-                            for i in range(n)])
+        return ExactMatrix._from_rows(len(vals), [{i: v} for i, v in enumerate(vals)])
 
     @staticmethod
     def from_columns(columns) -> "ExactMatrix":
-        cols = [list(c) for c in columns]
-        return ExactMatrix([[cols[j][i] for j in range(len(cols))]
-                            for i in range(len(cols[0]))])
+        return ExactMatrix(columns).transpose()
 
     @staticmethod
     def block(grid) -> "ExactMatrix":
         """Assemble from a 2-D grid of matrices with matching edges."""
-        row_chunks = []
+        entries = []
+        width = None
         for band in grid:
             height = band[0].rows
             if any(m.rows != height for m in band):
                 raise DimensionError("block row heights differ")
+            band_width = sum(m.cols for m in band)
+            if width is not None and band_width != width:
+                raise DimensionError("ragged rows")
+            width = band_width
             for i in range(height):
-                row = []
+                row = {}
+                offset = 0
                 for m in band:
-                    row.extend(m._data[i])
-                row_chunks.append(row)
-        return ExactMatrix(row_chunks)
+                    row.update((offset + c, x) for c, x in m._rows[i].items())
+                    offset += m.cols
+                entries.append(row)
+        return ExactMatrix._from_rows(width or 0, entries)
 
     @staticmethod
     def kron(a: "ExactMatrix", b: "ExactMatrix") -> "ExactMatrix":
-        out = []
-        for i in range(a.rows):
-            for k in range(b.rows):
-                row = []
-                for j in range(a.cols):
-                    aij = a[i, j]
-                    row.extend(aij * b[k, l] for l in range(b.cols))
-                out.append(row)
-        return ExactMatrix(out)
+        width = b.cols
+        return ExactMatrix._from_rows(a.cols * width, [
+            {j * width + l: x * y for j, x in ra.items() for l, y in rb.items()}
+            for ra in a._rows for rb in b._rows])
 
     @staticmethod
     def loads(text: str) -> "ExactMatrix":
@@ -313,7 +345,9 @@ class ExactMatrix:
         return json.dumps(self.to_nested_strings())
 
     def to_nested_strings(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self._data]
+        zero = str(ZERO)
+        return [[str(row[c]) if c in row else zero for c in range(self.cols)]
+                for row in self._rows]
 
     # -- access -------------------------------------------------------
 
@@ -325,35 +359,54 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def _column_index(self, j: int) -> int:
+        if not -self.cols <= j < self.cols:
+            raise IndexError("matrix column index out of range")
+        return j % self.cols
+
     def __getitem__(self, key) -> Scalar:
         i, j = key
-        return self._data[i][j]
+        return self._rows[i].get(self._column_index(j), ZERO)
 
     def row(self, i: int) -> tuple[Scalar, ...]:
-        return self._data[i]
+        row = self._rows[i]
+        return tuple(row.get(c, ZERO) for c in range(self.cols))
 
     def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(row[j] for row in self._data)
+        j = self._column_index(j)
+        return tuple(row.get(j, ZERO) for row in self._rows)
+
+    def nonzeros(self):
+        """The nonzero entries as (row, column, value), in row-major order."""
+        for i, row in enumerate(self._rows):
+            for j in sorted(row):
+                yield i, j, row[j]
 
     def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
-        return ExactMatrix([[self._data[i][j] for j in col_idx] for i in row_idx])
+        col_idx = [self._column_index(j) for j in col_idx]
+        targets: dict[int, list[int]] = {}
+        for t, j in enumerate(col_idx):
+            targets.setdefault(j, []).append(t)
+        return ExactMatrix._from_rows(len(col_idx), [
+            {t: x for j, x in self._rows[i].items() for t in targets.get(j, ())}
+            for i in row_idx])
 
     def principal(self, idx) -> "ExactMatrix":
         return self.submatrix(idx, idx)
 
     def __iter__(self):
-        return iter(self._data)
+        return (self.row(i) for i in range(self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self._data == other._data
+        return self.shape == other.shape and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self._data)
+        return hash((self.shape, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self):
-        body = "; ".join(", ".join(str(x) for x in row) for row in self._data)
+        body = "; ".join(", ".join(str(x) for x in row) for row in self)
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
     # -- arithmetic ---------------------------------------------------
@@ -362,26 +415,29 @@ class ExactMatrix:
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch {self.shape} vs {other.shape}")
 
-    def __add__(self, other):
+    def _plus(self, other, factor: Scalar | None):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         self._same_shape(other)
-        return ExactMatrix([[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self._data, other._data)])
+        entries = [dict(row) for row in self._rows]
+        for row, source in zip(entries, other._rows):
+            _add_into(row, source, factor)
+        return ExactMatrix._from_rows(self.cols, entries)
+
+    def __add__(self, other):
+        return self._plus(other, None)
 
     def __sub__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        self._same_shape(other)
-        return ExactMatrix([[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self._data, other._data)])
+        return self._plus(other, -ONE)
 
     def __neg__(self):
-        return ExactMatrix([[-a for a in row] for row in self._data])
+        return ExactMatrix._from_rows(
+            self.cols, [{c: -x for c, x in row.items()} for row in self._rows])
 
     def scale(self, factor) -> "ExactMatrix":
         f = Scalar.coerce(factor)
-        return ExactMatrix([[f * a for a in row] for row in self._data])
+        return ExactMatrix._from_rows(
+            self.cols, [{c: f * x for c, x in row.items()} for row in self._rows])
 
     def __mul__(self, factor):
         return self.scale(factor)
@@ -393,37 +449,37 @@ class ExactMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        # accumulate row by row, skipping zero factors; the matrices here
-        # are mostly sparse (band generators, pairing forms) and exact
-        # arithmetic is expensive enough to make the skip worthwhile
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self._data):
-            target = out[i]
-            for k, a in enumerate(row):
-                if a.is_zero:
-                    continue
-                for j, b in enumerate(other._data[k]):
-                    if not b.is_zero:
-                        target[j] = target[j] + a * b
-        return ExactMatrix(out)
+        entries = []
+        for row in self._rows:
+            acc: dict[int, Scalar] = {}
+            for k, a in row.items():
+                _add_into(acc, other._rows[k], a)
+            entries.append(acc)
+        return ExactMatrix._from_rows(other.cols, entries)
 
     def apply(self, vector):
         """Matrix times a vector (any iterable of scalars)."""
         vec = [Scalar.coerce(v) for v in vector]
         if len(vec) != self.cols:
             raise DimensionError("vector length does not match column count")
-        return tuple(sum((a * v for a, v in zip(row, vec)), start=ZERO)
-                     for row in self._data)
+        return tuple(sum((a * vec[c] for c, a in row.items()), start=ZERO)
+                     for row in self._rows)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self._data)))
+        entries: list[dict[int, Scalar]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                entries[j][i] = x
+        return ExactMatrix._from_rows(self.rows, entries)
 
     @property
     def T(self) -> "ExactMatrix":
         return self.transpose()
 
     def conjugate(self) -> "ExactMatrix":
-        return ExactMatrix([[a.conjugate() for a in row] for row in self._data])
+        return ExactMatrix._from_rows(
+            self.cols,
+            [{c: x.conjugate() for c, x in row.items()} for row in self._rows])
 
     def dagger(self) -> "ExactMatrix":
         return self.conjugate().transpose()
@@ -435,12 +491,12 @@ class ExactMatrix:
     def trace(self) -> Scalar:
         if not self.is_square:
             raise DimensionError("trace needs a square matrix")
-        return sum((self._data[i][i] for i in range(self.rows)), start=ZERO)
+        return sum((row.get(i, ZERO) for i, row in enumerate(self._rows)), start=ZERO)
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(a.is_zero for row in self._data for a in row)
+        return not any(self._rows)
 
     def is_symmetric(self) -> bool:
         return self.is_square and self == self.transpose()
@@ -452,38 +508,33 @@ class ExactMatrix:
         return self.is_square and self == self.dagger()
 
     def is_real(self) -> bool:
-        return all(a.is_real for row in self._data for a in row)
+        return all(x.is_real for row in self._rows for x in row.values())
 
     def is_imaginary(self) -> bool:
-        return all(a.is_imaginary for row in self._data for a in row)
+        return all(x.is_imaginary for row in self._rows for x in row.values())
 
     # -- elimination --------------------------------------------------
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
         """Reduced row echelon form with leftmost pivot selection."""
-        data = [list(row) for row in self._data]
+        data = [dict(row) for row in self._rows]
         pivots = []
         r = 0
         for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if not data[i][c].is_zero:
-                    pivot_row = i
-                    break
+            pivot_row = next((i for i in range(r, self.rows) if c in data[i]), None)
             if pivot_row is None:
                 continue
             data[r], data[pivot_row] = data[pivot_row], data[r]
             inv = ONE / data[r][c]
-            data[r] = [inv * x for x in data[r]]
+            data[r] = {k: inv * x for k, x in data[r].items()}
             for i in range(self.rows):
-                if i != r and not data[i][c].is_zero:
-                    f = data[i][c]
-                    data[i] = [x - f * y for x, y in zip(data[i], data[r])]
+                if i != r and c in data[i]:
+                    _add_into(data[i], data[r], -data[i][c])
             pivots.append(c)
             r += 1
             if r == self.rows:
                 break
-        return ExactMatrix(data), tuple(pivots)
+        return ExactMatrix._from_rows(self.cols, data), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -492,12 +543,28 @@ class ExactMatrix:
         if not self.is_square:
             raise DimensionError("inverse needs a square matrix")
         n = self.rows
-        aug = ExactMatrix([list(self._data[i]) + list(ExactMatrix.identity(n)._data[i])
-                           for i in range(n)])
+        aug = ExactMatrix._from_rows(
+            2 * n, [{**row, n + i: ONE} for i, row in enumerate(self._rows)])
         reduced, pivots = aug.rref()
         if len(pivots) < n or any(p >= n for p in pivots):
             raise ZeroDivisionError("matrix is singular")
         return reduced.submatrix(range(n), range(n, 2 * n))
+
+
+def _add_into(target: dict, source: dict, factor: Scalar | None = None) -> None:
+    """target += factor * source (factor 1 when None), row mappings in
+    place; entries that cancel are deleted, so no zero is ever stored."""
+    for c, x in source.items():
+        if factor is not None:
+            x = factor * x
+        if c in target:
+            x = target[c] + x
+            if x:
+                target[c] = x
+            else:
+                del target[c]
+        else:
+            target[c] = x
 
 
 # ---------------------------------------------------------------------------
@@ -543,18 +610,19 @@ def pivoted_elimination(m: ExactMatrix) -> tuple[tuple[int, ...], tuple[ExactMat
     """
     if not m.is_square:
         raise DimensionError("elimination needs a square matrix")
-    work = [list(row) for row in m]
+    work = [dict(row) for row in m._rows]
     active = list(range(m.rows))
     selected: list[int] = []
     blocks: list[ExactMatrix] = []
     while active:
-        pivot = next(((i,) for i in active if not work[i][i].is_zero), None)
+        pivot = next(((i,) for i in active if i in work[i]), None)
         if pivot is None:
-            pivot = next(((i, j) for a, i in enumerate(active) for j in active[a + 1:]
-                          if not work[i][j].is_zero), None)
+            live = set(active)
+            pivot = next(((i, j) for i in active for j in sorted(work[i])
+                          if j > i and j in live), None)
         if pivot is None:
             break
-        block = ExactMatrix([[work[r][c] for c in pivot] for r in pivot])
+        block = ExactMatrix([[work[r].get(c, ZERO) for c in pivot] for r in pivot])
         selected.extend(pivot)
         blocks.append(block)
         active = [r for r in active if r not in pivot]
@@ -563,21 +631,22 @@ def pivoted_elimination(m: ExactMatrix) -> tuple[tuple[int, ...], tuple[ExactMat
 
 
 def _schur_update(work, pivot, inv: ExactMatrix, rest) -> None:
-    """Replace work[rest, rest] by its Schur complement over the pivot,
-    skipping the rows and columns the pivot does not couple to."""
-    size = len(pivot)
-    pivot_rows = [work[p] for p in pivot]
-    cols = [c for c in rest if any(not row[c].is_zero for row in pivot_rows)]
-    for r in rest:
+    """Replace work[rest, rest] by its Schur complement over the pivot.
+
+    Only the rows that hold an entry in a pivot column change, and only in
+    the columns the pivot rows reach.  The input is symmetric,
+    antisymmetric or hermitian, and so is every Schur complement, so its
+    pattern is symmetric: the coupled rows are the columns the pivot rows
+    reach."""
+    live = set(rest)
+    pivot_rows = [{c: x for c, x in work[p].items() if c in live} for p in pivot]
+    for r in set().union(*pivot_rows):
         row = work[r]
-        coupling = [row[p] for p in pivot]
-        if all(x.is_zero for x in coupling):
-            continue
-        factors = [sum((coupling[a] * inv[a, b] for a in range(size)), start=ZERO)
-                   for b in range(size)]
-        for c in cols:
-            row[c] = row[c] - sum((f * pr[c] for f, pr in zip(factors, pivot_rows)),
-                                  start=ZERO)
+        coupling = [(a, row[p]) for a, p in enumerate(pivot) if p in row]
+        for b, pivot_row in enumerate(pivot_rows):
+            factor = sum((x * inv[a, b] for a, x in coupling), start=ZERO)
+            if factor:
+                _add_into(row, pivot_row, -factor)
 
 
 def hermitian_signature(m: ExactMatrix) -> tuple[int, int, int]:

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebra import ExactMatrix, Scalar
+from .algebra import ExactMatrix, Scalar, SelfCheckError
 from .fock import (
     UnknownSymbolError,
     gram_matrix,
@@ -44,6 +44,10 @@ _EXIT_BY_STATUS = {
     "CONTRADICTION": 2,
     "REJECTED_NEGATIVE_NORM": 3,
 }
+
+# A derived result failed its independent check: a defect in spinstat,
+# not in the input.
+_EXIT_SELF_CHECK = 4
 
 # Probe momenta for the minimal-polynomial check: timelike, spacelike,
 # lightlike, and generic rational vectors.
@@ -355,4 +359,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(_normalize_argv(list(argv)))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SelfCheckError as exc:
+        print(f"error: internal self-check failed: {exc}", file=sys.stderr)
+        return _EXIT_SELF_CHECK

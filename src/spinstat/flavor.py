@@ -22,6 +22,7 @@ from .algebra import (
     Scalar,
     SymmetryClass,
     hermitian_signature,
+    self_check,
     symmetry_decompose,
 )
 from .fock import GramResult, gram_matrix, parse_relation_table
@@ -124,8 +125,10 @@ def diagonalize_flavor(lam: ExactMatrix) -> FlavorDiagonalization:
     v_matrix = ExactMatrix.from_columns(columns)
     d_matrix = ExactMatrix.diagonal(eigenvalues)
     norms = (Fraction(2),) * lam.rows
-    assert lam @ v_matrix == v_matrix @ d_matrix
-    assert v_matrix.dagger() @ v_matrix == ExactMatrix.diagonal(norms)
+    self_check(lam @ v_matrix == v_matrix @ d_matrix,
+               "flavor eigenvectors fail the eigen-equation")
+    self_check(v_matrix.dagger() @ v_matrix == ExactMatrix.diagonal(norms),
+               "flavor eigenvectors fail V-dagger V = diag(norms)")
 
     return FlavorDiagonalization(
         exact=True,
@@ -179,7 +182,8 @@ def _negative_norm_witness() -> GramResult:
     """
     table = parse_relation_table("bracket = anticommutator\npair c ddag = -1")
     witness = gram_matrix([("ddag",)], table)
-    assert witness.signature == (0, 1, 0)
+    self_check(witness.signature == (0, 1, 0),
+               "negative-norm witness does not have gram signature (0, 1, 0)")
     return witness
 
 

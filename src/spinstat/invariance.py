@@ -21,6 +21,7 @@ from .algebra import (
     Scalar,
     SymmetryClass,
     pivoted_elimination,
+    self_check,
 )
 from .su2 import as_two_j
 
@@ -67,12 +68,7 @@ def check_su2_invariance(k0: ExactMatrix, gens) -> InvarianceReport:
                 f"{axis} generator is {g.rows}x{g.cols} but the kinematic "
                 f"matrix is {k0.rows}x{k0.cols}")
         residual = g.transpose() @ k0 + k0 @ g
-        entries = tuple(
-            (r, c)
-            for r in range(residual.rows)
-            for c in range(residual.cols)
-            if not residual[r, c].is_zero
-        )
+        entries = tuple((r, c) for r, c, _ in residual.nonzeros())
         if entries:
             violations.append((axis, entries))
     return InvarianceReport(not violations, tuple(violations))
@@ -114,17 +110,21 @@ def constraint_split(k0: ExactMatrix, statistics: str) -> ConstraintSplit:
         raise ValueError("kinematic matrix must be square")
     p = momentum_map(k0, statistics)
     canonical = pivoted_elimination(p)[0]
-    constraint = [i for i in range(k0.rows) if i not in canonical]
+    chosen = set(canonical)
+    constraint = [i for i in range(k0.rows) if i not in chosen]
 
     if canonical:
         restricted = p.principal(canonical)
         block = k0.principal(canonical)
         # dual check: the pivoting really found a full-rank principal block
-        assert restricted.rank() == len(canonical) == p.rank()
+        self_check(restricted.rank() == len(canonical) == p.rank(),
+                   "pivoted elimination missed a full-rank principal block "
+                   "of the momentum map")
     else:
         restricted = None
         block = None
-        assert p.is_zero()
+        self_check(p.is_zero(), "pivoted elimination found no pivot in a "
+                                "nonzero momentum map")
     return ConstraintSplit(
         statistics=statistics,
         canonical_indices=tuple(canonical),

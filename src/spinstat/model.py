@@ -380,14 +380,7 @@ def _required_class(f: FieldSpec) -> SymmetryClass:
 def _normalize_block(block: ExactMatrix, cls: SymmetryClass) -> ExactMatrix:
     """Fix the scale convention: first nonzero upper-triangle entry becomes
     +i for antisymmetric blocks and +1 for symmetric ones."""
-    lead = None
-    for i in range(block.rows):
-        for j in range(i, block.cols):
-            if not block[i, j].is_zero:
-                lead = block[i, j]
-                break
-        if lead is not None:
-            break
+    lead = next((x for i, j, x in block.nonzeros() if j >= i), None)
     if lead is None:
         return block
     target = Scalar(0, 1) if cls is SymmetryClass.ANTISYMMETRIC else Scalar(1)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .algebra import ExactMatrix, Scalar
+from .algebra import ExactMatrix, Scalar, self_check
 from .model import KinematicMatrix
 
 __all__ = [
@@ -200,9 +200,10 @@ def ostrogradsky_reduce(f: DerivativePolynomial) -> ReductionResult:
 
     # dual route: the variational-derivative momenta and the Legendre
     # kinetic term must produce the same pairing
-    assert k0 == p.transpose()
-    assert k0.is_antisymmetric()
-    assert m.is_symmetric()
+    self_check(k0 == p.transpose(),
+               "Legendre kinetic term differs from the transposed momenta")
+    self_check(k0.is_antisymmetric(), "reduced kinetic matrix is not antisymmetric")
+    self_check(m.is_symmetric(), "reduced potential matrix is not symmetric")
 
     labels = _aux_labels(n)
     return ReductionResult(
@@ -248,7 +249,7 @@ def eliminate_auxiliaries(result: ReductionResult) -> DerivativePolynomial:
     for r in range(n, 1, -1):
         target = n - r + 2
         for c in range(target + 1, n + 1):
-            assert not entry(r, c), "row touches a component not yet pinned"
+            self_check(not entry(r, c), "row touches a component not yet pinned")
         acc = []
         for c in range(1, target):
             for power, coef in enumerate(entry(r, c)):
@@ -256,7 +257,7 @@ def eliminate_auxiliaries(result: ReductionResult) -> DerivativePolynomial:
                     continue
                 acc = _poly_add(acc, [_ZERO] * power + _poly_scale(exprs[c], coef))
         pivot = entry(r, target)
-        assert len(pivot) == 1, "pivot must be free of the symbol s"
+        self_check(len(pivot) == 1, "pivot must be free of the symbol s")
         exprs[target] = _poly_scale(acc, -_ONE / pivot[0])
     alpha = []
     for c in range(1, n + 1):
@@ -339,7 +340,7 @@ def _verified_metric() -> ExactMatrix:
                 break
         if ok:
             survivors.append(metric)
-    assert len(survivors) == 1, "metric signature must be unique"
+    self_check(len(survivors) == 1, "metric signature must be unique")
     return survivors[0]
 
 
@@ -354,8 +355,9 @@ def duffin_kemmer_construct(mass) -> BetaSet:
     if mass <= 0:
         raise ValueError("mass must be positive")
     betas = _beta_matrices()
-    assert betas[0].is_antisymmetric()
-    assert all(b.scale(-_I).is_real() for b in betas)
+    self_check(betas[0].is_antisymmetric(), "beta0 is not antisymmetric")
+    self_check(all(b.scale(-_I).is_real() for b in betas),
+               "a beta matrix is not i times a real matrix")
     return BetaSet(
         betas=betas,
         metric=_verified_metric(),

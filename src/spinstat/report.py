@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .algebra import ExactMatrix, symmetry_decompose
+from .algebra import ExactMatrix, self_check, symmetry_decompose
 from .flavor import FlavorDiagnosis, flavor_diagnosis
 from .invariance import (
     ConstraintSplit,
@@ -288,7 +288,8 @@ def render_text(report: VerdictReport) -> str:
         signs = ", ".join(f"{s:+d}" if s else "0" for s in d.sector_signs)
         lines.append(f"flavor sectors of {name}: signs ({signs})")
         if d.negative_norm:
-            assert d.witness is not None
+            self_check(d.witness is not None,
+                       "negative-norm sector reported without a witness")
             p, n, z = d.witness.signature
             lines.append(
                 f"  negative-norm sector: one-quantum gram signature "

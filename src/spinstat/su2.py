@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import ExactMatrix, Scalar
+from .algebra import ExactMatrix, Scalar, self_check
 
 __all__ = [
     "SpinGenerators",
@@ -225,7 +225,8 @@ def _integer_spin_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix]:
     rescale = []
     for i in range(n):
         w = form[i, i]
-        assert w.is_real and w.re > 0 and w.re.denominator == 1
+        self_check(w.is_real and w.re > 0 and w.re.denominator == 1,
+                   "integral-spin form weight is not a positive integer")
         root, _ = _squarefree_split(int(w.re))
         rescale.append(Scalar(Fraction(1, root)))
     u = u @ ExactMatrix.diagonal(rescale)
@@ -262,7 +263,8 @@ def _half_integer_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatr
 
     rescale, reduced = [], []
     for w in w_entries:
-        assert w.denominator == 1 and w > 0
+        self_check(w.denominator == 1 and w > 0,
+                   "half-integral metric weight is not a positive integer")
         root, free = _squarefree_split(int(w))
         rescale.append(Fraction(1, root))
         reduced.append(Fraction(free))
@@ -284,9 +286,8 @@ def _hermitian_basis_cached(two_j: int) -> HermitianBasis:
         u, form = _integer_spin_basis(two_j)
         u_inv = u.inverse()
         new_gens = tuple(u_inv @ g @ u for g in gens)
-        for g in new_gens:
-            if not g.is_imaginary():
-                raise AssertionError("integral-spin hermitian basis failed")
+        self_check(all(g.is_imaginary() for g in new_gens),
+                   "integral-spin hermitian basis failed")
         return HermitianBasis(two_j, u, new_gens, form, doubled=False)
 
     u, s, form = _half_integer_basis(two_j)
@@ -299,7 +300,6 @@ def _hermitian_basis_cached(two_j: int) -> HermitianBasis:
         action = realify(g.scale(-one_i))
         new_gens.append((s_inv @ action @ s).scale(one_i))
     new_gens = tuple(new_gens)
-    for g in new_gens:
-        if not g.is_imaginary():
-            raise AssertionError("half-integral realification failed")
+    self_check(all(g.is_imaginary() for g in new_gens),
+               "half-integral realification failed")
     return HermitianBasis(two_j, u, new_gens, form, doubled=True)

@@ -11,7 +11,10 @@ type and its ``rref``:
   J^T M + M J = 0 as one linear system in the entries of M, which checks
   the counting argument behind ``model._form_space_dims``;
 - whether a kinematic term vanishes comes from expanding it over
-  placeholder symbols, which checks ``invariance.momentum_map``.
+  placeholder symbols, which checks ``invariance.momentum_map``;
+- the ``dense_*`` functions redo the matrix kernels on plain nested lists
+  of scalars (each a pair of Fractions), every zero stored, which checks
+  the sparse storage of ``ExactMatrix``.
 """
 
 from dataclasses import dataclass
@@ -186,3 +189,108 @@ def kinematic_term_is_trivial(k0: ExactMatrix, statistics: str) -> bool:
                 accumulate((r, 0), (s, 1), krs)
                 accumulate((r, 1), (s, 0), -krs)
     return not coeffs
+
+
+# -- dense reference for the sparse matrix storage --------------------------
+#
+# A dense matrix is a list of rows, each a list of Scalar, zeros included.
+
+
+def dense_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_scale(f, a):
+    return [[f * x for x in row] for row in a]
+
+
+def dense_matmul(a, b):
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), start=Scalar(0))
+             for j in range(len(b[0]))] for row in a]
+
+
+def dense_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def dense_dagger(a):
+    return [[x.conjugate() for x in row] for row in dense_transpose(a)]
+
+
+def dense_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def dense_block(grid):
+    return [sum((m[i] for m in band), start=[])
+            for band in grid for i in range(len(band[0]))]
+
+
+def dense_submatrix(a, rows, cols):
+    return [[a[i][j] for j in cols] for i in rows]
+
+
+def dense_rref(a):
+    """Gauss-Jordan with leftmost pivots: (reduced rows, pivot columns)."""
+    data = [list(row) for row in a]
+    pivots = []
+    r = 0
+    for c in range(len(data[0])):
+        pivot_row = next((i for i in range(r, len(data)) if data[i][c]), None)
+        if pivot_row is None:
+            continue
+        data[r], data[pivot_row] = data[pivot_row], data[r]
+        inv = Scalar(1) / data[r][c]
+        data[r] = [inv * x for x in data[r]]
+        for i in range(len(data)):
+            if i != r and data[i][c]:
+                f = data[i][c]
+                data[i] = [x - f * y for x, y in zip(data[i], data[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(data):
+            break
+    return data, tuple(pivots)
+
+
+def dense_inverse(a):
+    """Inverse by Gauss-Jordan on [A | I], or None when A is singular."""
+    n = len(a)
+    aug = [list(row) + [Scalar(int(i == j)) for j in range(n)]
+           for i, row in enumerate(a)]
+    reduced, pivots = dense_rref(aug)
+    if pivots != tuple(range(n)):
+        return None
+    return [row[n:] for row in reduced]
+
+
+def dense_pivoted_elimination(a):
+    """The 1x1/2x2 symmetric pivot rule of ``algebra.pivoted_elimination``
+    on a full dense copy, every Schur entry recomputed: (ascending index
+    set, pivot blocks as nested lists)."""
+    work = [list(row) for row in a]
+    active = list(range(len(a)))
+    selected, blocks = [], []
+    while active:
+        pivot = next(((i,) for i in active if work[i][i]), None)
+        if pivot is None:
+            pivot = next(((i, j) for k, i in enumerate(active)
+                          for j in active[k + 1:] if work[i][j]), None)
+        if pivot is None:
+            break
+        block = [[work[r][c] for c in pivot] for r in pivot]
+        inv = dense_inverse(block)
+        selected.extend(pivot)
+        blocks.append(block)
+        active = [r for r in active if r not in pivot]
+        for r in active:
+            factors = [sum((work[r][p] * inv[k][b] for k, p in enumerate(pivot)),
+                           start=Scalar(0)) for b in range(len(pivot))]
+            work[r] = [x - sum((f * work[p][c] for f, p in zip(factors, pivot)),
+                               start=Scalar(0)) if c in active else x
+                       for c, x in enumerate(work[r])]
+    return tuple(sorted(selected)), blocks

@@ -13,7 +13,24 @@ from spinstat.algebra import (
     pivoted_elimination,
     symmetry_decompose,
 )
-from oracles import charpoly, descartes_signature, leibniz_determinant, nullspace
+from oracles import (
+    charpoly,
+    dense_add,
+    dense_block,
+    dense_dagger,
+    dense_inverse,
+    dense_kron,
+    dense_matmul,
+    dense_pivoted_elimination,
+    dense_rref,
+    dense_scale,
+    dense_sub,
+    dense_submatrix,
+    dense_transpose,
+    descartes_signature,
+    leibniz_determinant,
+    nullspace,
+)
 
 # -- strategies -------------------------------------------------------------
 
@@ -414,3 +431,119 @@ def test_pivoted_elimination_takes_a_2x2_pivot_on_a_zero_diagonal():
     indices, blocks = pivoted_elimination(m)
     assert indices == (0, 2)
     assert blocks == (ExactMatrix([[0, 1], [1, 0]]),)
+
+
+# -- sparse storage against the dense reference -----------------------------
+
+dims = st.integers(min_value=1, max_value=4)
+# about two entries in three are zero
+mostly_zero = st.tuples(st.integers(0, 2), scalars).map(
+    lambda t: t[1] if t[0] == 0 else Scalar(0))
+
+
+def nested(rows, cols):
+    return st.lists(st.lists(mostly_zero, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def nested_any_shape():
+    return st.tuples(dims, dims).flatmap(lambda rc: nested(*rc))
+
+
+def assert_matches(got: ExactMatrix, want):
+    """Same dense view, and equal to the matrix built from the literal
+    entries, zeros included."""
+    assert [list(row) for row in got] == want
+    assert got == ExactMatrix(want)
+    assert hash(got) == hash(ExactMatrix(want))
+
+
+@st.composite
+def operand_triples(draw):
+    """a and b of one shape r x k, c of shape k x m, and index lists into a
+    with negative and repeated entries."""
+    r, k, m = draw(dims), draw(dims), draw(dims)
+    rows = draw(st.lists(st.integers(-r, r - 1), min_size=1, max_size=4))
+    cols = draw(st.lists(st.integers(-k, k - 1), min_size=1, max_size=4))
+    return draw(nested(r, k)), draw(nested(r, k)), draw(nested(k, m)), rows, cols
+
+
+@given(operand_triples(), scalars)
+def test_sparse_kernels_match_the_dense_reference(ops, f):
+    a, b, c, rows, cols = ops
+    ma, mb, mc = ExactMatrix(a), ExactMatrix(b), ExactMatrix(c)
+    assert_matches(ma + mb, dense_add(a, b))
+    assert_matches(ma - mb, dense_sub(a, b))
+    assert_matches(-ma, dense_scale(Scalar(-1), a))
+    assert_matches(ma.scale(f), dense_scale(f, a))
+    assert_matches(ma.scale(0), dense_scale(Scalar(0), a))
+    assert_matches(ma @ mc, dense_matmul(a, c))
+    assert_matches(ma.transpose(), dense_transpose(a))
+    assert_matches(ma.dagger(), dense_dagger(a))
+    assert_matches(ExactMatrix.kron(ma, mc), dense_kron(a, c))
+    assert_matches(ExactMatrix.block([[ma, mb], [mb, ma]]),
+                   dense_block([[a, b], [b, a]]))
+    assert_matches(ma.submatrix(rows, cols), dense_submatrix(a, rows, cols))
+    reduced, pivots = ma.rref()
+    want_reduced, want_pivots = dense_rref(a)
+    assert pivots == want_pivots
+    assert_matches(reduced, want_reduced)
+    assert ma.is_zero() == all(not x for row in a for x in row)
+    assert ma.is_real() == all(x.is_real for row in a for x in row)
+
+
+@given(dims.flatmap(lambda n: nested(n, n)))
+def test_sparse_inverse_matches_the_dense_reference(a):
+    want = dense_inverse(a)
+    if want is None:
+        with pytest.raises(ZeroDivisionError):
+            ExactMatrix(a).inverse()
+    else:
+        assert_matches(ExactMatrix(a).inverse(), want)
+
+
+@given(hermitian_matrices())
+def test_sparse_pivoted_elimination_matches_the_dense_reference(m):
+    indices, blocks = pivoted_elimination(m)
+    want_indices, want_blocks = dense_pivoted_elimination([list(r) for r in m])
+    assert indices == want_indices
+    assert [[list(r) for r in b] for b in blocks] == want_blocks
+    positives = sum(1 if len(b) == 2 else int(b[0][0].re > 0) for b in want_blocks)
+    assert hermitian_signature(m) == (
+        positives, len(want_indices) - positives, m.rows - len(want_indices))
+
+
+@given(operand_triples())
+def test_cancelled_entries_leave_no_stored_zero(ops):
+    a, b, c, _, _ = ops
+    ma, mb, mc = ExactMatrix(a), ExactMatrix(b), ExactMatrix(c)
+    literal_zero = ExactMatrix([[0] * len(a[0]) for _ in a])
+    for got, want in (((ma + mb) - mb, ExactMatrix(a)),
+                      (ma - ma, literal_zero),
+                      (ma + (-ma), literal_zero),
+                      (ma @ (mc - mc), ExactMatrix([[0] * len(c[0]) for _ in a]))):
+        assert got == want and hash(got) == hash(want)
+    assert (ma - ma).is_zero()
+    assert {ma + mb, mb + ma} == {ma + mb}
+
+
+@given(nested_any_shape())
+def test_indexing_matches_the_dense_reference(a):
+    m = ExactMatrix(a)
+    r, c = len(a), len(a[0])
+    for i in range(-r, r):
+        assert m.row(i) == tuple(a[i])
+        for j in range(-c, c):
+            assert m[i, j] == a[i][j]
+    for j in range(-c, c):
+        assert m.column(j) == tuple(row[j] for row in a)
+    assert m.to_nested_strings() == [[str(x) for x in row] for row in a]
+    for i, j in ((r, 0), (-r - 1, 0), (0, c), (0, -c - 1)):
+        with pytest.raises(IndexError):
+            m[i, j]
+    with pytest.raises(IndexError):
+        m.row(r)
+    with pytest.raises(IndexError):
+        m.column(c)
+    with pytest.raises(IndexError):
+        m.submatrix([0], [c])

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import kinematic_term_is_trivial
-from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass
+from spinstat import cli, invariance
+from spinstat.algebra import ExactMatrix, Scalar, SelfCheckError, SymmetryClass
 from spinstat.invariance import (
     ConstraintSplit,
     InvarianceReport,
@@ -300,3 +303,44 @@ def test_split_result_shape():
     assert isinstance(split, ConstraintSplit)
     assert split.statistics == "bose"
     assert split.momentum_map == -wave_operator_kinematic()
+
+
+# -- self-checks --------------------------------------------------------------
+
+
+@pytest.fixture
+def drop_last_pivot(monkeypatch):
+    """Make the elimination lose its last pivot, as a kernel defect would."""
+    real = invariance.pivoted_elimination
+
+    def dropped(m):
+        indices, blocks = real(m)
+        return indices[:-1], blocks[:-1]
+
+    monkeypatch.setattr(invariance, "pivoted_elimination", dropped)
+
+
+def test_dropped_pivot_raises_self_check_error(drop_last_pivot):
+    # written without assert statements so it also checks under python -O
+    with pytest.raises(SelfCheckError, match="full-rank principal block"):
+        constraint_split(wave_operator_kinematic(), "bose")
+    with pytest.raises(SelfCheckError, match="no pivot"):
+        constraint_split(ExactMatrix([[1]]), "fermi")
+
+
+def test_self_check_error_is_not_a_value_error():
+    assert not issubclass(SelfCheckError, ValueError)
+
+
+def test_cli_exits_4_on_a_failed_self_check(drop_last_pivot, capsys):
+    assert cli.main(["dkp-check"]) == 4
+    assert "internal self-check failed" in capsys.readouterr().err
+
+
+def test_self_check_survives_python_O():
+    node = f"{__file__}::test_dropped_pivot_raises_self_check_error"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout

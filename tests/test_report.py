@@ -49,6 +49,18 @@ def test_mixed_statistics_theory_skips_global_split():
     assert doc["kinematic"]["constraints"] is None
 
 
+def test_dimension_128_theory_is_analyzed():
+    # 16 components x 8 flavors; the dense matrices of the baseline took
+    # 15 s here, the sparse ones a fraction of a second (not asserted)
+    report = analyze("theory t\nfield x spin=7/2 flavors=8\n")
+    assert report.status == "CONSISTENT"
+    assert report.statistics == "fermi"
+    assert report.invariance.ok
+    assert report.split.canonical_indices == tuple(range(128))
+    assert report.split.constraint_indices == ()
+    assert report_to_dict(report)["kinematic"]["invariant"] is True
+
+
 def test_no_form_theory_reports_nulls():
     report = analyze("theory t\nfield phi spin=0\n")
     assert report.status == "NO_KINEMATIC_TERM"
