@@ -598,12 +598,15 @@ def pivoted_elimination(m: ExactMatrix) -> tuple[tuple[int, ...], tuple[ExactMat
     """Exact symmetric elimination with 1x1 and 2x2 pivots (Bunch-Kaufman).
 
     For a symmetric, antisymmetric or hermitian matrix, returns the
-    leftmost index set S with M[S,S] invertible and |S| = rank(M),
-    ascending, and the pivot blocks in elimination order.  The pivot is
-    the first active index with a nonzero diagonal entry; when every
-    active diagonal entry is zero, the first nonzero off-diagonal entry in
-    row order gives a 2x2 block with zero diagonal, invertible because its
-    determinant is -b^2, +b^2 or -|b|^2 for the entry b.  Schur
+    pivot index set S, ascending, with M[S,S] invertible and
+    |S| = rank(M), and the pivot blocks in elimination order.  The pivot
+    is the first active index whose diagonal entry in the current Schur
+    complement is nonzero; when every active diagonal entry is zero, the
+    first nonzero off-diagonal entry in row order gives a 2x2 block with
+    zero diagonal, invertible because its determinant is -b^2, +b^2 or
+    -|b|^2 for the entry b.  S need not be the leftmost such set: for
+    [[0,1,1],[1,0,1],[1,1,2]] the first pivot is index 2, so S = {0, 2},
+    although {0, 1} is invertible too.  Schur
     complements keep the transpose symmetry, so the loop stops only when
     the remaining block is zero.  Each step is a congruence, so for a
     hermitian matrix the blocks carry its inertia (Sylvester's law).

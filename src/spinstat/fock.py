@@ -1,11 +1,10 @@
 """Symbolic second quantization on operator words.
 
 A relation table declares annihilator/creator pairs and the value of their
-elementary bracket; every other bracket is zero.  Words of operators are
-normal ordered by exact rewriting, which is enough machinery to compute
-vacuum expectation values and Gram matrices of multi-quantum states, and
-in particular to exhibit a negative-norm state when a pairing carries the
-wrong sign.
+elementary bracket; every other bracket is zero.  Vacuum expectation values
+of words follow by Wick contraction, which is enough machinery for Gram
+matrices of multi-quantum states, and in particular to exhibit a
+negative-norm state when a pairing carries the wrong sign.
 """
 
 from __future__ import annotations
@@ -16,10 +15,8 @@ from .algebra import ExactMatrix, Scalar, hermitian_signature
 
 __all__ = [
     "UnknownSymbolError",
-    "OperatorWord",
     "RelationTable",
     "parse_relation_table",
-    "normal_order",
     "vacuum_expectation",
     "adjoint_word",
     "GramResult",
@@ -34,20 +31,14 @@ class UnknownSymbolError(ValueError):
     """A word used a symbol the relation table does not declare."""
 
 
-@dataclass(frozen=True)
-class OperatorWord:
-    symbols: tuple[str, ...]
-    coefficient: Scalar = _ONE
-
-
 class RelationTable:
     """Elementary brackets between annihilators and creators.
 
-    Same-kind brackets are identically zero, which keeps normal ordering
-    terminating.  Adjoints are resolved by name (``x`` versus ``xdag``)
-    when both symbols are declared, falling back to the pair partner: a
-    table that declares only ``pair c ddag`` is the hermitian-identified
-    presentation where d = c.
+    Same-kind brackets are identically zero, so a vacuum expectation is a
+    sum over annihilator-creator contractions only.  Adjoints are resolved
+    by name (``x`` versus ``xdag``) when both symbols are declared, falling
+    back to the pair partner: a table that declares only ``pair c ddag`` is
+    the hermitian-identified presentation where d = c.
     """
 
     def __init__(self, bracket: str, pairs) -> None:
@@ -155,113 +146,39 @@ def _check_word(word, table: RelationTable) -> tuple[str, ...]:
     return symbols
 
 
-def _sorted_with_parity(block, fermi: bool):
-    """Sort a block of same-kind symbols; return (sorted, sign) or None.
+def vacuum_expectation(word, table: RelationTable) -> Scalar:
+    """<0|word|0> by Wick contraction.
 
-    Same-kind brackets vanish, so the symbols commute (bose) or anticommute
-    (fermi) freely; for fermi a repeated symbol squares to zero.
+    <0| kills a leading creator and |0> a trailing annihilator.  Otherwise
+    the leading annihilator a is moved right: passing the creator x_k
+    leaves value(a, x_k) times the expectation of the word without a and
+    x_k, and every symbol it passes costs a sign under anticommutators.
+    Same-kind brackets vanish, so no other terms appear.
     """
-    items = list(block)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    if fermi:
-        if any(a == b for a, b in zip(items, items[1:])):
-            return None
-        return tuple(items), sign
-    return tuple(items), 1
-
-
-def _canonical(word, table: RelationTable):
-    """Canonical form of an already creator-left word: (word, sign) or None."""
-    split = len(word)
-    for i, s in enumerate(word):
-        if s in table.annihilators:
-            split = i
-            break
-    fermi = table.bracket == "anticommutator"
-    creators = _sorted_with_parity(word[:split], fermi)
-    annihilators = _sorted_with_parity(word[split:], fermi)
-    if creators is None or annihilators is None:
-        return None
-    return creators[0] + annihilators[0], creators[1] * annihilators[1]
-
-
-def _normal_order_map(symbols, table: RelationTable) -> dict[tuple[str, ...], Scalar]:
+    symbols = _check_word(word, table)
     sign = Scalar(-1) if table.bracket == "anticommutator" else _ONE
-    memo: dict[tuple[str, ...], dict[tuple[str, ...], Scalar]] = {}
+    creators = table.creators
+    memo: dict[tuple[str, ...], Scalar] = {}
 
-    def go(word: tuple[str, ...]) -> dict[tuple[str, ...], Scalar]:
-        cached = memo.get(word)
+    def go(w: tuple[str, ...]) -> Scalar:
+        if not w:
+            return _ONE
+        if w[0] in creators or w[-1] not in creators:
+            return _ZERO
+        cached = memo.get(w)
         if cached is not None:
             return cached
-        out: dict[tuple[str, ...], Scalar] = {}
+        total, step = _ZERO, _ONE
+        for k in range(1, len(w)):
+            if w[k] in creators:
+                value = table.value(w[0], w[k])
+                if not value.is_zero:
+                    total = total + step * value * go(w[1:k] + w[k + 1:])
+            step = step * sign
+        memo[w] = total
+        return total
 
-        bad = None
-        for i in range(len(word) - 1):
-            if word[i] in table.annihilators and word[i + 1] in table.creators:
-                bad = i
-                break
-        if bad is None:
-            canonical = _canonical(word, table)
-            if canonical is not None:
-                ordered, parity = canonical
-                out[ordered] = _ONE if parity == 1 else Scalar(-1)
-        else:
-            a, c = word[bad], word[bad + 1]
-            swapped = word[:bad] + (c, a) + word[bad + 2:]
-            for w, coeff in go(swapped).items():
-                _accumulate(out, w, coeff * sign)
-            bracket_value = table.value(a, c)
-            if not bracket_value.is_zero:
-                contracted = word[:bad] + word[bad + 2:]
-                for w, coeff in go(contracted).items():
-                    _accumulate(out, w, coeff * bracket_value)
-        memo[word] = out
-        return out
-
-    return go(tuple(symbols))
-
-
-def _accumulate(out, word, coeff) -> None:
-    total = out.get(word, _ZERO) + coeff
-    if total.is_zero:
-        out.pop(word, None)
-    else:
-        out[word] = total
-
-
-def normal_order(word, table: RelationTable) -> tuple[OperatorWord, ...]:
-    """Rewrite a word so creators stand left of annihilators.
-
-    Accepts a plain symbol sequence or an OperatorWord; the result is a
-    canonically sorted tuple of OperatorWords with nonzero coefficients.
-    """
-    if isinstance(word, OperatorWord):
-        symbols, scale = word.symbols, word.coefficient
-    else:
-        symbols, scale = word, _ONE
-    symbols = _check_word(symbols, table)
-    terms = _normal_order_map(symbols, table)
-    ordered = sorted(terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    result = []
-    for w, coeff in ordered:
-        scaled = coeff * scale
-        if not scaled.is_zero:
-            result.append(OperatorWord(w, scaled))
-    return tuple(result)
-
-
-def vacuum_expectation(word, table: RelationTable) -> Scalar:
-    """Coefficient of the empty word in the normal-ordered form."""
-    for term in normal_order(word, table):
-        if not term.symbols:
-            return term.coefficient
-    return _ZERO
+    return go(symbols)
 
 
 def adjoint_word(word, table: RelationTable) -> tuple[str, ...]:

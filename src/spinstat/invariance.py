@@ -100,8 +100,10 @@ def constraint_split(k0: ExactMatrix, statistics: str) -> ConstraintSplit:
     """Split component indices by whether they carry canonical dynamics.
 
     The momentum map P (see momentum_map) annihilates pure-constraint
-    directions; the canonical indices are the leftmost principal set on
-    which P is invertible, as found by algebra.pivoted_elimination.  The
+    directions; the canonical indices are a principal set on which P is
+    invertible, the pivot indices of algebra.pivoted_elimination: the
+    first active nonzero diagonal entry, else the first nonzero
+    off-diagonal pair in row order.  The
     returned nonsingular_block is K0 itself restricted to those indices,
     which for a wave-operator matrix with three spatial-gradient
     constraints comes out as the familiar 2x2 core.

@@ -54,11 +54,12 @@ class TheoryParseError(ValueError):
 
 @dataclass(frozen=True)
 class FieldSpec:
+    """One field line.  Every field is hermitian: the analysis assumes it."""
+
     name: str
     two_j: int
     flavors: int = 1
     copies: int = 1
-    hermitian: bool = True
     statistics: str = "auto"  # auto | bose | fermi
 
     @property
@@ -169,8 +170,7 @@ def _parse_field(rest: str, line_no: int) -> FieldSpec:
     copies = _parse_count(attrs.pop("copies", "1"), line_no, "copies")
     if flavors < 1 or copies < 1:
         raise TheoryParseError(line_no, "flavors and copies must be >= 1")
-    hermitian = _parse_bool(attrs.pop("hermitian", "true"), line_no, "hermitian")
-    if not hermitian:
+    if not _parse_bool(attrs.pop("hermitian", "true"), line_no, "hermitian"):
         raise TheoryParseError(
             line_no,
             "non-hermitian fields are not supported: every field must carry "
@@ -182,7 +182,7 @@ def _parse_field(rest: str, line_no: int) -> FieldSpec:
             line_no, f"statistics must be auto, bose or fermi, got {statistics!r}")
     if attrs:
         raise TheoryParseError(line_no, f"unknown field attribute {sorted(attrs)[0]!r}")
-    return FieldSpec(name, two_j, flavors, copies, hermitian, statistics)
+    return FieldSpec(name, two_j, flavors, copies, statistics)
 
 
 def parse_theory(text: str, base_dir: str | pathlib.Path = ".") -> TheorySpec:
@@ -285,7 +285,7 @@ def serialize_theory(spec: TheorySpec) -> str:
     for f in spec.fields:
         lines.append(
             f"field {f.name} spin={f.spin_text} flavors={f.flavors} "
-            f"copies={f.copies} hermitian={'true' if f.hermitian else 'false'} "
+            f"copies={f.copies} hermitian=true "
             f"statistics={f.statistics}")
     if spec.kinematic_mode == "explicit":
         lines.append(f"kinematic explicit {spec.explicit_path}")

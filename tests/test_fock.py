@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,12 +9,10 @@ from hypothesis import strategies as st
 
 from spinstat.algebra import ExactMatrix, Scalar
 from spinstat.fock import (
-    OperatorWord,
     RelationTable,
     UnknownSymbolError,
     adjoint_word,
     gram_matrix,
-    normal_order,
     parse_relation_table,
     vacuum_expectation,
 )
@@ -113,30 +112,6 @@ def wick_vev(word, values):
         return total
 
     return Scalar(go(tuple(word)))
-
-
-def contraction_counts(word, values):
-    """Number of k-element sets of disjoint (annihilator, creator) links.
-
-    Each link joins an annihilator to a creator strictly to its right with a
-    nonzero elementary bracket; used to predict the coefficients of partially
-    contracted terms in a bosonic normal ordering.
-    """
-    links = [
-        (i, j)
-        for i, j in itertools.combinations(range(len(word)), 2)
-        if values.get((word[i], word[j]))
-    ]
-    counts = {}
-    for k in range(len(links) + 1):
-        n = 0
-        for subset in itertools.combinations(links, k):
-            used = [p for link in subset for p in link]
-            if len(set(used)) == len(used):
-                n += 1
-        if n:
-            counts[k] = n
-    return counts
 
 
 _M_A = ((0, 1), (0, 0))
@@ -325,101 +300,73 @@ def test_adjoint_word_is_an_involution():
         assert adjoint_word(adjoint_word(word, FERMI_CROSS), FERMI_CROSS) == word
 
 
-# -- normal ordering --------------------------------------------------------------
+# -- Wick contraction ------------------------------------------------------------
 
 
 def test_single_elementary_boson_step():
-    assert normal_order(("a", "adag"), BOSE_DIAG) == (
-        OperatorWord((), ONE),
-        OperatorWord(("adag", "a"), ONE),
-    )
+    assert vacuum_expectation(("a", "adag"), BOSE_DIAG) == ONE
+    assert vacuum_expectation(("adag", "a"), BOSE_DIAG) == ZERO
 
 
 def test_negative_anticommutator_step():
-    assert normal_order(("c", "ddag"), WITNESS) == (
-        OperatorWord((), Scalar(-1)),
-        OperatorWord(("ddag", "c"), Scalar(-1)),
-    )
+    assert vacuum_expectation(("c", "ddag"), WITNESS) == Scalar(-1)
+    assert vacuum_expectation(("c", "ddag", "c", "ddag"), WITNESS) == ONE
 
 
 def test_double_contraction_word():
+    # two complete contraction sets of weight 1; under anticommutators
+    # the crossed one carries a minus sign and they cancel
     word = ("a", "a", "bdag", "bdag")
-    counts = contraction_counts(word, {("a", "bdag"): Fraction(1)})
-    assert counts == {0: 1, 1: 4, 2: 2}
-    assert normal_order(word, BOSE_CROSS) == (
-        OperatorWord((), Scalar(2)),
-        OperatorWord(("bdag", "a"), Scalar(4)),
-        OperatorWord(("bdag", "bdag", "a", "a"), ONE),
-    )
-
-
-def test_already_normal_word_is_unchanged():
-    assert normal_order(("bdag", "a"), BOSE_CROSS) == (
-        OperatorWord(("bdag", "a"), ONE),
-    )
+    assert vacuum_expectation(word, BOSE_CROSS) == Scalar(2)
+    assert vacuum_expectation(word, FERMI_CROSS) == ZERO
 
 
 def test_empty_word_is_the_unit():
-    assert normal_order((), BOSE_CROSS) == (OperatorWord((), ONE),)
+    for table in (BOSE_CROSS, FERMI_CROSS, FERMI_NEG, WITNESS):
+        assert vacuum_expectation((), table) == ONE
 
 
 def test_creator_blocks_sort_without_sign_for_bosons():
-    assert normal_order(("bdag", "adag"), BOSE_CROSS) == (
-        OperatorWord(("adag", "bdag"), ONE),
-    )
+    value = vacuum_expectation(("b", "a", "bdag", "adag"), BOSE_CROSS)
+    assert value == ONE
+    assert vacuum_expectation(("b", "a", "adag", "bdag"), BOSE_CROSS) == value
+    assert vacuum_expectation(("a", "b", "bdag", "adag"), BOSE_CROSS) == value
 
 
 def test_creator_blocks_sort_with_sign_for_fermions():
-    assert normal_order(("bdag", "adag"), FERMI_CROSS) == (
-        OperatorWord(("adag", "bdag"), Scalar(-1)),
-    )
-    assert normal_order(("b", "a"), FERMI_CROSS) == (
-        OperatorWord(("a", "b"), Scalar(-1)),
-    )
+    value = vacuum_expectation(("b", "a", "bdag", "adag"), FERMI_CROSS)
+    assert value == ONE
+    assert vacuum_expectation(("b", "a", "adag", "bdag"), FERMI_CROSS) == -value
+    assert vacuum_expectation(("a", "b", "bdag", "adag"), FERMI_CROSS) == -value
 
 
 def test_repeated_fermi_symbol_vanishes():
-    assert normal_order(("a", "a"), FERMI_CROSS) == ()
-    assert normal_order(("bdag", "bdag"), FERMI_CROSS) == ()
-    assert normal_order(("a", "a", "bdag"), FERMI_CROSS) == ()
+    assert vacuum_expectation(("a", "a", "bdag", "bdag"), FERMI_NEG) == ZERO
+    assert vacuum_expectation(("b", "b", "adag", "adag"), FERMI_CROSS) == ZERO
+    assert vacuum_expectation(("a", "a", "bdag"), FERMI_CROSS) == ZERO
 
 
 def test_repeated_bose_symbol_survives():
-    assert normal_order(("a", "a"), BOSE_CROSS) == (OperatorWord(("a", "a"), ONE),)
+    assert vacuum_expectation(("a", "a", "bdag", "bdag"), BOSE_CROSS) == Scalar(2)
+    assert vacuum_expectation(("a",) * 3 + ("bdag",) * 3, BOSE_CROSS) == Scalar(6)
 
 
-def test_normal_order_is_linear_in_the_coefficient():
-    word = OperatorWord(("a", "a", "bdag", "bdag"), Scalar(Fraction(3, 2)))
-    scaled = normal_order(word, BOSE_CROSS)
-    plain = normal_order(word.symbols, BOSE_CROSS)
-    assert len(scaled) == len(plain)
-    for s, p in zip(scaled, plain):
-        assert s.symbols == p.symbols
-        assert s.coefficient == p.coefficient * Scalar(Fraction(3, 2))
+def test_long_bose_power_is_k_factorial_h_to_the_k():
+    h = Fraction(3, 2)
+    table = RelationTable("commutator", [("a", "adag", h)])
+    k = 12
+    word = ("a",) * k + ("adag",) * k
+    assert vacuum_expectation(word, table) == Scalar(math.factorial(k) * h**k)
 
 
 def test_unknown_symbol_raises():
     with pytest.raises(UnknownSymbolError):
-        normal_order(("a", "q"), BOSE_CROSS)
+        vacuum_expectation(("a", "q"), BOSE_CROSS)
     with pytest.raises(UnknownSymbolError):
         vacuum_expectation(("q",), BOSE_CROSS)
-
-
-@given(st.lists(st.sampled_from(SYMBOLS), max_size=6), st.booleans())
-def test_output_words_are_normal_ordered_and_canonical(symbols, fermi):
-    table = FERMI_CROSS if fermi else BOSE_CROSS
-    for term in normal_order(tuple(symbols), table):
-        assert not term.coefficient.is_zero
-        kinds = [table.kind(s) for s in term.symbols]
-        split = kinds.index("annihilator") if "annihilator" in kinds else len(kinds)
-        assert all(k == "creator" for k in kinds[:split])
-        assert all(k == "annihilator" for k in kinds[split:])
-        creators = term.symbols[:split]
-        annihilators = term.symbols[split:]
-        assert list(creators) == sorted(creators)
-        assert list(annihilators) == sorted(annihilators)
-        again = normal_order(term.symbols, table)
-        assert again == (OperatorWord(term.symbols, ONE),)
+    # a leading creator makes the value 0, but the word is still checked
+    with pytest.raises(UnknownSymbolError):
+        vacuum_expectation(("adag", "q"), BOSE_CROSS)
 
 
 # -- vacuum expectation values -----------------------------------------------------
@@ -560,13 +507,63 @@ def _sort_block(block, fermi):
     return tuple(items), sign if fermi else 1
 
 
+def _random_word(table, rng):
+    """A word of length <= 6; half the time a balanced one.
+
+    A balanced word reads as a bracket sequence with annihilators opening
+    and creators closing, so it admits complete contractions and usually
+    has a nonzero vacuum expectation.
+    """
+    symbols = sorted(table.symbols)
+    if rng.random() < 0.5:
+        return tuple(rng.choices(symbols, k=rng.randrange(7)))
+    annihilators, creators = sorted(table.annihilators), sorted(table.creators)
+    k = rng.randrange(4)
+    word, opened = [], 0
+    while len(word) < 2 * k:
+        if opened < k and (2 * opened == len(word) or rng.random() < 0.5):
+            word.append(rng.choice(annihilators))
+            opened += 1
+        else:
+            word.append(rng.choice(creators))
+    return tuple(word)
+
+
 def test_normal_order_is_confluent():
+    # two random rewrite orders reach one normal form, whose empty-word
+    # coefficient is the vacuum expectation
     rng = random.Random(101)
     for trial in range(100):
         table = (BOSE_CROSS, FERMI_CROSS, FERMI_NEG)[trial % 3]
-        word = tuple(rng.choices(SYMBOLS, k=rng.randrange(1, 7)))
-        expected = {t.symbols: t.coefficient for t in normal_order(word, table)}
-        assert _random_order_normal_form(word, table, rng) == expected
+        word = _random_word(table, rng)
+        normal_form = _random_order_normal_form(word, table, rng)
+        assert _random_order_normal_form(word, table, rng) == normal_form
+        assert normal_form.get((), ZERO) == vacuum_expectation(word, table)
+
+
+_GAUSSIAN_RATIONALS = st.builds(
+    Scalar,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def relation_tables(draw):
+    """Both brackets; diagonal and cross pairs over two modes."""
+    links = draw(st.lists(
+        st.sampled_from([("a", "adag"), ("a", "bdag"), ("b", "adag"), ("b", "bdag")]),
+        min_size=1, max_size=4, unique=True))
+    return RelationTable(
+        draw(st.sampled_from(["commutator", "anticommutator"])),
+        [(a, c, draw(_GAUSSIAN_RATIONALS)) for a, c in links])
+
+
+@given(relation_tables(), st.randoms(use_true_random=False))
+def test_vev_is_the_constant_term_of_the_normal_form(table, rng):
+    word = _random_word(table, rng)
+    expected = _random_order_normal_form(word, table, rng).get((), ZERO)
+    assert vacuum_expectation(word, table) == expected
 
 
 # -- gram matrices -------------------------------------------------------------------

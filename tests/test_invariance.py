@@ -275,6 +275,18 @@ def test_pivot_skips_leading_null_direction():
     assert split.constraint_indices == (0, 2)
 
 
+def test_split_is_the_pivot_set_not_the_leftmost_invertible_set():
+    # the only nonzero diagonal entry is pivoted first, so the split is
+    # {0, 2} although the principal block on {0, 1} is invertible too
+    k = ExactMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 2]])
+    split = constraint_split(k, "fermi")
+    assert split.canonical_indices == (0, 2)
+    assert split.constraint_indices == (1,)
+    assert split.momentum_restricted == k.principal((0, 2))
+    assert split.momentum_restricted.rank() == 2
+    assert k.principal((0, 1)).rank() == 2
+
+
 def test_majorana_statistics_decide_dynamics():
     spec = theory("theory t\nfield psi spin=1/2")
     k = build_kinematic(spec).kinematic.matrix

@@ -31,7 +31,7 @@ def test_parse_minimal_defaults():
     assert spec.name == "t"
     (f,) = spec.fields
     assert (f.name, f.two_j, f.flavors, f.copies) == ("phi", 0, 1, 1)
-    assert f.hermitian and f.statistics == "auto"
+    assert f.statistics == "auto"
     assert spec.kinematic_mode == "auto"
     assert spec.flavor_mode == "diagonal"
     assert spec.dimension == 1

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 import spinstat
-from spinstat.model import FieldSpec, TheorySpec, parse_theory
+from spinstat.model import parse_theory
 from spinstat.report import (
     AmbiguousKinematicError,
     analyze_theory,
@@ -113,20 +113,6 @@ def test_field_expansion_passes_kirchoff(flavors):
     doc = report_to_dict(report)
     assert doc["fields"][0]["kirchoff"] == {"compliant": True, "detail": None}
     assert "  kirchoff lint: compliant\n" in render_text(report)
-
-
-def test_non_hermitian_field_violates_kirchoff():
-    # the parser rejects hermitian=false, but a library-built spec can carry it
-    spec = TheorySpec("t", (FieldSpec("x", 2, 1, 2, hermitian=False),
-                            FieldSpec("y", 1)))
-    report = analyze_theory(spec)
-    doc = report_to_dict(report)
-    jsonschema.validate(doc, SCHEMA)
-    x, y = doc["fields"]
-    assert x["kirchoff"]["compliant"] is False
-    assert "field x" in x["kirchoff"]["detail"]
-    assert y["kirchoff"] == {"compliant": True, "detail": None}
-    assert "  kirchoff lint: violation (field x " in render_text(report)
 
 
 def test_every_public_name_resolves():
