@@ -10,7 +10,6 @@ report; output is deterministic, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -43,6 +42,7 @@ _EXIT_BY_STATUS = {
     "NO_KINEMATIC_TERM": 0,
     "CONTRADICTION": 2,
     "REJECTED_NEGATIVE_NORM": 3,
+    "NOT_ROTATION_INVARIANT": 5,
 }
 
 # A derived result failed its independent check: a defect in spinstat,
@@ -136,7 +136,7 @@ def cmd_dkp_check(args) -> int:
             metric = _parse_metric(args.metric)
         except ValueError as exc:
             return _fail(str(exc))
-        betas = dataclasses.replace(betas, metric=metric)
+        betas = betas._replace(metric=metric)
 
     algebra = verify_dkp_algebra(betas)
     momenta = [dkp_minimal_polynomial_check(betas, k) for k in _MOMENTA]

@@ -13,8 +13,8 @@ it in exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     DimensionError,
@@ -41,8 +41,7 @@ __all__ = [
 I = Scalar(0, 1)
 
 
-@dataclass(frozen=True)
-class FlavorSplit:
+class FlavorSplit(NamedTuple):
     """Outcome of testing a kinematic matrix for flavor antisymmetry."""
 
     is_flavor_antisymmetric: bool
@@ -73,8 +72,7 @@ def detect_flavor_antisymmetry(m: ExactMatrix) -> FlavorSplit:
     return FlavorSplit(False)
 
 
-@dataclass(frozen=True)
-class FlavorDiagonalization:
+class FlavorDiagonalization(NamedTuple):
     """Spectral data of an antisymmetric flavor matrix.
 
     `transformation` holds unnormalized eigenvector columns with
@@ -139,8 +137,7 @@ def diagonalize_flavor(lam: ExactMatrix) -> FlavorDiagonalization:
     )
 
 
-@dataclass(frozen=True)
-class FlavorDiagnosis:
+class FlavorDiagnosis(NamedTuple):
     """Full flavor verdict: sector signs, norm defect, and the witness."""
 
     is_flavor_antisymmetric: bool

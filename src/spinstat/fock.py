@@ -9,7 +9,7 @@ negative-norm state when a pairing carries the wrong sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import ExactMatrix, Scalar, hermitian_signature
 
@@ -21,7 +21,13 @@ __all__ = [
     "adjoint_word",
     "GramResult",
     "gram_matrix",
+    "MAX_WORD_SYMBOLS",
 ]
+
+# longest word whose vacuum expectation is taken; the contraction recurses
+# once per annihilator-creator pair, so this keeps it far inside Python's
+# default recursion limit of 1000
+MAX_WORD_SYMBOLS = 256
 
 _ZERO = Scalar(0)
 _ONE = Scalar(1)
@@ -141,6 +147,10 @@ def parse_relation_table(text: str) -> RelationTable:
 
 def _check_word(word, table: RelationTable) -> tuple[str, ...]:
     symbols = tuple(word)
+    if len(symbols) > MAX_WORD_SYMBOLS:
+        raise ValueError(
+            f"word has {len(symbols)} symbols, over the supported maximum "
+            f"{MAX_WORD_SYMBOLS}")
     for s in symbols:
         table.kind(s)
     return symbols
@@ -187,8 +197,7 @@ def adjoint_word(word, table: RelationTable) -> tuple[str, ...]:
     return tuple(table.adjoint_of(s) for s in reversed(symbols))
 
 
-@dataclass(frozen=True)
-class GramResult:
+class GramResult(NamedTuple):
     matrix: ExactMatrix
     signature: tuple[int, int, int]
 

@@ -12,8 +12,8 @@ pairs versus constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     DimensionError,
@@ -46,8 +46,7 @@ def required_symmetry(j) -> SymmetryClass:
             else SymmetryClass.ANTISYMMETRIC)
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     """Outcome of the exact rotation-invariance check, with the nonzero
     entries of G^T K0 + K0 G listed per failing axis."""
 
@@ -84,8 +83,7 @@ def momentum_map(k0: ExactMatrix, statistics: str) -> ExactMatrix:
     raise ValueError(f"statistics must be 'bose' or 'fermi', got {statistics!r}")
 
 
-@dataclass(frozen=True)
-class ConstraintSplit:
+class ConstraintSplit(NamedTuple):
     """Partition of field components into canonical pairs and constraints."""
 
     statistics: str

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import pathlib
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import ExactMatrix, Scalar, SymmetryClass
 from .su2 import as_two_j, hermitian_basis, spin_label
@@ -52,8 +52,7 @@ class TheoryParseError(ValueError):
         self.line = line_no
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(NamedTuple):
     """One field line.  Every field is hermitian: the analysis assumes it."""
 
     name: str
@@ -85,8 +84,7 @@ class FieldSpec:
         return self.flavors * self.copies * self.component_dimension
 
 
-@dataclass(frozen=True)
-class TheorySpec:
+class TheorySpec(NamedTuple):
     name: str
     fields: tuple[FieldSpec, ...]
     kinematic_mode: str = "auto"  # auto | explicit
@@ -332,8 +330,7 @@ def _blockdiag(mats: list[ExactMatrix]) -> ExactMatrix:
     return ExactMatrix.block(grid)
 
 
-@dataclass(frozen=True)
-class KinematicMatrix:
+class KinematicMatrix(NamedTuple):
     matrix: ExactMatrix
     index_map: tuple[str, ...]
 
@@ -342,14 +339,13 @@ class KinematicMatrix:
         return self.matrix.rows
 
 
-@dataclass(frozen=True)
-class KinematicBuild:
+class KinematicBuild(NamedTuple):
     """Outcome of build_kinematic: a matrix, or the reason there is none."""
 
     status: str  # built | no_form | not_unique
     kinematic: KinematicMatrix | None = None
     note: str | None = None
-    details: tuple[str, ...] = dc_field(default=())
+    details: tuple[str, ...] = ()
 
 
 def _form_space_dims(f: FieldSpec) -> tuple[int, int]:

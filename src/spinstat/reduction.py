@@ -23,10 +23,10 @@ familiar 2x2 block [[0, i], [-i, 0]].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .algebra import ExactMatrix, Scalar, self_check
 from .model import KinematicMatrix
@@ -51,19 +51,24 @@ _I = Scalar(0, 1)
 _HALF = Scalar(Fraction(1, 2))
 
 
-@dataclass(frozen=True)
-class DerivativePolynomial:
+class DerivativePolynomial(
+        NamedTuple("DerivativePolynomial", [("coefficients", tuple)])):
     """Polynomial F(d_t) stored as Scalar coefficients by ascending power."""
 
-    coefficients: tuple[Scalar, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        coerced = tuple(Scalar.coerce(c) for c in self.coefficients)
+    def __new__(cls, coefficients):
+        coerced = tuple(Scalar.coerce(c) for c in coefficients)
         while coerced and coerced[-1].is_zero:
             coerced = coerced[:-1]
         if not coerced:
             raise ValueError("polynomial needs at least one nonzero coefficient")
-        object.__setattr__(self, "coefficients", coerced)
+        return super().__new__(cls, coerced)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so a replaced polynomial is checked too
+        return cls(*iterable)
 
     @property
     def degree(self) -> int:
@@ -101,8 +106,7 @@ class DerivativePolynomial:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     """First-order rewrite of -(1/2) phi F(d_t) phi.
 
     The Lagrangian in the new variables is
@@ -271,8 +275,7 @@ def eliminate_auxiliaries(result: ReductionResult) -> DerivativePolynomial:
 # -- the five-component wave-operator form ---------------------------------
 
 
-@dataclass(frozen=True)
-class BetaSet:
+class BetaSet(NamedTuple):
     """The 5x5 Duffin-Kemmer matrices for a scalar field of mass ``mass``.
 
     ``psi_components`` names the entries of the column vector the
@@ -318,14 +321,21 @@ def _beta_matrices() -> tuple[ExactMatrix, ...]:
     return beta0, beta1, beta2, beta3
 
 
+def _triple_products(b) -> dict[tuple[int, int, int], ExactMatrix]:
+    """b_mu b_nu b_lam for all 64 index triples, built on the 16 pair
+    products, so every trilinear identity reads its terms off one table."""
+    pairs = {(mu, nu): b[mu] @ b[nu] for mu, nu in product(range(4), repeat=2)}
+    return {(mu, nu, lam): pairs[mu, nu] @ b[lam]
+            for mu, nu, lam in product(range(4), repeat=3)}
+
+
 @lru_cache(maxsize=1)
 def _verified_metric() -> ExactMatrix:
     """Scan all diagonal +-1 signatures; exactly one closes the algebra."""
     betas = _beta_matrices()
-    sums = {}
-    for mu, nu, lam in product(range(4), repeat=3):
-        sums[mu, nu, lam] = (betas[mu] @ betas[nu] @ betas[lam]
-                             + betas[lam] @ betas[nu] @ betas[mu])
+    triples = _triple_products(betas)
+    sums = {(mu, nu, lam): t + triples[lam, nu, mu]
+            for (mu, nu, lam), t in triples.items()}
     survivors = []
     for signs in product((1, -1), repeat=4):
         metric = ExactMatrix.diagonal(signs)
@@ -367,8 +377,7 @@ def duffin_kemmer_construct(mass) -> BetaSet:
     )
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     """One index tuple of a trilinear identity, evaluated two ways.
 
     ``unweighted`` is the identity with all metric factors dropped, the
@@ -381,8 +390,7 @@ class RelationCheck:
     weighted: bool
 
 
-@dataclass(frozen=True)
-class DKPAlgebraReport:
+class DKPAlgebraReport(NamedTuple):
     """Exhaustive evaluation of the trilinear algebra of a BetaSet."""
 
     standard_failures: tuple[tuple[int, int, int], ...]
@@ -418,26 +426,29 @@ def verify_dkp_algebra(betas: BetaSet) -> DKPAlgebraReport:
     the spatial matrices, whose cube is minus themselves.
     """
     b = betas.betas
-    g = betas.metric
+    t = _triple_products(b)
+    # b_mu b_nu b_lam + b_lam b_nu b_mu, and g_nunu b_mu
+    sym = {(mu, nu, lam): x + t[lam, nu, mu] for (mu, nu, lam), x in t.items()}
+    gb = {(mu, nu): b[mu].scale(betas.metric[nu, nu])
+          for mu, nu in product(range(4), repeat=2)}
 
     failures = []
     for mu, nu, lam in product(range(4), repeat=3):
-        lhs = b[mu] @ b[nu] @ b[lam] + b[lam] @ b[nu] @ b[mu]
         rhs = ExactMatrix.zeros(5)
         if mu == nu:
-            rhs = rhs + b[lam].scale(g[mu, mu])
+            rhs = rhs + gb[lam, mu]
         if lam == nu:
-            rhs = rhs + b[mu].scale(g[lam, lam])
-        if lhs != rhs:
+            rhs = rhs + gb[mu, lam]
+        if sym[mu, nu, lam] != rhs:
             failures.append((mu, nu, lam))
 
     cube = []
     for mu in range(4):
-        cubed = b[mu] @ b[mu] @ b[mu]
+        cubed = t[mu, mu, mu]
         cube.append(RelationCheck(
             indices=(mu,),
             unweighted=cubed == b[mu],
-            weighted=cubed == b[mu].scale(g[mu, mu]),
+            weighted=cubed == gb[mu, mu],
         ))
 
     sandwich = []
@@ -445,25 +456,24 @@ def verify_dkp_algebra(betas: BetaSet) -> DKPAlgebraReport:
     for mu, nu in product(range(4), repeat=2):
         if mu == nu:
             continue
-        mid = b[mu] @ b[nu] @ b[mu]
+        mid = t[mu, nu, mu]
         sandwich.append(RelationCheck(
             indices=(mu, nu),
             unweighted=mid == b[mu],
             weighted=mid.is_zero(),
         ))
-        squares = b[mu] @ b[nu] @ b[nu] + b[nu] @ b[nu] @ b[mu]
+        squares = t[mu, nu, nu] + t[nu, nu, mu]
         square_sum.append(RelationCheck(
             indices=(mu, nu),
             unweighted=squares == b[mu],
-            weighted=squares == b[mu].scale(g[nu, nu]),
+            weighted=squares == gb[mu, nu],
         ))
 
     distinct = []
     for mu, nu, lam in product(range(4), repeat=3):
         if len({mu, nu, lam}) != 3:
             continue
-        total = b[mu] @ b[nu] @ b[lam] + b[lam] @ b[nu] @ b[mu]
-        vanished = total.is_zero()
+        vanished = sym[mu, nu, lam].is_zero()
         distinct.append(RelationCheck(
             indices=(mu, nu, lam), unweighted=vanished, weighted=vanished))
 
@@ -476,8 +486,7 @@ def verify_dkp_algebra(betas: BetaSet) -> DKPAlgebraReport:
     )
 
 
-@dataclass(frozen=True)
-class MomentumContractionCheck:
+class MomentumContractionCheck(NamedTuple):
     """Result of the minimal-polynomial probe along a momentum vector."""
 
     k: tuple[Scalar, Scalar, Scalar, Scalar]

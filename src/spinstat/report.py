@@ -12,7 +12,7 @@ because every field is hermitian.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import ExactMatrix, self_check, symmetry_decompose
 from .flavor import FlavorDiagnosis, flavor_diagnosis
@@ -40,6 +40,7 @@ STATUSES = (
     "CONTRADICTION",
     "REJECTED_NEGATIVE_NORM",
     "NO_KINEMATIC_TERM",
+    "NOT_ROTATION_INVARIANT",
 )
 
 
@@ -47,8 +48,7 @@ class AmbiguousKinematicError(ValueError):
     """The automatic builder found several candidate kinematic forms."""
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(NamedTuple):
     """Everything the analysis derived about one theory."""
 
     spec: TheorySpec
@@ -73,7 +73,10 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
 
     Raises AmbiguousKinematicError when the builder cannot single out a
     kinematic form; every other outcome, including theories with no form
-    at all and theories rejected on norms, comes back as a report.
+    at all and theories rejected on norms, comes back as a report.  A K0
+    that fails the rotation-invariance check gets NOT_ROTATION_INVARIANT
+    and no constraint split or surface check, unless a contradiction
+    already decides the status.
     """
     build = build_kinematic(spec)
     if build.status == "not_unique":
@@ -93,7 +96,8 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
         found = {v.consistent_statistics for v in verdict.verdicts}
         if len(found) == 1:
             statistics = found.pop()
-        if statistics is not None:
+        # the verdict is a theorem only about a rotation-invariant K0
+        if statistics is not None and invariance.ok:
             split = constraint_split(k0, statistics)
             surface = surface_variation_consistency(k0, statistics)
         if spec.flavor_mode == "antisymmetric-pair":
@@ -102,9 +106,11 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
                 flavor_by_field.append((f.name, flavor_diagnosis(block, f.spin)))
 
     status = verdict.status
-    if status != "CONTRADICTION" and any(
-            d.negative_norm for _, d in flavor_by_field):
-        status = "REJECTED_NEGATIVE_NORM"
+    if status != "CONTRADICTION":
+        if invariance is not None and not invariance.ok:
+            status = "NOT_ROTATION_INVARIANT"
+        elif any(d.negative_norm for _, d in flavor_by_field):
+            status = "REJECTED_NEGATIVE_NORM"
 
     return VerdictReport(
         spec=spec,

@@ -10,7 +10,7 @@ on K0 yields, per field, the statistics the theory can support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import ExactMatrix, SymmetryClass, symmetry_decompose
 from .invariance import momentum_map, required_symmetry
@@ -29,8 +29,7 @@ __all__ = [
 _SURVIVING_PART = {"bose": "antisymmetric", "fermi": "symmetric"}
 
 
-@dataclass(frozen=True)
-class SurfaceVariation:
+class SurfaceVariation(NamedTuple):
     consistent: bool
     reason: str | None = None
 
@@ -53,8 +52,7 @@ def surface_variation_consistency(k0: ExactMatrix, statistics: str) -> SurfaceVa
     return SurfaceVariation(False, f"generator commutes with all fields: {detail}")
 
 
-@dataclass(frozen=True)
-class StatisticsVerdict:
+class StatisticsVerdict(NamedTuple):
     field: str
     spin: str
     required_k0_symmetry: SymmetryClass
@@ -64,8 +62,7 @@ class StatisticsVerdict:
     contradiction: str | None
 
 
-@dataclass(frozen=True)
-class TheoryVerdict:
+class TheoryVerdict(NamedTuple):
     status: str
     verdicts: tuple[StatisticsVerdict, ...]
 

@@ -14,9 +14,9 @@ row is m = -j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import ExactMatrix, Scalar, self_check
 
@@ -69,8 +69,7 @@ def _b_squared(two_j: int, two_m: int) -> Fraction:
     return Fraction((two_j + two_m) * (two_j - two_m + 2), 4)
 
 
-@dataclass(frozen=True)
-class SpinGenerators:
+class SpinGenerators(NamedTuple):
     """Rotation generators for one irreducible spin, all Gaussian rational."""
 
     two_j: int
@@ -88,8 +87,10 @@ class SpinGenerators:
     def spin(self) -> Fraction:
         return Fraction(self.two_j, 2)
 
-    def __iter__(self):
-        return iter((self.jx, self.jy, self.jz))
+    @property
+    def generators(self) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
+        """The Cartesian generators (jx, jy, jz)."""
+        return self.jx, self.jy, self.jz
 
 
 def spin_generators(j) -> SpinGenerators:
@@ -151,8 +152,7 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, f * n
 
 
-@dataclass(frozen=True)
-class HermitianBasis:
+class HermitianBasis(NamedTuple):
     """Basis data in which field components can be taken hermitian.
 
     ``generators`` are the three rotation generators in the new basis and
@@ -281,7 +281,7 @@ def hermitian_basis(j) -> HermitianBasis:
 
 @lru_cache(maxsize=None)
 def _hermitian_basis_cached(two_j: int) -> HermitianBasis:
-    gens = spin_generators(Fraction(two_j, 2))
+    gens = spin_generators(Fraction(two_j, 2)).generators
     if two_j % 2 == 0:
         u, form = _integer_spin_basis(two_j)
         u_inv = u.inverse()

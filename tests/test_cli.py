@@ -160,17 +160,33 @@ def test_explicit_matrix_relative_to_theory_file(tmp_path):
 
 
 def test_explicit_matrix_invariance_violations_reported(tmp_path):
-    (tmp_path / "k0.mat").write_text(ExactMatrix.diagonal([1, 2, 3, 4]).dumps())
-    th = tmp_path / "lopsided.th"
-    th.write_text("theory lopsided\nfield psi spin=1/2\n"
-                  "kinematic explicit k0.mat\n")
-    proc, out = analyze_json(th, tmp_path)
-    assert "VIOLATED" in proc.stdout
-    report = json.loads(out.read_text())
-    jsonschema.validate(report, SCHEMA)
-    assert report["kinematic"]["invariant"] is False
-    axes = [v["axis"] for v in report["kinematic"]["invariance_violations"]]
-    assert set(axes) <= {"x", "y", "z"} and axes
+    # v.c0.0 (index 0) coupled antisymmetrically to v.c1.1 (index 4): the
+    # class Bose needs, but no rotation-invariant pairing of two copies
+    coupled = [[0] * 6 for _ in range(6)]
+    coupled[0][4], coupled[4][0] = 1, -1
+    cases = {
+        "lopsided": ("field psi spin=1/2", ExactMatrix.diagonal([1, 2, 3, 4])),
+        "coupled": ("field v spin=1 copies=2", ExactMatrix(coupled)),
+    }
+    for name, (field, k0) in cases.items():
+        (tmp_path / f"{name}.mat").write_text(k0.dumps())
+        th = tmp_path / f"{name}.th"
+        th.write_text(f"theory {name}\n{field}\nkinematic explicit {name}.mat\n")
+        proc, out = analyze_json(th, tmp_path, name)
+        assert proc.returncode == 5, proc.stderr
+        assert "VIOLATED" in proc.stdout
+        assert "status: NOT_ROTATION_INVARIANT" in proc.stdout
+        # the split and the surface check assume invariance, so they are skipped
+        assert "canonical components" not in proc.stdout
+        assert "surface variation" not in proc.stdout
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, SCHEMA)
+        assert report["status"] == "NOT_ROTATION_INVARIANT"
+        assert report["kinematic"]["invariant"] is False
+        assert report["kinematic"]["constraints"] is None
+        assert report["kinematic"]["surface_variation"] is None
+        axes = [v["axis"] for v in report["kinematic"]["invariance_violations"]]
+        assert set(axes) <= {"x", "y", "z"} and axes
 
 
 def test_version_and_usage():
@@ -295,6 +311,15 @@ def test_fock_unknown_symbol_exits_1(bose_table):
     proc = run_cli("fock", str(bose_table), "--word", "c ddag")
     assert proc.returncode == 1
     assert "unknown operator symbol" in proc.stderr
+
+
+def test_fock_over_long_word_exits_1(bose_table):
+    # 2400 symbols: rejected before any contraction, no RecursionError
+    word = " ".join(["a"] * 1200 + ["adag"] * 1200)
+    proc = run_cli("fock", str(bose_table), "--word", word)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: word has 2400 symbols")
+    assert "Traceback" not in proc.stderr
 
 
 def test_fock_needs_word_or_gram(bose_table):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spinstat.algebra import ExactMatrix, Scalar
 from spinstat.fock import (
+    MAX_WORD_SYMBOLS,
     RelationTable,
     UnknownSymbolError,
     adjoint_word,
@@ -357,6 +358,20 @@ def test_long_bose_power_is_k_factorial_h_to_the_k():
     k = 12
     word = ("a",) * k + ("adag",) * k
     assert vacuum_expectation(word, table) == Scalar(math.factorial(k) * h**k)
+
+
+def test_word_length_is_bounded_before_any_contraction():
+    table = RelationTable("commutator", [("a", "adag", 1)])
+    # a leading creator short-circuits to 0, so the longest accepted word
+    # costs nothing to evaluate
+    assert vacuum_expectation(("adag",) * MAX_WORD_SYMBOLS, table) == ZERO
+    word = ("a",) * (MAX_WORD_SYMBOLS // 2 + 1) + ("adag",) * (MAX_WORD_SYMBOLS // 2)
+    with pytest.raises(ValueError, match=f"over the supported maximum {MAX_WORD_SYMBOLS}"):
+        vacuum_expectation(word, table)
+    with pytest.raises(ValueError, match="over the supported maximum"):
+        gram_matrix([("adag",) * (MAX_WORD_SYMBOLS + 1)], table)
+    with pytest.raises(ValueError, match="over the supported maximum"):
+        adjoint_word(("adag",) * (MAX_WORD_SYMBOLS + 1), table)
 
 
 def test_unknown_symbol_raises():

@@ -113,7 +113,8 @@ def test_scalar_generators_leave_anything_invariant():
 
 def test_invariance_reports_each_axis():
     # the identity is not an invariant bilinear on the spin-1 weight basis
-    report = check_su2_invariance(ExactMatrix.identity(3), spin_generators(1))
+    report = check_su2_invariance(ExactMatrix.identity(3),
+                                  spin_generators(1).generators)
     assert not report.ok
     assert report.failing_axes == ("x", "y", "z")
     for _, entries in report.violations:
@@ -122,7 +123,7 @@ def test_invariance_reports_each_axis():
 
 def test_generator_as_kinematic_matrix_fails():
     gens = spin_generators(1)
-    report = check_su2_invariance(gens.jz, gens)
+    report = check_su2_invariance(gens.jz, gens.generators)
     assert not report.ok
     assert "x" in report.failing_axes
 
@@ -131,7 +132,8 @@ def test_invariance_rejects_dimension_mismatch():
     from spinstat.algebra import DimensionError
 
     with pytest.raises(DimensionError):
-        check_su2_invariance(ExactMatrix.identity(2), spin_generators(1))
+        check_su2_invariance(ExactMatrix.identity(2),
+                             spin_generators(1).generators)
 
 
 # -- triviality of the kinematic term ----------------------------------------

@@ -142,6 +142,14 @@ def test_polynomial_rejects_zero():
         DerivativePolynomial((0, 0))
 
 
+def test_polynomial_replace_coerces_and_trims():
+    f = DerivativePolynomial((1, 0, 1))._replace(coefficients=("1/2", 0, 0))
+    assert type(f) is DerivativePolynomial
+    assert f.coefficients == (Scalar(Fraction(1, 2)),)
+    with pytest.raises(ValueError):
+        f._replace(coefficients=(0,))
+
+
 def test_polynomial_coefficients_out_of_range_are_zero():
     f = DerivativePolynomial((1, 0, 1))
     assert f.coefficient(7) == S0
