@@ -24,6 +24,7 @@ __all__ = [
     "Scalar",
     "ExactMatrix",
     "SymmetryClass",
+    "symmetry_class",
     "symmetry_decompose",
     "pivoted_elimination",
     "hermitian_signature",
@@ -571,27 +572,26 @@ def _add_into(target: dict, source: dict, factor: Scalar | None = None) -> None:
 # module-level operations
 
 
-def symmetry_decompose(m: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, SymmetryClass]:
-    """Split a square matrix into symmetric and antisymmetric parts.
-
-    Returns (sym, antisym, classification).  Classification checks the zero
-    matrix first, then pure symmetry, pure antisymmetry, and finally Mixed.
-    """
+def symmetry_class(m: ExactMatrix) -> SymmetryClass:
+    """Zero, Symmetric, Antisymmetric or Mixed, tested in that order (the
+    zero matrix is both symmetric and antisymmetric); builds no half."""
     if not m.is_square:
-        raise DimensionError("symmetry decomposition needs a square matrix")
+        raise DimensionError("symmetry classification needs a square matrix")
+    if m.is_zero():
+        return SymmetryClass.ZERO
+    if m.is_symmetric():
+        return SymmetryClass.SYMMETRIC
+    if m.is_antisymmetric():
+        return SymmetryClass.ANTISYMMETRIC
+    return SymmetryClass.MIXED
+
+
+def symmetry_decompose(m: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, SymmetryClass]:
+    """(sym, antisym, symmetry_class(m)): the two halves of a square matrix."""
+    cls = symmetry_class(m)
     half = Scalar(Fraction(1, 2))
     mt = m.transpose()
-    sym = (m + mt).scale(half)
-    anti = (m - mt).scale(half)
-    if m.is_zero():
-        cls = SymmetryClass.ZERO
-    elif anti.is_zero():
-        cls = SymmetryClass.SYMMETRIC
-    elif sym.is_zero():
-        cls = SymmetryClass.ANTISYMMETRIC
-    else:
-        cls = SymmetryClass.MIXED
-    return sym, anti, cls
+    return (m + mt).scale(half), (m - mt).scale(half), cls
 
 
 def pivoted_elimination(m: ExactMatrix) -> tuple[tuple[int, ...], tuple[ExactMatrix, ...]]:

@@ -286,6 +286,8 @@ def cmd_fock(args) -> int:
                 "matrix": result.matrix.to_nested_strings(),
                 "signature": [p, n, z],
             }
+    except BrokenPipeError:
+        raise  # a closed stdout, handled in main
     except (UnknownSymbolError, OSError, ValueError) as exc:
         return _fail(str(exc))
 
@@ -360,7 +362,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_normalize_argv(list(argv)))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SelfCheckError as exc:
         print(f"error: internal self-check failed: {exc}", file=sys.stderr)
         return _EXIT_SELF_CHECK
+    except BrokenPipeError:
+        # stdout's reader is gone; the flush at exit goes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1

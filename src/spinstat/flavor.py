@@ -23,10 +23,10 @@ from .algebra import (
     SymmetryClass,
     hermitian_signature,
     self_check,
-    symmetry_decompose,
+    symmetry_class,
 )
 from .fock import GramResult, gram_matrix, parse_relation_table
-from .su2 import as_two_j
+from .invariance import required_symmetry
 
 __all__ = [
     "FlavorSplit",
@@ -186,10 +186,9 @@ def _negative_norm_witness() -> GramResult:
 
 def _diagnosis(signs, diagonalization, block, spin, note=None) -> FlavorDiagnosis:
     negative = -1 in signs
-    inverted = False
-    if spin is not None and block is not None:
-        integral = as_two_j(spin) % 2 == 0
-        inverted = integral and symmetry_decompose(block)[2] is SymmetryClass.SYMMETRIC
+    inverted = (spin is not None and block is not None
+                and required_symmetry(spin) is SymmetryClass.ANTISYMMETRIC
+                and symmetry_class(block) is SymmetryClass.SYMMETRIC)
     return FlavorDiagnosis(
         is_flavor_antisymmetric=True,
         diagonalization=diagonalization,
@@ -244,7 +243,7 @@ def flavor_diagnosis(k0: ExactMatrix, spin=None) -> FlavorDiagnosis:
             witness=None,
             note=split.note,
         )
-    if not (-k0.transpose() == k0) or not k0.is_real():
+    if not k0.is_antisymmetric() or not k0.is_real():
         return FlavorDiagnosis(
             is_flavor_antisymmetric=True,
             diagonalization=None,

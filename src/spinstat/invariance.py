@@ -27,6 +27,8 @@ from .su2 import as_two_j
 
 __all__ = [
     "required_symmetry",
+    "STATISTICS_CLASS",
+    "class_for_statistics",
     "InvarianceReport",
     "check_su2_invariance",
     "momentum_map",
@@ -44,6 +46,18 @@ def required_symmetry(j) -> SymmetryClass:
     """
     return (SymmetryClass.SYMMETRIC if as_two_j(j) % 2 == 1
             else SymmetryClass.ANTISYMMETRIC)
+
+
+# The pure K0 class whose surface variation survives for each statistics.
+STATISTICS_CLASS = {"bose": SymmetryClass.ANTISYMMETRIC,
+                    "fermi": SymmetryClass.SYMMETRIC}
+
+
+def class_for_statistics(statistics: str) -> SymmetryClass:
+    """STATISTICS_CLASS[statistics], with a ValueError for any other name."""
+    if statistics not in STATISTICS_CLASS:
+        raise ValueError(f"statistics must be 'bose' or 'fermi', got {statistics!r}")
+    return STATISTICS_CLASS[statistics]
 
 
 class InvarianceReport(NamedTuple):
@@ -76,11 +90,9 @@ def check_su2_invariance(k0: ExactMatrix, gens) -> InvarianceReport:
 def momentum_map(k0: ExactMatrix, statistics: str) -> ExactMatrix:
     """Coefficient matrix of the canonical momenta: the part of K0 that
     survives the variation, antisymmetric for bose and symmetric for fermi."""
-    if statistics == "bose":
-        return (k0.transpose() - k0).scale(Scalar(Fraction(1, 2)))
-    if statistics == "fermi":
-        return (k0.transpose() + k0).scale(Scalar(Fraction(1, 2)))
-    raise ValueError(f"statistics must be 'bose' or 'fermi', got {statistics!r}")
+    bose = class_for_statistics(statistics) is SymmetryClass.ANTISYMMETRIC
+    kt = k0.transpose()
+    return (kt - k0 if bose else kt + k0).scale(Scalar(Fraction(1, 2)))
 
 
 class ConstraintSplit(NamedTuple):

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import ExactMatrix, Scalar, SymmetryClass
+from .invariance import required_symmetry
 from .su2 import as_two_j, hermitian_basis, spin_label
 
 __all__ = [
@@ -369,10 +370,6 @@ def _form_space_dims(f: FieldSpec) -> tuple[int, int]:
     return sym_pairs + 3 * anti_pairs, anti_pairs + 3 * sym_pairs
 
 
-def _required_class(f: FieldSpec) -> SymmetryClass:
-    return SymmetryClass.SYMMETRIC if f.is_half_integer else SymmetryClass.ANTISYMMETRIC
-
-
 def _normalize_block(block: ExactMatrix, cls: SymmetryClass) -> ExactMatrix:
     """Fix the scale convention: first nonzero upper-triangle entry becomes
     +i for antisymmetric blocks and +1 for symmetric ones."""
@@ -426,7 +423,7 @@ def build_kinematic(spec: TheorySpec) -> KinematicBuild:
 
     for f in spec.fields:
         sym_dim, antisym_dim = _form_space_dims(f)
-        required = _required_class(f)
+        required = required_symmetry(f.spin)
         dim = antisym_dim if required is SymmetryClass.ANTISYMMETRIC else sym_dim
         if dim == 0:
             return KinematicBuild("no_form", note=NOTE_NO_FORM, details=(f.name,))

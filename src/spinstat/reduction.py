@@ -329,26 +329,29 @@ def _triple_products(b) -> dict[tuple[int, int, int], ExactMatrix]:
             for mu, nu, lam in product(range(4), repeat=3)}
 
 
+def _standard_failures(b, sym, metric: ExactMatrix):
+    """Index triples, lazily and in row-major order, where the standard
+    relation b_mu b_nu b_lam + b_lam b_nu b_mu = g_munu b_lam + g_lamnu b_mu
+    fails for a diagonal metric; sym maps each triple to its left side."""
+    zero = ExactMatrix.zeros(5)
+    for (mu, nu, lam), lhs in sym.items():
+        rhs = b[lam].scale(metric[nu, nu]) if mu == nu else zero
+        if lam == nu:
+            rhs = rhs + b[mu].scale(metric[nu, nu])
+        if lhs != rhs:
+            yield mu, nu, lam
+
+
 @lru_cache(maxsize=1)
 def _verified_metric() -> ExactMatrix:
     """Scan all diagonal +-1 signatures; exactly one closes the algebra."""
     betas = _beta_matrices()
-    triples = _triple_products(betas)
-    sums = {(mu, nu, lam): t + triples[lam, nu, mu]
-            for (mu, nu, lam), t in triples.items()}
+    t = _triple_products(betas)
+    sym = {(mu, nu, lam): x + t[lam, nu, mu] for (mu, nu, lam), x in t.items()}
     survivors = []
     for signs in product((1, -1), repeat=4):
         metric = ExactMatrix.diagonal(signs)
-        ok = True
-        for (mu, nu, lam), lhs in sums.items():
-            rhs = (betas[lam].scale(metric[mu, mu]) if mu == nu else
-                   ExactMatrix.zeros(5))
-            if lam == nu:
-                rhs = rhs + betas[mu].scale(metric[lam, lam])
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
+        if next(_standard_failures(betas, sym, metric), None) is None:
             survivors.append(metric)
     self_check(len(survivors) == 1, "metric signature must be unique")
     return survivors[0]
@@ -427,20 +430,8 @@ def verify_dkp_algebra(betas: BetaSet) -> DKPAlgebraReport:
     """
     b = betas.betas
     t = _triple_products(b)
-    # b_mu b_nu b_lam + b_lam b_nu b_mu, and g_nunu b_mu
     sym = {(mu, nu, lam): x + t[lam, nu, mu] for (mu, nu, lam), x in t.items()}
-    gb = {(mu, nu): b[mu].scale(betas.metric[nu, nu])
-          for mu, nu in product(range(4), repeat=2)}
-
-    failures = []
-    for mu, nu, lam in product(range(4), repeat=3):
-        rhs = ExactMatrix.zeros(5)
-        if mu == nu:
-            rhs = rhs + gb[lam, mu]
-        if lam == nu:
-            rhs = rhs + gb[mu, lam]
-        if sym[mu, nu, lam] != rhs:
-            failures.append((mu, nu, lam))
+    failures = tuple(_standard_failures(b, sym, betas.metric))
 
     cube = []
     for mu in range(4):
@@ -448,7 +439,7 @@ def verify_dkp_algebra(betas: BetaSet) -> DKPAlgebraReport:
         cube.append(RelationCheck(
             indices=(mu,),
             unweighted=cubed == b[mu],
-            weighted=cubed == gb[mu, mu],
+            weighted=cubed == b[mu].scale(betas.metric[mu, mu]),
         ))
 
     sandwich = []
@@ -466,7 +457,7 @@ def verify_dkp_algebra(betas: BetaSet) -> DKPAlgebraReport:
         square_sum.append(RelationCheck(
             indices=(mu, nu),
             unweighted=squares == b[mu],
-            weighted=squares == gb[mu, nu],
+            weighted=squares == b[mu].scale(betas.metric[nu, nu]),
         ))
 
     distinct = []
@@ -478,7 +469,7 @@ def verify_dkp_algebra(betas: BetaSet) -> DKPAlgebraReport:
             indices=(mu, nu, lam), unweighted=vanished, weighted=vanished))
 
     return DKPAlgebraReport(
-        standard_failures=tuple(failures),
+        standard_failures=failures,
         cube=tuple(cube),
         sandwich=tuple(sandwich),
         square_sum=tuple(square_sum),

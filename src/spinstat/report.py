@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .algebra import ExactMatrix, self_check, symmetry_decompose
+from .algebra import ExactMatrix, self_check, symmetry_class
 from .flavor import FlavorDiagnosis, flavor_diagnosis
 from .invariance import (
     ConstraintSplit,
@@ -74,9 +74,9 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
     Raises AmbiguousKinematicError when the builder cannot single out a
     kinematic form; every other outcome, including theories with no form
     at all and theories rejected on norms, comes back as a report.  A K0
-    that fails the rotation-invariance check gets NOT_ROTATION_INVARIANT
-    and no constraint split or surface check, unless a contradiction
-    already decides the status.
+    that fails the rotation-invariance check gets NOT_ROTATION_INVARIANT,
+    no statistics, and no constraint split or surface check, unless a
+    contradiction already decides the status.
     """
     build = build_kinematic(spec)
     if build.status == "not_unique":
@@ -93,11 +93,13 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
     if build.status == "built":
         k0 = build.kinematic.matrix
         invariance = check_su2_invariance(k0, theory_generators(spec))
+        if not invariance.ok:  # the statistics assumes an invariant K0
+            verdict = verdict._replace(verdicts=tuple(
+                v._replace(consistent_statistics=None) for v in verdict.verdicts))
         found = {v.consistent_statistics for v in verdict.verdicts}
         if len(found) == 1:
             statistics = found.pop()
-        # the verdict is a theorem only about a rotation-invariant K0
-        if statistics is not None and invariance.ok:
+        if statistics is not None:
             split = constraint_split(k0, statistics)
             surface = surface_variation_consistency(k0, statistics)
         if spec.flavor_mode == "antisymmetric-pair":
@@ -196,7 +198,7 @@ def report_to_dict(report: VerdictReport) -> dict:
         "constraints": None,
     }
     if kin is not None:
-        kinematic["symmetry"] = symmetry_decompose(kin.matrix)[2].name
+        kinematic["symmetry"] = symmetry_class(kin.matrix).name
     if report.surface is not None:
         kinematic["surface_variation"] = {
             "consistent": report.surface.consistent,
@@ -255,7 +257,7 @@ def render_text(report: VerdictReport) -> str:
         lines.append(f"kinematic: none ({report.build.note})")
     else:
         m = report.build.kinematic.matrix
-        cls = symmetry_decompose(m)[2]
+        cls = symmetry_class(m)
         lines.append(
             f"kinematic: {m.rows}x{m.cols} {cls.name.lower()} matrix "
             f"({report.spec.kinematic_mode})")

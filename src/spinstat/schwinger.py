@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import ExactMatrix, SymmetryClass, symmetry_decompose
-from .invariance import momentum_map, required_symmetry
+from .algebra import ExactMatrix, SymmetryClass, symmetry_class
+from .invariance import STATISTICS_CLASS, class_for_statistics, required_symmetry
 from .model import FieldSpec, KinematicBuild, TheorySpec, build_kinematic
 from .su2 import michel_parity
 
@@ -26,9 +26,6 @@ __all__ = [
     "spin_statistics_verdict",
 ]
 
-_SURVIVING_PART = {"bose": "antisymmetric", "fermi": "symmetric"}
-
-
 class SurfaceVariation(NamedTuple):
     consistent: bool
     reason: str | None = None
@@ -38,17 +35,19 @@ def surface_variation_consistency(k0: ExactMatrix, statistics: str) -> SurfaceVa
     """Decide whether statistics can be implemented by the surface variation.
 
     The generator is G = sum_r Pi_r delta-xi_r with Pi = P xi.  When P
-    vanishes, [xi, G] = 0: the variation generates nothing, so the given
+    vanishes, that is unless K0 is mixed or has the class the statistics
+    keeps, [xi, G] = 0: the variation generates nothing, so the given
     statistics is degenerate for this K0.  The reason string names the
     symmetry part whose absence killed the generator.
     """
-    p = momentum_map(k0, statistics)
-    if not p.is_zero():
+    needed = class_for_statistics(statistics)
+    actual = symmetry_class(k0)
+    if actual is needed or actual is SymmetryClass.MIXED:
         return SurfaceVariation(True)
-    if k0.is_zero():
+    if actual is SymmetryClass.ZERO:
         detail = "K0 is zero"
     else:
-        detail = f"K0 has no {_SURVIVING_PART[statistics]} part"
+        detail = f"K0 has no {needed.name.lower()} part"
     return SurfaceVariation(False, f"generator commutes with all fields: {detail}")
 
 
@@ -69,23 +68,14 @@ class TheoryVerdict(NamedTuple):
 
 def statistics_for_class(cls: SymmetryClass) -> str | None:
     """Statistics whose surface variation survives a K0 of this pure class."""
-    if cls is SymmetryClass.ANTISYMMETRIC:
-        return "bose"
-    if cls is SymmetryClass.SYMMETRIC:
-        return "fermi"
-    return None
-
-
-def _kind(f: FieldSpec) -> str:
-    return "half-integral" if f.is_half_integer else "integral"
+    return next((s for s, c in STATISTICS_CLASS.items() if c is cls), None)
 
 
 def _pinned_conflict(f: FieldSpec, required: SymmetryClass) -> str:
-    declared_needs = (SymmetryClass.ANTISYMMETRIC if f.statistics == "bose"
-                      else SymmetryClass.SYMMETRIC)
-    return (f"required {required.name.lower()} K0 ({_kind(f)} spin) vs "
+    kind = "half-integral" if f.is_half_integer else "integral"
+    return (f"required {required.name.lower()} K0 ({kind} spin) vs "
             f"{f.statistics.capitalize()} requiring "
-            f"{declared_needs.name.lower()} K0")
+            f"{STATISTICS_CLASS[f.statistics].name.lower()} K0")
 
 
 def _field_verdict(f: FieldSpec, block: ExactMatrix | None) -> StatisticsVerdict:
@@ -95,7 +85,7 @@ def _field_verdict(f: FieldSpec, block: ExactMatrix | None) -> StatisticsVerdict
     contradiction: str | None = None
 
     if block is not None:
-        actual = symmetry_decompose(block)[2]
+        actual = symmetry_class(block)
         if actual is required:
             consistent = natural
         elif actual is SymmetryClass.MIXED:

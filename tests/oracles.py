@@ -12,6 +12,8 @@ type and its ``rref``:
   the counting argument behind ``model._form_space_dims``;
 - whether a kinematic term vanishes comes from expanding it over
   placeholder symbols, which checks ``invariance.momentum_map``;
+- the transpose symmetry class comes from building both halves of a
+  matrix, which checks ``algebra.symmetry_class``;
 - the ``dense_*`` functions redo the matrix kernels on plain nested lists
   of scalars (each a pair of Fractions), every zero stored, which checks
   the sparse storage of ``ExactMatrix``.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from spinstat.algebra import ExactMatrix, Scalar
+from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass
 
 
 def charpoly(m: ExactMatrix) -> tuple[Scalar, ...]:
@@ -189,6 +191,22 @@ def kinematic_term_is_trivial(k0: ExactMatrix, statistics: str) -> bool:
                 accumulate((r, 0), (s, 1), krs)
                 accumulate((r, 1), (s, 0), -krs)
     return not coeffs
+
+
+def symmetry_class_by_halves(m: ExactMatrix) -> SymmetryClass:
+    """Class of a square matrix read off its symmetric and antisymmetric
+    halves (M + M^T)/2 and (M - M^T)/2: zero, one half zero, or neither."""
+    half = Scalar(Fraction(1, 2))
+    mt = m.transpose()
+    sym = (m + mt).scale(half)
+    anti = (m - mt).scale(half)
+    if m.is_zero():
+        return SymmetryClass.ZERO
+    if anti.is_zero():
+        return SymmetryClass.SYMMETRIC
+    if sym.is_zero():
+        return SymmetryClass.ANTISYMMETRIC
+    return SymmetryClass.MIXED
 
 
 # -- dense reference for the sparse matrix storage --------------------------

@@ -11,6 +11,7 @@ from spinstat.algebra import (
     SymmetryClass,
     hermitian_signature,
     pivoted_elimination,
+    symmetry_class,
     symmetry_decompose,
 )
 from oracles import (
@@ -30,6 +31,7 @@ from oracles import (
     descartes_signature,
     leibniz_determinant,
     nullspace,
+    symmetry_class_by_halves,
 )
 
 # -- strategies -------------------------------------------------------------
@@ -547,3 +549,46 @@ def test_indexing_matches_the_dense_reference(a):
         m.column(c)
     with pytest.raises(IndexError):
         m.submatrix([0], [c])
+
+
+# -- symmetry class against the halves oracle -------------------------------
+
+
+@st.composite
+def classed_matrices(draw):
+    """Sparse square matrices, some forced to be zero, symmetric or
+    antisymmetric by mirroring the upper triangle; the rest keep their
+    drawn entries, so many have an entry whose mirror entry is zero."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(sparse_scalars, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["zero", "symmetric", "antisymmetric", "free"]))
+    if kind == "zero":
+        rows = [[Scalar(0)] * n for _ in range(n)]
+    elif kind != "free":
+        sign = 1 if kind == "symmetric" else -1
+        for i in range(n):
+            if sign < 0:
+                rows[i][i] = Scalar(0)
+            for j in range(i):
+                rows[i][j] = rows[j][i] * sign
+    return ExactMatrix(rows)
+
+
+@given(classed_matrices())
+def test_symmetry_class_matches_the_halves_oracle(m):
+    cls = symmetry_class(m)
+    assert cls is symmetry_class_by_halves(m)
+    assert symmetry_decompose(m)[2] is cls
+
+
+def test_symmetry_class_mirror_entry_zero_is_mixed():
+    assert symmetry_class(ExactMatrix([[0, 1], [0, 0]])) is SymmetryClass.MIXED
+    assert symmetry_class(ExactMatrix([[0, 1, 0], [-1, 0, 0], [0, 2, 0]])) is (
+        SymmetryClass.MIXED)
+
+
+@pytest.mark.parametrize("f", [symmetry_class, symmetry_decompose])
+def test_symmetry_class_rejects_non_square(f):
+    with pytest.raises(DimensionError):
+        f(ExactMatrix([[1, 0, 0], [0, 1, 0]]))

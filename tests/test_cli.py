@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -176,17 +177,45 @@ def test_explicit_matrix_invariance_violations_reported(tmp_path):
         assert proc.returncode == 5, proc.stderr
         assert "VIOLATED" in proc.stdout
         assert "status: NOT_ROTATION_INVARIANT" in proc.stdout
-        # the split and the surface check assume invariance, so they are skipped
+        # the statistics, the split and the surface check assume
+        # invariance, so they are withheld
+        assert "statistics undetermined" in proc.stdout
+        assert "statistics Bose" not in proc.stdout
+        assert "statistics Fermi" not in proc.stdout
         assert "canonical components" not in proc.stdout
         assert "surface variation" not in proc.stdout
         report = json.loads(out.read_text())
         jsonschema.validate(report, SCHEMA)
         assert report["status"] == "NOT_ROTATION_INVARIANT"
+        assert [f["consistent_statistics"] for f in report["fields"]] == [None]
+        assert [f["contradiction"] for f in report["fields"]] == [None]
+        assert report["kinematic"]["statistics"] is None
         assert report["kinematic"]["invariant"] is False
         assert report["kinematic"]["constraints"] is None
         assert report["kinematic"]["surface_variation"] is None
         axes = [v["axis"] for v in report["kinematic"]["invariance_violations"]]
         assert set(axes) <= {"x", "y", "z"} and axes
+
+
+@pytest.mark.parametrize("args", [
+    ("analyze", str(THEORIES / "majorana.th")),
+    ("dkp-check",),
+    ("fock", "{table}", "--word", "c ddag"),
+])
+def test_closed_stdout_exits_1_without_traceback(args, tmp_path):
+    table = tmp_path / "witness.rel"
+    table.write_text("bracket = anticommutator\npair c ddag = -1\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinstat",
+             *(a.format(table=table) for a in args)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_version_and_usage():

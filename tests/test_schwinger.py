@@ -71,6 +71,13 @@ def test_mixed_k_supports_both():
     assert surface_variation_consistency(mixed, "fermi").consistent
 
 
+def test_surface_variation_rejects_unknown_statistics():
+    with pytest.raises(ValueError, match="'bose' or 'fermi'"):
+        surface_variation_consistency(ExactMatrix.identity(2), "boltzmann")
+    with pytest.raises(ValueError):
+        surface_variation_consistency(ExactMatrix.zeros(2), "auto")
+
+
 @given(square_matrices())
 def test_consistency_agrees_with_symbolic_triviality(m):
     # independent route: the generator vanishes exactly when the kinematic
