@@ -6,9 +6,11 @@ number with ``fractions.Fraction`` real and imaginary parts, and
 ``ExactMatrix``, an immutable matrix of scalars that stores only its
 nonzero entries, so the cost of every kernel grows with the nonzeros
 rather than with rows x cols.  One pivoted symmetric elimination,
-``pivoted_elimination``, yields the canonical principal index set of the
-constraint split and, by Sylvester's law of inertia, every hermitian
-signature.  No floating point enters any computation.
+``pivoted_elimination``, inverts its 1x1 and 2x2 pivot blocks in closed
+form and yields the canonical principal index set of the constraint
+split and, by Sylvester's law of inertia, every hermitian signature.
+``ExactMatrix.rank`` is a plain forward elimination, kept apart from it
+as an independent check.  No floating point enters any computation.
 """
 
 from __future__ import annotations
@@ -516,40 +518,20 @@ class ExactMatrix:
 
     # -- elimination --------------------------------------------------
 
-    def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
-        """Reduced row echelon form with leftmost pivot selection."""
-        data = [dict(row) for row in self._rows]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if c in data[i]), None)
-            if pivot_row is None:
-                continue
-            data[r], data[pivot_row] = data[pivot_row], data[r]
-            inv = ONE / data[r][c]
-            data[r] = {k: inv * x for k, x in data[r].items()}
-            for i in range(self.rows):
-                if i != r and c in data[i]:
-                    _add_into(data[i], data[r], -data[i][c])
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return ExactMatrix._from_rows(self.cols, data), tuple(pivots)
-
     def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def inverse(self) -> "ExactMatrix":
-        if not self.is_square:
-            raise DimensionError("inverse needs a square matrix")
-        n = self.rows
-        aug = ExactMatrix._from_rows(
-            2 * n, [{**row, n + i: ONE} for i, row in enumerate(self._rows)])
-        reduced, pivots = aug.rref()
-        if len(pivots) < n or any(p >= n for p in pivots):
-            raise ZeroDivisionError("matrix is singular")
-        return reduced.submatrix(range(n), range(n, 2 * n))
+        """Forward elimination: each row is reduced against the rows kept
+        so far, keyed by their leading column, until it leads in a new
+        column (kept) or cancels to zero."""
+        kept: dict[int, dict] = {}
+        for source in self._rows:
+            row = dict(source)
+            while row:
+                lead = min(row)
+                if lead not in kept:
+                    kept[lead] = row
+                    break
+                _add_into(row, kept[lead], -row[lead] / kept[lead][lead])
+        return len(kept)
 
 
 def _add_into(target: dict, source: dict, factor: Scalar | None = None) -> None:
@@ -606,50 +588,53 @@ def pivoted_elimination(m: ExactMatrix) -> tuple[tuple[int, ...], tuple[ExactMat
     zero diagonal, invertible because its determinant is -b^2, +b^2 or
     -|b|^2 for the entry b.  S need not be the leftmost such set: for
     [[0,1,1],[1,0,1],[1,1,2]] the first pivot is index 2, so S = {0, 2},
-    although {0, 1} is invertible too.  Schur
-    complements keep the transpose symmetry, so the loop stops only when
-    the remaining block is zero.  Each step is a congruence, so for a
-    hermitian matrix the blocks carry its inertia (Sylvester's law).
+    although {0, 1} is invertible too.  Each block is inverted in closed
+    form (see _schur_update).  Schur complements keep the transpose
+    symmetry, so the loop stops only when the remaining block is zero.
+    Each step is a congruence, so for a hermitian matrix the blocks carry
+    its inertia (Sylvester's law).
     """
     if not m.is_square:
         raise DimensionError("elimination needs a square matrix")
     work = [dict(row) for row in m._rows]
     active = list(range(m.rows))
-    selected: list[int] = []
+    done: set[int] = set()
     blocks: list[ExactMatrix] = []
     while active:
         pivot = next(((i,) for i in active if i in work[i]), None)
         if pivot is None:
-            live = set(active)
             pivot = next(((i, j) for i in active for j in sorted(work[i])
-                          if j > i and j in live), None)
+                          if j > i and j not in done), None)
         if pivot is None:
             break
-        block = ExactMatrix([[work[r].get(c, ZERO) for c in pivot] for r in pivot])
-        selected.extend(pivot)
-        blocks.append(block)
-        active = [r for r in active if r not in pivot]
-        _schur_update(work, pivot, block.inverse(), active)
-    return tuple(sorted(selected)), tuple(blocks)
+        blocks.append(ExactMatrix([[work[r].get(c, ZERO) for c in pivot]
+                                   for r in pivot]))
+        done.update(pivot)
+        for r in pivot:
+            active.remove(r)
+        _schur_update(work, pivot, done)
+    return tuple(sorted(done)), tuple(blocks)
 
 
-def _schur_update(work, pivot, inv: ExactMatrix, rest) -> None:
-    """Replace work[rest, rest] by its Schur complement over the pivot.
+def _schur_update(work, pivot, done) -> None:
+    """Replace the rows and columns not yet done by their Schur complement
+    over the pivot.
 
-    Only the rows that hold an entry in a pivot column change, and only in
-    the columns the pivot rows reach.  The input is symmetric,
-    antisymmetric or hermitian, and so is every Schur complement, so its
-    pattern is symmetric: the coupled rows are the columns the pivot rows
-    reach."""
-    live = set(rest)
-    pivot_rows = [{c: x for c, x in work[p].items() if c in live} for p in pivot]
-    for r in set().union(*pivot_rows):
-        row = work[r]
-        coupling = [(a, row[p]) for a, p in enumerate(pivot) if p in row]
-        for b, pivot_row in enumerate(pivot_rows):
-            factor = sum((x * inv[a, b] for a, x in coupling), start=ZERO)
-            if factor:
-                _add_into(row, pivot_row, -factor)
+    The block [[a]] has inverse [[1/a]], and the zero-diagonal block
+    [[0, b], [c, 0]] has inverse [[0, 1/c], [1/b, 0]], so each pivot row p
+    pairs with one pivot column q (q = p, or the other index of the pair):
+    row r loses (work[r][q] / work[p][q]) times row p.  Only the rows that
+    hold an entry in a pivot column change, and only in the columns the
+    pivot rows reach.  The input is symmetric, antisymmetric or hermitian,
+    and so is every Schur complement, so its pattern is symmetric: the rows
+    with an entry in column q are the columns row q reaches."""
+    for p, q in zip(pivot, pivot[::-1]):
+        inv = ONE / work[p][q]
+        pivot_row = {c: x for c, x in work[p].items() if c not in done}
+        for r in work[q]:
+            row = work[r]
+            if r not in done and q in row:
+                _add_into(row, pivot_row, -row[q] * inv)
 
 
 def hermitian_signature(m: ExactMatrix) -> tuple[int, int, int]:

@@ -82,11 +82,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        with open(args.spec, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        return _fail(str(exc))
+    with open(args.spec, encoding="utf-8") as fh:
+        text = fh.read()
     base_dir = os.path.dirname(os.path.abspath(args.spec))
     try:
         spec = parse_theory(text, base_dir=base_dir)
@@ -253,8 +250,6 @@ def cmd_fock(args) -> int:
     try:
         with open(args.table, encoding="utf-8") as fh:
             table = parse_relation_table(fh.read())
-    except OSError as exc:
-        return _fail(str(exc))
     except ValueError as exc:
         return _fail(str(exc))
 
@@ -286,9 +281,7 @@ def cmd_fock(args) -> int:
                 "matrix": result.matrix.to_nested_strings(),
                 "signature": [p, n, z],
             }
-    except BrokenPipeError:
-        raise  # a closed stdout, handled in main
-    except (UnknownSymbolError, OSError, ValueError) as exc:
+    except (UnknownSymbolError, ValueError) as exc:
         return _fail(str(exc))
 
     if args.json:
@@ -372,3 +365,7 @@ def main(argv=None) -> int:
         # stdout's reader is gone; the flush at exit goes to devnull instead
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        # an input file that cannot be read or a --json path that cannot
+        # be written, in any subcommand
+        return _fail(str(exc))

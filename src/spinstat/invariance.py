@@ -128,7 +128,9 @@ def constraint_split(k0: ExactMatrix, statistics: str) -> ConstraintSplit:
     if canonical:
         restricted = p.principal(canonical)
         block = k0.principal(canonical)
-        # dual check: the pivoting really found a full-rank principal block
+        # dual check by ExactMatrix.rank, a forward elimination that shares
+        # no code with the pivoting: the principal block it chose is full
+        # rank and as large as the rank of P
         self_check(restricted.rank() == len(canonical) == p.rank(),
                    "pivoted elimination missed a full-rank principal block "
                    "of the momentum map")

@@ -192,8 +192,9 @@ def realify(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.block([[p, -q], [q, p]])
 
 
-def _integer_spin_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix]:
-    """Change of basis and form for integral spin (single copy)."""
+def _integer_spin_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
+    """Change of basis U, its inverse and the form for integral spin (single
+    copy).  The form is the diagonal ±U^T C U, so U^-1 = ±form^-1 U^T C."""
     j = two_j // 2
     n = two_j + 1
     c = invariant_bilinear(Fraction(two_j, 2))
@@ -231,7 +232,14 @@ def _integer_spin_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix]:
         rescale.append(Scalar(Fraction(1, root)))
     u = u @ ExactMatrix.diagonal(rescale)
     form = (u.transpose() @ c @ u).scale(sign)
-    return u, form
+    weights = [form[i, i] for i in range(n)]
+    self_check(form == ExactMatrix.diagonal(weights),
+               "integral-spin form is not diagonal")
+    form_inv = ExactMatrix.diagonal([1 / w for w in weights])
+    u_inv = (form_inv @ u.transpose() @ c).scale(sign)
+    self_check(u_inv @ u == ExactMatrix.identity(n),
+               "integral-spin change of basis has no inverse read off the form")
+    return u, u_inv, form
 
 
 def _half_integer_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
@@ -283,15 +291,14 @@ def hermitian_basis(j) -> HermitianBasis:
 def _hermitian_basis_cached(two_j: int) -> HermitianBasis:
     gens = spin_generators(Fraction(two_j, 2)).generators
     if two_j % 2 == 0:
-        u, form = _integer_spin_basis(two_j)
-        u_inv = u.inverse()
+        u, u_inv, form = _integer_spin_basis(two_j)
         new_gens = tuple(u_inv @ g @ u for g in gens)
         self_check(all(g.is_imaginary() for g in new_gens),
                    "integral-spin hermitian basis failed")
         return HermitianBasis(two_j, u, new_gens, form, doubled=False)
 
     u, s, form = _half_integer_basis(two_j)
-    s_inv = s.inverse()
+    s_inv = ExactMatrix.diagonal([1 / s[i, i] for i in range(s.rows)])
     one_i = Scalar(0, 1)
     new_gens = []
     for g in gens:

@@ -1,12 +1,13 @@
 """Independent oracles the tests compare spinstat against.
 
 Nothing here shares code with the routines under test beyond the matrix
-type and its ``rref``:
+type:
 
 - the characteristic polynomial comes from Faddeev-LeVerrier, signatures
   from Descartes' rule of signs on it, and determinants from the Leibniz
   sum over permutations;
-- null spaces come straight from the reduced row echelon form;
+- null spaces come straight from the reduced row echelon form of
+  ``dense_rref``;
 - the invariant bilinear forms of a generator set come from solving
   J^T M + M J = 0 as one linear system in the entries of M, which checks
   the counting argument behind ``model._form_space_dims``;
@@ -87,13 +88,13 @@ def nullspace(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
     reduced coefficients in the pivot coordinates, so the result is
     deterministic given the matrix.
     """
-    reduced, pivots = m.rref()
+    reduced, pivots = dense_rref([list(row) for row in m])
     basis = []
     for free in (c for c in range(m.cols) if c not in pivots):
         vec = [Scalar(0)] * m.cols
         vec[free] = Scalar(1)
         for r, p in enumerate(pivots):
-            vec[p] = -reduced[r, free]
+            vec[p] = -reduced[r][free]
         basis.append(tuple(vec))
     return basis
 
@@ -114,10 +115,10 @@ def _span_basis(matrices, n: int) -> tuple[ExactMatrix, ...]:
     rows = [r for r in rows if any(not x.is_zero for x in r)]
     if not rows:
         return ()
-    reduced, pivots = ExactMatrix(rows).rref()
+    reduced, pivots = dense_rref(rows)
     out = []
     for r in range(len(pivots)):
-        flat = reduced.row(r)
+        flat = reduced[r]
         out.append(ExactMatrix([flat[i * n:(i + 1) * n] for i in range(n)]))
     return tuple(out)
 

@@ -197,11 +197,15 @@ def test_explicit_matrix_invariance_violations_reported(tmp_path):
         assert set(axes) <= {"x", "y", "z"} and axes
 
 
-@pytest.mark.parametrize("args", [
+# one successful call per subcommand; "{table}" is a witness relation table
+EVERY_SUBCOMMAND = [
     ("analyze", str(THEORIES / "majorana.th")),
     ("dkp-check",),
     ("fock", "{table}", "--word", "c ddag"),
-])
+]
+
+
+@pytest.mark.parametrize("args", EVERY_SUBCOMMAND)
 def test_closed_stdout_exits_1_without_traceback(args, tmp_path):
     table = tmp_path / "witness.rel"
     table.write_text("bracket = anticommutator\npair c ddag = -1\n")
@@ -216,6 +220,19 @@ def test_closed_stdout_exits_1_without_traceback(args, tmp_path):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("args", EVERY_SUBCOMMAND)
+def test_unwritable_json_path_exits_1_without_traceback(args, tmp_path):
+    table = tmp_path / "witness.rel"
+    table.write_text("bracket = anticommutator\npair c ddag = -1\n")
+    target = tmp_path / "missing" / "x.json"
+    proc = run_cli(*(a.format(table=table) for a in args), "--json", str(target))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert str(target) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not target.exists()
 
 
 def test_version_and_usage():

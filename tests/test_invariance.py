@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import kinematic_term_is_trivial
+from oracles import dense_inverse, dense_rref, kinematic_term_is_trivial
 from spinstat import cli, invariance
 from spinstat.algebra import ExactMatrix, Scalar, SelfCheckError, SymmetryClass
 from spinstat.invariance import (
@@ -303,12 +303,12 @@ def test_majorana_statistics_decide_dynamics():
 def test_split_counts_match_rank(m, statistics):
     split = constraint_split(m, statistics)
     p = split.momentum_map
-    assert len(split.canonical_indices) == p.rank()
+    assert len(split.canonical_indices) == len(dense_rref([list(r) for r in p])[1])
     combined = sorted(split.canonical_indices + split.constraint_indices)
     assert combined == list(range(m.rows))
     if split.canonical_indices:
-        assert split.momentum_restricted.rank() == len(split.canonical_indices)
-        split.momentum_restricted.inverse()  # must not raise
+        restricted = [list(r) for r in split.momentum_restricted]
+        assert dense_inverse(restricted) is not None
     assert constraint_split(m, statistics) == split
 
 
@@ -342,6 +342,28 @@ def test_dropped_pivot_raises_self_check_error(drop_last_pivot):
         constraint_split(ExactMatrix([[1]]), "fermi")
 
 
+@pytest.fixture
+def swap_in_a_constraint(monkeypatch):
+    """Make the elimination return an index set of the right size on which
+    the momentum map is singular: its last pivot is traded for the first
+    constraint index."""
+    real = invariance.pivoted_elimination
+
+    def swapped(m):
+        indices, blocks = real(m)
+        spare = min(set(range(m.rows)) - set(indices))
+        return tuple(sorted(indices[:-1] + (spare,))), blocks
+
+    monkeypatch.setattr(invariance, "pivoted_elimination", swapped)
+
+
+def test_singular_pivot_set_raises_self_check_error(swap_in_a_constraint):
+    # written without assert statements so it also checks under python -O;
+    # the wave operator's split (0, 1) becomes (0, 2), where P is zero
+    with pytest.raises(SelfCheckError, match="full-rank principal block"):
+        constraint_split(wave_operator_kinematic(), "bose")
+
+
 def test_self_check_error_is_not_a_value_error():
     assert not issubclass(SelfCheckError, ValueError)
 
@@ -352,9 +374,11 @@ def test_cli_exits_4_on_a_failed_self_check(drop_last_pivot, capsys):
 
 
 def test_self_check_survives_python_O():
-    node = f"{__file__}::test_dropped_pivot_raises_self_check_error"
+    nodes = [f"{__file__}::{name}" for name in (
+        "test_dropped_pivot_raises_self_check_error",
+        "test_singular_pivot_set_raises_self_check_error")]
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *nodes],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "1 passed" in proc.stdout
+    assert "2 passed" in proc.stdout
