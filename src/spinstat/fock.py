@@ -5,6 +5,13 @@ elementary bracket; every other bracket is zero.  Vacuum expectation values
 of words follow by Wick contraction, which is enough machinery for Gram
 matrices of multi-quantum states, and in particular to exhibit a
 negative-norm state when a pairing carries the wrong sign.
+
+One memoized recursion does every contraction.  Under anticommutators it
+signs each term by the parity of its position instead of multiplying a
+running sign, it returns 0 at once for a word whose creators are not half
+of it, and a Gram matrix shares one memo per bra.  Word length
+(``MAX_WORD_SYMBOLS``) and the number of Gram states (``MAX_GRAM_STATES``)
+are bounded before any contraction.
 """
 
 from __future__ import annotations
@@ -22,12 +29,20 @@ __all__ = [
     "GramResult",
     "gram_matrix",
     "MAX_WORD_SYMBOLS",
+    "MAX_GRAM_STATES",
 ]
 
 # longest word whose vacuum expectation is taken; the contraction recurses
 # once per annihilator-creator pair, so this keeps it far inside Python's
 # default recursion limit of 1000
 MAX_WORD_SYMBOLS = 256
+
+# most states in one Gram matrix, checked before any contraction.  The
+# exact signature is cubic in the state count: 128 dense 3-quantum states
+# over 12 modes take about 11 s (Python 3.11, 2 cores), and each doubling
+# costs about 8x more.  That is 8x the 16 states of the largest perfbench
+# Gram matrix and leaves room for a 64-state bound workload.
+MAX_GRAM_STATES = 128
 
 _ZERO = Scalar(0)
 _ONE = Scalar(1)
@@ -156,19 +171,20 @@ def _check_word(word, table: RelationTable) -> tuple[str, ...]:
     return symbols
 
 
-def vacuum_expectation(word, table: RelationTable) -> Scalar:
-    """<0|word|0> by Wick contraction.
+def _contract(symbols: tuple[str, ...], table: RelationTable,
+              memo: dict[tuple[str, ...], Scalar]) -> Scalar:
+    """<0|symbols|0> of a checked word; `memo` caches subword values.
 
-    <0| kills a leading creator and |0> a trailing annihilator.  Otherwise
-    the leading annihilator a is moved right: passing the creator x_k
-    leaves value(a, x_k) times the expectation of the word without a and
-    x_k, and every symbol it passes costs a sign under anticommutators.
-    Same-kind brackets vanish, so no other terms appear.
+    Any word may share `memo` with this one, since a key is a whole subword
+    and its value depends on nothing but the subword and the table.
     """
-    symbols = _check_word(word, table)
-    sign = Scalar(-1) if table.bracket == "anticommutator" else _ONE
     creators = table.creators
-    memo: dict[tuple[str, ...], Scalar] = {}
+    # each contraction removes one annihilator and one creator, so a word
+    # whose creators are not half of it has no complete contraction
+    if 2 * sum(s in creators for s in symbols) != len(symbols):
+        return _ZERO
+    fermi = table.bracket == "anticommutator"
+    value = table.value
 
     def go(w: tuple[str, ...]) -> Scalar:
         if not w:
@@ -178,17 +194,40 @@ def vacuum_expectation(word, table: RelationTable) -> Scalar:
         cached = memo.get(w)
         if cached is not None:
             return cached
-        total, step = _ZERO, _ONE
+        total = _ZERO
         for k in range(1, len(w)):
-            if w[k] in creators:
-                value = table.value(w[0], w[k])
-                if not value.is_zero:
-                    total = total + step * value * go(w[1:k] + w[k + 1:])
-            step = step * sign
+            if w[k] not in creators:
+                continue
+            pair = value(w[0], w[k])
+            if pair.is_zero:
+                continue
+            rest = go(w[1:k] + w[k + 1:])
+            if rest.is_zero:
+                continue
+            # moving w[0] past the k - 1 symbols before w[k] costs
+            # (-1)^(k-1) under anticommutators
+            if fermi and k % 2 == 0:
+                total = total - pair * rest
+            else:
+                total = total + pair * rest
         memo[w] = total
         return total
 
     return go(symbols)
+
+
+def vacuum_expectation(word, table: RelationTable) -> Scalar:
+    """<0|word|0> by Wick contraction.
+
+    <0| kills a leading creator and |0> a trailing annihilator.  Otherwise
+    the leading annihilator a is moved right: passing the creator x_k at
+    position k leaves value(a, x_k) times the expectation of the word
+    without a and x_k.  Same-kind brackets vanish, so no other terms
+    appear.  Under anticommutators the term is signed by the parity of the
+    k - 1 symbols passed: it is subtracted when k is even.  A word whose
+    creators are not half of its symbols is 0 without any contraction.
+    """
+    return _contract(_check_word(word, table), table, {})
 
 
 def adjoint_word(word, table: RelationTable) -> tuple[str, ...]:
@@ -205,21 +244,34 @@ class GramResult(NamedTuple):
 def gram_matrix(states, table: RelationTable) -> GramResult:
     """Gram matrix G_mn = <0| adjoint(word_m) word_n |0> of creator words.
 
-    The signature is computed exactly; a negative entry in it is the
-    negative-norm witness.
+    The state count is bounded by ``MAX_GRAM_STATES`` before any adjoint
+    or contraction.  Each bra adjoint(word_m) is built once per row, and
+    the entries of a row share one contraction memo, since every subword
+    met there starts with a suffix of that bra.  Every entry is computed,
+    not half the matrix plus conjugates, so a table that contradicts its
+    own adjoint structure shows up as a non-hermitian matrix and is
+    rejected.  The signature is computed exactly; a negative entry in it
+    is the negative-norm witness.
     """
-    words = [_check_word(w, table) for w in states]
+    words = list(states)
     if not words:
         raise ValueError("gram_matrix needs at least one state")
+    if len(words) > MAX_GRAM_STATES:
+        raise ValueError(
+            f"{len(words)} gram states, over the supported maximum "
+            f"{MAX_GRAM_STATES}")
+    words = [_check_word(w, table) for w in words]
     for w in words:
         for s in w:
             if s not in table.creators:
                 raise ValueError(
                     f"gram states must be creator words; {s!r} is not a creator")
-    entries = [
-        [vacuum_expectation(adjoint_word(m, table) + n, table) for n in words]
-        for m in words
-    ]
+    entries = []
+    for m in words:
+        bra = adjoint_word(m, table)
+        memo: dict[tuple[str, ...], Scalar] = {}
+        entries.append(
+            [_contract(_check_word(bra + n, table), table, memo) for n in words])
     matrix = ExactMatrix(entries)
     if not matrix.is_hermitian():
         raise ValueError(

@@ -6,6 +6,9 @@ type:
 - the characteristic polynomial comes from Faddeev-LeVerrier, signatures
   from Descartes' rule of signs on it, and determinants from the Leibniz
   sum over permutations;
+- Gram entries of creator words are permanents or determinants of the
+  pairing submatrix, by the same sum over permutations, which checks the
+  recursive Wick contraction of ``fock``;
 - null spaces come straight from the reduced row echelon form of
   ``dense_rref``;
 - the invariant bilinear forms of a generator set come from solving
@@ -68,15 +71,39 @@ def descartes_signature(m: ExactMatrix) -> tuple[int, int, int]:
     return positives, negatives, zeros
 
 
+def _permutation_sign(perm) -> int:
+    inversions = sum(1 for a in range(len(perm)) for b in range(a)
+                     if perm[b] > perm[a])
+    return -1 if inversions % 2 else 1
+
+
 def leibniz_determinant(m: ExactMatrix) -> Scalar:
     """Sum over permutations of signed diagonal products."""
     total = Scalar(0)
     for perm in permutations(range(m.rows)):
-        inversions = sum(1 for a in range(len(perm)) for b in range(a)
-                         if perm[b] > perm[a])
-        term = Scalar(-1 if inversions % 2 else 1)
+        term = Scalar(_permutation_sign(perm))
         for row, col in enumerate(perm):
             term = term * m[row, col]
+        total = total + term
+    return total
+
+
+def wick_gram_entry(pairing, bra, ket, fermi: bool) -> Scalar:
+    """<0| adjoint(bra) ket |0> of two creator words by Wick's theorem.
+
+    `pairing` maps a (bra creator x, ket creator y) pair to
+    <0| x^dagger y |0>, absent pairs being 0.  The entry is the permanent
+    (commutator, ``fermi`` false) or the determinant (anticommutator) of
+    the pairing submatrix between the two words' creators, summed over
+    permutations, and 0 when the particle numbers differ.
+    """
+    if len(bra) != len(ket):
+        return Scalar(0)
+    total = Scalar(0)
+    for perm in permutations(range(len(ket))):
+        term = Scalar(_permutation_sign(perm) if fermi else 1)
+        for row, col in enumerate(perm):
+            term = term * pairing.get((bra[row], ket[col]), Scalar(0))
         total = total + term
     return total
 

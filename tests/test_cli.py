@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from spinstat.algebra import ExactMatrix
+from spinstat.fock import MAX_GRAM_STATES
 
 THEORIES = resources.files("spinstat") / "theories"
 SCHEMA = json.loads(
@@ -365,6 +366,17 @@ def test_fock_over_long_word_exits_1(bose_table):
     proc = run_cli("fock", str(bose_table), "--word", word)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: word has 2400 symbols")
+    assert "Traceback" not in proc.stderr
+
+
+def test_fock_too_many_gram_states_exits_1(bose_table, tmp_path):
+    # one state over the bound: rejected before any contraction
+    states = tmp_path / "states.txt"
+    states.write_text("adag\n" * (MAX_GRAM_STATES + 1))
+    proc = run_cli("fock", str(bose_table), "--gram", str(states))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        f"error: {MAX_GRAM_STATES + 1} gram states, over the supported maximum")
     assert "Traceback" not in proc.stderr
 
 

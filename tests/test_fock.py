@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import wick_gram_entry
 from spinstat.algebra import ExactMatrix, Scalar
 from spinstat.fock import (
+    MAX_GRAM_STATES,
     MAX_WORD_SYMBOLS,
     RelationTable,
     UnknownSymbolError,
@@ -372,6 +374,20 @@ def test_word_length_is_bounded_before_any_contraction():
         gram_matrix([("adag",) * (MAX_WORD_SYMBOLS + 1)], table)
     with pytest.raises(ValueError, match="over the supported maximum"):
         adjoint_word(("adag",) * (MAX_WORD_SYMBOLS + 1), table)
+    # each state is within the bound, but its bra+ket word is over it
+    state = ("adag",) * (MAX_WORD_SYMBOLS // 2 + 1)
+    assert len(adjoint_word(state, table)) <= MAX_WORD_SYMBOLS
+    with pytest.raises(ValueError, match=f"over the supported maximum {MAX_WORD_SYMBOLS}"):
+        gram_matrix([state], table)
+
+
+def test_gram_state_count_is_bounded_before_any_contraction():
+    table = RelationTable("commutator", [("a", "adag", 1)])
+    states = [("adag",)] * (MAX_GRAM_STATES + 1)
+    with pytest.raises(ValueError, match=(
+            f"^{MAX_GRAM_STATES + 1} gram states, over the supported maximum "
+            f"{MAX_GRAM_STATES}$")):
+        gram_matrix(states, table)
 
 
 def test_unknown_symbol_raises():
@@ -701,6 +717,60 @@ def test_two_mode_witness_gram_agrees_with_metric_realization():
     assert result.matrix == ExactMatrix(via_eta)
     assert result.matrix == ExactMatrix.diagonal([-1, -1, 1])
     assert result.signature == (1, 2, 0)
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def hermitian_pairings(draw):
+    """A 2-4-mode table whose pairing matrix P is hermitian, with cross pairs.
+
+    P[i][j] = [m_i, m_j^dag] is real on the diagonal and P[j][i] is the
+    conjugate of P[i][j], so every Gram matrix is hermitian and the table
+    agrees with its own adjoint structure.  P[0][1] is never 0, and other
+    entries often are.  Returns the table and the pairing
+    <0| x^dagger y |0> between creators x and y.
+    """
+    n = draw(st.integers(min_value=2, max_value=4))
+    values = {}
+    for i in range(n):
+        values[i, i] = Scalar(draw(_RATIONALS))
+        for j in range(i + 1, n):
+            v = draw(_GAUSSIAN_RATIONALS.filter(bool) if (i, j) == (0, 1)
+                     else _GAUSSIAN_RATIONALS)
+            values[i, j], values[j, i] = v, v.conjugate()
+    table = RelationTable(
+        draw(st.sampled_from(["commutator", "anticommutator"])),
+        [(f"m{i}", f"m{j}dag", v) for (i, j), v in sorted(values.items())])
+    pairing = {(f"m{i}dag", f"m{j}dag"): v for (i, j), v in values.items()}
+    return table, pairing
+
+
+@st.composite
+def mixed_states(draw, creators):
+    """One state each of 1, 2 and 3 quanta, up to three more, shuffled."""
+    def word(quanta):
+        return tuple(draw(st.lists(st.sampled_from(creators),
+                                   min_size=quanta, max_size=quanta)))
+
+    states = [word(1), word(2), word(3)]
+    states += [word(draw(st.integers(1, 3)))
+               for _ in range(draw(st.integers(0, 3)))]
+    return draw(st.permutations(states))
+
+
+@given(st.data())
+def test_gram_entries_match_the_wick_oracle(data):
+    table, pairing = data.draw(hermitian_pairings())
+    states = data.draw(mixed_states(sorted(table.creators)))
+    fermi = table.bracket == "anticommutator"
+    result = gram_matrix(states, table)
+    for r, m in enumerate(states):
+        for c, n in enumerate(states):
+            expected = wick_gram_entry(pairing, m, n, fermi)
+            assert result.matrix[r, c] == expected
+            assert vacuum_expectation(adjoint_word(m, table) + n, table) == expected
 
 
 def test_gram_of_unknown_symbol():
