@@ -2,7 +2,7 @@
 
 Everything downstream (representation theory, kinematic-term analysis,
 operator algebra) runs on the two types defined here: ``Scalar``, a complex
-number with ``fractions.Fraction`` real and imaginary parts, and
+number held as three integers (a + b*i) / d in lowest terms, and
 ``ExactMatrix``, an immutable matrix of scalars that stores only its
 nonzero entries, so the cost of every kernel grows with the nonzeros
 rather than with rows x cols.  One pivoted symmetric elimination,
@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "DimensionError",
@@ -52,12 +53,18 @@ def self_check(condition: bool, message: str) -> None:
         raise SelfCheckError(message)
 
 
+# Python's default limit on int <-> str conversion: every accepted literal
+# can be printed again.
+MAX_LITERAL_DIGITS = 4300
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _check_literal_size(value)
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -65,8 +72,29 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _check_literal_size(text: str) -> None:
+    """Reject a literal whose digits plus |exponent| exceed
+    MAX_LITERAL_DIGITS, before Fraction builds its integers."""
+    mantissa, _, exponent = text.lower().partition("e")
+    size = sum(ch.isdigit() for ch in mantissa)
+    magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    # a malformed exponent is left for Fraction to reject; nine digits of a
+    # longer one are already over the bound, and int() reads no more
+    if magnitude.isdecimal():
+        size += int(magnitude[:9])
+    if size > MAX_LITERAL_DIGITS:
+        shown = text if len(text) <= 24 else text[:20] + "..."
+        raise ValueError(f"literal {shown!r} exceeds {MAX_LITERAL_DIGITS} digits "
+                         f"(digits plus exponent)")
+
+
 class Scalar:
-    """A Gaussian rational: exact rational real and imaginary parts.
+    """A Gaussian rational (a + b*i) / d, held as three ints.
+
+    The form is canonical: d > 0 and gcd(a, b, d) == 1, so equal values
+    hold equal ints and ``==`` compares three ints.  Every result is built
+    by ``_make``, which does one gcd; no ``Fraction`` enters the
+    arithmetic.  ``re`` and ``im`` read the parts back as ``Fraction``.
 
     The text form is ``a/b`` for real values and ``a/b+c/di`` (or ``-``)
     otherwise, e.g. ``-1/2``, ``0+1i``, ``3/4-2i``.  ``str`` emits the
@@ -74,14 +102,26 @@ class Scalar:
     central sign and a bare imaginary part like ``2i`` or ``-i``.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        x, y = _as_fraction(re), _as_fraction(im)
+        # both parts are in lowest terms, so over their lcm gcd(a, b, d) == 1
+        d = lcm(x.denominator, y.denominator)
+        _set_a(self, x.numerator * (d // x.denominator))
+        _set_b(self, y.numerator * (d // y.denominator))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def parse(text: str) -> "Scalar":
@@ -103,134 +143,178 @@ class Scalar:
         else:
             re_part, im_part = body[:split], body[split:]
         if im_part in ("", "+"):
-            im = Fraction(1)
+            im = 1
         elif im_part == "-":
-            im = Fraction(-1)
+            im = -1
         else:
-            im = _as_fraction(im_part)
+            im = im_part
         return Scalar(re_part, im)
 
     @staticmethod
     def coerce(value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar(value)
+        if isinstance(value, int):
+            return _make(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return _make(value.numerator, 0, value.denominator)
         if isinstance(value, str):
             return Scalar.parse(value)
         raise TypeError(f"cannot interpret {value!r} as a scalar")
 
     # -- arithmetic ---------------------------------------------------
+    #
+    # Each operation takes the exact-type fast path first and coerces
+    # other operands (int, Fraction, str) only when that misses.
 
-    def _binary(self, other):
-        try:
-            return Scalar.coerce(other)
-        except TypeError:
-            return None
-
-    def __add__(self, other):
-        o = self._binary(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.re + o.re, self.im + o.im)
+    def __add__(self, o):
+        if type(o) is not Scalar:
+            o = _operand(o)
+            if o is None:
+                return NotImplemented
+        d, e = self._d, o._d
+        if d == e:
+            return _make(self._a + o._a, self._b + o._b, d)
+        return _make(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._binary(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.re - o.re, self.im - o.im)
+    def __sub__(self, o):
+        if type(o) is not Scalar:
+            o = _operand(o)
+            if o is None:
+                return NotImplemented
+        d, e = self._d, o._d
+        if d == e:
+            return _make(self._a - o._a, self._b - o._b, d)
+        return _make(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
-    def __rsub__(self, other):
-        o = self._binary(other)
+    def __rsub__(self, o):
+        o = _operand(o)
         if o is None:
             return NotImplemented
-        return Scalar(o.re - self.re, o.im - self.im)
+        return o - self
 
-    def __mul__(self, other):
-        o = self._binary(other)
-        if o is None:
-            return NotImplemented
+    def __mul__(self, o):
+        if type(o) is not Scalar:
+            o = _operand(o)
+            if o is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, o._a, o._b
         # real factors are the common case; skip the vanishing cross terms
-        if not self.im:
-            return Scalar(self.re * o.re, self.re * o.im)
-        if not o.im:
-            return Scalar(self.re * o.re, self.im * o.re)
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        if not b:
+            return _make(a * c, a * e, self._d * o._d)
+        if not e:
+            return _make(a * c, b * c, self._d * o._d)
+        return _make(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._binary(other)
-        if o is None:
-            return NotImplemented
-        d = o.abs2()
-        if d == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        return Scalar((self.re * o.re + self.im * o.im) / d,
-                      (self.im * o.re - self.re * o.im) / d)
+    def __truediv__(self, o):
+        if type(o) is not Scalar:
+            o = _operand(o)
+            if o is None:
+                return NotImplemented
+        # (a + b*i)/d divided by (c + e*i)/f is f*(a + b*i)*(c - e*i) / (d*(c^2 + e^2))
+        a, b, c, e = self._a, self._b, o._a, o._b
+        if not e:
+            if not c:
+                raise ZeroDivisionError("scalar division by zero")
+            if c < 0:
+                a, b, c = -a, -b, -c
+            return _make(a * o._d, b * o._d, self._d * c)
+        f = o._d
+        return _make((a * c + b * e) * f, (b * c - a * e) * f,
+                     self._d * (c * c + e * e))
 
-    def __rtruediv__(self, other):
-        o = self._binary(other)
+    def __rtruediv__(self, o):
+        o = _operand(o)
         if o is None:
             return NotImplemented
         return o / self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
-    def __eq__(self, other):
-        o = self._binary(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+    def __eq__(self, o):
+        if type(o) is not Scalar:
+            o = _operand(o)
+            if o is None:
+                return NotImplemented
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
         # equal values hash alike: Scalar(1) == 1, so hash(Scalar(1)) == hash(1)
-        if self.im == 0:
+        if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     # -- structure ----------------------------------------------------
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     @property
     def is_imaginary(self) -> bool:
         """Purely imaginary (zero real part; zero counts)."""
-        return self.re == 0
+        return not self._a
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self):
-        if self.im == 0:
+        if not self._b:
             return str(self.re)
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self._b > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
     def __repr__(self):
         return f"Scalar('{self}')"
+
+
+_set_a = Scalar._a.__set__
+_set_b = Scalar._b.__set__
+_set_d = Scalar._d.__set__
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> Scalar:
+    """The Scalar (a + b*i) / d for any ints with d > 0, reduced by one gcd.
+    Every Scalar result is built here."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    s = _new(Scalar)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d)
+    return s
+
+
+def _operand(value) -> Scalar | None:
+    try:
+        return Scalar.coerce(value)
+    except TypeError:
+        return None
 
 
 ZERO = Scalar(0)
@@ -342,7 +426,10 @@ class ExactMatrix:
             raise ValueError(f"matrix text is not valid JSON: {exc}") from exc
         if not isinstance(nested, list) or not all(isinstance(r, list) for r in nested):
             raise ValueError("matrix JSON must be a nested array")
-        return ExactMatrix(nested)
+        try:
+            return ExactMatrix(nested)
+        except TypeError as exc:  # a float, null or nested entry
+            raise ValueError(str(exc)) from None
 
     def dumps(self) -> str:
         return json.dumps(self.to_nested_strings())

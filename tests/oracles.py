@@ -19,8 +19,10 @@ type:
 - the transpose symmetry class comes from building both halves of a
   matrix, which checks ``algebra.symmetry_class``;
 - the ``dense_*`` functions redo the matrix kernels on plain nested lists
-  of scalars (each a pair of Fractions), every zero stored, which checks
-  the sparse storage of ``ExactMatrix``.
+  of scalars, every zero stored, which checks the sparse storage of
+  ``ExactMatrix``;
+- ``FractionPair`` does Gaussian-rational arithmetic on a pair of
+  ``Fraction`` parts, which checks the integer-backed ``Scalar``.
 """
 
 from dataclasses import dataclass
@@ -28,6 +30,64 @@ from fractions import Fraction
 from itertools import permutations
 
 from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass
+
+
+class FractionPair:
+    """A Gaussian rational as a real and an imaginary ``Fraction``.
+
+    Each operation is the textbook formula on the two parts, and each part
+    is normalized by ``Fraction`` itself, so this shares no arithmetic
+    with ``Scalar``'s integer numerators over one common denominator.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FractionPair is immutable")
+
+    def __add__(self, o):
+        return FractionPair(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return FractionPair(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return FractionPair(self.re * o.re - self.im * o.im,
+                            self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        d = o.abs2()
+        if d == 0:
+            raise ZeroDivisionError("scalar division by zero")
+        return FractionPair((self.re * o.re + self.im * o.im) / d,
+                            (self.im * o.re - self.re * o.im) / d)
+
+    def __neg__(self):
+        return FractionPair(-self.re, -self.im)
+
+    def __eq__(self, o):
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def conjugate(self) -> "FractionPair":
+        return FractionPair(self.re, -self.im)
+
+    def abs2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
 
 
 def charpoly(m: ExactMatrix) -> tuple[Scalar, ...]:

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from spinstat.algebra import (
+    MAX_LITERAL_DIGITS,
     DimensionError,
     ExactMatrix,
     Scalar,
@@ -15,6 +17,7 @@ from spinstat.algebra import (
     symmetry_decompose,
 )
 from oracles import (
+    FractionPair,
     charpoly,
     dense_add,
     dense_block,
@@ -112,6 +115,75 @@ def test_scalar_hash_agrees_with_equal_numbers():
     assert len({Scalar(1), 1}) == 1
     assert hash(Scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
     assert {Scalar(0, 1): "i"}[Scalar.parse("0+1i")] == "i"
+
+
+# Wide parts as well as small ones, so that sums and products cancel across
+# large common factors and the gcd normalization has work to do.
+wide_fractions = st.one_of(small_fractions, st.builds(
+    Fraction,
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.integers(min_value=1, max_value=10**6),
+))
+gaussian_pairs = st.tuples(wide_fractions, wide_fractions)
+
+
+def assert_same_value(got, want: FractionPair):
+    """got is a canonical Scalar equal to the oracle's value."""
+    assert type(got) is Scalar
+    assert got._d > 0 and gcd(got._a, got._b, got._d) == 1
+    assert (got.re, got.im) == (want.re, want.im)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert str(got) == str(want)
+    assert Scalar.parse(str(got)) == got
+    assert hash(got) == hash(want)
+
+
+@given(gaussian_pairs, gaussian_pairs)
+def test_scalar_matches_the_fraction_pair_oracle(x, y):
+    a, b = Scalar(*x), Scalar(*y)
+    fa, fb = FractionPair(*x), FractionPair(*y)
+    for got, want in ((a, fa), (b, fb), (a + b, fa + fb), (a - b, fa - fb),
+                      (a * b, fa * fb), (-a, -fa), (a.conjugate(), fa.conjugate())):
+        assert_same_value(got, want)
+    if fb.abs2() == 0:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        assert_same_value(a / b, fa / fb)
+    assert a.abs2() == fa.abs2() and type(a.abs2()) is Fraction
+    assert (a == b) == (fa == fb)
+    assert bool(a) == (fa.abs2() != 0)
+    assert complex(a) == complex(float(fa.re), float(fa.im))
+
+
+@given(wide_fractions, st.integers(min_value=-10**20, max_value=10**20))
+def test_scalar_of_a_rational_equals_and_hashes_like_it(q, n):
+    for x in (q, n):
+        s = Scalar(x)
+        assert s == x and x == s
+        assert hash(s) == hash(x)
+        assert Scalar.coerce(x) == s
+        assert_same_value(s * x, FractionPair(x) * FractionPair(x))
+
+
+@given(gaussian_pairs)
+def test_scalar_is_immutable(x):
+    s = Scalar(*x)
+    for name in ("re", "im", "_a", "_b", "_d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 1)
+    assert (s.re, s.im) == x
+
+
+def test_scalar_literal_size_is_bounded_before_it_is_built():
+    assert MAX_LITERAL_DIGITS == 4300
+    assert Scalar.parse("1e4299") == Scalar(10**4299)
+    assert Scalar.parse("1e-4299") == Scalar(Fraction(1, 10**4299))
+    assert str(Scalar.parse("1e4299")) == "1" + "0" * 4299
+    for bad in ("1e5000", "1e-5000", "1e4300", "2.5e4299", "1" * 4301,
+                "1/" + "3" * 4300, "1e99999999999999999999", "1+1e5000i"):
+        with pytest.raises(ValueError, match="exceeds 4300 digits"):
+            Scalar.parse(bad)
 
 
 # -- ExactMatrix basics -----------------------------------------------------

@@ -391,7 +391,7 @@ def test_fock_missing_table_exits_1():
     assert proc.returncode == 1
 
 
-@pytest.mark.parametrize("value", ["1/0", "abc"])
+@pytest.mark.parametrize("value", ["1/0", "abc", "1e5000"])
 def test_fock_bad_pair_value_exits_1_with_line(value, tmp_path):
     table = tmp_path / "bad.rel"
     table.write_text(f"bracket = commutator\npair c cdag = {value}\n")

@@ -241,7 +241,7 @@ def test_parse_enforces_dag_naming():
         parse_relation_table("bracket = commutator\npair adag bdag = 1")
 
 
-@pytest.mark.parametrize("value", ["1/0", "abc", "1/0+2i"])
+@pytest.mark.parametrize("value", ["1/0", "abc", "1/0+2i", "1e5000", "1e-5000"])
 def test_parse_reports_the_line_of_a_bad_pair_value(value):
     with pytest.raises(ValueError, match=r"^line 3: bad pair value"):
         parse_relation_table(

@@ -137,6 +137,20 @@ def test_explicit_matrix_loads_and_validates(tmp_path):
               base_dir=tmp_path)
     assert "zero denominator" in str(err.value)
 
+    for literal in ("1e5000", "1e-5000"):
+        (tmp_path / "huge.json").write_text(f'[["{literal}"]]')
+        with pytest.raises(TheoryParseError) as err:
+            parse("theory t\nfield phi spin=0\nkinematic explicit huge.json\n",
+                  base_dir=tmp_path)
+        assert "bad matrix file 'huge.json'" in str(err.value)
+        assert "exceeds 4300 digits" in str(err.value)
+
+    (tmp_path / "float.json").write_text('[[1.5]]')
+    with pytest.raises(TheoryParseError, match="bad matrix file 'float.json': "
+                       "cannot interpret 1.5 as a scalar"):
+        parse("theory t\nfield phi spin=0\nkinematic explicit float.json\n",
+              base_dir=tmp_path)
+
 
 def test_antisymmetric_pair_conflicts_with_explicit(tmp_path):
     (tmp_path / "k.json").write_text('[["0", "1"], ["-1", "0"]]')
