@@ -65,17 +65,35 @@ def _as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         _check_literal_size(value)
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+        return _fraction_literal(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _fraction_literal(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _literal_ratio(text: str) -> tuple[int, int]:
+    """(numerator, denominator) of a real literal in lowest terms, checked
+    for size first: a plain integer is read by int(), any other literal
+    by Fraction."""
+    _check_literal_size(text)
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isdigit() and digits.isascii():
+        return int(text), 1
+    x = _fraction_literal(text)
+    return x.numerator, x.denominator
 
 
 def _check_literal_size(text: str) -> None:
     """Reject a literal whose digits plus |exponent| exceed
     MAX_LITERAL_DIGITS, before Fraction builds its integers."""
     mantissa, _, exponent = text.lower().partition("e")
+    if not exponent and len(mantissa) <= MAX_LITERAL_DIGITS:
+        return  # no more digits than characters
     size = sum(ch.isdigit() for ch in mantissa)
     magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     # a malformed exponent is left for Fraction to reject; nine digits of a
@@ -98,8 +116,11 @@ class Scalar:
 
     The text form is ``a/b`` for real values and ``a/b+c/di`` (or ``-``)
     otherwise, e.g. ``-1/2``, ``0+1i``, ``3/4-2i``.  ``str`` emits the
-    canonical form; ``parse`` additionally tolerates spaces around the
-    central sign and a bare imaginary part like ``2i`` or ``-i``.
+    canonical form, each part written from the ints after one gcd;
+    ``parse`` additionally tolerates spaces around the central sign and a
+    bare imaginary part like ``2i`` or ``-i``.  It checks each part against
+    ``MAX_LITERAL_DIGITS``, then reads a plain integer with ``int`` and
+    any other literal with ``Fraction``.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -129,7 +150,8 @@ class Scalar:
         if not t:
             raise ValueError("empty scalar literal")
         if not t.endswith("i"):
-            return Scalar(t)
+            a, d = _literal_ratio(t)
+            return _make(a, 0, d)
         body = t[:-1]
         # Find the sign separating the real part from the imaginary part.
         # Signs at position 0 or right after '/' belong to a single number.
@@ -142,13 +164,14 @@ class Scalar:
             re_part, im_part = "0", body
         else:
             re_part, im_part = body[:split], body[split:]
+        a, d = _literal_ratio(re_part)
         if im_part in ("", "+"):
-            im = 1
+            b, e = 1, 1
         elif im_part == "-":
-            im = -1
+            b, e = -1, 1
         else:
-            im = im_part
-        return Scalar(re_part, im)
+            b, e = _literal_ratio(im_part)
+        return _make(a * e, b * d, d * e)
 
     @staticmethod
     def coerce(value) -> "Scalar":
@@ -280,10 +303,11 @@ class Scalar:
         return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self):
-        if not self._b:
-            return str(self.re)
-        sign = "+" if self._b > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        b, d = self._b, self._d
+        if not b:
+            return _ratio_text(self._a, d)
+        sign = "+" if b > 0 else "-"
+        return f"{_ratio_text(self._a, d)}{sign}{_ratio_text(abs(b), d)}i"
 
     def __repr__(self):
         return f"Scalar('{self}')"
@@ -308,6 +332,13 @@ def _make(a: int, b: int, d: int) -> Scalar:
     _set_b(s, b)
     _set_d(s, d)
     return s
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """The text of the rational n/d (d > 0) as Fraction writes it, after
+    one gcd."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _operand(value) -> Scalar | None:
@@ -340,6 +371,12 @@ class ExactMatrix:
     rows x cols, and equal matrices store equal mappings, which keeps
     ``==`` and ``hash`` exact.  Indexing, ``row``, ``column``, iteration
     and the serialized forms still present every entry, zeros included.
+
+    Zeros are dropped only where they can come in: the dense constructor,
+    ``diagonal`` and ``scale`` by zero.  Every kernel keeps the rule
+    itself (``_add_into`` deletes entries that cancel, and a product of
+    nonzero Gaussian rationals is nonzero), so ``_from_rows`` takes kernel
+    rows as they are and makes them the matrix's own.
     """
 
     __slots__ = ("rows", "cols", "_rows")
@@ -348,10 +385,11 @@ class ExactMatrix:
         dense = [[Scalar.coerce(x) for x in row] for row in rows]
         if dense and any(len(row) != len(dense[0]) for row in dense):
             raise DimensionError("ragged rows")
-        self._set(len(dense[0]) if dense else 0, [dict(enumerate(row)) for row in dense])
+        self._set(len(dense[0]) if dense else 0,
+                  [{c: x for c, x in enumerate(row) if x} for row in dense])
 
     def _set(self, cols: int, entries) -> None:
-        rows = tuple({c: x for c, x in row.items() if x} for row in entries)
+        rows = tuple(entries)
         if not rows or cols < 1:
             raise DimensionError("matrix needs at least one row and column")
         object.__setattr__(self, "rows", len(rows))
@@ -360,7 +398,8 @@ class ExactMatrix:
 
     @staticmethod
     def _from_rows(cols: int, entries) -> "ExactMatrix":
-        """Build from one {column: entry} mapping per row; zeros are dropped."""
+        """Build from one {column: entry} mapping per row, holding no zero.
+        Each mapping becomes the matrix's own and is never written again."""
         m = object.__new__(ExactMatrix)
         m._set(cols, entries)
         return m
@@ -382,7 +421,8 @@ class ExactMatrix:
     @staticmethod
     def diagonal(values) -> "ExactMatrix":
         vals = [Scalar.coerce(v) for v in values]
-        return ExactMatrix._from_rows(len(vals), [{i: v} for i, v in enumerate(vals)])
+        return ExactMatrix._from_rows(
+            len(vals), [{i: v} if v else {} for i, v in enumerate(vals)])
 
     @staticmethod
     def from_columns(columns) -> "ExactMatrix":
@@ -435,9 +475,13 @@ class ExactMatrix:
         return json.dumps(self.to_nested_strings())
 
     def to_nested_strings(self) -> list[list[str]]:
-        zero = str(ZERO)
-        return [[str(row[c]) if c in row else zero for c in range(self.cols)]
-                for row in self._rows]
+        zero, nested = [str(ZERO)], []
+        for row in self._rows:
+            line = zero * self.cols
+            for c, x in row.items():
+                line[c] = str(x)
+            nested.append(line)
+        return nested
 
     # -- access -------------------------------------------------------
 
@@ -526,6 +570,8 @@ class ExactMatrix:
 
     def scale(self, factor) -> "ExactMatrix":
         f = Scalar.coerce(factor)
+        if not f:
+            return ExactMatrix.zeros(self.rows, self.cols)
         return ExactMatrix._from_rows(
             self.cols, [{c: f * x for c, x in row.items()} for row in self._rows])
 

@@ -10,7 +10,6 @@ report; output is deterministic, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -33,6 +32,7 @@ from .reduction import (
 from .report import (
     AmbiguousKinematicError,
     analyze_theory,
+    json_text,
     render_text,
     report_to_dict,
 )
@@ -78,7 +78,7 @@ def _fail(message: str) -> int:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(json_text(payload) + "\n")
 
 
 def cmd_analyze(args) -> int:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import ExactMatrix, Scalar, self_check
+from .algebra import ExactMatrix, Scalar, _check_literal_size, self_check
 
 __all__ = [
     "SpinGenerators",
@@ -36,6 +36,7 @@ __all__ = [
 def as_two_j(j) -> int:
     """Normalize a spin given as int, Fraction, float or '3/2' text to 2j."""
     if isinstance(j, str):
+        _check_literal_size(j)
         try:
             j = Fraction(j)
         except ZeroDivisionError:

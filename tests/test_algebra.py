@@ -508,8 +508,9 @@ def nested_any_shape():
 
 
 def assert_matches(got: ExactMatrix, want):
-    """Same dense view, and equal to the matrix built from the literal
-    entries, zeros included."""
+    """Same dense view, equal to the matrix built from the literal entries,
+    zeros included, and no zero stored."""
+    assert all(x for row in got._rows for x in row.values())
     assert [list(row) for row in got] == want
     assert got == ExactMatrix(want)
     assert hash(got) == hash(ExactMatrix(want))
@@ -541,6 +542,20 @@ def test_sparse_kernels_match_the_dense_reference(ops, f):
     assert_matches(ExactMatrix.block([[ma, mb], [mb, ma]]),
                    dense_block([[a, b], [b, a]]))
     assert_matches(ma.submatrix(rows, cols), dense_submatrix(a, rows, cols))
+    assert_matches(ma.conjugate(), dense_transpose(dense_dagger(a)))
+    gram = dense_matmul(a, dense_dagger(a))
+    assert_matches((ma @ ma.dagger()).principal(rows),
+                   dense_submatrix(gram, rows, rows))
+    # the constructors that take entries from outside drop the zeros there
+    diag = a[0]
+    assert_matches(ExactMatrix.diagonal(diag),
+                   [[x if i == j else Scalar(0) for j in range(len(diag))]
+                    for i, x in enumerate(diag)])
+    assert_matches(ExactMatrix.identity(len(diag)),
+                   [[Scalar(int(i == j)) for j in range(len(diag))]
+                    for i in range(len(diag))])
+    assert_matches(ExactMatrix.zeros(len(a), len(diag)),
+                   [[Scalar(0)] * len(diag) for _ in a])
     assert ma.is_zero() == all(not x for row in a for x in row)
     assert ma.is_real() == all(x.is_real for row in a for x in row)
 

@@ -2,9 +2,11 @@
 
 Each case runs one command in process and compares its stdout and its
 ``--json`` file with the files under ``tests/golden/``.  The cases cover
-the shipped corpus, ``dkp-check --paper-relations`` and two
+the shipped corpus, ``dkp-check --paper-relations``, two
 antisymmetric-pair theories whose flavor block has repeated and
-fractional entries, which pins the order of the diagonalization columns.
+fractional entries, which pins the order of the diagonalization columns,
+and ``fock`` with a word and a Gram matrix over a table with complex and
+fractional pairings.
 
 Regenerate after an intended change of output with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -39,6 +41,8 @@ def _cases() -> dict[str, list[str]]:
     for name in ("pair_spin2", "pair_spin4"):
         cases[name] = ["analyze", str(GOLDEN / f"{name}.th")]
     cases["dkp-check"] = ["dkp-check", "--paper-relations"]
+    cases["fock"] = ["fock", str(GOLDEN / "fock.rel"), "--word", "a b adag bdag",
+                     "--gram", str(GOLDEN / "fock_states.txt")]
     return cases
 
 

@@ -68,6 +68,9 @@ def test_parse_full_attribute_set():
         ("theory t\nfield a spin=2/3\n", "integer or half-integer"),
         ("theory t\nfield a spin=9/2\n", "exceeds the supported maximum"),
         ("theory t\nfield a spin=1/0\n", "line 2: spin '1/0' has a zero denominator"),
+        # refused before the integer is built, not while printing it
+        ("theory t\nfield a spin=1e100000\n",
+         "line 2: literal '1e100000' exceeds 4300 digits"),
         ("theory t\nfield x spin=1 copies=2 flavors=99999999999\n",
          "line 2: theory has 599999999994 components, over the supported maximum"),
         ("theory t\nfield a spin=0 hermitian=false\n", "annihilation"),

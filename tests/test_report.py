@@ -5,12 +5,15 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import spinstat
 from spinstat.model import parse_theory
 from spinstat.report import (
     AmbiguousKinematicError,
     analyze_theory,
+    json_text,
     render_text,
     report_to_dict,
     report_to_json,
@@ -141,3 +144,21 @@ def test_json_rendering_is_stable_in_process():
     second = report_to_json(analyze(text))
     assert first == second
     assert first.endswith("\n")
+
+
+# JSON scalars, strings with non-ASCII and control characters among them
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(st.characters(blacklist_categories=("Cs",))))
+# nested dicts and lists, empty ones at every depth, lists that hold only
+# scalars (the one-call path) and lists that mix scalars and containers
+json_payloads = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(json_scalars, max_size=5)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=5)),
+    max_leaves=40)
+
+
+@given(json_payloads)
+def test_json_text_matches_json_dumps(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2)
