@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .algebra import (
     DimensionError,
     ExactMatrix,
+    ParseError,
     Scalar,
     SelfCheckError,
     SymmetryClass,
@@ -24,6 +25,7 @@ __all__ = [
     "__version__",
     "DimensionError",
     "ExactMatrix",
+    "ParseError",
     "Scalar",
     "SelfCheckError",
     "SymmetryClass",

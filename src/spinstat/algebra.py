@@ -22,6 +22,8 @@ from math import gcd, lcm
 
 __all__ = [
     "DimensionError",
+    "NotHermitianError",
+    "ParseError",
     "SelfCheckError",
     "self_check",
     "Scalar",
@@ -36,6 +38,23 @@ __all__ = [
 
 class DimensionError(ValueError):
     """Shapes do not line up for the requested operation."""
+
+
+class NotHermitianError(ValueError):
+    """A matrix that must be hermitian is not."""
+
+
+class ParseError(ValueError):
+    """Bad input text, with the number of the line at fault in ``.line``.
+
+    Both input grammars, theories and relation tables, raise it.  The text
+    starts with ``line N:``; an error of the whole text rather than of one
+    line has ``.line`` None and no prefix.
+    """
+
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
+        self.line = line_no
 
 
 class SelfCheckError(Exception):
@@ -641,7 +660,17 @@ class ExactMatrix:
         return self.is_square and self == -self.transpose()
 
     def is_hermitian(self) -> bool:
-        return self.is_square and self == self.dagger()
+        """Each stored entry has its conjugate at the mirrored position;
+        compares the canonical ints in place and builds no dagger."""
+        if not self.is_square:
+            return False
+        rows = self._rows
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                y = rows[j].get(i)
+                if y is None or y._a != x._a or y._b != -x._b or y._d != x._d:
+                    return False
+        return True
 
     def is_real(self) -> bool:
         return all(x.is_real for row in self._rows for x in row.values())
@@ -777,10 +806,11 @@ def hermitian_signature(m: ExactMatrix) -> tuple[int, int, int]:
     (Sylvester's law of inertia), so it is read off the pivot blocks: a
     1x1 block counts by the sign of its real entry, a 2x2 block has zero
     diagonal and determinant -|b|^2 < 0, hence one eigenvalue of each
-    sign, and the rank deficit counts the zeros.
+    sign, and the rank deficit counts the zeros.  A matrix that is not
+    hermitian raises ``NotHermitianError``.
     """
     if not m.is_hermitian():
-        raise ValueError("signature is defined for hermitian matrices only")
+        raise NotHermitianError("signature is defined for hermitian matrices only")
     indices, blocks = pivoted_elimination(m)
     positives = sum(1 if b.rows == 2 else int(b[0, 0].re > 0) for b in blocks)
     return positives, len(indices) - positives, m.rows - len(indices)

@@ -6,22 +6,36 @@ of words follow by Wick contraction, which is enough machinery for Gram
 matrices of multi-quantum states, and in particular to exhibit a
 negative-norm state when a pairing carries the wrong sign.
 
-One memoized recursion does every contraction.  Under anticommutators it
-signs each term by the parity of its position instead of multiplying a
-running sign, it returns 0 at once for a word whose creators are not half
-of it, and a Gram matrix shares one memo per bra.  Word length
-(``MAX_WORD_SYMBOLS``) and the number of Gram states (``MAX_GRAM_STATES``)
-are bounded before any contraction.
+One memoized recursion does every contraction, in exact integer
+arithmetic: a table holds each pair value as a Gaussian-integer numerator
+over one denominator D, the lcm of its value denominators, so a subword
+with p pairs is a numerator pair (re, im) over D**p, and one ``Scalar`` is
+built per word.  Under anticommutators the recursion signs each term by
+the parity of its position instead of multiplying a running sign.  A word
+whose creators are not half of it is 0 without any contraction, and so is
+a Gram entry between states of different quanta counts; the entries of a
+Gram matrix share one memo.  Word length (``MAX_WORD_SYMBOLS``) and the
+number of Gram states (``MAX_GRAM_STATES``) are bounded before any
+contraction, and the memo (``MAX_CONTRACTION_STATES``) as it grows.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple
 
-from .algebra import ExactMatrix, Scalar, hermitian_signature
+from .algebra import (
+    ExactMatrix,
+    NotHermitianError,
+    ParseError,
+    Scalar,
+    _make,
+    hermitian_signature,
+)
 
 __all__ = [
     "UnknownSymbolError",
+    "ContractionLimitError",
     "RelationTable",
     "parse_relation_table",
     "vacuum_expectation",
@@ -30,6 +44,7 @@ __all__ = [
     "gram_matrix",
     "MAX_WORD_SYMBOLS",
     "MAX_GRAM_STATES",
+    "MAX_CONTRACTION_STATES",
 ]
 
 # longest word whose vacuum expectation is taken; the contraction recurses
@@ -39,17 +54,34 @@ MAX_WORD_SYMBOLS = 256
 
 # most states in one Gram matrix, checked before any contraction.  The
 # exact signature is cubic in the state count: 128 dense 3-quantum states
-# over 12 modes take about 11 s (Python 3.11, 2 cores), and each doubling
-# costs about 8x more.  That is 8x the 16 states of the largest perfbench
+# over 12 modes, pair values in -3..3, take about 9-10 s (Python 3.11,
+# 2 cores), nearly all of it the signature, and each doubling costs about
+# 8x more.  That is 8x the 16 states of the largest perfbench
 # Gram matrix and leaves room for a 64-state bound workload.
 MAX_GRAM_STATES = 128
 
+# most memoized subwords in one vacuum expectation or one Gram matrix,
+# whose entries share one memo, checked as the memo grows.  Each entry is
+# one step of the recursion, so this bounds both time and memory: Bose
+# values on dense tables are permanents, and the word a1..ak a1dag..akdag
+# on a dense table needs 2**k - 1 entries.  k = 16 takes about 1.1 s and
+# 25 MB (Python 3.11, 2 cores).  On perfbench gram-signature a long word
+# needs 12 entries and a 16-state Gram matrix at most 143 (seeds 11-20).
+MAX_CONTRACTION_STATES = 2 ** 16
+
 _ZERO = Scalar(0)
-_ONE = Scalar(1)
+# numerator pairs of the empty word and of a word with no contraction
+_UNIT = (1, 0)
+_NULL = (0, 0)
 
 
 class UnknownSymbolError(ValueError):
     """A word used a symbol the relation table does not declare."""
+
+
+class ContractionLimitError(ValueError):
+    """A contraction needed more memoized subwords than
+    ``MAX_CONTRACTION_STATES``."""
 
 
 class RelationTable:
@@ -59,7 +91,9 @@ class RelationTable:
     sum over annihilator-creator contractions only.  Adjoints are resolved
     by name (``x`` versus ``xdag``) when both symbols are declared, falling
     back to the pair partner: a table that declares only ``pair c ddag`` is
-    the hermitian-identified presentation where d = c.
+    the hermitian-identified presentation where d = c.  ``denominator`` is
+    the lcm of the pair-value denominators, over which the contraction
+    holds every value as a Gaussian-integer numerator.
     """
 
     def __init__(self, bracket: str, pairs) -> None:
@@ -87,6 +121,15 @@ class RelationTable:
         for a, c, _ in self.pairs:
             self._partners.setdefault(a, []).append(c)
             self._partners.setdefault(c, []).append(a)
+
+        # each nonzero pair value (A + B*i) / denominator as (A, B), keyed
+        # by annihilator, then creator
+        self.denominator: int = lcm(*(v._d for _, _, v in self.pairs))
+        self._numerators: dict[str, dict[str, tuple[int, int]]] = {}
+        for a, c, v in self.pairs:
+            if v:
+                scale = self.denominator // v._d
+                self._numerators.setdefault(a, {})[c] = (v._a * scale, v._b * scale)
 
     @property
     def symbols(self) -> frozenset[str]:
@@ -119,7 +162,11 @@ class RelationTable:
 
 
 def parse_relation_table(text: str) -> RelationTable:
-    """Parse the line format: ``bracket = <kind>`` and ``pair <a> <cdag> = <value>``."""
+    """Parse the line format: ``bracket = <kind>`` and ``pair <a> <cdag> = <value>``.
+
+    A malformed line raises ``ParseError`` with its line number; a table
+    without a bracket line or without pairs raises it with line None.
+    """
     bracket = None
     pairs = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -129,34 +176,33 @@ def parse_relation_table(text: str) -> RelationTable:
         tokens = line.split()
         if tokens[0] == "bracket":
             if len(tokens) != 3 or tokens[1] != "=":
-                raise ValueError(f"line {line_no}: expected 'bracket = <kind>'")
+                raise ParseError(line_no, "expected 'bracket = <kind>'")
             if bracket is not None:
-                raise ValueError(f"line {line_no}: duplicate bracket line")
+                raise ParseError(line_no, "duplicate bracket line")
             bracket = tokens[2]
         elif tokens[0] == "pair":
             if len(tokens) < 5 or tokens[3] != "=":
-                raise ValueError(
-                    f"line {line_no}: expected 'pair <a> <cdag> = <value>'")
+                raise ParseError(line_no, "expected 'pair <a> <cdag> = <value>'")
             a, c = tokens[1], tokens[2]
             if a.endswith("dag"):
-                raise ValueError(
-                    f"line {line_no}: first pair symbol is the annihilator "
-                    f"and must not end in 'dag'")
+                raise ParseError(
+                    line_no,
+                    "first pair symbol is the annihilator and must not end in 'dag'")
             if not c.endswith("dag"):
-                raise ValueError(
-                    f"line {line_no}: second pair symbol is the creator "
-                    f"and must end in 'dag'")
+                raise ParseError(
+                    line_no,
+                    "second pair symbol is the creator and must end in 'dag'")
             try:
                 value = Scalar.parse("".join(tokens[4:]))
             except ValueError as exc:
-                raise ValueError(f"line {line_no}: bad pair value: {exc}") from None
+                raise ParseError(line_no, f"bad pair value: {exc}") from None
             pairs.append((a, c, value))
         else:
-            raise ValueError(f"line {line_no}: unknown directive {tokens[0]!r}")
+            raise ParseError(line_no, f"unknown directive {tokens[0]!r}")
     if bracket is None:
-        raise ValueError("relation table needs a 'bracket = ...' line")
+        raise ParseError(None, "relation table needs a 'bracket = ...' line")
     if not pairs:
-        raise ValueError("relation table declares no pairs")
+        raise ParseError(None, "relation table declares no pairs")
     return RelationTable(bracket, pairs)
 
 
@@ -171,49 +217,59 @@ def _check_word(word, table: RelationTable) -> tuple[str, ...]:
     return symbols
 
 
-def _contract(symbols: tuple[str, ...], table: RelationTable,
-              memo: dict[tuple[str, ...], Scalar]) -> Scalar:
-    """<0|symbols|0> of a checked word; `memo` caches subword values.
+def _contract(table: RelationTable, memo: dict[tuple[str, ...], tuple[int, int]]):
+    """The Wick recursion of `table` over `memo`, on integer numerators.
 
-    Any word may share `memo` with this one, since a key is a whole subword
-    and its value depends on nothing but the subword and the table.
+    It maps a checked word whose creators are half of it, with p
+    annihilator-creator pairs, to (re, im), the word's value being
+    (re + im*i) / D**p for the table denominator D.  That depends on
+    nothing but the word and the table, so words may share `memo`, which
+    caches the value of each subword met.  More than
+    ``MAX_CONTRACTION_STATES`` entries in it raise
+    ``ContractionLimitError``.
     """
     creators = table.creators
-    # each contraction removes one annihilator and one creator, so a word
-    # whose creators are not half of it has no complete contraction
-    if 2 * sum(s in creators for s in symbols) != len(symbols):
-        return _ZERO
     fermi = table.bracket == "anticommutator"
-    value = table.value
+    numerators = table._numerators
+    limit = MAX_CONTRACTION_STATES
 
-    def go(w: tuple[str, ...]) -> Scalar:
+    def go(w: tuple[str, ...]) -> tuple[int, int]:
         if not w:
-            return _ONE
+            return _UNIT
         if w[0] in creators or w[-1] not in creators:
-            return _ZERO
+            return _NULL
         cached = memo.get(w)
         if cached is not None:
             return cached
-        total = _ZERO
+        re = im = 0
+        # annihilators are never keys of a numerator row, so only the
+        # creators that pair with w[0] are visited
+        row = numerators.get(w[0], {})
         for k in range(1, len(w)):
-            if w[k] not in creators:
+            pair = row.get(w[k])
+            if pair is None:
                 continue
-            pair = value(w[0], w[k])
-            if pair.is_zero:
+            r, s = go(w[1:k] + w[k + 1:])
+            if not (r or s):
                 continue
-            rest = go(w[1:k] + w[k + 1:])
-            if rest.is_zero:
-                continue
+            a, b = pair
+            x, y = (a * r - b * s, a * s + b * r) if b else (a * r, a * s)
             # moving w[0] past the k - 1 symbols before w[k] costs
             # (-1)^(k-1) under anticommutators
             if fermi and k % 2 == 0:
-                total = total - pair * rest
+                re -= x
+                im -= y
             else:
-                total = total + pair * rest
-        memo[w] = total
-        return total
+                re += x
+                im += y
+        if len(memo) >= limit:
+            raise ContractionLimitError(
+                f"contraction needs more than {limit} subword values, "
+                f"over the supported maximum")
+        memo[w] = value = (re, im)
+        return value
 
-    return go(symbols)
+    return go
 
 
 def vacuum_expectation(word, table: RelationTable) -> Scalar:
@@ -225,9 +281,18 @@ def vacuum_expectation(word, table: RelationTable) -> Scalar:
     without a and x_k.  Same-kind brackets vanish, so no other terms
     appear.  Under anticommutators the term is signed by the parity of the
     k - 1 symbols passed: it is subtracted when k is even.  A word whose
-    creators are not half of its symbols is 0 without any contraction.
+    creators are not half of its symbols is 0 without any contraction, and
+    a word that needs more than ``MAX_CONTRACTION_STATES`` memoized
+    subwords raises ``ContractionLimitError``.
     """
-    return _contract(_check_word(word, table), table, {})
+    symbols = _check_word(word, table)
+    # each contraction removes one annihilator and one creator, so a word
+    # whose creators are not half of it has no complete contraction
+    pairs, odd = divmod(len(symbols), 2)
+    if odd or sum(s in table.creators for s in symbols) != pairs:
+        return _ZERO
+    re, im = _contract(table, {})(symbols)
+    return _make(re, im, table.denominator ** pairs)
 
 
 def adjoint_word(word, table: RelationTable) -> tuple[str, ...]:
@@ -244,14 +309,18 @@ class GramResult(NamedTuple):
 def gram_matrix(states, table: RelationTable) -> GramResult:
     """Gram matrix G_mn = <0| adjoint(word_m) word_n |0> of creator words.
 
-    The state count is bounded by ``MAX_GRAM_STATES`` before any adjoint
-    or contraction.  Each bra adjoint(word_m) is built once per row, and
-    the entries of a row share one contraction memo, since every subword
-    met there starts with a suffix of that bra.  Every entry is computed,
-    not half the matrix plus conjugates, so a table that contradicts its
-    own adjoint structure shows up as a non-hermitian matrix and is
-    rejected.  The signature is computed exactly; a negative entry in it
-    is the negative-norm witness.
+    The state count is bounded by ``MAX_GRAM_STATES``, and the longest
+    bra+ket word, twice the longest state, by ``MAX_WORD_SYMBOLS``, before
+    any contraction.  A bra is all annihilators and a ket all creators, so
+    states with different quanta counts have entry 0 and are not
+    contracted.  Each bra adjoint(word_m) is built once per row, and all
+    entries share one contraction memo, since a memo key is a whole
+    subword; ``MAX_CONTRACTION_STATES`` bounds it over the whole matrix.
+    Every entry within a sector is computed, not half of it plus
+    conjugates, so a table that contradicts its own adjoint structure
+    shows up as a non-hermitian matrix, which the signature rejects once.
+    The signature is computed exactly; a negative entry in it is the
+    negative-norm witness.
     """
     words = list(states)
     if not words:
@@ -266,15 +335,29 @@ def gram_matrix(states, table: RelationTable) -> GramResult:
             if s not in table.creators:
                 raise ValueError(
                     f"gram states must be creator words; {s!r} is not a creator")
-    entries = []
+    longest = max(map(len, words))
+    if 2 * longest > MAX_WORD_SYMBOLS:
+        raise ValueError(
+            f"bra and ket of a {longest}-quantum state have {2 * longest} "
+            f"symbols, over the supported maximum {MAX_WORD_SYMBOLS}")
+    contract = _contract(table, {})
+    rows = []
     for m in words:
         bra = adjoint_word(m, table)
-        memo: dict[tuple[str, ...], Scalar] = {}
-        entries.append(
-            [_contract(_check_word(bra + n, table), table, memo) for n in words])
-    matrix = ExactMatrix(entries)
-    if not matrix.is_hermitian():
+        quanta = len(m)
+        denominator = table.denominator ** quanta
+        row = {}
+        for j, n in enumerate(words):
+            if len(n) == quanta:
+                re, im = contract(bra + n)
+                if re or im:
+                    row[j] = _make(re, im, denominator)
+        rows.append(row)
+    matrix = ExactMatrix._from_rows(len(words), rows)
+    try:
+        signature = hermitian_signature(matrix)
+    except NotHermitianError:
         raise ValueError(
             "gram matrix came out non-hermitian; the relation table is not "
-            "consistent with its own adjoint structure")
-    return GramResult(matrix, hermitian_signature(matrix))
+            "consistent with its own adjoint structure") from None
+    return GramResult(matrix, signature)

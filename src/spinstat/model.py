@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import ExactMatrix, Scalar, SymmetryClass
+from .algebra import ExactMatrix, ParseError, Scalar, SymmetryClass
 from .invariance import required_symmetry
 from .su2 import as_two_j, hermitian_basis, spin_label
 
@@ -48,10 +48,8 @@ NOTE_NOT_UNIQUE = "kinematic form not unique; specify explicitly"
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
-class TheoryParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line = line_no
+class TheoryParseError(ParseError):
+    """A theory file error; line 0 marks an error of the whole file."""
 
 
 class FieldSpec(NamedTuple):

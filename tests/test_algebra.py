@@ -558,6 +558,13 @@ def test_sparse_kernels_match_the_dense_reference(ops, f):
                    [[Scalar(0)] * len(diag) for _ in a])
     assert ma.is_zero() == all(not x for row in a for x in row)
     assert ma.is_real() == all(x.is_real for row in a for x in row)
+    # hermiticity compares entries in place; a Gram matrix passes, and one
+    # shifted corner entry decides it as the dense dagger does
+    assert ma.is_hermitian() == (a == dense_dagger(a))
+    assert ExactMatrix(gram).is_hermitian()
+    bent = [list(row) for row in gram]
+    bent[0][-1] += f
+    assert ExactMatrix(bent).is_hermitian() == (bent == dense_dagger(bent))
 
 
 @st.composite

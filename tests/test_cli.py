@@ -7,6 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from spinstat import cli, fock
 from spinstat.algebra import ExactMatrix
 from spinstat.fock import MAX_GRAM_STATES
 
@@ -378,6 +379,18 @@ def test_fock_too_many_gram_states_exits_1(bose_table, tmp_path):
     assert proc.stderr.startswith(
         f"error: {MAX_GRAM_STATES + 1} gram states, over the supported maximum")
     assert "Traceback" not in proc.stderr
+
+
+def test_fock_over_the_contraction_bound_exits_1(bose_table, monkeypatch, capsys):
+    # a a adag adag memoizes itself and a adag: two subwords, over a bound
+    # of one, so the contraction stops at the second
+    monkeypatch.setattr(fock, "MAX_CONTRACTION_STATES", 1)
+    assert cli.main(["fock", str(bose_table), "--word", "a a adag adag"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: contraction needs more than 1 subword values, "
+        "over the supported maximum\n")
 
 
 def test_fock_needs_word_or_gram(bose_table):

@@ -8,10 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import wick_gram_entry
-from spinstat.algebra import ExactMatrix, Scalar
+from spinstat import fock
+from spinstat.algebra import ExactMatrix, ParseError, Scalar
 from spinstat.fock import (
     MAX_GRAM_STATES,
     MAX_WORD_SYMBOLS,
+    ContractionLimitError,
     RelationTable,
     UnknownSymbolError,
     adjoint_word,
@@ -243,9 +245,28 @@ def test_parse_enforces_dag_naming():
 
 @pytest.mark.parametrize("value", ["1/0", "abc", "1/0+2i", "1e5000", "1e-5000"])
 def test_parse_reports_the_line_of_a_bad_pair_value(value):
-    with pytest.raises(ValueError, match=r"^line 3: bad pair value"):
+    with pytest.raises(ParseError, match=r"^line 3: bad pair value") as err:
         parse_relation_table(
             f"bracket = commutator\npair a adag = 1\npair c cdag = {value}")
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("text,line", [
+    ("bracket commutator", 1),
+    ("bracket = commutator\n\nbracket = commutator", 3),
+    ("bracket = commutator\npair a adag 1", 2),
+    ("bracket = commutator\npair adag bdag = 1", 2),
+    ("# comment\nbracket = commutator\npair a b = 1", 3),
+    ("bracket = commutator\nrelation a b = 1", 2),
+    ("pair a adag = 1", None),
+    ("bracket = commutator", None),
+])
+def test_every_parse_error_is_typed_and_carries_its_line(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_relation_table(text)
+    assert isinstance(err.value, ValueError)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ") == (line is not None)
 
 
 def test_table_rejects_bad_bracket_kind():
@@ -388,6 +409,32 @@ def test_gram_state_count_is_bounded_before_any_contraction():
             f"^{MAX_GRAM_STATES + 1} gram states, over the supported maximum "
             f"{MAX_GRAM_STATES}$")):
         gram_matrix(states, table)
+
+
+def _dense_bose_table(modes):
+    return RelationTable("commutator", [
+        (f"m{i}", f"m{j}dag", 1) for i in range(modes) for j in range(modes)])
+
+
+def test_contraction_is_bounded_as_its_memo_grows(monkeypatch):
+    # a1 a2 a3 a1dag a2dag a3dag on an all-ones table has 2**3 - 1 = 7
+    # memoized subwords and the value 3! = 6, the permanent of a 3x3 ones
+    table = _dense_bose_table(3)
+    word = ("m0", "m1", "m2", "m0dag", "m1dag", "m2dag")
+    monkeypatch.setattr(fock, "MAX_CONTRACTION_STATES", 7)
+    assert vacuum_expectation(word, table) == Scalar(6)
+    monkeypatch.setattr(fock, "MAX_CONTRACTION_STATES", 6)
+    with pytest.raises(ContractionLimitError,
+                       match="more than 6 subword values, over the supported maximum"):
+        vacuum_expectation(word, table)
+    # a Gram matrix counts one memo over all its entries: 3 one-quantum
+    # states meet in 9 distinct words, which fit a bound of 9, not of 6
+    states = [("m0dag",), ("m1dag",), ("m2dag",)]
+    with pytest.raises(ContractionLimitError):
+        gram_matrix(states, table)
+    monkeypatch.setattr(fock, "MAX_CONTRACTION_STATES", 9)
+    assert gram_matrix(states, table).matrix == ExactMatrix([[1] * 3] * 3)
+    assert issubclass(ContractionLimitError, ValueError)
 
 
 def test_unknown_symbol_raises():
@@ -574,8 +621,8 @@ def test_normal_order_is_confluent():
 
 _GAUSSIAN_RATIONALS = st.builds(
     Scalar,
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
 )
 
 
@@ -634,6 +681,56 @@ def test_mixed_sector_gram_signature():
     result = gram_matrix([("adag",), ("ddag",)], table)
     assert result.matrix == ExactMatrix.diagonal([1, -1])
     assert result.signature == (1, 1, 0)
+
+
+# pair values over three denominators, 2, 3 and 12, one of them complex: the
+# table denominator is their lcm 12, and a p-pair word sits over 12**p.  The
+# pairing matrix [[1/2, 1/3+1/4i], [1/3-1/4i, 2/3]] is hermitian.
+MIXED = parse_relation_table("""
+bracket = commutator
+pair a adag = 1/2
+pair b bdag = 2/3
+pair a bdag = 1/3+1/4i
+pair b adag = 1/3-1/4i
+""")
+MIXED_PAIRING = {
+    ("adag", "adag"): Scalar.parse("1/2"),
+    ("bdag", "bdag"): Scalar.parse("2/3"),
+    ("adag", "bdag"): Scalar.parse("1/3+1/4i"),
+    ("bdag", "adag"): Scalar.parse("1/3-1/4i"),
+}
+
+
+def test_mixed_denominator_word_by_hand():
+    assert MIXED.denominator == 12
+    assert MIXED.value("b", "adag") == Scalar.parse("1/3-1/4i")
+    # a with adag leaves <a bdag>: 1/2 (1/3+1/4i); a with bdag leaves
+    # <a adag>: (1/3+1/4i) 1/2; the sum is 1/3+1/4i = (48+36i)/12**2
+    word = ("a", "a", "adag", "bdag")
+    assert vacuum_expectation(word, MIXED) == Scalar.parse("1/3+1/4i")
+    # one pair: the value itself, 1/2 = 6/12
+    assert vacuum_expectation(("a", "adag"), MIXED) == Scalar.parse("1/2")
+    # three pairs over 12**3: <a a a adag adag adag> = 3! (1/2)**3
+    word = ("a",) * 3 + ("adag",) * 3
+    assert vacuum_expectation(word, MIXED) == Scalar.parse("3/4")
+
+
+def test_mixed_denominator_gram_by_hand():
+    states = [("adag", "bdag"), ("adag",), ("bdag", "bdag")]
+    result = gram_matrix(states, MIXED)
+    # <0| b a adag bdag |0> = |1/3+1/4i|**2 + (2/3)(1/2) = 25/144 + 48/144;
+    # <0| b a bdag bdag |0> = 2 (2/3)(1/3+1/4i); <0| b b bdag bdag |0> = 2 (2/3)**2;
+    # the 1-quantum state meets the 2-quantum ones in no term
+    g = Scalar.parse("4/9+1/3i")
+    assert result.matrix == ExactMatrix([
+        [Scalar.parse("73/144"), 0, g],
+        [0, Scalar.parse("1/2"), 0],
+        [g.conjugate(), 0, Scalar.parse("8/9")]])
+    # det of the 2-quantum block: 73/144 * 8/9 - 25/81 = 23/162 > 0
+    assert result.signature == (3, 0, 0)
+    for r, m in enumerate(states):
+        for c, n in enumerate(states):
+            assert result.matrix[r, c] == wick_gram_entry(MIXED_PAIRING, m, n, False)
 
 
 def test_gram_rejects_non_creator_states():
@@ -719,7 +816,7 @@ def test_two_mode_witness_gram_agrees_with_metric_realization():
     assert result.signature == (1, 2, 0)
 
 
-_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 
 @st.composite

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import invariant_form_space
-from spinstat.algebra import ExactMatrix
+from spinstat.algebra import ExactMatrix, ParseError
 from spinstat.model import (
     MAX_DIMENSION,
     NOTE_NO_FORM,
@@ -95,6 +95,9 @@ def test_parse_error_reports_line_number():
         parse("theory t\nfield a spin=bad\n")
     assert err.value.line == 2
     assert str(err.value).startswith("line 2:")
+    # one typed parse error for both grammars
+    assert isinstance(err.value, ParseError)
+    assert isinstance(err.value, ValueError)
 
 
 @pytest.mark.parametrize("attr", ["flavors=abc", "copies=1.5", "flavors="])
