@@ -14,6 +14,7 @@ it in exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import (
@@ -171,11 +172,13 @@ def _sign_of(value: Scalar) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def _negative_norm_witness() -> GramResult:
     """One-quantum state of squared norm -1 in the minus sector.
 
     Either bracket kind exhibits the same Gram entry from a -1 pairing;
-    the anticommutator presentation is used throughout.
+    the anticommutator presentation is used throughout.  The result is a
+    constant and immutable, so it is built once.
     """
     table = parse_relation_table("bracket = anticommutator\npair c ddag = -1")
     witness = gram_matrix([("ddag",)], table)

@@ -69,6 +69,7 @@ MAX_GRAM_STATES = 128
 # needs 12 entries and a 16-state Gram matrix at most 143 (seeds 11-20).
 MAX_CONTRACTION_STATES = 2 ** 16
 
+_BRACKETS = frozenset(("commutator", "anticommutator"))
 _ZERO = Scalar(0)
 # numerator pairs of the empty word and of a word with no contraction
 _UNIT = (1, 0)
@@ -97,7 +98,7 @@ class RelationTable:
     """
 
     def __init__(self, bracket: str, pairs) -> None:
-        if bracket not in ("commutator", "anticommutator"):
+        if bracket not in _BRACKETS:
             raise ValueError(
                 f"bracket must be commutator or anticommutator, got {bracket!r}")
         self.bracket = bracket
@@ -164,11 +165,13 @@ class RelationTable:
 def parse_relation_table(text: str) -> RelationTable:
     """Parse the line format: ``bracket = <kind>`` and ``pair <a> <cdag> = <value>``.
 
-    A malformed line raises ``ParseError`` with its line number; a table
-    without a bracket line or without pairs raises it with line None.
+    A malformed line, an unknown bracket kind or a repeated pair raises
+    ``ParseError`` with its line number; a table without a bracket line or
+    without pairs raises it with line None.
     """
     bracket = None
     pairs = []
+    declared: set[tuple[str, str]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -180,6 +183,10 @@ def parse_relation_table(text: str) -> RelationTable:
             if bracket is not None:
                 raise ParseError(line_no, "duplicate bracket line")
             bracket = tokens[2]
+            if bracket not in _BRACKETS:
+                raise ParseError(
+                    line_no, f"bracket must be commutator or anticommutator, "
+                             f"got {bracket!r}")
         elif tokens[0] == "pair":
             if len(tokens) < 5 or tokens[3] != "=":
                 raise ParseError(line_no, "expected 'pair <a> <cdag> = <value>'")
@@ -196,6 +203,9 @@ def parse_relation_table(text: str) -> RelationTable:
                 value = Scalar.parse("".join(tokens[4:]))
             except ValueError as exc:
                 raise ParseError(line_no, f"bad pair value: {exc}") from None
+            if (a, c) in declared:
+                raise ParseError(line_no, f"duplicate pair declaration {a} {c}")
+            declared.add((a, c))
             pairs.append((a, c, value))
         else:
             raise ParseError(line_no, f"unknown directive {tokens[0]!r}")

@@ -13,6 +13,8 @@ pairs versus constraints.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import NamedTuple
 
 from .algebra import (
@@ -23,7 +25,7 @@ from .algebra import (
     pivoted_elimination,
     self_check,
 )
-from .su2 import as_two_j
+from .su2 import as_two_j, hermitian_basis
 
 __all__ = [
     "required_symmetry",
@@ -72,19 +74,95 @@ class InvarianceReport(NamedTuple):
         return tuple(axis for axis, _ in self.violations)
 
 
-def check_su2_invariance(k0: ExactMatrix, gens) -> InvarianceReport:
-    """Exact check of G^T K0 + K0 G = 0 for each rotation generator."""
-    violations = []
-    for axis, g in zip("xyz", gens):
-        if g.shape != k0.shape:
-            raise DimensionError(
-                f"{axis} generator is {g.rows}x{g.cols} but the kinematic "
-                f"matrix is {k0.rows}x{k0.cols}")
-        residual = g.transpose() @ k0 + k0 @ g
-        entries = tuple((r, c) for r, c, _ in residual.nonzeros())
-        if entries:
-            violations.append((axis, entries))
-    return InvarianceReport(not violations, tuple(violations))
+def check_su2_invariance(k0: ExactMatrix, layout) -> InvarianceReport:
+    """Exact check of G^T K0 + K0 G = 0 for each rotation generator G.
+
+    ``layout`` lists the 2j of each (field, flavor, copy) block of K0 in
+    index order (``TheorySpec.block_layout``).  Each G is block diagonal,
+    with the hermitian-basis generator h of the block's spin on every
+    block, so on the block pair (A, B) the residual is
+    h_A^T K0[A, B] + K0[A, B] h_B.  It is computed only where K0[A, B]
+    has nonzeros, once per distinct (2j_A, 2j_B, entries) in a call, and
+    not at all between two spin-0 blocks, whose generators vanish.  Each
+    failing axis lists its nonzero residual positions in row-major order.
+    """
+    blocks = [_spin_block(two_j) for two_j in layout]
+    starts: list[int] = []
+    where: list[tuple[int, int]] = []  # (block, local index) per component
+    for b, (size, _) in enumerate(blocks):
+        starts.append(len(where))
+        where.extend((b, local) for local in range(size))
+    if k0.shape != (len(where), len(where)):
+        raise DimensionError(
+            f"the block layout has {len(where)} components but the kinematic "
+            f"matrix is {k0.rows}x{k0.cols}")
+
+    # each entry as (row, column) in its block and the canonical ints
+    # (a, b, d) of its value; entries arrive in row-major order, so equal
+    # blocks hold equal lists
+    coupled: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
+    for i, j, x in k0.nonzeros():
+        a, r = where[i]
+        b, c = where[j]
+        if layout[a] or layout[b]:
+            coupled.setdefault((a, b), []).append((r, c, x._a, x._b, x._d))
+
+    memo: dict[tuple, tuple[tuple[tuple[int, int], ...], ...]] = {}
+    found: tuple[list[tuple[int, int]], ...] = ([], [], [])
+    for (a, b), entries in coupled.items():
+        key = (layout[a], layout[b], tuple(entries))
+        residual = memo.get(key)
+        if residual is None:
+            residual = memo[key] = _block_residual(blocks[a], blocks[b], entries)
+        r0, c0 = starts[a], starts[b]
+        for out, local in zip(found, residual):
+            out.extend((r0 + r, c0 + c) for r, c in local)
+    violations = tuple((axis, tuple(sorted(entries)))
+                       for axis, entries in zip("xyz", found) if entries)
+    return InvarianceReport(not violations, violations)
+
+
+@lru_cache(maxsize=None)
+def _spin_block(two_j: int):
+    """(dimension, generators) of spin two_j/2.  Each hermitian-basis
+    generator is i times a real matrix (su2 checks this), so it is held
+    as (D, G): h = i*G/D with G integer, G as one {column: int} mapping
+    per row."""
+    gens = hermitian_basis(Fraction(two_j, 2)).generators
+    scaled = []
+    for h in gens:
+        d = lcm(*(x._d for _, _, x in h.nonzeros()))
+        rows: list[dict[int, int]] = [{} for _ in range(h.rows)]
+        for r, c, x in h.nonzeros():
+            rows[r][c] = x._b * (d // x._d)
+        scaled.append((d, rows))
+    return gens[0].rows, tuple(scaled)
+
+
+def _block_residual(row_block, col_block, entries):
+    """Per axis, the nonzero positions of h_A^T K + K h_B for the block K
+    given by its entries (row, column, a, b, d), the value (a + b*i)/d.
+
+    With h = i*G/D and K = K'/L over the lcm L of K's denominators, the
+    residual is i/(D_A*D_B*L) times D_B*G_A^T K' + D_A*K' G_B, which has
+    the same nonzero positions and is summed on ints, the real and the
+    imaginary part of K' apart (G is real)."""
+    scale = lcm(*(d for _, _, _, _, d in entries))
+    k = [(r, c, a * (scale // d), b * (scale // d)) for r, c, a, b, d in entries]
+    out = []
+    for (da, ga), (db, gb) in zip(row_block[1], col_block[1]):
+        acc: dict[tuple[int, int], list[int]] = {}
+        for r, c, re, im in k:
+            for i, g in ga[r].items():  # (G_A^T K')[i, c] gains G_A[r, i] K'[r, c]
+                s = acc.setdefault((i, c), [0, 0])
+                s[0] += db * g * re
+                s[1] += db * g * im
+            for j, g in gb[c].items():  # (K' G_B)[r, j] gains K'[r, c] G_B[c, j]
+                s = acc.setdefault((r, j), [0, 0])
+                s[0] += da * g * re
+                s[1] += da * g * im
+        out.append(tuple(p for p, (re, im) in acc.items() if re or im))
+    return tuple(out)
 
 
 def momentum_map(k0: ExactMatrix, statistics: str) -> ExactMatrix:
@@ -126,14 +204,19 @@ def constraint_split(k0: ExactMatrix, statistics: str) -> ConstraintSplit:
     constraint = [i for i in range(k0.rows) if i not in chosen]
 
     if canonical:
-        restricted = p.principal(canonical)
-        block = k0.principal(canonical)
         # dual check by ExactMatrix.rank, a forward elimination that shares
         # no code with the pivoting: the principal block it chose is full
         # rank and as large as the rank of P
-        self_check(restricted.rank() == len(canonical) == p.rank(),
-                   "pivoted elimination missed a full-rank principal block "
-                   "of the momentum map")
+        if constraint:
+            restricted = p.principal(canonical)
+            block = k0.principal(canonical)
+            full_rank = restricted.rank() == len(canonical) == p.rank()
+        else:  # the block is P itself, so one elimination decides both
+            restricted = p
+            block = k0
+            full_rank = p.rank() == len(canonical)
+        self_check(full_rank, "pivoted elimination missed a full-rank "
+                              "principal block of the momentum map")
     else:
         restricted = None
         block = None

@@ -30,7 +30,6 @@ __all__ = [
     "KinematicBuild",
     "parse_theory",
     "serialize_theory",
-    "theory_generators",
     "build_kinematic",
     "NOTE_NO_FORM",
     "NOTE_NOT_UNIQUE",
@@ -102,6 +101,12 @@ class TheorySpec(NamedTuple):
             out.append((f, range(offset, offset + f.block_dimension)))
             offset += f.block_dimension
         return out
+
+    def block_layout(self) -> tuple[int, ...]:
+        """The 2j of each (field, flavor, copy) block of components, in
+        index order: rotations act on each block alone."""
+        return tuple(f.two_j for f in self.fields
+                     for _ in range(f.flavors * f.copies))
 
     def index_map(self) -> tuple[str, ...]:
         labels = []
@@ -293,24 +298,7 @@ def serialize_theory(spec: TheorySpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- generators and kinematic construction -----------------------------------
-
-
-def theory_generators(spec: TheorySpec) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """Rotation generators on the full component space of the theory.
-
-    Rotations act on components only, so each field contributes the identity
-    on its flavor and copy axes tensored with its hermitian-basis generators.
-    """
-    per_axis = []
-    for f in spec.fields:
-        h = hermitian_basis(f.spin)
-        outer = ExactMatrix.identity(f.flavors * f.copies)
-        per_axis.append(tuple(ExactMatrix.kron(outer, g) for g in h.generators))
-    out = []
-    for axis in range(3):
-        out.append(_blockdiag([blocks[axis] for blocks in per_axis]))
-    return tuple(out)
+# -- kinematic construction --------------------------------------------------
 
 
 def _blockdiag(mats: list[ExactMatrix]) -> ExactMatrix:

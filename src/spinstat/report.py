@@ -23,12 +23,7 @@ from .invariance import (
     check_su2_invariance,
     constraint_split,
 )
-from .model import (
-    KinematicBuild,
-    TheorySpec,
-    build_kinematic,
-    theory_generators,
-)
+from .model import KinematicBuild, TheorySpec, build_kinematic
 from .schwinger import (
     SurfaceVariation,
     TheoryVerdict,
@@ -93,7 +88,7 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
 
     if build.status == "built":
         k0 = build.kinematic.matrix
-        invariance = check_su2_invariance(k0, theory_generators(spec))
+        invariance = check_su2_invariance(k0, spec.block_layout())
         if not invariance.ok:  # the statistics assumes an invariant K0
             verdict = verdict._replace(verdicts=tuple(
                 v._replace(consistent_statistics=None) for v in verdict.verdicts))
@@ -237,6 +232,14 @@ def report_to_json(report: VerdictReport) -> str:
 _INDENT = "  "
 # a list holding only these exact types is encoded in one call
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+_STR = frozenset((str,))
+
+
+def _plain(text: str) -> bool:
+    """Whether JSON writes text as it is between quotes: printable ASCII
+    without a quote or a backslash."""
+    return (text.isascii() and text.isprintable()
+            and '"' not in text and "\\" not in text)
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +251,10 @@ def _encoder(depth: int) -> json.JSONEncoder:
 
 def json_text(payload) -> str:
     """The text ``json.dumps`` writes with a two-space indent, byte for
-    byte, for dicts with str keys, lists and JSON scalars; each array of
-    scalars, such as a matrix row, goes to the C encoder in one call."""
+    byte, for dicts with str keys, lists and JSON scalars.  An array of
+    strings that need no escaping, such as a matrix row, is joined
+    directly; any other array of scalars goes to the C encoder in one
+    call."""
     out: list[str] = []
     _write_json_value(payload, 0, out)
     return "".join(out)
@@ -271,7 +276,10 @@ def _write_json_value(value, depth: int, out: list[str]) -> None:
         if not value:
             out.append("[]")
             return
-        if _JSON_SCALARS.issuperset(map(type, value)):
+        types = set(map(type, value))
+        if types == _STR and _plain("".join(value)):
+            out.append("[" + inner + '"' + ('",' + inner + '"').join(value) + '"')
+        elif _JSON_SCALARS.issuperset(types):
             out.append("[" + inner + _encoder(depth + 1).encode(value)[1:-1])
         else:
             sep = "[" + inner

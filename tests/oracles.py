@@ -14,6 +14,9 @@ type:
 - the invariant bilinear forms of a generator set come from solving
   J^T M + M J = 0 as one linear system in the entries of M, which checks
   the counting argument behind ``model._form_space_dims``;
+- rotation invariance comes from whole-space generators multiplied out
+  against the whole K0, which checks the per-block, memoized
+  ``invariance.check_su2_invariance``;
 - whether a kinematic term vanishes comes from expanding it over
   placeholder symbols, which checks ``invariance.momentum_map``;
 - the transpose symmetry class comes from building both halves of a
@@ -30,6 +33,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass
+from spinstat.invariance import InvarianceReport
+from spinstat.su2 import hermitian_basis
 
 
 class FractionPair:
@@ -241,6 +246,40 @@ def invariant_form_space(gens) -> FormSpace:
     sym_basis = _span_basis(sym_parts, n)
     antisym_basis = _span_basis(anti_parts, n)
     return FormSpace(len(sym_basis), len(antisym_basis), sym_basis, antisym_basis)
+
+
+def theory_generators(spec) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
+    """Rotation generators on the whole component space of a theory.
+
+    Rotations act on components only, so each field contributes the
+    identity on its flavor and copy axes tensored with its hermitian-basis
+    generators; each generator is written out entry by entry.
+    """
+    n = spec.dimension
+    out = []
+    for axis in range(3):
+        dense = [[Scalar(0)] * n for _ in range(n)]
+        offset = 0
+        for f in spec.fields:
+            g = hermitian_basis(f.spin).generators[axis]
+            for _ in range(f.flavors * f.copies):
+                for r, c, x in g.nonzeros():
+                    dense[offset + r][offset + c] = x
+                offset += g.rows
+        out.append(ExactMatrix(dense))
+    return tuple(out)
+
+
+def whole_space_invariance(k0: ExactMatrix, gens) -> InvarianceReport:
+    """G^T K0 + K0 G for each whole-space generator G, multiplied out on
+    the whole matrix: the reference for ``check_su2_invariance``."""
+    violations = []
+    for axis, g in zip("xyz", gens):
+        residual = g.transpose() @ k0 + k0 @ g
+        entries = tuple((r, c) for r, c, _ in residual.nonzeros())
+        if entries:
+            violations.append((axis, entries))
+    return InvarianceReport(not violations, tuple(violations))
 
 
 def kinematic_term_is_trivial(k0: ExactMatrix, statistics: str) -> bool:

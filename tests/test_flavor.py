@@ -198,6 +198,12 @@ def test_appendix_flow_finds_the_negative_sector():
     assert diagnosis.diagonal == ExactMatrix.diagonal([Scalar(0, -1), Scalar(0, 1)])
 
 
+def test_every_negative_diagnosis_shares_one_witness():
+    # the witness is a constant Gram matrix, built once for all diagnoses
+    first = flavor_diagnosis(epsilon(), spin=0).witness
+    assert flavor_diagnosis(epsilon(), spin=1).witness is first
+
+
 def test_half_integral_spin_is_not_an_inversion_attempt():
     diagnosis = flavor_diagnosis(epsilon(), spin="1/2")
     assert diagnosis.negative_norm

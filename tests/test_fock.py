@@ -258,6 +258,8 @@ def test_parse_reports_the_line_of_a_bad_pair_value(value):
     ("bracket = commutator\npair adag bdag = 1", 2),
     ("# comment\nbracket = commutator\npair a b = 1", 3),
     ("bracket = commutator\nrelation a b = 1", 2),
+    ("bracket = poisson\npair a adag = 1", 1),
+    ("bracket = commutator\npair a adag = 1\n\npair a adag = 2", 4),
     ("pair a adag = 1", None),
     ("bracket = commutator", None),
 ])

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import dense_inverse, dense_rref, kinematic_term_is_trivial
+from oracles import (
+    dense_inverse,
+    dense_rref,
+    kinematic_term_is_trivial,
+    theory_generators,
+    whole_space_invariance,
+)
 from spinstat import cli, invariance
 from spinstat.algebra import ExactMatrix, Scalar, SelfCheckError, SymmetryClass
 from spinstat.invariance import (
@@ -17,8 +23,8 @@ from spinstat.invariance import (
     momentum_map,
     required_symmetry,
 )
-from spinstat.model import build_kinematic, parse_theory, theory_generators
-from spinstat.su2 import hermitian_basis, spin_generators
+from spinstat.model import FieldSpec, TheorySpec, build_kinematic, parse_theory
+from spinstat.su2 import hermitian_basis
 
 # -- strategies -------------------------------------------------------------
 
@@ -83,8 +89,10 @@ def test_built_kinematic_is_invariant(text):
     spec = theory(text)
     build = build_kinematic(spec)
     assert build.status == "built"
-    report = check_su2_invariance(build.kinematic.matrix, theory_generators(spec))
+    k = build.kinematic.matrix
+    report = check_su2_invariance(k, spec.block_layout())
     assert report == InvarianceReport(True, ())
+    assert report == whole_space_invariance(k, theory_generators(spec))
 
 
 def test_perturbed_kinematic_fails_invariance():
@@ -96,7 +104,7 @@ def test_perturbed_kinematic_fails_invariance():
             for r in range(6)
         ]
     )
-    report = check_su2_invariance(k + bump, theory_generators(spec))
+    report = check_su2_invariance(k + bump, spec.block_layout())
     assert not report.ok
     assert report.failing_axes
     assert set(report.failing_axes) <= {"x", "y", "z"}
@@ -104,17 +112,16 @@ def test_perturbed_kinematic_fails_invariance():
 
 def test_scalar_generators_leave_anything_invariant():
     spec = theory("theory t\nfield phi spin=0 copies=3")
-    gens = theory_generators(spec)
     arbitrary = ExactMatrix(
         [[Scalar(r + 2 * c, r - c) for c in range(3)] for r in range(3)]
     )
-    assert check_su2_invariance(arbitrary, gens).ok
+    assert check_su2_invariance(arbitrary, spec.block_layout()).ok
 
 
 def test_invariance_reports_each_axis():
-    # the identity is not an invariant bilinear on the spin-1 weight basis
-    report = check_su2_invariance(ExactMatrix.identity(3),
-                                  spin_generators(1).generators)
+    # the spin-1 form is the identity in the hermitian basis, so each
+    # generator is antisymmetric and the residual of D is [D, G]
+    report = check_su2_invariance(ExactMatrix.diagonal([1, 2, 3]), (2,))
     assert not report.ok
     assert report.failing_axes == ("x", "y", "z")
     for _, entries in report.violations:
@@ -122,8 +129,8 @@ def test_invariance_reports_each_axis():
 
 
 def test_generator_as_kinematic_matrix_fails():
-    gens = spin_generators(1)
-    report = check_su2_invariance(gens.jz, gens.generators)
+    gz = hermitian_basis(1).generators[2]
+    report = check_su2_invariance(gz, (2,))
     assert not report.ok
     assert "x" in report.failing_axes
 
@@ -132,8 +139,76 @@ def test_invariance_rejects_dimension_mismatch():
     from spinstat.algebra import DimensionError
 
     with pytest.raises(DimensionError):
-        check_su2_invariance(ExactMatrix.identity(2),
-                             spin_generators(1).generators)
+        check_su2_invariance(ExactMatrix.identity(2), (2,))
+
+
+MAX_DRAWN_DIMENSION = 40
+nonzero_scalars = scalars.filter(bool)
+
+
+def _components(two_j):
+    return 2 * (two_j + 1) if two_j % 2 else two_j + 1
+
+
+@st.composite
+def perturbed_invariant_forms(draw):
+    """(spec, K0): fields of spin 0 to 4 with 1 or 2 flavors and copies,
+    at most MAX_DRAWN_DIMENSION components, and K0 built from the
+    invariant form of each spin, then changed at a few places: single
+    entries anywhere (across spins too), a change inside one block (one
+    of two identical blocks, when the layout repeats one), and the same
+    local entry stamped into every off-diagonal block pair, so that block
+    pairs of different spins hold equal entries."""
+    fields, dim = [], 0
+    for k in range(draw(st.integers(1, 3))):
+        two_j = draw(st.integers(0, 8))
+        flavors, copies = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        if dim + _components(two_j) * flavors * copies > MAX_DRAWN_DIMENSION:
+            flavors = copies = 1
+        if dim + _components(two_j) > MAX_DRAWN_DIMENSION:
+            continue
+        fields.append(FieldSpec(f"f{k}", two_j, flavors, copies))
+        dim += _components(two_j) * flavors * copies
+    spec = TheorySpec("t", tuple(fields))
+    layout = spec.block_layout()
+    starts = [sum(map(_components, layout[:b])) for b in range(len(layout))]
+    block = st.integers(0, len(layout) - 1)
+    rows = [[Scalar(0)] * dim for _ in range(dim)]
+
+    def add(a, b, r, c, value):
+        rows[starts[a] + r][starts[b] + c] += value
+
+    # the invariant forms: one per block, and between blocks of one spin
+    couplings = [(b, b) for b in range(len(layout))]
+    couplings += draw(st.lists(st.tuples(block, block), max_size=3))
+    for a, b in couplings:
+        if layout[a] == layout[b]:
+            coefficient = draw(scalars)
+            for r, c, x in hermitian_basis(Fraction(layout[a], 2)).form.nonzeros():
+                add(a, b, r, c, coefficient * x)
+    index = st.integers(0, dim - 1)
+    for i, j, value in draw(st.lists(st.tuples(index, index, nonzero_scalars),
+                                     max_size=2)):
+        rows[i][j] += value
+    for b, value in draw(st.lists(st.tuples(block, nonzero_scalars), max_size=1)):
+        local = st.integers(0, _components(layout[b]) - 1)
+        add(b, b, draw(local), draw(local), value)
+    local = st.integers(0, 3)
+    for r, c, value in draw(st.lists(st.tuples(local, local, nonzero_scalars),
+                                     max_size=1)):
+        for a in range(len(layout)):
+            for b in range(len(layout)):
+                if (a != b and r < _components(layout[a])
+                        and c < _components(layout[b])):
+                    add(a, b, r, c, value)
+    return spec, ExactMatrix(rows)
+
+
+@given(perturbed_invariant_forms())
+def test_invariance_matches_the_whole_space_oracle(case):
+    spec, k0 = case
+    report = check_su2_invariance(k0, spec.block_layout())
+    assert report == whole_space_invariance(k0, theory_generators(spec))
 
 
 # -- triviality of the kinematic term ----------------------------------------
@@ -364,6 +439,26 @@ def test_singular_pivot_set_raises_self_check_error(swap_in_a_constraint):
         constraint_split(wave_operator_kinematic(), "bose")
 
 
+@pytest.fixture
+def claim_every_index(monkeypatch):
+    """Make the elimination return every index as its pivot set, as if the
+    momentum map were invertible."""
+    real = invariance.pivoted_elimination
+
+    def everything(m):
+        return tuple(range(m.rows)), real(m)[1]
+
+    monkeypatch.setattr(invariance, "pivoted_elimination", everything)
+
+
+def test_full_pivot_set_of_a_singular_map_raises_self_check_error(
+        claim_every_index):
+    # written without assert statements so it also checks under python -O;
+    # every index is claimed canonical, but the wave operator's P has rank 2
+    with pytest.raises(SelfCheckError, match="full-rank principal block"):
+        constraint_split(wave_operator_kinematic(), "bose")
+
+
 def test_self_check_error_is_not_a_value_error():
     assert not issubclass(SelfCheckError, ValueError)
 
@@ -376,9 +471,10 @@ def test_cli_exits_4_on_a_failed_self_check(drop_last_pivot, capsys):
 def test_self_check_survives_python_O():
     nodes = [f"{__file__}::{name}" for name in (
         "test_dropped_pivot_raises_self_check_error",
-        "test_singular_pivot_set_raises_self_check_error")]
+        "test_singular_pivot_set_raises_self_check_error",
+        "test_full_pivot_set_of_a_singular_map_raises_self_check_error")]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *nodes],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "2 passed" in proc.stdout
+    assert "3 passed" in proc.stdout

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import invariant_form_space
+from oracles import invariant_form_space, theory_generators
 from spinstat.algebra import ExactMatrix, ParseError
 from spinstat.model import (
     MAX_DIMENSION,
@@ -14,7 +14,6 @@ from spinstat.model import (
     build_kinematic,
     parse_theory,
     serialize_theory,
-    theory_generators,
 )
 from spinstat.su2 import hermitian_basis
 
@@ -194,6 +193,14 @@ def test_index_map_layout():
     )
     spec2 = parse("theory t\nfield phi spin=0 flavors=2\n")
     assert spec2.index_map() == ("phi.f0.0", "phi.f1.0")
+
+
+def test_block_layout_lists_each_flavor_and_copy_block():
+    spec = parse("theory t\nfield phi spin=0 copies=2\n"
+                 "field a spin=1 flavors=2 copies=2\nfield psi spin=1/2\n")
+    assert spec.block_layout() == (0, 0, 2, 2, 2, 2, 1)
+    sizes = {0: 1, 1: 4, 2: 3}
+    assert sum(sizes[t] for t in spec.block_layout()) == spec.dimension
 
 
 # -- generators ---------------------------------------------------------------

@@ -149,12 +149,21 @@ def test_json_rendering_is_stable_in_process():
 # JSON scalars, strings with non-ASCII and control characters among them
 json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
                 | st.text(st.characters(blacklist_categories=("Cs",))))
+# strings JSON writes as they are, like matrix entries, and strings with
+# what it escapes: a quote, a backslash, DEL, control characters, non-ASCII
+plain_strings = st.text(st.sampled_from("0123456789/+-i "), max_size=6)
+escaped_strings = st.builds(
+    lambda head, char, tail: head + char + tail, plain_strings,
+    st.sampled_from('"\\\x7f\x00\n\x1f\xe9\u20ac\U0001d11e'), plain_strings)
 # nested dicts and lists, empty ones at every depth, lists that hold only
-# scalars (the one-call path) and lists that mix scalars and containers
+# scalars (the one-call path), lists of strings only (the joined path,
+# when no string needs escaping) and lists that mix scalars and containers
 json_payloads = st.recursive(
     json_scalars,
     lambda inner: (st.lists(inner, max_size=5)
                    | st.lists(json_scalars, max_size=5)
+                   | st.lists(plain_strings, max_size=5)
+                   | st.lists(plain_strings | escaped_strings, max_size=5)
                    | st.dictionaries(st.text(max_size=5), inner, max_size=5)),
     max_leaves=40)
 
