@@ -392,10 +392,10 @@ class ExactMatrix:
     and the serialized forms still present every entry, zeros included.
 
     Zeros are dropped only where they can come in: the dense constructor,
-    ``diagonal`` and ``scale`` by zero.  Every kernel keeps the rule
-    itself (``_add_into`` deletes entries that cancel, and a product of
-    nonzero Gaussian rationals is nonzero), so ``_from_rows`` takes kernel
-    rows as they are and makes them the matrix's own.
+    ``loads``, ``diagonal`` and ``scale`` by zero.  Every kernel keeps the
+    rule itself (``_add_into`` deletes entries that cancel, and a product
+    of nonzero Gaussian rationals is nonzero), so ``_from_rows`` takes
+    kernel rows as they are and makes them the matrix's own.
     """
 
     __slots__ = ("rows", "cols", "_rows")
@@ -486,9 +486,16 @@ class ExactMatrix:
         if not isinstance(nested, list) or not all(isinstance(r, list) for r in nested):
             raise ValueError("matrix JSON must be a nested array")
         try:
-            return ExactMatrix(nested)
+            # the literal "0", most entries of a sparse K0 file, is a zero
+            # without a parse; every other entry is coerced as by the
+            # dense constructor and dropped if it is zero ("-0", "0/3")
+            entries = [{c: x for c, v in enumerate(row)
+                        if v != "0" and (x := Scalar.coerce(v))} for row in nested]
         except TypeError as exc:  # a float, null or nested entry
             raise ValueError(str(exc)) from None
+        if nested and any(len(row) != len(nested[0]) for row in nested):
+            raise DimensionError("ragged rows")
+        return ExactMatrix._from_rows(len(nested[0]) if nested else 0, entries)
 
     def dumps(self) -> str:
         return json.dumps(self.to_nested_strings())
@@ -654,21 +661,28 @@ class ExactMatrix:
         return not any(self._rows)
 
     def is_symmetric(self) -> bool:
-        return self.is_square and self == self.transpose()
+        return self._mirrors(1, 1)
 
     def is_antisymmetric(self) -> bool:
-        return self.is_square and self == -self.transpose()
+        return self._mirrors(-1, -1)
 
     def is_hermitian(self) -> bool:
-        """Each stored entry has its conjugate at the mirrored position;
-        compares the canonical ints in place and builds no dagger."""
+        return self._mirrors(1, -1)
+
+    def _mirrors(self, re_sign: int, im_sign: int) -> bool:
+        """Whether each stored entry (a + b*i)/d at (i, j) has
+        (re_sign*a + im_sign*b*i)/d stored at (j, i): the transpose, its
+        negation or the conjugate transpose, by the canonical ints in
+        place, with no copy built.  No zero is ever stored, so an entry
+        without a stored mirror has a zero mirror and fails."""
         if not self.is_square:
             return False
         rows = self._rows
         for i, row in enumerate(rows):
             for j, x in row.items():
                 y = rows[j].get(i)
-                if y is None or y._a != x._a or y._b != -x._b or y._d != x._d:
+                if (y is None or y._a != re_sign * x._a
+                        or y._b != im_sign * x._b or y._d != x._d):
                     return False
         return True
 
@@ -718,7 +732,8 @@ def _add_into(target: dict, source: dict, factor: Scalar | None = None) -> None:
 
 def symmetry_class(m: ExactMatrix) -> SymmetryClass:
     """Zero, Symmetric, Antisymmetric or Mixed, tested in that order (the
-    zero matrix is both symmetric and antisymmetric); builds no half."""
+    zero matrix is both symmetric and antisymmetric); each test compares
+    mirrored entries in place, so neither half nor a transpose is built."""
     if not m.is_square:
         raise DimensionError("symmetry classification needs a square matrix")
     if m.is_zero():
@@ -769,8 +784,9 @@ def pivoted_elimination(m: ExactMatrix) -> tuple[tuple[int, ...], tuple[ExactMat
                           if j > i and j not in done), None)
         if pivot is None:
             break
-        blocks.append(ExactMatrix([[work[r].get(c, ZERO) for c in pivot]
-                                   for r in pivot]))
+        blocks.append(ExactMatrix._from_rows(len(pivot), [
+            {k: work[r][c] for k, c in enumerate(pivot) if c in work[r]}
+            for r in pivot]))
         done.update(pivot)
         for r in pivot:
             active.remove(r)

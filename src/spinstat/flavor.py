@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import (
+    ONE,
     DimensionError,
     ExactMatrix,
     Scalar,
@@ -62,15 +63,24 @@ def detect_flavor_antisymmetry(m: ExactMatrix) -> FlavorSplit:
     if m.rows % 2:
         return FlavorSplit(False, None, "odd dimension cannot split into two flavors")
     h = m.rows // 2
-    top = range(h)
-    bottom = range(h, m.rows)
-    m11 = m.submatrix(top, top)
-    m22 = m.submatrix(bottom, bottom)
-    m12 = m.submatrix(top, bottom)
-    m21 = m.submatrix(bottom, top)
-    if m11.is_zero() and m22.is_zero() and m21 == -m12 and not m12.is_zero():
-        return FlavorSplit(True, m12)
-    return FlavorSplit(False)
+    rows = m._rows
+    # Each bottom entry must be minus the block (M) entry at its position.
+    # The block holds each top entry at its column less h, so a top-left
+    # entry sits at a negative column and a bottom-right entry finds no
+    # partner.  As many bottom entries as top entries then means each top
+    # entry is an M entry with its partner, since no zero is stored.
+    block = [{j - h: x for j, x in row.items()} for row in rows[:h]]
+    count = 0
+    for i, row in enumerate(rows[h:]):
+        top = block[i]
+        for j, x in row.items():
+            y = top.get(j)
+            if y is None or y._a != -x._a or y._b != -x._b or y._d != x._d:
+                return FlavorSplit(False)
+        count += len(row)
+    if not count or count != sum(map(len, block)):
+        return FlavorSplit(False)
+    return FlavorSplit(True, ExactMatrix._from_rows(h, block))
 
 
 class FlavorDiagonalization(NamedTuple):
@@ -114,14 +124,12 @@ def diagonalize_flavor(lam: ExactMatrix) -> FlavorDiagonalization:
     order = ([(k, -I) for k in sorted(range(h), key=lambda k: (-w[k].re, k))]
              + [(k, I) for k in sorted(range(h), key=lambda k: (w[k].re, k))])
     eigenvalues = [phase * w[k] for k, phase in order]
-    columns = []
-    for k, phase in order:
-        column = [Scalar(0)] * lam.rows
-        column[k] = Scalar(1)
-        column[h + k] = phase
-        columns.append(column)
-
-    v_matrix = ExactMatrix.from_columns(columns)
+    # column t of V is e_k + phase*e_{h+k} for the t-th (k, phase)
+    v_rows: list[dict[int, Scalar]] = [{} for _ in range(lam.rows)]
+    for t, (k, phase) in enumerate(order):
+        v_rows[k][t] = ONE
+        v_rows[h + k][t] = phase
+    v_matrix = ExactMatrix._from_rows(lam.rows, v_rows)
     d_matrix = ExactMatrix.diagonal(eigenvalues)
     norms = (Fraction(2),) * lam.rows
     self_check(lam @ v_matrix == v_matrix @ d_matrix,

@@ -24,6 +24,7 @@ from .algebra import (
     SymmetryClass,
     pivoted_elimination,
     self_check,
+    symmetry_class,
 )
 from .su2 import as_two_j, hermitian_basis
 
@@ -165,12 +166,24 @@ def _block_residual(row_block, col_block, entries):
     return tuple(out)
 
 
+_HALF = Scalar(Fraction(1, 2))
+
+
 def momentum_map(k0: ExactMatrix, statistics: str) -> ExactMatrix:
     """Coefficient matrix of the canonical momenta: the part of K0 that
-    survives the variation, antisymmetric for bose and symmetric for fermi."""
-    bose = class_for_statistics(statistics) is SymmetryClass.ANTISYMMETRIC
+    survives the variation, (K0^T - K0)/2 for bose and (K0^T + K0)/2 for
+    fermi.  It is read off K0's symmetry class, so the transpose is built
+    only for a mixed K0: a K0 of the kept class gives -K0 (bose) or K0
+    itself (fermi), and a zero K0 or one of the dropped class gives zero."""
+    kept = class_for_statistics(statistics)
+    actual = symmetry_class(k0)
+    if actual is kept:
+        return -k0 if kept is SymmetryClass.ANTISYMMETRIC else k0
+    if actual is not SymmetryClass.MIXED:
+        return ExactMatrix.zeros(k0.rows)
     kt = k0.transpose()
-    return (kt - k0 if bose else kt + k0).scale(Scalar(Fraction(1, 2)))
+    return (kt - k0 if kept is SymmetryClass.ANTISYMMETRIC
+            else kt + k0).scale(_HALF)
 
 
 class ConstraintSplit(NamedTuple):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from .algebra import ExactMatrix, self_check, symmetry_class
@@ -176,12 +177,14 @@ def report_to_dict(report: VerdictReport) -> dict:
         })
 
     labels = kin.index_map if kin is not None else spec.index_map()
+    matrix = kin.matrix if kin is not None else None
+    matrix_rows = _matrix_json(matrix)
     kinematic = {
         "mode": spec.kinematic_mode,
         "build_status": report.build.status,
         "note": report.build.note,
         "index_map": list(labels),
-        "matrix": _matrix_json(kin.matrix if kin is not None else None),
+        "matrix": matrix_rows,
         "symmetry": None,
         "statistics": report.statistics,
         "invariant": None if report.invariance is None else report.invariance.ok,
@@ -193,8 +196,8 @@ def report_to_dict(report: VerdictReport) -> dict:
         "surface_variation": None,
         "constraints": None,
     }
-    if kin is not None:
-        kinematic["symmetry"] = symmetry_class(kin.matrix).name
+    if matrix is not None:
+        kinematic["symmetry"] = symmetry_class(matrix).name
     if report.surface is not None:
         kinematic["surface_variation"] = {
             "consistent": report.surface.consistent,
@@ -208,7 +211,10 @@ def report_to_dict(report: VerdictReport) -> dict:
             "canonical_labels": [labels[i] for i in s.canonical_indices],
             "constraint_indices": list(s.constraint_indices),
             "constraint_labels": [labels[i] for i in s.constraint_indices],
-            "nonsingular_block": _matrix_json(s.nonsingular_block),
+            # with every index canonical the block is K0 itself, whose
+            # text is already written
+            "nonsingular_block": (matrix_rows if s.nonsingular_block is matrix
+                                  else _matrix_json(s.nonsingular_block)),
         }
 
     flavor = None
@@ -233,6 +239,7 @@ _INDENT = "  "
 # a list holding only these exact types is encoded in one call
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 _STR = frozenset((str,))
+_LIST = frozenset((list,))
 
 
 def _plain(text: str) -> bool:
@@ -240,6 +247,15 @@ def _plain(text: str) -> bool:
     without a quote or a backslash."""
     return (text.isascii() and text.isprintable()
             and '"' not in text and "\\" not in text)
+
+
+def _plain_rows(rows: list) -> bool:
+    """Whether every row is a non-empty list of strings that JSON writes as
+    they are, as the rows of ``_matrix_json`` always are (``Scalar`` text
+    is digits, ``/``, ``+``, ``-`` and ``i``): one scan of the whole
+    matrix, none per row."""
+    return (all(rows) and set(map(type, chain.from_iterable(rows))) == _STR
+            and _plain("".join(map("".join, rows))))
 
 
 @lru_cache(maxsize=None)
@@ -252,9 +268,9 @@ def _encoder(depth: int) -> json.JSONEncoder:
 def json_text(payload) -> str:
     """The text ``json.dumps`` writes with a two-space indent, byte for
     byte, for dicts with str keys, lists and JSON scalars.  An array of
-    strings that need no escaping, such as a matrix row, is joined
-    directly; any other array of scalars goes to the C encoder in one
-    call."""
+    strings that need no escaping is joined directly, and so is an array
+    of non-empty such arrays, a matrix, in one step for all its rows; any
+    other array of scalars goes to the C encoder in one call."""
     out: list[str] = []
     _write_json_value(payload, 0, out)
     return "".join(out)
@@ -281,6 +297,13 @@ def _write_json_value(value, depth: int, out: list[str]) -> None:
             out.append("[" + inner + '"' + ('",' + inner + '"').join(value) + '"')
         elif _JSON_SCALARS.issuperset(types):
             out.append("[" + inner + _encoder(depth + 1).encode(value)[1:-1])
+        elif types == _LIST and _plain_rows(value):
+            # a matrix: every row in one join, each row's entries in another
+            row_inner = inner + _INDENT
+            out.append("[" + inner + "[" + row_inner + '"'
+                       + ('"' + inner + "]," + inner + "[" + row_inner + '"').join(
+                           map(('",' + row_inner + '"').join, value))
+                       + '"' + inner + "]")
         else:
             sep = "[" + inner
             for item in value:

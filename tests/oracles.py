@@ -21,6 +21,12 @@ type:
   placeholder symbols, which checks ``invariance.momentum_map``;
 - the transpose symmetry class comes from building both halves of a
   matrix, which checks ``algebra.symmetry_class``;
+- symmetry, antisymmetry and hermiticity come from comparing a matrix
+  with its built transpose, negated transpose or dagger, the flavor
+  pattern from four built quadrants, and the momentum map from the
+  built (K0^T -+ K0)/2, which check the in-place mirror walks of
+  ``ExactMatrix``, ``flavor.detect_flavor_antisymmetry`` and the
+  class-driven ``invariance.momentum_map``;
 - the ``dense_*`` functions redo the matrix kernels on plain nested lists
   of scalars, every zero stored, which checks the sparse storage of
   ``ExactMatrix``;
@@ -33,6 +39,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass
+from spinstat.flavor import FlavorSplit
 from spinstat.invariance import InvarianceReport
 from spinstat.su2 import hermitian_basis
 
@@ -334,6 +341,39 @@ def symmetry_class_by_halves(m: ExactMatrix) -> SymmetryClass:
     if sym.is_zero():
         return SymmetryClass.ANTISYMMETRIC
     return SymmetryClass.MIXED
+
+
+def symmetric_by_transpose(m: ExactMatrix) -> bool:
+    return m.is_square and m == m.transpose()
+
+
+def antisymmetric_by_transpose(m: ExactMatrix) -> bool:
+    return m.is_square and m == -m.transpose()
+
+
+def hermitian_by_dagger(m: ExactMatrix) -> bool:
+    return m.is_square and m == m.dagger()
+
+
+def flavor_antisymmetry_by_quadrants(m: ExactMatrix) -> FlavorSplit:
+    """The [[0, M], [-M, 0]] test on the four quadrants, each built."""
+    if m.rows % 2:
+        return FlavorSplit(False, None, "odd dimension cannot split into two flavors")
+    h = m.rows // 2
+    top, bottom = range(h), range(h, m.rows)
+    m11 = m.submatrix(top, top)
+    m22 = m.submatrix(bottom, bottom)
+    m12 = m.submatrix(top, bottom)
+    m21 = m.submatrix(bottom, top)
+    if m11.is_zero() and m22.is_zero() and m21 == -m12 and not m12.is_zero():
+        return FlavorSplit(True, m12)
+    return FlavorSplit(False)
+
+
+def momentum_map_by_transpose(k0: ExactMatrix, statistics: str) -> ExactMatrix:
+    """(K0^T - K0)/2 for bose and (K0^T + K0)/2 for fermi, built."""
+    kt = k0.transpose()
+    return (kt - k0 if statistics == "bose" else kt + k0).scale(Scalar(Fraction(1, 2)))
 
 
 # -- dense reference for the sparse matrix storage --------------------------

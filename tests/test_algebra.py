@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -32,7 +33,10 @@ from oracles import (
     dense_transpose,
     descartes_signature,
     leibniz_determinant,
+    antisymmetric_by_transpose,
+    hermitian_by_dagger,
     nullspace,
+    symmetric_by_transpose,
     symmetry_class_by_halves,
 )
 
@@ -224,6 +228,36 @@ def test_serialization_roundtrip():
         ExactMatrix.loads("not json")
     with pytest.raises(ValueError):
         ExactMatrix.loads('{"a": 1}')
+
+
+def test_loads_drops_every_zero_spelling():
+    # "0" is skipped unparsed; "-0", "0/3" and "0+0i" are parsed and dropped
+    m = ExactMatrix.loads('[["0", "-0", "0/3"], ["0+0i", "2", "0"], ["0", "-0", "0"]]')
+    assert m == ExactMatrix([[0, 0, 0], [0, 2, 0], [0, 0, 0]])
+    assert [dict(row) for row in m._rows] == [{}, {1: Scalar(2)}, {}]
+    for text, message in (('[[1.5]]', "cannot interpret 1.5 as a scalar"),
+                          ('[["0", null]]', "cannot interpret None as a scalar"),
+                          ('[["0", ["0"]]]', r"cannot interpret \['0'\] as a scalar"),
+                          ('[["0", "1"], ["0"]]', "ragged rows"),
+                          ('[["0"], ["0", 1.5]]', "cannot interpret 1.5"),
+                          ('[["0"], ["1e5000"]]', "exceeds 4300 digits"),
+                          ('[["0", "1/0"]]', "zero denominator"),
+                          ('[]', "at least one row"),
+                          ('[[]]', "at least one row")):
+        with pytest.raises(ValueError, match=message):
+            ExactMatrix.loads(text)
+
+
+zero_spellings = st.sampled_from(["0", "-0", "0/3", "0+0i", "-0-0i", "0/7+0/2i"])
+
+
+@given(st.integers(1, 4).flatmap(lambda c: st.lists(
+    st.lists(zero_spellings | scalars.map(str), min_size=c, max_size=c),
+    min_size=1, max_size=4)))
+def test_loads_matches_the_dense_constructor(nested_text):
+    m = ExactMatrix.loads(json.dumps(nested_text))
+    assert m == ExactMatrix(nested_text)
+    assert all(x for row in m._rows for x in row.values())
 
 
 # -- elimination ------------------------------------------------------------
@@ -667,6 +701,70 @@ def test_symmetry_class_matches_the_halves_oracle(m):
     cls = symmetry_class(m)
     assert cls is symmetry_class_by_halves(m)
     assert symmetry_decompose(m)[2] is cls
+
+
+real_scalars = st.builds(Scalar, small_fractions)
+nonzero_scalars = scalars.filter(bool)
+complex_scalars = st.builds(Scalar, small_fractions,
+                            small_fractions.filter(bool))
+MIRRORS = {"symmetric": lambda x: x, "antisymmetric": lambda x: -x,
+           "hermitian": Scalar.conjugate}
+NEAR_MISSES = ("none", "shift", "orphan", "conjugate", "diagonal")
+
+
+@st.composite
+def mirrored_matrices(draw, miss="none"):
+    """Sparse real or complex square matrices made symmetric,
+    antisymmetric or hermitian by mirroring the upper triangle (or zero,
+    or left free), then bent by one near miss: a mirrored entry shifted,
+    an entry without a mirror, the conjugate of the mirror value where
+    the value itself is needed (the value where the conjugate is), or a
+    nonzero diagonal entry."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    values = draw(st.sampled_from([scalars, real_scalars]))
+    entry = st.one_of(st.just(Scalar(0)), values)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["zero", *MIRRORS, "free"]))
+    if kind == "zero":
+        rows = [[Scalar(0)] * n for _ in range(n)]
+    elif kind in MIRRORS:
+        mirror = MIRRORS[kind]
+        for i in range(n):
+            rows[i][i] = (Scalar(0) if kind == "antisymmetric"
+                          else Scalar(rows[i][i].re) if kind == "hermitian"
+                          else rows[i][i])
+            for j in range(i):
+                rows[i][j] = mirror(rows[j][i])
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if miss == "shift":
+        rows[i][j] += draw(nonzero_scalars)
+    elif miss == "orphan" and i != j:
+        rows[i][j], rows[j][i] = draw(nonzero_scalars), Scalar(0)
+    elif miss == "conjugate" and i != j:
+        x = draw(complex_scalars)
+        rows[i][j] = x
+        rows[j][i] = MIRRORS.get(kind, MIRRORS["symmetric"])(x).conjugate()
+    elif miss == "diagonal":
+        rows[i][i] = draw(nonzero_scalars)
+    return ExactMatrix(rows)
+
+
+any_mirrored_matrix = st.sampled_from(NEAR_MISSES).flatmap(mirrored_matrices)
+
+
+@pytest.mark.parametrize("miss", NEAR_MISSES)
+@given(data=st.data())
+def test_mirror_predicates_match_the_built_transpose(miss, data):
+    m = data.draw(mirrored_matrices(miss))
+    assert m.is_symmetric() == symmetric_by_transpose(m)
+    assert m.is_antisymmetric() == antisymmetric_by_transpose(m)
+    assert m.is_hermitian() == hermitian_by_dagger(m)
+    assert symmetry_class(m) is symmetry_class_by_halves(m)
+
+
+def test_mirror_predicates_of_a_non_square_matrix_are_false():
+    m = ExactMatrix.zeros(2, 3)
+    assert not (m.is_symmetric() or m.is_antisymmetric() or m.is_hermitian())
 
 
 def test_symmetry_class_mirror_entry_zero_is_mixed():

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import flavor_antisymmetry_by_quadrants
 from spinstat.algebra import DimensionError, ExactMatrix, Scalar, hermitian_signature
 from spinstat.flavor import (
     FlavorDiagnosis,
@@ -70,6 +73,51 @@ def test_pattern_match_is_structural_even_for_complex_entries():
     split = detect_flavor_antisymmetry(m)
     assert split.is_flavor_antisymmetric
     assert split.block == ExactMatrix([[I]])
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+real_scalars = st.builds(Scalar, small_fractions)
+complex_scalars = st.builds(Scalar, small_fractions, small_fractions)
+FLAVOR_MISSES = ("none", "top-left", "bottom-right", "shifted bottom-left",
+                 "extra bottom-left", "missing bottom-left", "odd dimension")
+
+
+@st.composite
+def flavor_patterns(draw, miss):
+    """[[0, M], [-M, 0]] for a sparse real or complex M (sometimes zero),
+    then one near miss: a nonzero in a zero quadrant, a bottom-left entry
+    shifted, a bottom-left entry whose top-right partner is zero, a
+    top-right entry whose bottom-left partner is zero, or an extra zero
+    row and column at the end."""
+    h = draw(st.integers(1, 4))
+    values = draw(st.sampled_from([real_scalars, complex_scalars]))
+    nonzero = values.filter(bool)
+    m = [[draw(st.one_of(st.just(Scalar(0)), values)) for _ in range(h)]
+         for _ in range(h)]
+    n = 2 * h + (miss == "odd dimension")
+    rows = [[Scalar(0)] * n for _ in range(n)]
+    for i in range(h):
+        for j in range(h):
+            rows[i][h + j], rows[h + i][j] = m[i][j], -m[i][j]
+    i, j = draw(st.integers(0, h - 1)), draw(st.integers(0, h - 1))
+    if miss == "top-left":
+        rows[i][j] = draw(nonzero)
+    elif miss == "bottom-right":
+        rows[h + i][h + j] = draw(nonzero)
+    elif miss == "shifted bottom-left":
+        rows[h + i][j] += draw(nonzero)
+    elif miss == "extra bottom-left":
+        rows[i][h + j], rows[h + i][j] = Scalar(0), draw(nonzero)
+    elif miss == "missing bottom-left":
+        rows[i][h + j], rows[h + i][j] = draw(nonzero), Scalar(0)
+    return ExactMatrix(rows)
+
+
+@pytest.mark.parametrize("miss", FLAVOR_MISSES)
+@given(data=st.data())
+def test_detection_matches_the_built_quadrants(miss, data):
+    m = data.draw(flavor_patterns(miss))
+    assert detect_flavor_antisymmetry(m) == flavor_antisymmetry_by_quadrants(m)
 
 
 def test_detection_needs_square_input():

@@ -10,6 +10,7 @@ from oracles import (
     dense_inverse,
     dense_rref,
     kinematic_term_is_trivial,
+    momentum_map_by_transpose,
     theory_generators,
     whole_space_invariance,
 )
@@ -25,6 +26,7 @@ from spinstat.invariance import (
 )
 from spinstat.model import FieldSpec, TheorySpec, build_kinematic, parse_theory
 from spinstat.su2 import hermitian_basis
+from test_algebra import any_mirrored_matrix
 
 # -- strategies -------------------------------------------------------------
 
@@ -272,6 +274,12 @@ def test_momentum_map_pins():
     s = ExactMatrix.identity(2)
     assert momentum_map(s, "fermi") == s
     assert momentum_map(s, "bose") == ExactMatrix.zeros(2, 2)
+
+
+@given(any_mirrored_matrix)
+def test_momentum_map_matches_the_built_transpose_sum(m):
+    for statistics in ("bose", "fermi"):
+        assert momentum_map(m, statistics) == momentum_map_by_transpose(m, statistics)
 
 
 def test_momentum_map_rejects_unknown_statistics():

@@ -1,5 +1,6 @@
 import importlib
 import json
+import pathlib
 import pkgutil
 from importlib import resources
 
@@ -9,9 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spinstat
+from spinstat.algebra import ExactMatrix, Scalar
 from spinstat.model import parse_theory
 from spinstat.report import (
     AmbiguousKinematicError,
+    _matrix_json,
     analyze_theory,
     json_text,
     render_text,
@@ -155,15 +158,67 @@ plain_strings = st.text(st.sampled_from("0123456789/+-i "), max_size=6)
 escaped_strings = st.builds(
     lambda head, char, tail: head + char + tail, plain_strings,
     st.sampled_from('"\\\x7f\x00\n\x1f\xe9\u20ac\U0001d11e'), plain_strings)
+# any Gaussian rational, numerators and denominators unbounded
+any_scalars = st.builds(Scalar, st.fractions(), st.fractions())
+
+
+@given(any_scalars)
+def test_scalar_text_is_plain_ascii(x):
+    # the matrix path of json_text writes rows of this text as it is
+    text = str(x)
+    assert text.isascii() and text.isprintable()
+    assert '"' not in text and "\\" not in text
+    assert set(text) <= set("0123456789/+-i")
+
+
+# matrix rows exactly as _matrix_json returns them, from sparse matrices of
+# any shape with real and complex entries
+matrix_rows = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda rc: st.lists(
+        st.lists(st.just(Scalar(0)) | any_scalars, min_size=rc[1], max_size=rc[1]),
+        min_size=rc[0], max_size=rc[0]),
+).map(lambda rows: _matrix_json(ExactMatrix(rows)))
+
+# two whole reports: one split with every index canonical, whose
+# nonsingular_block is K0 itself and shares its rows, and the golden mixed
+# K0 whose split has constraints, whose block is a principal submatrix
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+ALL_CANONICAL = analyze("theory t\nfield phi spin=0 copies=2\n")
+WITH_CONSTRAINTS = analyze_theory(parse_theory(
+    (GOLDEN / "mixed_constraints.th").read_text(), base_dir=GOLDEN))
+
+
+def test_nonsingular_block_shares_the_kinematic_rows_only_when_it_is_k0():
+    k0 = ALL_CANONICAL.build.kinematic.matrix
+    assert ALL_CANONICAL.split.nonsingular_block is k0
+    doc = report_to_dict(ALL_CANONICAL)["kinematic"]
+    assert doc["constraints"]["nonsingular_block"] is doc["matrix"]
+    assert doc["matrix"] == k0.to_nested_strings()
+
+    split = WITH_CONSTRAINTS.split
+    assert split.constraint_indices == (2, 3)
+    assert split.nonsingular_block is not WITH_CONSTRAINTS.build.kinematic.matrix
+    doc = report_to_dict(WITH_CONSTRAINTS)["kinematic"]
+    assert doc["constraints"]["nonsingular_block"] == [["0", "1"], ["-1", "0"]]
+    assert doc["matrix"] == [["0", "1", "1", "2"], ["-1", "0", "0", "1"],
+                             ["-1", "0", "0", "1"], ["2", "-1", "-1", "0"]]
+
+
 # nested dicts and lists, empty ones at every depth, lists that hold only
 # scalars (the one-call path), lists of strings only (the joined path,
-# when no string needs escaping) and lists that mix scalars and containers
+# when no string needs escaping), lists of such lists (the matrix path,
+# when no row is empty), matrix rows as _matrix_json returns them, whole
+# reports, and lists that mix scalars and containers
 json_payloads = st.recursive(
-    json_scalars,
+    json_scalars | matrix_rows
+    | st.sampled_from([report_to_dict(r) for r in (ALL_CANONICAL, WITH_CONSTRAINTS)]),
     lambda inner: (st.lists(inner, max_size=5)
                    | st.lists(json_scalars, max_size=5)
                    | st.lists(plain_strings, max_size=5)
                    | st.lists(plain_strings | escaped_strings, max_size=5)
+                   | st.lists(st.lists(plain_strings, max_size=3), max_size=4)
+                   | st.lists(st.lists(plain_strings | escaped_strings, max_size=3),
+                              max_size=4)
                    | st.dictionaries(st.text(max_size=5), inner, max_size=5)),
     max_leaves=40)
 
