@@ -396,9 +396,10 @@ class ExactMatrix:
     rule itself (``_add_into`` deletes entries that cancel, and a product
     of nonzero Gaussian rationals is nonzero), so ``_from_rows`` takes
     kernel rows as they are and makes them the matrix's own.
+    ``symmetry_class`` writes its answer once into ``_symmetry``.
     """
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ("rows", "cols", "_rows", "_symmetry")
 
     def __init__(self, rows):
         dense = [[Scalar.coerce(x) for x in row] for row in rows]
@@ -414,6 +415,7 @@ class ExactMatrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_symmetry", None)
 
     @staticmethod
     def _from_rows(cols: int, entries) -> "ExactMatrix":
@@ -733,16 +735,22 @@ def _add_into(target: dict, source: dict, factor: Scalar | None = None) -> None:
 def symmetry_class(m: ExactMatrix) -> SymmetryClass:
     """Zero, Symmetric, Antisymmetric or Mixed, tested in that order (the
     zero matrix is both symmetric and antisymmetric); each test compares
-    mirrored entries in place, so neither half nor a transpose is built."""
-    if not m.is_square:
-        raise DimensionError("symmetry classification needs a square matrix")
-    if m.is_zero():
-        return SymmetryClass.ZERO
-    if m.is_symmetric():
-        return SymmetryClass.SYMMETRIC
-    if m.is_antisymmetric():
-        return SymmetryClass.ANTISYMMETRIC
-    return SymmetryClass.MIXED
+    mirrored entries in place, so neither half nor a transpose is built.
+    The matrix is immutable, so it is classified once and keeps the class."""
+    cls = m._symmetry
+    if cls is None:
+        if not m.is_square:
+            raise DimensionError("symmetry classification needs a square matrix")
+        if m.is_zero():
+            cls = SymmetryClass.ZERO
+        elif m.is_symmetric():
+            cls = SymmetryClass.SYMMETRIC
+        elif m.is_antisymmetric():
+            cls = SymmetryClass.ANTISYMMETRIC
+        else:
+            cls = SymmetryClass.MIXED
+        object.__setattr__(m, "_symmetry", cls)
+    return cls
 
 
 def symmetry_decompose(m: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, SymmetryClass]:

@@ -23,14 +23,13 @@ from .fock import (
     vacuum_expectation,
 )
 from .invariance import constraint_split
-from .model import TheoryParseError, parse_theory
+from .model import parse_theory
 from .reduction import (
     duffin_kemmer_construct,
     dkp_minimal_polynomial_check,
     verify_dkp_algebra,
 )
 from .report import (
-    AmbiguousKinematicError,
     analyze_theory,
     json_text,
     render_text,
@@ -88,8 +87,6 @@ def cmd_analyze(args) -> int:
     try:
         spec = parse_theory(text, base_dir=base_dir)
         report = analyze_theory(spec)
-    except (TheoryParseError, AmbiguousKinematicError) as exc:
-        return _fail(str(exc))
     except ValueError as exc:
         return _fail(str(exc))
     sys.stdout.write(render_text(report))

@@ -111,7 +111,11 @@ def diagonalize_flavor(lam: ExactMatrix) -> FlavorDiagonalization:
     matrix raises ValueError; its sector signs still come exactly from
     flavor_diagnosis.
     """
-    split = detect_flavor_antisymmetry(lam)
+    return _diagonalize(lam, detect_flavor_antisymmetry(lam))
+
+
+def _diagonalize(lam: ExactMatrix, split: FlavorSplit) -> FlavorDiagonalization:
+    """diagonalize_flavor on a matrix whose detection outcome is known."""
     h = lam.rows // 2
     w = [split.block[k, k] for k in range(h)] if split.is_flavor_antisymmetric else []
     if (not w or split.block != ExactMatrix.diagonal(w)
@@ -157,27 +161,14 @@ class FlavorDiagnosis(NamedTuple):
     witness: GramResult | None
     note: str | None = None
 
-    @property
-    def transformation(self) -> ExactMatrix | None:
-        return self.diagonalization.transformation if self.diagonalization else None
 
-    @property
-    def diagonal(self) -> ExactMatrix | None:
-        return self.diagonalization.diagonal if self.diagonalization else None
-
-    @property
-    def column_norms_squared(self) -> tuple | None:
-        if self.diagonalization is None:
-            return None
-        return self.diagonalization.column_norms_squared
-
-
-def _sign_of(value: Scalar) -> int:
-    if value.im < 0:
-        return 1
-    if value.im > 0:
-        return -1
-    return 0
+def _inertia_signs(x: ExactMatrix) -> list[int]:
+    """Sector signs of a real antisymmetric or imaginary diagonal X: the
+    inertia of the hermitian form i*X, +1 for each positive eigenvalue
+    (i*X maps the -i*mu eigenvectors of X to +mu), then 0 for each zero,
+    then -1 for each negative one."""
+    positives, negatives, zeros = hermitian_signature(x.scale(I))
+    return [1] * positives + [0] * zeros + [-1] * negatives
 
 
 @lru_cache(maxsize=None)
@@ -219,13 +210,16 @@ def sector_sign_analysis(
     """Signs of the diagonalized kinematic terms, one per sector.
 
     Eigenvalue -i*mu carries the +1 sector and +i*mu the -1 sector; a zero
-    eigenvalue contributes no kinematic term and is reported as 0.  Any -1
-    flags negative_norm and attaches a Fock-space witness.  The inverted
-    connection attempt is the integral-spin theory whose flavor block is
-    symmetric, the combination that would have made integral-spin fields
-    anticommute.
+    eigenvalue contributes no kinematic term and is reported as 0.  The
+    signs are the inertia of i*D for the diagonal D, the rule
+    flavor_diagnosis applies to K0, so they follow the eigenvalues when
+    those ascend by imaginary part, as diagonalize_flavor emits them.  Any
+    -1 flags negative_norm and attaches a Fock-space witness.  The
+    inverted connection attempt is the integral-spin theory whose flavor
+    block is symmetric, the combination that would have made integral-spin
+    fields anticommute.
     """
-    signs = [_sign_of(v) for v in diagonalization.eigenvalues]
+    signs = _inertia_signs(diagonalization.diagonal)
     return _diagnosis(signs, diagonalization, block, spin)
 
 
@@ -236,10 +230,8 @@ def flavor_diagnosis(k0: ExactMatrix, spin=None) -> FlavorDiagnosis:
     arguments intact: every sector sign is +1 by the normalization
     convention and there is nothing to diagonalize.  For a real
     antisymmetric K0 the sector signs are the inertia of the hermitian
-    form i*K0, +1 for each positive eigenvalue (i*K0 maps the -i*mu
-    eigenvectors of K0 to +mu), then 0 for each zero, then -1 for each
-    negative one.  They need no eigenvalues, so they are exact for any
-    such K0; the diagonalization is attached when K0 has the shape
+    form i*K0.  They need no eigenvalues, so they are exact for any such
+    K0; the diagonalization is attached when K0 has the shape
     diagonalize_flavor handles.
     """
     split = detect_flavor_antisymmetry(k0)
@@ -265,10 +257,9 @@ def flavor_diagnosis(k0: ExactMatrix, spin=None) -> FlavorDiagnosis:
             note="flavor block is not a real symmetric form; "
                  "sector diagonalization not attempted",
         )
-    positives, negatives, zeros = hermitian_signature(k0.scale(I))
-    signs = [1] * positives + [0] * zeros + [-1] * negatives
+    signs = _inertia_signs(k0)
     try:
-        diagonalization, note = diagonalize_flavor(k0), None
+        diagonalization, note = _diagonalize(k0, split), None
     except ValueError:
         diagonalization = None
         note = ("flavor block is not diagonal and positive; sector signs "

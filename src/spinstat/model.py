@@ -262,9 +262,7 @@ def parse_theory(text: str, base_dir: str | pathlib.Path = ".") -> TheorySpec:
                     0, f"antisymmetric-pair needs flavors=2 on every field "
                        f"({f.name} has {f.flavors})")
 
-    spec = TheorySpec(name, tuple(fields), kinematic_mode, explicit_path,
-                      None, flavor_mode)
-
+    matrix = None
     if kinematic_mode == "explicit":
         path = base / explicit_path
         try:
@@ -273,13 +271,12 @@ def parse_theory(text: str, base_dir: str | pathlib.Path = ".") -> TheorySpec:
             raise TheoryParseError(0, f"cannot read matrix file {explicit_path!r}: {exc}")
         except ValueError as exc:
             raise TheoryParseError(0, f"bad matrix file {explicit_path!r}: {exc}")
-        if matrix.shape != (spec.dimension, spec.dimension):
+        if matrix.shape != (dimension, dimension):
             raise TheoryParseError(
                 0, f"explicit matrix is {matrix.rows}x{matrix.cols} but the "
-                   f"theory has {spec.dimension} components")
-        spec = TheorySpec(name, tuple(fields), kinematic_mode, explicit_path,
-                          matrix, flavor_mode)
-    return spec
+                   f"theory has {dimension} components")
+    return TheorySpec(name, tuple(fields), kinematic_mode, explicit_path,
+                      matrix, flavor_mode)
 
 
 def serialize_theory(spec: TheorySpec) -> str:
@@ -367,8 +364,7 @@ def _normalize_block(block: ExactMatrix, cls: SymmetryClass) -> ExactMatrix:
     return block.scale(target / lead)
 
 
-def _epsilon() -> ExactMatrix:
-    return ExactMatrix([[0, 1], [-1, 0]])
+_EPSILON = ExactMatrix([[0, 1], [-1, 0]])
 
 
 def build_kinematic(spec: TheorySpec) -> KinematicBuild:
@@ -389,41 +385,28 @@ def build_kinematic(spec: TheorySpec) -> KinematicBuild:
         assert spec.explicit_matrix is not None
         return KinematicBuild("built", KinematicMatrix(spec.explicit_matrix, index_map))
 
+    pair = spec.flavor_mode == "antisymmetric-pair"
     blocks: list[ExactMatrix] = []
-    if spec.flavor_mode == "antisymmetric-pair":
-        for f in spec.fields:
-            sym_dim, antisym_dim = _form_space_dims(f)
-            pair_dim = sym_dim if not f.is_half_integer else antisym_dim
-            if pair_dim == 0:
-                return KinematicBuild("no_form", note=NOTE_NO_FORM,
-                                      details=(f.name,))
-            if pair_dim > 1:
-                return KinematicBuild("not_unique", note=NOTE_NOT_UNIQUE,
-                                      details=(f.name,))
-            w = hermitian_basis(f.spin).form
-            pair_block = _normalize_block(
-                ExactMatrix.kron(ExactMatrix.identity(f.copies), w),
-                SymmetryClass.SYMMETRIC)
-            blocks.append(ExactMatrix.kron(_epsilon(), pair_block))
-        matrix = _blockdiag(blocks)
-        return KinematicBuild("built", KinematicMatrix(matrix, index_map))
-
     for f in spec.fields:
+        cls = required_symmetry(f.spin)
+        if pair:  # the opposite class, coupled over the two flavors below
+            cls = (SymmetryClass.SYMMETRIC if cls is SymmetryClass.ANTISYMMETRIC
+                   else SymmetryClass.ANTISYMMETRIC)
         sym_dim, antisym_dim = _form_space_dims(f)
-        required = required_symmetry(f.spin)
-        dim = antisym_dim if required is SymmetryClass.ANTISYMMETRIC else sym_dim
-        if dim == 0:
-            return KinematicBuild("no_form", note=NOTE_NO_FORM, details=(f.name,))
-        if dim > 1:
-            return KinematicBuild("not_unique", note=NOTE_NOT_UNIQUE, details=(f.name,))
+        dim = antisym_dim if cls is SymmetryClass.ANTISYMMETRIC else sym_dim
+        if dim != 1:
+            status, note = (("no_form", NOTE_NO_FORM) if dim == 0
+                            else ("not_unique", NOTE_NOT_UNIQUE))
+            return KinematicBuild(status, note=note, details=(f.name,))
         w = hermitian_basis(f.spin).form
-        if required is SymmetryClass.ANTISYMMETRIC:
-            # unique only for copies = 2: the symplectic pairing of the copies
-            block = ExactMatrix.kron(_epsilon(), w)
+        # unique only for copies = 2 (antisymmetric: the symplectic pairing
+        # of the copies) or copies = 1 (symmetric: the form itself)
+        block = _normalize_block(
+            ExactMatrix.kron(_EPSILON, w) if cls is SymmetryClass.ANTISYMMETRIC else w,
+            cls)
+        if pair:
+            blocks.append(ExactMatrix.kron(_EPSILON, block))
         else:
-            block = w  # copies = 1
-        block = _normalize_block(block, required)
-        for _ in range(f.flavors):
-            blocks.append(block)
+            blocks.extend([block] * f.flavors)
     matrix = _blockdiag(blocks)
     return KinematicBuild("built", KinematicMatrix(matrix, index_map))

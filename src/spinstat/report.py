@@ -58,12 +58,6 @@ class VerdictReport(NamedTuple):
     flavor_by_field: tuple[tuple[str, FlavorDiagnosis], ...]
     status: str
 
-    @property
-    def flavor(self) -> FlavorDiagnosis | None:
-        if not self.flavor_by_field:
-            return None
-        return self.flavor_by_field[0][1]
-
 
 def analyze_theory(spec: TheorySpec) -> VerdictReport:
     """Run the full pipeline on a parsed theory.

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .algebra import ExactMatrix, SymmetryClass, symmetry_class
 from .invariance import STATISTICS_CLASS, class_for_statistics, required_symmetry
-from .model import FieldSpec, KinematicBuild, TheorySpec, build_kinematic
+from .model import FieldSpec, KinematicBuild, TheorySpec
 from .su2 import michel_parity
 
 __all__ = [
@@ -116,8 +116,7 @@ def _field_verdict(f: FieldSpec, block: ExactMatrix | None) -> StatisticsVerdict
     )
 
 
-def spin_statistics_verdict(spec: TheorySpec,
-                            build: KinematicBuild | None = None) -> TheoryVerdict:
+def spin_statistics_verdict(spec: TheorySpec, build: KinematicBuild) -> TheoryVerdict:
     """Per-field statistics verdicts and the aggregate status.
 
     Each field is judged on its own diagonal kinematic block: the block
@@ -126,11 +125,9 @@ def spin_statistics_verdict(spec: TheorySpec,
     exactly when spin and statistics are paired the standard way.  A
     declared statistics that fights the derivation, or a block of the
     wrong class, raises the contradiction flag; a theory whose kinematic
-    term cannot be built at all is reported as having none.
+    term cannot be built at all is reported as having none.  `build` is
+    the outcome of building the theory's kinematic matrix.
     """
-    if build is None:
-        build = build_kinematic(spec)
-
     verdicts = []
     for f, idx in spec.field_ranges():
         block = None

@@ -27,6 +27,13 @@ type:
   built (K0^T -+ K0)/2, which check the in-place mirror walks of
   ``ExactMatrix``, ``flavor.detect_flavor_antisymmetry`` and the
   class-driven ``invariance.momentum_map``;
+- the kinematic builder with one loop per flavor mode, each repeating the
+  form count, the exits and the normalization, checks the single loop of
+  ``model.build_kinematic`` (it shares the builder's counting and
+  normalization helpers, which the oracles above check);
+- sector signs read one by one off the sign of each eigenvalue's
+  imaginary part check the inertia rule of
+  ``flavor.sector_sign_analysis``;
 - the ``dense_*`` functions redo the matrix kernels on plain nested lists
   of scalars, every zero stored, which checks the sparse storage of
   ``ExactMatrix``;
@@ -39,8 +46,17 @@ from fractions import Fraction
 from itertools import permutations
 
 from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass
-from spinstat.flavor import FlavorSplit
-from spinstat.invariance import InvarianceReport
+from spinstat.flavor import FlavorDiagonalization, FlavorSplit
+from spinstat.invariance import InvarianceReport, required_symmetry
+from spinstat.model import (
+    NOTE_NO_FORM,
+    NOTE_NOT_UNIQUE,
+    KinematicBuild,
+    KinematicMatrix,
+    _blockdiag,
+    _form_space_dims,
+    _normalize_block,
+)
 from spinstat.su2 import hermitian_basis
 
 
@@ -374,6 +390,54 @@ def momentum_map_by_transpose(k0: ExactMatrix, statistics: str) -> ExactMatrix:
     """(K0^T - K0)/2 for bose and (K0^T + K0)/2 for fermi, built."""
     kt = k0.transpose()
     return (kt - k0 if statistics == "bose" else kt + k0).scale(Scalar(Fraction(1, 2)))
+
+
+def two_loop_build_kinematic(spec) -> KinematicBuild:
+    """The kinematic builder with a separate loop for each flavor mode."""
+    index_map = spec.index_map()
+    if spec.kinematic_mode == "explicit":
+        return KinematicBuild("built", KinematicMatrix(spec.explicit_matrix, index_map))
+    epsilon = ExactMatrix([[0, 1], [-1, 0]])
+    blocks = []
+    if spec.flavor_mode == "antisymmetric-pair":
+        for f in spec.fields:
+            sym_dim, antisym_dim = _form_space_dims(f)
+            pair_dim = sym_dim if not f.is_half_integer else antisym_dim
+            if pair_dim == 0:
+                return KinematicBuild("no_form", note=NOTE_NO_FORM, details=(f.name,))
+            if pair_dim > 1:
+                return KinematicBuild("not_unique", note=NOTE_NOT_UNIQUE,
+                                      details=(f.name,))
+            w = hermitian_basis(f.spin).form
+            pair_block = _normalize_block(
+                ExactMatrix.kron(ExactMatrix.identity(f.copies), w),
+                SymmetryClass.SYMMETRIC)
+            blocks.append(ExactMatrix.kron(epsilon, pair_block))
+        return KinematicBuild("built", KinematicMatrix(_blockdiag(blocks), index_map))
+
+    for f in spec.fields:
+        sym_dim, antisym_dim = _form_space_dims(f)
+        required = required_symmetry(f.spin)
+        dim = antisym_dim if required is SymmetryClass.ANTISYMMETRIC else sym_dim
+        if dim == 0:
+            return KinematicBuild("no_form", note=NOTE_NO_FORM, details=(f.name,))
+        if dim > 1:
+            return KinematicBuild("not_unique", note=NOTE_NOT_UNIQUE, details=(f.name,))
+        w = hermitian_basis(f.spin).form
+        if required is SymmetryClass.ANTISYMMETRIC:
+            block = ExactMatrix.kron(epsilon, w)
+        else:
+            block = w
+        block = _normalize_block(block, required)
+        for _ in range(f.flavors):
+            blocks.append(block)
+    return KinematicBuild("built", KinematicMatrix(_blockdiag(blocks), index_map))
+
+
+def eigenvalue_sector_signs(diagonalization: FlavorDiagonalization) -> tuple[int, ...]:
+    """One sign per eigenvalue: +1 for -i*mu, -1 for +i*mu, 0 for zero."""
+    return tuple(1 if v.im < 0 else -1 if v.im > 0 else 0
+                 for v in diagonalization.eigenvalues)
 
 
 # -- dense reference for the sparse matrix storage --------------------------

@@ -773,6 +773,27 @@ def test_symmetry_class_mirror_entry_zero_is_mixed():
         SymmetryClass.MIXED)
 
 
+@given(any_mirrored_matrix)
+def test_symmetry_class_walks_each_matrix_once(m):
+    calls = []
+    walk = ExactMatrix._mirrors
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExactMatrix, "_mirrors",
+                   lambda self, *signs: calls.append(signs) or walk(self, *signs))
+        first = symmetry_class(m)
+        walked = len(calls)
+        assert symmetry_class(m) is first
+        assert len(calls) == walked
+    assert first is symmetry_class_by_halves(m)
+
+
+def test_symmetry_class_slot_is_not_writable_from_outside():
+    m = ExactMatrix([[0, 1], [-1, 0]])
+    with pytest.raises(AttributeError):
+        m._symmetry = SymmetryClass.SYMMETRIC
+    assert symmetry_class(m) is SymmetryClass.ANTISYMMETRIC
+
+
 @pytest.mark.parametrize("f", [symmetry_class, symmetry_decompose])
 def test_symmetry_class_rejects_non_square(f):
     with pytest.raises(DimensionError):

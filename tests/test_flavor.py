@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import flavor_antisymmetry_by_quadrants
+from oracles import eigenvalue_sector_signs, flavor_antisymmetry_by_quadrants
 from spinstat.algebra import DimensionError, ExactMatrix, Scalar, hermitian_signature
 from spinstat.flavor import (
     FlavorDiagnosis,
+    FlavorDiagonalization,
     detect_flavor_antisymmetry,
     diagonalize_flavor,
     flavor_diagnosis,
@@ -233,6 +234,31 @@ def test_diagonalization_needs_a_positive_diagonal_pairing(block):
 # -- sector signs and the full diagnosis -------------------------------------------
 
 
+positive_rationals = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+
+
+@given(st.lists(positive_rationals, min_size=1, max_size=4))
+def test_sector_signs_match_the_eigenvalue_rule(weights):
+    diagonalization = diagonalize_flavor(flavor_pair(ExactMatrix.diagonal(weights)))
+    signs = sector_sign_analysis(diagonalization).sector_signs
+    assert signs == eigenvalue_sector_signs(diagonalization)
+    assert signs == (1,) * len(weights) + (-1,) * len(weights)
+
+
+@given(st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+                min_size=1, max_size=5))
+def test_inertia_rule_matches_the_eigenvalue_rule_off_the_pairing(parts):
+    # any imaginary spectrum ascending by imaginary part, zeros and unequal
+    # sign counts included, diagonalized by the unit vectors
+    eigenvalues = tuple(Scalar(0, t) for t in sorted(parts))
+    n = len(eigenvalues)
+    diagonalization = FlavorDiagonalization(
+        True, eigenvalues, ExactMatrix.diagonal(eigenvalues),
+        ExactMatrix.identity(n), (Fraction(1),) * n)
+    assert (sector_sign_analysis(diagonalization).sector_signs
+            == eigenvalue_sector_signs(diagonalization))
+
+
 def test_appendix_flow_finds_the_negative_sector():
     diagnosis = flavor_diagnosis(epsilon(), spin=0)
     assert diagnosis.is_flavor_antisymmetric
@@ -242,8 +268,8 @@ def test_appendix_flow_finds_the_negative_sector():
     assert diagnosis.witness is not None
     assert diagnosis.witness.matrix == ExactMatrix([[-1]])
     assert diagnosis.witness.signature == (0, 1, 0)
-    assert diagnosis.transformation == ExactMatrix([[1, 1], [-I, I]])
-    assert diagnosis.diagonal == ExactMatrix.diagonal([Scalar(0, -1), Scalar(0, 1)])
+    assert diagnosis.diagonalization.transformation == ExactMatrix([[1, 1], [-I, I]])
+    assert diagnosis.diagonalization.diagonal == ExactMatrix.diagonal([Scalar(0, -1), Scalar(0, 1)])
 
 
 def test_every_negative_diagnosis_shares_one_witness():
@@ -298,7 +324,7 @@ def test_flavor_diagonal_theory_keeps_positive_signs():
     assert diagnosis.sector_signs == (1, 1)
     assert not diagnosis.negative_norm
     assert diagnosis.witness is None
-    assert diagnosis.transformation is None
+    assert diagnosis.diagonalization is None
 
 
 def test_complex_pattern_is_flagged_but_not_diagonalized():

@@ -1,15 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import invariant_form_space, theory_generators
+from oracles import invariant_form_space, theory_generators, two_loop_build_kinematic
 from spinstat.algebra import ExactMatrix, ParseError
 from spinstat.model import (
     MAX_DIMENSION,
+    MAX_TWO_J,
     NOTE_NO_FORM,
     NOTE_NOT_UNIQUE,
     FieldSpec,
     TheoryParseError,
+    TheorySpec,
     _form_space_dims,
     build_kinematic,
     parse_theory,
@@ -349,3 +353,27 @@ def test_form_space_dims_match_the_generic_solver(two_j, copies):
     gens = [ExactMatrix.kron(outer, g) for g in hermitian_basis(f.spin).generators]
     space = invariant_form_space(gens)
     assert _form_space_dims(f) == (space.sym_dim, space.antisym_dim)
+
+
+@st.composite
+def auto_theories(draw):
+    """1-3 fields with 2j 0-8, flavors and copies 1-3, in either flavor
+    mode; the antisymmetric pair takes flavors=2, as parse_theory demands."""
+    pair = draw(st.booleans())
+    fields = tuple(
+        FieldSpec(f"f{k}", draw(st.integers(0, MAX_TWO_J)),
+                  2 if pair else draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        for k in range(draw(st.integers(1, 3))))
+    return TheorySpec("t", fields,
+                      flavor_mode="antisymmetric-pair" if pair else "diagonal")
+
+
+@settings(max_examples=200)
+@given(auto_theories())
+def test_one_loop_builder_matches_the_two_loop_oracle(spec):
+    build, expected = build_kinematic(spec), two_loop_build_kinematic(spec)
+    assert (build.status, build.note, build.details) == (
+        expected.status, expected.note, expected.details)
+    if expected.kinematic is not None:
+        assert build.kinematic.matrix == expected.kinematic.matrix
+        assert build.kinematic.index_map == expected.kinematic.index_map

@@ -37,7 +37,7 @@ def test_consistent_scalar_pair():
     assert report.invariance.ok
     assert report.surface.consistent
     assert report.split.constraint_indices == ()
-    assert report.flavor is None
+    assert report.flavor_by_field == ()
 
 
 def test_mixed_statistics_theory_skips_global_split():
