@@ -302,9 +302,6 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         return _make(self._a, -self._b, self._d)
 
-    def abs2(self) -> Fraction:
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     @property
     def is_zero(self) -> bool:
         return not (self._a or self._b)
@@ -317,9 +314,6 @@ class Scalar:
     def is_imaginary(self) -> bool:
         """Purely imaginary (zero real part; zero counts)."""
         return not self._a
-
-    def __complex__(self):
-        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self):
         b, d = self._b, self._d
@@ -388,8 +382,8 @@ class ExactMatrix:
     Each row is a mapping from column to entry that holds the nonzero
     entries only, so every kernel costs the number of nonzeros rather than
     rows x cols, and equal matrices store equal mappings, which keeps
-    ``==`` and ``hash`` exact.  Indexing, ``row``, ``column``, iteration
-    and the serialized forms still present every entry, zeros included.
+    ``==`` and ``hash`` exact.  Indexing, ``row``, iteration and the
+    serialized forms still present every entry, zeros included.
 
     Zeros are dropped only where they can come in: the dense constructor,
     ``loads``, ``diagonal`` and ``scale`` by zero.  Every kernel keeps the
@@ -444,32 +438,6 @@ class ExactMatrix:
         vals = [Scalar.coerce(v) for v in values]
         return ExactMatrix._from_rows(
             len(vals), [{i: v} if v else {} for i, v in enumerate(vals)])
-
-    @staticmethod
-    def from_columns(columns) -> "ExactMatrix":
-        return ExactMatrix(columns).transpose()
-
-    @staticmethod
-    def block(grid) -> "ExactMatrix":
-        """Assemble from a 2-D grid of matrices with matching edges."""
-        entries = []
-        width = None
-        for band in grid:
-            height = band[0].rows
-            if any(m.rows != height for m in band):
-                raise DimensionError("block row heights differ")
-            band_width = sum(m.cols for m in band)
-            if width is not None and band_width != width:
-                raise DimensionError("ragged rows")
-            width = band_width
-            for i in range(height):
-                row = {}
-                offset = 0
-                for m in band:
-                    row.update((offset + c, x) for c, x in m._rows[i].items())
-                    offset += m.cols
-                entries.append(row)
-        return ExactMatrix._from_rows(width or 0, entries)
 
     @staticmethod
     def kron(a: "ExactMatrix", b: "ExactMatrix") -> "ExactMatrix":
@@ -533,10 +501,6 @@ class ExactMatrix:
     def row(self, i: int) -> tuple[Scalar, ...]:
         row = self._rows[i]
         return tuple(row.get(c, ZERO) for c in range(self.cols))
-
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        j = self._column_index(j)
-        return tuple(row.get(j, ZERO) for row in self._rows)
 
     def nonzeros(self):
         """The nonzero entries as (row, column, value), in row-major order."""
@@ -636,10 +600,6 @@ class ExactMatrix:
                 entries[j][i] = x
         return ExactMatrix._from_rows(self.rows, entries)
 
-    @property
-    def T(self) -> "ExactMatrix":
-        return self.transpose()
-
     def conjugate(self) -> "ExactMatrix":
         return ExactMatrix._from_rows(
             self.cols,
@@ -647,15 +607,6 @@ class ExactMatrix:
 
     def dagger(self) -> "ExactMatrix":
         return self.conjugate().transpose()
-
-    @property
-    def H(self) -> "ExactMatrix":
-        return self.dagger()
-
-    def trace(self) -> Scalar:
-        if not self.is_square:
-            raise DimensionError("trace needs a square matrix")
-        return sum((row.get(i, ZERO) for i, row in enumerate(self._rows)), start=ZERO)
 
     # -- predicates ---------------------------------------------------
 

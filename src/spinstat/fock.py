@@ -112,11 +112,11 @@ class RelationTable:
             raise ValueError(
                 f"symbol declared as both annihilator and creator: {sorted(overlap)[0]}")
 
-        self._values: dict[tuple[str, str], Scalar] = {}
-        for a, c, v in self.pairs:
-            if (a, c) in self._values:
+        declared: set[tuple[str, str]] = set()
+        for a, c, _ in self.pairs:
+            if (a, c) in declared:
                 raise ValueError(f"duplicate pair declaration {a} {c}")
-            self._values[a, c] = v
+            declared.add((a, c))
 
         self._partners: dict[str, list[str]] = {}
         for a, c, _ in self.pairs:
@@ -142,9 +142,6 @@ class RelationTable:
         if symbol in self.creators:
             return "creator"
         raise UnknownSymbolError(f"unknown operator symbol {symbol!r}")
-
-    def value(self, annihilator: str, creator: str) -> Scalar:
-        return self._values.get((annihilator, creator), _ZERO)
 
     def adjoint_of(self, symbol: str) -> str:
         self.kind(symbol)

@@ -29,7 +29,6 @@ __all__ = [
     "KinematicMatrix",
     "KinematicBuild",
     "parse_theory",
-    "serialize_theory",
     "build_kinematic",
     "NOTE_NO_FORM",
     "NOTE_NOT_UNIQUE",
@@ -84,10 +83,11 @@ class FieldSpec(NamedTuple):
 
 
 class TheorySpec(NamedTuple):
+    """A parsed theory.  K0 is explicit exactly when ``explicit_matrix`` is
+    set; otherwise build_kinematic constructs it."""
+
     name: str
     fields: tuple[FieldSpec, ...]
-    kinematic_mode: str = "auto"  # auto | explicit
-    explicit_path: str | None = None
     explicit_matrix: ExactMatrix | None = None
     flavor_mode: str = "diagonal"  # diagonal | antisymmetric-pair
 
@@ -194,7 +194,6 @@ def parse_theory(text: str, base_dir: str | pathlib.Path = ".") -> TheorySpec:
     name = None
     fields: list[FieldSpec] = []
     dimension = 0
-    kinematic_mode = "auto"
     explicit_path: str | None = None
     flavor_mode = "diagonal"
     seen_kinematic = seen_flavor = False
@@ -226,14 +225,11 @@ def parse_theory(text: str, base_dir: str | pathlib.Path = ".") -> TheorySpec:
             if seen_kinematic:
                 raise TheoryParseError(line_no, "duplicate kinematic line")
             seen_kinematic = True
-            if rest == "auto":
-                kinematic_mode = "auto"
-            elif rest.startswith("explicit"):
-                kinematic_mode = "explicit"
+            if rest.startswith("explicit"):
                 explicit_path = rest[len("explicit"):].strip()
                 if not explicit_path:
                     raise TheoryParseError(line_no, "kinematic explicit needs a path")
-            else:
+            elif rest != "auto":
                 raise TheoryParseError(
                     line_no, f"kinematic must be auto or explicit <path>, got {rest!r}")
         elif directive == "flavor":
@@ -249,21 +245,9 @@ def parse_theory(text: str, base_dir: str | pathlib.Path = ".") -> TheorySpec:
 
     if name is None:
         raise TheoryParseError(0, "missing theory line")
-    if not fields:
-        raise TheoryParseError(0, "theory has no fields")
-    if flavor_mode == "antisymmetric-pair":
-        if kinematic_mode == "explicit":
-            raise TheoryParseError(
-                0, "choose one way to fix the flavor structure: "
-                   "antisymmetric-pair and an explicit matrix conflict")
-        for f in fields:
-            if f.flavors != 2:
-                raise TheoryParseError(
-                    0, f"antisymmetric-pair needs flavors=2 on every field "
-                       f"({f.name} has {f.flavors})")
 
     matrix = None
-    if kinematic_mode == "explicit":
+    if explicit_path is not None:
         path = base / explicit_path
         try:
             matrix = ExactMatrix.loads(path.read_text())
@@ -271,57 +255,51 @@ def parse_theory(text: str, base_dir: str | pathlib.Path = ".") -> TheorySpec:
             raise TheoryParseError(0, f"cannot read matrix file {explicit_path!r}: {exc}")
         except ValueError as exc:
             raise TheoryParseError(0, f"bad matrix file {explicit_path!r}: {exc}")
-        if matrix.shape != (dimension, dimension):
+    spec = TheorySpec(name, tuple(fields), matrix, flavor_mode)
+    _check_spec(spec)
+    return spec
+
+
+def _check_spec(spec: TheorySpec) -> None:
+    """The checks of a whole theory, shared by parse_theory and
+    build_kinematic, so that a spec built in code is held to the grammar's
+    rules.  Each failure is a TheoryParseError of line 0."""
+    if not spec.fields:
+        raise TheoryParseError(0, "theory has no fields")
+    matrix = spec.explicit_matrix
+    if spec.flavor_mode == "antisymmetric-pair":
+        if matrix is not None:
             raise TheoryParseError(
-                0, f"explicit matrix is {matrix.rows}x{matrix.cols} but the "
-                   f"theory has {dimension} components")
-    return TheorySpec(name, tuple(fields), kinematic_mode, explicit_path,
-                      matrix, flavor_mode)
-
-
-def serialize_theory(spec: TheorySpec) -> str:
-    """Canonical text form; parse_theory(serialize_theory(s)) reproduces s."""
-    lines = [f"theory {spec.name}"]
-    for f in spec.fields:
-        lines.append(
-            f"field {f.name} spin={f.spin_text} flavors={f.flavors} "
-            f"copies={f.copies} hermitian=true "
-            f"statistics={f.statistics}")
-    if spec.kinematic_mode == "explicit":
-        lines.append(f"kinematic explicit {spec.explicit_path}")
-    else:
-        lines.append("kinematic auto")
-    lines.append(f"flavor {spec.flavor_mode}")
-    return "\n".join(lines) + "\n"
+                0, "choose one way to fix the flavor structure: "
+                   "antisymmetric-pair and an explicit matrix conflict")
+        for f in spec.fields:
+            if f.flavors != 2:
+                raise TheoryParseError(
+                    0, f"antisymmetric-pair needs flavors=2 on every field "
+                       f"({f.name} has {f.flavors})")
+    dimension = spec.dimension
+    if matrix is not None and matrix.shape != (dimension, dimension):
+        raise TheoryParseError(
+            0, f"explicit matrix is {matrix.rows}x{matrix.cols} but the "
+               f"theory has {dimension} components")
 
 
 # -- kinematic construction --------------------------------------------------
 
 
 def _blockdiag(mats: list[ExactMatrix]) -> ExactMatrix:
-    total = sum(m.rows for m in mats)
-    grid = []
-    offset = 0
+    """The square blocks on the diagonal, each stored row shifted by the
+    block's offset; no zero block is built."""
+    entries, offset = [], 0
     for m in mats:
-        row = []
-        if offset:
-            row.append(ExactMatrix.zeros(m.rows, offset))
-        row.append(m)
-        trailing = total - offset - m.cols
-        if trailing:
-            row.append(ExactMatrix.zeros(m.rows, trailing))
-        grid.append(row)
-        offset += m.rows
-    return ExactMatrix.block(grid)
+        entries.extend({offset + c: x for c, x in row.items()} for row in m._rows)
+        offset += m.cols
+    return ExactMatrix._from_rows(offset, entries)
 
 
 class KinematicMatrix(NamedTuple):
     matrix: ExactMatrix
     index_map: tuple[str, ...]
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.rows
 
 
 class KinematicBuild(NamedTuple):
@@ -377,12 +355,13 @@ def build_kinematic(spec: TheorySpec) -> KinematicBuild:
     two copies is the standard fix.  The antisymmetric-pair mode instead
     couples the two flavors through [[0, F], [-F, 0]] where F is the
     invariant of the opposite class, which is exactly the structure whose
-    quantization is later rejected.
+    quantization is later rejected.  A spec that breaks a whole-theory
+    rule of parse_theory raises its TheoryParseError.
     """
+    _check_spec(spec)
     index_map = spec.index_map()
 
-    if spec.kinematic_mode == "explicit":
-        assert spec.explicit_matrix is not None
+    if spec.explicit_matrix is not None:
         return KinematicBuild("built", KinematicMatrix(spec.explicit_matrix, index_map))
 
     pair = spec.flavor_mode == "antisymmetric-pair"

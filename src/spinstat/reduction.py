@@ -84,26 +84,6 @@ class DerivativePolynomial(
         """True when only even powers of d_t appear (reversible motion)."""
         return all(c.is_zero for c in self.coefficients[1::2])
 
-    def evaluate(self, value) -> Scalar:
-        value = Scalar.coerce(value)
-        total = _ZERO
-        for c in reversed(self.coefficients):
-            total = total * value + c
-        return total
-
-    def __str__(self):
-        parts = []
-        for power in range(self.degree, -1, -1):
-            c = self.coefficients[power]
-            if c.is_zero:
-                continue
-            if power == 0:
-                parts.append(str(c))
-            elif power == 1:
-                parts.append(f"({c})*d_t")
-            else:
-                parts.append(f"({c})*d_t^{power}")
-        return " + ".join(parts)
 
 
 class ReductionResult(NamedTuple):
@@ -293,18 +273,6 @@ class BetaSet(NamedTuple):
     @property
     def beta0(self) -> ExactMatrix:
         return self.betas[0]
-
-    @property
-    def beta1(self) -> ExactMatrix:
-        return self.betas[1]
-
-    @property
-    def beta2(self) -> ExactMatrix:
-        return self.betas[2]
-
-    @property
-    def beta3(self) -> ExactMatrix:
-        return self.betas[3]
 
 
 def _beta_matrices() -> tuple[ExactMatrix, ...]:

@@ -122,6 +122,10 @@ def _matrix_json(m: ExactMatrix | None):
     return None if m is None else m.to_nested_strings()
 
 
+def _kinematic_mode(spec: TheorySpec) -> str:
+    return "auto" if spec.explicit_matrix is None else "explicit"
+
+
 def _flavor_json(name: str, d: FlavorDiagnosis) -> dict:
     out = {
         "field": name,
@@ -174,7 +178,7 @@ def report_to_dict(report: VerdictReport) -> dict:
     matrix = kin.matrix if kin is not None else None
     matrix_rows = _matrix_json(matrix)
     kinematic = {
-        "mode": spec.kinematic_mode,
+        "mode": _kinematic_mode(spec),
         "build_status": report.build.status,
         "note": report.build.note,
         "index_map": list(labels),
@@ -336,7 +340,7 @@ def render_text(report: VerdictReport) -> str:
         cls = symmetry_class(m)
         lines.append(
             f"kinematic: {m.rows}x{m.cols} {cls.name.lower()} matrix "
-            f"({report.spec.kinematic_mode})")
+            f"({_kinematic_mode(report.spec)})")
     if report.invariance is not None:
         if report.invariance.ok:
             lines.append("rotation invariance: ok")

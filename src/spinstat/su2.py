@@ -34,15 +34,14 @@ __all__ = [
 
 
 def as_two_j(j) -> int:
-    """Normalize a spin given as int, Fraction, float or '3/2' text to 2j."""
+    """Normalize a spin given as int, Fraction or '3/2' text to 2j; no
+    float is read as a spin."""
     if isinstance(j, str):
         _check_literal_size(j)
         try:
             j = Fraction(j)
         except ZeroDivisionError:
             raise ValueError(f"spin {j!r} has a zero denominator") from None
-    if isinstance(j, float):
-        j = Fraction(j).limit_denominator(2)
     if isinstance(j, int):
         two_j = 2 * j
     elif isinstance(j, Fraction):
@@ -79,14 +78,6 @@ class SpinGenerators(NamedTuple):
     jz: ExactMatrix
     jplus: ExactMatrix
     jminus: ExactMatrix
-
-    @property
-    def dimension(self) -> int:
-        return self.two_j + 1
-
-    @property
-    def spin(self) -> Fraction:
-        return Fraction(self.two_j, 2)
 
     @property
     def generators(self) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
@@ -177,20 +168,20 @@ class HermitianBasis(NamedTuple):
     form: ExactMatrix
     doubled: bool
 
-    @property
-    def dimension(self) -> int:
-        return self.form.rows
-
 
 def realify(m: ExactMatrix) -> ExactMatrix:
-    """Real 2n x 2n matrix [[P, -Q], [Q, P]] acting on (Re v, Im v)."""
-    p_rows, q_rows = [], []
-    for row in m:
-        p_rows.append([Scalar(x.re) for x in row])
-        q_rows.append([Scalar(x.im) for x in row])
-    p = ExactMatrix(p_rows)
-    q = ExactMatrix(q_rows)
-    return ExactMatrix.block([[p, -q], [q, p]])
+    """Real 2n x 2n matrix [[P, -Q], [Q, P]] acting on (Re v, Im v), for
+    m = P + iQ, written entry by entry from the stored entries of m."""
+    n, w = m.rows, m.cols
+    entries: list[dict[int, Scalar]] = [{} for _ in range(2 * n)]
+    for i, j, x in m.nonzeros():
+        if x.re:
+            entries[i][j] = entries[n + i][w + j] = Scalar(x.re)
+        if x.im:
+            q = Scalar(x.im)
+            entries[i][w + j] = -q
+            entries[n + i][j] = q
+    return ExactMatrix._from_rows(2 * w, entries)
 
 
 def _integer_spin_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
@@ -218,7 +209,7 @@ def _integer_spin_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatr
         columns.append(plus)
         columns.append(minus)
     columns.append(e(0))
-    u = ExactMatrix.from_columns(columns)
+    u = ExactMatrix(columns).transpose()
 
     sign = Scalar((-1) ** j)
     form = (u.transpose() @ c @ u).scale(sign)
@@ -254,15 +245,9 @@ def _half_integer_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatr
     (v, conj v) pair.
     """
     n = two_j + 1
-    ident = ExactMatrix.identity(n)
-    one_i = Scalar(0, 1)
     # (v, conj v) from (Re v, Im v): v = x + iy, conj v = x - iy
-    t_inv = ExactMatrix.block(
-        [
-            [ident, ident.scale(one_i)],
-            [ident, ident.scale(-one_i)],
-        ]
-    )
+    t_inv = ExactMatrix.kron(ExactMatrix([[1, "0+1i"], [1, "0-1i"]]),
+                             ExactMatrix.identity(n))
 
     weights = [Fraction(1)] * n
     for i in range(n - 2, -1, -1):

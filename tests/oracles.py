@@ -129,7 +129,9 @@ def charpoly(m: ExactMatrix) -> tuple[Scalar, ...]:
     ident = ExactMatrix.identity(n)
     for k in range(1, n + 1):
         acc = m @ acc + ident.scale(coeffs[n - k + 1])
-        coeffs[n - k] = (m @ acc).trace() * Scalar(Fraction(-1, k))
+        product = m @ acc
+        trace = sum((product[i, i] for i in range(n)), start=Scalar(0))
+        coeffs[n - k] = trace * Scalar(Fraction(-1, k))
     return tuple(coeffs)
 
 
@@ -395,7 +397,7 @@ def momentum_map_by_transpose(k0: ExactMatrix, statistics: str) -> ExactMatrix:
 def two_loop_build_kinematic(spec) -> KinematicBuild:
     """The kinematic builder with a separate loop for each flavor mode."""
     index_map = spec.index_map()
-    if spec.kinematic_mode == "explicit":
+    if spec.explicit_matrix is not None:
         return KinematicBuild("built", KinematicMatrix(spec.explicit_matrix, index_map))
     epsilon = ExactMatrix([[0, 1], [-1, 0]])
     blocks = []

@@ -202,8 +202,9 @@ def test_parse_reads_bracket_and_pairs():
     assert BOSE_CROSS.bracket == "commutator"
     assert BOSE_CROSS.annihilators == {"a", "b"}
     assert BOSE_CROSS.creators == {"adag", "bdag"}
-    assert BOSE_CROSS.value("a", "bdag") == ONE
-    assert BOSE_CROSS.value("a", "adag") == ZERO
+    # <0| a c |0> is the bracket [a, c] of the pair, zero when undeclared
+    assert vacuum_expectation(("a", "bdag"), BOSE_CROSS) == ONE
+    assert vacuum_expectation(("a", "adag"), BOSE_CROSS) == ZERO
 
 
 def test_parse_allows_comments_and_scalar_values():
@@ -213,7 +214,7 @@ def test_parse_allows_comments_and_scalar_values():
     pair c ddag = -1/2   # elementary bracket
     """)
     assert table.bracket == "anticommutator"
-    assert table.value("c", "ddag") == Scalar(Fraction(-1, 2))
+    assert table.pairs == (("c", "ddag", Scalar(Fraction(-1, 2))),)
 
 
 def test_parse_requires_bracket_line():
@@ -527,6 +528,7 @@ def _random_order_normal_form(word, table, rng):
     """Rewrite bad pairs in random order; canonicalize blocks at the end."""
     fermi = table.bracket == "anticommutator"
     swap_sign = Scalar(-1) if fermi else ONE
+    values = {(a, c): v for a, c, v in table.pairs}
     terms = {tuple(word): ONE}
     while True:
         sites = [
@@ -541,7 +543,7 @@ def _random_order_normal_form(word, table, rng):
         coeff = terms.pop(w)
         swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
         _acc(terms, swapped, coeff * swap_sign)
-        v = table.value(w[i], w[i + 1])
+        v = values.get((w[i], w[i + 1]), ZERO)
         if not v.is_zero:
             _acc(terms, w[:i] + w[i + 2:], coeff * v)
 
@@ -705,7 +707,7 @@ MIXED_PAIRING = {
 
 def test_mixed_denominator_word_by_hand():
     assert MIXED.denominator == 12
-    assert MIXED.value("b", "adag") == Scalar.parse("1/3-1/4i")
+    assert vacuum_expectation(("b", "adag"), MIXED) == Scalar.parse("1/3-1/4i")
     # a with adag leaves <a bdag>: 1/2 (1/3+1/4i); a with bdag leaves
     # <a adag>: (1/3+1/4i) 1/2; the sum is 1/3+1/4i = (48+36i)/12**2
     word = ("a", "a", "adag", "bdag")

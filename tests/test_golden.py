@@ -7,7 +7,8 @@ antisymmetric-pair theories whose flavor block has repeated and
 fractional entries, which pins the order of the diagonalization columns,
 an explicit mixed K0 whose Bose split has constraints, an explicit K0
 that fails rotation invariance both between two spins and in one of two
-identical flavor blocks, and ``fock`` with a word and a Gram matrix over
+identical flavor blocks, a spin-3/2 field declared Bose, whose verdict
+contradicts its declaration, and ``fock`` with a word and a Gram matrix over
 a table with complex and fractional pairings.
 
 Regenerate after an intended change of output with
@@ -40,7 +41,8 @@ CORPUS = (
 
 def _cases() -> dict[str, list[str]]:
     cases = {name: ["analyze", str(THEORIES / f"{name}.th")] for name in CORPUS}
-    for name in ("mixed_constraints", "not_invariant", "pair_spin2", "pair_spin4"):
+    for name in ("contradiction", "mixed_constraints", "not_invariant", "pair_spin2",
+                 "pair_spin4"):
         cases[name] = ["analyze", str(GOLDEN / f"{name}.th")]
     cases["dkp-check"] = ["dkp-check", "--paper-relations"]
     cases["fock"] = ["fock", str(GOLDEN / "fock.rel"), "--word", "a b adag bdag",

@@ -17,8 +17,8 @@ from spinstat.model import (
     _form_space_dims,
     build_kinematic,
     parse_theory,
-    serialize_theory,
 )
+from spinstat.report import analyze_theory
 from spinstat.su2 import hermitian_basis
 
 
@@ -35,7 +35,7 @@ def test_parse_minimal_defaults():
     (f,) = spec.fields
     assert (f.name, f.two_j, f.flavors, f.copies) == ("phi", 0, 1, 1)
     assert f.statistics == "auto"
-    assert spec.kinematic_mode == "auto"
+    assert spec.explicit_matrix is None
     assert spec.flavor_mode == "diagonal"
     assert spec.dimension == 1
 
@@ -172,22 +172,26 @@ def test_antisymmetric_pair_conflicts_with_explicit(tmp_path):
     assert "conflict" in str(err.value)
 
 
-def test_serialize_roundtrip(tmp_path):
-    text = (
-        "theory two_scalars\n"
-        "field phi spin=0 flavors=1 copies=2 hermitian=true statistics=auto\n"
-        "field chi spin=1/2 flavors=2 copies=1 hermitian=true statistics=fermi\n"
-        "kinematic auto\n"
-        "flavor diagonal\n"
-    )
-    spec = parse(text)
-    assert serialize_theory(spec) == text
-    assert parse(serialize_theory(spec)) == spec
+PAIR = "antisymmetric-pair"
 
-    (tmp_path / "k.json").write_text('[["0", "0+1i"], ["0-1i", "0"]]')
-    spec2 = parse("theory t\nfield phi spin=0 copies=2\nkinematic explicit k.json\n",
-                  base_dir=tmp_path)
-    assert parse(serialize_theory(spec2), base_dir=tmp_path) == spec2
+
+@pytest.mark.parametrize("spec,message", [
+    (TheorySpec("t", (FieldSpec("a", 0, 3, 1),), flavor_mode=PAIR),
+     "antisymmetric-pair needs flavors=2 on every field (a has 3)"),
+    (TheorySpec("t", ()), "theory has no fields"),
+    (TheorySpec("t", (FieldSpec("a", 0, 2),), ExactMatrix([[0, 1], [-1, 0]]), PAIR),
+     "choose one way to fix the flavor structure: "
+     "antisymmetric-pair and an explicit matrix conflict"),
+    (TheorySpec("t", (FieldSpec("a", 0, copies=2),), ExactMatrix([[1]])),
+     "explicit matrix is 1x1 but the theory has 2 components"),
+], ids=["pair-flavors", "no-fields", "pair-explicit", "matrix-shape"])
+def test_spec_built_in_code_meets_the_theory_checks(spec, message):
+    # the checks parse_theory makes of a whole file hold for a spec that
+    # never passed through it, with the same message at line 0
+    with pytest.raises(TheoryParseError) as err:
+        analyze_theory(spec)
+    assert err.value.line == 0
+    assert str(err.value) == f"line 0: {message}"
 
 
 def test_index_map_layout():
@@ -253,7 +257,8 @@ def test_build_doubled_vector():
     eye = ExactMatrix.identity(3)
     z = ExactMatrix.zeros(3)
     i_eye = eye.scale(ExactMatrix([["0+1i"]])[0, 0])
-    expected = ExactMatrix.block([[z, i_eye], [-i_eye, z]])
+    expected = ExactMatrix([[*z.row(r), *i_eye.row(r)] for r in range(3)]
+                           + [[*(-i_eye).row(r), *z.row(r)] for r in range(3)])
     assert build.kinematic.matrix == expected
 
 
@@ -284,7 +289,9 @@ def test_build_flavor_antisymmetric_vector():
         "theory t\nfield v spin=1 flavors=2\nflavor antisymmetric-pair\n"))
     eye = ExactMatrix.identity(3)
     z = ExactMatrix.zeros(3)
-    assert build.kinematic.matrix == ExactMatrix.block([[z, eye], [-eye, z]])
+    assert build.kinematic.matrix == ExactMatrix(
+        [[*z.row(r), *eye.row(r)] for r in range(3)]
+        + [[*(-eye).row(r), *z.row(r)] for r in range(3)])
 
 
 def test_build_flavor_antisymmetric_spinor_is_ambiguous():

@@ -162,13 +162,6 @@ def test_polynomial_evenness():
     assert DerivativePolynomial(("1/2",)).is_even_function
 
 
-def test_polynomial_evaluate():
-    f = DerivativePolynomial((-1, 0, 0, 0, 1))
-    assert f.evaluate(2) == Scalar(15)
-    assert f.evaluate(Fraction(1, 2)) == Scalar(Fraction(-15, 16))
-    assert f.evaluate(I) == S0
-
-
 def test_polynomial_coerces_mixed_inputs():
     f = DerivativePolynomial(("1/2", 0, Fraction(3), Scalar(0), 1))
     assert f.coefficient(0) == Scalar(Fraction(1, 2))
@@ -312,7 +305,6 @@ def test_beta_matrices_entrywise():
     bs = duffin_kemmer_construct(1)
     assert bs.betas == expected_betas()
     assert bs.beta0 == bs.betas[0]
-    assert bs.beta3 == bs.betas[3]
 
 
 def test_beta0_is_antisymmetric_and_all_are_i_times_real():

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import charpoly, dense_inverse, invariant_form_space
+from oracles import charpoly, dense_block, dense_inverse, invariant_form_space
 from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass, symmetry_decompose
+from spinstat.invariance import required_symmetry
 from spinstat.su2 import (
     as_two_j,
     hermitian_basis,
@@ -41,6 +44,15 @@ def test_two_j_parsing():
     assert spin_label(4) == "2"
 
 
+@pytest.mark.parametrize("spin", [0.3, 0.74, 2.6])
+def test_float_is_not_a_spin(spin):
+    # no float is rounded to the nearest half-integer
+    with pytest.raises(TypeError, match="cannot interpret .* as a spin"):
+        as_two_j(spin)
+    with pytest.raises(TypeError, match="cannot interpret .* as a spin"):
+        required_symmetry(spin)
+
+
 def test_michel_parity_values():
     assert [michel_parity(Fraction(t, 2)) for t in ALL_TWO_J] == [
         1, -1, 1, -1, 1, -1, 1, -1, 1
@@ -76,7 +88,7 @@ def test_casimir_is_scalar(two_j):
     g = spin_generators(Fraction(two_j, 2))
     casimir = g.jx @ g.jx + g.jy @ g.jy + g.jz @ g.jz
     j = Fraction(two_j, 2)
-    assert casimir == ExactMatrix.identity(g.dimension).scale(Scalar(j * (j + 1)))
+    assert casimir == ExactMatrix.identity(two_j + 1).scale(Scalar(j * (j + 1)))
 
 
 @pytest.mark.parametrize("two_j", ALL_TWO_J)
@@ -103,7 +115,7 @@ def test_bilinear_invariance_exact(two_j):
     j = Fraction(two_j, 2)
     g = spin_generators(j)
     c = invariant_bilinear(j)
-    zero = ExactMatrix.zeros(g.dimension)
+    zero = ExactMatrix.zeros(two_j + 1)
     for gen in (g.jx, g.jy, g.jz, g.jplus, g.jminus):
         assert gen.transpose() @ c + c @ gen == zero
 
@@ -175,11 +187,11 @@ def test_hermitian_basis_generators_purely_imaginary(two_j):
 @pytest.mark.parametrize("two_j", ALL_TWO_J)
 def test_hermitian_basis_form_invariance(two_j):
     h = hermitian_basis(Fraction(two_j, 2))
-    zero = ExactMatrix.zeros(h.dimension)
+    zero = ExactMatrix.zeros(h.form.rows)
     for g in h.generators:
         assert g.transpose() @ h.form + h.form @ g == zero
     # form stays a positive squarefree-integer diagonal
-    for i in range(h.dimension):
+    for i in range(h.form.rows):
         w = h.form[i, i]
         assert w.is_real and w.re > 0 and w.re.denominator == 1
     _, _, cls = symmetry_decompose(h.form)
@@ -210,17 +222,36 @@ def test_half_integer_change_of_basis_conjugates_generators(two_j):
     j = Fraction(two_j, 2)
     h = hermitian_basis(j)
     g = spin_generators(j)
-    n = two_j + 1
     u_inv = independent_inverse(h.change_of_basis)
-    z = ExactMatrix.zeros(n)
+    upper, lower = ExactMatrix.diagonal([1, 0]), ExactMatrix.diagonal([0, 1])
     for old, new in zip((g.jx, g.jy, g.jz), h.generators):
-        doubled = ExactMatrix.block([[old, z], [z, -old.conjugate()]])
+        doubled = (ExactMatrix.kron(upper, old)
+                   + ExactMatrix.kron(lower, -old.conjugate()))
         assert u_inv @ doubled @ h.change_of_basis == new
 
 
 def test_realify_hand_value():
     m = ExactMatrix([["1+2i"]])
     assert realify(m) == ExactMatrix([[1, -2], [2, 1]])
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+# about half the entries zero, half of the rest real or imaginary
+entries = st.one_of(st.just(Scalar(0)), st.just(Scalar(0)),
+                    st.builds(Scalar, small_fractions, small_fractions))
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_realify_matches_the_dense_block(rows, cols, data):
+    m = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    p = [[Scalar(x.re) for x in row] for row in m]
+    q = [[Scalar(x.im) for x in row] for row in m]
+    minus_q = [[-x for x in row] for row in q]
+    want = ExactMatrix(dense_block([[p, minus_q], [q, p]]))
+    got = realify(ExactMatrix(m))
+    assert got == want and hash(got) == hash(want)
+    assert all(x for row in got._rows for x in row.values())
 
 
 # -- invariant form spaces ---------------------------------------------------
@@ -256,12 +287,12 @@ def test_form_space_realified_spin_half_contains_bilinear_blocks():
     # closed-form antisymmetric invariants on the doubled space
     h = hermitian_basis(Fraction(1, 2))
     c = invariant_bilinear(Fraction(1, 2))
-    z = ExactMatrix.zeros(2)
     w = ExactMatrix.identity(2)
+    # [[0, c], [c, 0]], [[c, 0], [0, -c]] and [[0, w], [-w, 0]]
     candidates = [
-        ExactMatrix.block([[z, c], [c, z]]),
-        ExactMatrix.block([[c, z], [z, -c]]),
-        ExactMatrix.block([[z, w], [-w, z]]),
+        ExactMatrix.kron(ExactMatrix([[0, 1], [1, 0]]), c),
+        ExactMatrix.kron(ExactMatrix.diagonal([1, -1]), c),
+        ExactMatrix.kron(ExactMatrix([[0, 1], [-1, 0]]), w),
     ]
     for b in candidates:
         assert b.is_antisymmetric()
