@@ -28,6 +28,7 @@ __all__ = [
     "self_check",
     "Scalar",
     "ExactMatrix",
+    "MatrixText",
     "SymmetryClass",
     "symmetry_class",
     "symmetry_decompose",
@@ -376,6 +377,15 @@ class SymmetryClass(enum.Enum):
         return self.value
 
 
+class MatrixText(list):
+    """A matrix's entries as text, one non-empty list of str per row, as
+    ``ExactMatrix.to_nested_strings`` writes them.  It is a list like any
+    other; its type tells a JSON writer that no entry needs escaping,
+    because ``Scalar`` text is digits, ``/``, ``+``, ``-`` and ``i``."""
+
+    __slots__ = ()
+
+
 class ExactMatrix:
     """Immutable matrix of ``Scalar`` entries, stored by its nonzeros.
 
@@ -470,8 +480,8 @@ class ExactMatrix:
     def dumps(self) -> str:
         return json.dumps(self.to_nested_strings())
 
-    def to_nested_strings(self) -> list[list[str]]:
-        zero, nested = [str(ZERO)], []
+    def to_nested_strings(self) -> MatrixText:
+        zero, nested = [str(ZERO)], MatrixText()
         for row in self._rows:
             line = zero * self.cols
             for c, x in row.items():

@@ -77,7 +77,8 @@ def _fail(message: str) -> int:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(payload) + "\n")
+        fh.write(json_text(payload))
+        fh.write("\n")
 
 
 def cmd_analyze(args) -> int:

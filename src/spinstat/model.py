@@ -263,9 +263,22 @@ def parse_theory(text: str, base_dir: str | pathlib.Path = ".") -> TheorySpec:
 def _check_spec(spec: TheorySpec) -> None:
     """The checks of a whole theory, shared by parse_theory and
     build_kinematic, so that a spec built in code is held to the grammar's
-    rules.  Each failure is a TheoryParseError of line 0."""
+    rules and bounds.  Each failure is a TheoryParseError of line 0."""
     if not spec.fields:
         raise TheoryParseError(0, "theory has no fields")
+    for f in spec.fields:
+        if not 0 <= f.two_j <= MAX_TWO_J:
+            raise TheoryParseError(
+                0, f"field {f.name}: spin {spin_label(f.two_j)} is outside "
+                   f"the supported range 0 to {spin_label(MAX_TWO_J)}")
+        if f.flavors < 1 or f.copies < 1:
+            raise TheoryParseError(
+                0, f"field {f.name}: flavors and copies must be >= 1")
+    dimension = spec.dimension
+    if dimension > MAX_DIMENSION:
+        raise TheoryParseError(
+            0, f"theory has {dimension} components, over the supported "
+               f"maximum {MAX_DIMENSION}")
     matrix = spec.explicit_matrix
     if spec.flavor_mode == "antisymmetric-pair":
         if matrix is not None:
@@ -277,7 +290,6 @@ def _check_spec(spec: TheorySpec) -> None:
                 raise TheoryParseError(
                     0, f"antisymmetric-pair needs flavors=2 on every field "
                        f"({f.name} has {f.flavors})")
-    dimension = spec.dimension
     if matrix is not None and matrix.shape != (dimension, dimension):
         raise TheoryParseError(
             0, f"explicit matrix is {matrix.rows}x{matrix.cols} but the "

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple
 
-from .algebra import ExactMatrix, self_check, symmetry_class
+from .algebra import ExactMatrix, MatrixText, self_check, symmetry_class
 from .flavor import FlavorDiagnosis, flavor_diagnosis
 from .invariance import (
     ConstraintSplit,
@@ -118,7 +117,7 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
     )
 
 
-def _matrix_json(m: ExactMatrix | None):
+def _matrix_json(m: ExactMatrix | None) -> MatrixText | None:
     return None if m is None else m.to_nested_strings()
 
 
@@ -237,7 +236,6 @@ _INDENT = "  "
 # a list holding only these exact types is encoded in one call
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 _STR = frozenset((str,))
-_LIST = frozenset((list,))
 
 
 def _plain(text: str) -> bool:
@@ -245,15 +243,6 @@ def _plain(text: str) -> bool:
     without a quote or a backslash."""
     return (text.isascii() and text.isprintable()
             and '"' not in text and "\\" not in text)
-
-
-def _plain_rows(rows: list) -> bool:
-    """Whether every row is a non-empty list of strings that JSON writes as
-    they are, as the rows of ``_matrix_json`` always are (``Scalar`` text
-    is digits, ``/``, ``+``, ``-`` and ``i``): one scan of the whole
-    matrix, none per row."""
-    return (all(rows) and set(map(type, chain.from_iterable(rows))) == _STR
-            and _plain("".join(map("".join, rows))))
 
 
 @lru_cache(maxsize=None)
@@ -266,9 +255,9 @@ def _encoder(depth: int) -> json.JSONEncoder:
 def json_text(payload) -> str:
     """The text ``json.dumps`` writes with a two-space indent, byte for
     byte, for dicts with str keys, lists and JSON scalars.  An array of
-    strings that need no escaping is joined directly, and so is an array
-    of non-empty such arrays, a matrix, in one step for all its rows; any
-    other array of scalars goes to the C encoder in one call."""
+    strings that need no escaping is joined directly, and a ``MatrixText``
+    in one step for all its rows, unscanned; any other array of scalars
+    goes to the C encoder in one call."""
     out: list[str] = []
     _write_json_value(payload, 0, out)
     return "".join(out)
@@ -290,18 +279,18 @@ def _write_json_value(value, depth: int, out: list[str]) -> None:
         if not value:
             out.append("[]")
             return
-        types = set(map(type, value))
-        if types == _STR and _plain("".join(value)):
+        if type(value) is MatrixText:
+            # every row in one join, each row's entries in another, and the
+            # joined text appended as it is, never copied into a larger one
+            row_inner = inner + _INDENT
+            out.append("[" + inner + "[" + row_inner + '"')
+            out.append(('"' + inner + "]," + inner + "[" + row_inner + '"').join(
+                map(('",' + row_inner + '"').join, value)))
+            out.append('"' + inner + "]")
+        elif (types := set(map(type, value))) == _STR and _plain("".join(value)):
             out.append("[" + inner + '"' + ('",' + inner + '"').join(value) + '"')
         elif _JSON_SCALARS.issuperset(types):
             out.append("[" + inner + _encoder(depth + 1).encode(value)[1:-1])
-        elif types == _LIST and _plain_rows(value):
-            # a matrix: every row in one join, each row's entries in another
-            row_inner = inner + _INDENT
-            out.append("[" + inner + "[" + row_inner + '"'
-                       + ('"' + inner + "]," + inner + "[" + row_inner + '"').join(
-                           map(('",' + row_inner + '"').join, value))
-                       + '"' + inner + "]")
         else:
             sep = "[" + inner
             for item in value:

@@ -1,5 +1,8 @@
+import gc
+import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from importlib import resources
@@ -7,6 +10,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from spinstat import __main__ as spinstat_main
 from spinstat import cli, fock
 from spinstat.algebra import ExactMatrix
 from spinstat.fock import MAX_GRAM_STATES
@@ -411,3 +415,82 @@ def test_fock_bad_pair_value_exits_1_with_line(value, tmp_path):
     proc = run_cli("fock", str(table), "--word", "c cdag")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: line 2: bad pair value")
+
+
+# -- the process entry ----------------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# each case: what `python -m spinstat` does, through the entry that freezes
+# the heap, must be what cli.main does in process: statuses 0, 2, 3 and 5,
+# a parse error, an argparse usage error and --version
+ENTRY_CASES = {
+    "consistent": (0, ["analyze", str(THEORIES / "dirac.th")]),
+    "contradiction": (2, ["analyze", str(GOLDEN / "contradiction.th")]),
+    "negative-norm": (3, ["analyze", str(THEORIES / "scalar_flavor_antisym.th")]),
+    "not-invariant": (5, ["analyze", str(GOLDEN / "not_invariant.th")]),
+    "parse-error": (1, ["analyze", "{bad}"]),
+    "usage-error": (1, ["analyze"]),
+    "version": (0, ["--version"]),
+}
+
+
+def _main_in_process(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage errors and --version
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_CASES))
+def test_module_entry_keeps_output_and_exit_code(name, tmp_path, capsys):
+    want_code, args = ENTRY_CASES[name]
+    bad = tmp_path / "bad.th"
+    bad.write_text("theory t\nfield a spin=bad\n")
+    args = [a.format(bad=bad) for a in args]
+    # an analyze call also writes its report, read back after exit
+    reports = [tmp_path / "process.json", tmp_path / "main.json"]
+    extra = [["--json", str(r)] if len(args) == 2 else [] for r in reports]
+
+    proc = run_cli(*args, *extra[0])
+    code, out, err = _main_in_process(args + extra[1], capsys)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert code == want_code
+    written = [r.read_bytes() if r.exists() else None for r in reports]
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("args", [["analyze", str(THEORIES / "majorana.th")],
+                                  ["--version"]])
+def test_module_entry_freezes_the_heap_also_on_system_exit(args):
+    # runpy runs the package's __main__ as `python -m` does; the atexit hook
+    # reads the freeze count after the entry has returned or raised
+    probe = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0,"
+        " file=sys.stderr))\n"
+        f"sys.argv = ['spinstat', *{args!r}]\n"
+        "runpy.run_module('spinstat', run_name='__main__', alter_sys=True)\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == "frozen True\n"
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["analyze", str(THEORIES / "majorana.th")]) == 0
+    with pytest.raises(SystemExit):
+        cli.main(["--version"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_targets_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["spinstat"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is spinstat_main.run

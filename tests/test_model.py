@@ -184,10 +184,26 @@ PAIR = "antisymmetric-pair"
      "antisymmetric-pair and an explicit matrix conflict"),
     (TheorySpec("t", (FieldSpec("a", 0, copies=2),), ExactMatrix([[1]])),
      "explicit matrix is 1x1 but the theory has 2 components"),
-], ids=["pair-flavors", "no-fields", "pair-explicit", "matrix-shape"])
+    # the per-field bounds: before them, flavors 0 raised a bare
+    # DimensionError, copies 0 came back NO_KINEMATIC_TERM for a field with
+    # no components, and spin 6 was analyzed to CONSISTENT
+    (TheorySpec("t", (FieldSpec("a", 0, 0, 2),)),
+     "field a: flavors and copies must be >= 1"),
+    (TheorySpec("t", (FieldSpec("a", 0, 1, 0),)),
+     "field a: flavors and copies must be >= 1"),
+    (TheorySpec("t", (FieldSpec("a", 12, 1, 2),)),
+     f"field a: spin 6 is outside the supported range 0 to {MAX_TWO_J // 2}"),
+    (TheorySpec("t", (FieldSpec("a", -1),)),
+     f"field a: spin -1/2 is outside the supported range 0 to {MAX_TWO_J // 2}"),
+    (TheorySpec("t", (FieldSpec("a", 0, MAX_DIMENSION), FieldSpec("b", 0))),
+     f"theory has {MAX_DIMENSION + 1} components, over the supported "
+     f"maximum {MAX_DIMENSION}"),
+], ids=["pair-flavors", "no-fields", "pair-explicit", "matrix-shape",
+        "flavors-zero", "copies-zero", "spin-over", "spin-negative",
+        "dimension-over"])
 def test_spec_built_in_code_meets_the_theory_checks(spec, message):
-    # the checks parse_theory makes of a whole file hold for a spec that
-    # never passed through it, with the same message at line 0
+    # the rules and bounds parse_theory applies hold for a spec that never
+    # passed through it, each a TheoryParseError at line 0
     with pytest.raises(TheoryParseError) as err:
         analyze_theory(spec)
     assert err.value.line == 0

@@ -206,9 +206,9 @@ def test_nonsingular_block_shares_the_kinematic_rows_only_when_it_is_k0():
 
 # nested dicts and lists, empty ones at every depth, lists that hold only
 # scalars (the one-call path), lists of strings only (the joined path,
-# when no string needs escaping), lists of such lists (the matrix path,
-# when no row is empty), matrix rows as _matrix_json returns them, whole
-# reports, and lists that mix scalars and containers
+# when no string needs escaping), lists of such lists, matrix rows as
+# _matrix_json returns them (the MatrixText path), whole reports, and
+# lists that mix scalars and containers
 json_payloads = st.recursive(
     json_scalars | matrix_rows
     | st.sampled_from([report_to_dict(r) for r in (ALL_CANONICAL, WITH_CONSTRAINTS)]),
