@@ -9,10 +9,10 @@ report; output is deterministic, so identical inputs give identical bytes.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .algebra import ExactMatrix, Scalar, SelfCheckError
@@ -62,14 +62,6 @@ _MOMENTA: tuple[tuple, ...] = (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
@@ -78,7 +70,6 @@ def _fail(message: str) -> int:
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json_text(payload))
-        fh.write("\n")
 
 
 def cmd_analyze(args) -> int:
@@ -287,73 +278,142 @@ def cmd_fock(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="spinstat",
-        description="Exact spin-statistics analysis of first-order "
-                    "field Lagrangians.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+# command -> (function, summary, positional or None, {option: (metavar,
+# help)}); an option whose metavar is None is a flag and takes no value
+_COMMANDS = {
+    "analyze": (
+        cmd_analyze,
+        "derive the statistics verdict for a theory file",
+        ("spec", "theory description file"),
+        {"--json": ("PATH", "also write the report as JSON")},
+    ),
+    "dkp-check": (
+        cmd_dkp_check,
+        "verify the wave-operator beta algebra",
+        None,
+        {"--paper-relations": (
+            None, "also tabulate the metric-free shorthand relations"),
+         "--metric": ("SIGNS", "override the metric signature, e.g. +--- or -+++"),
+         "--json": ("PATH", "also write the results as JSON")},
+    ),
+    "fock": (
+        cmd_fock,
+        "evaluate vacuum expectations over a relation table",
+        ("table", "relation table file"),
+        {"--word": ("SYMBOLS", "operator word, e.g. 'c ddag'"),
+         "--gram": ("PATH", "file of creator words, one state per line"),
+         "--json": ("PATH", "also write the results as JSON")},
+    ),
+}
 
-    p_analyze = sub.add_parser(
-        "analyze", help="derive the statistics verdict for a theory file")
-    p_analyze.add_argument("spec", help="theory description file")
-    p_analyze.add_argument("--json", metavar="PATH",
-                           help="also write the report as JSON")
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_dkp = sub.add_parser(
-        "dkp-check", help="verify the wave-operator beta algebra")
-    p_dkp.add_argument(
-        "--paper-relations", action="store_true",
-        help="also tabulate the metric-free shorthand relations")
-    p_dkp.add_argument(
-        "--metric", metavar="SIGNS",
-        help="override the metric signature, e.g. +--- or -+++")
-    p_dkp.add_argument("--json", metavar="PATH",
-                       help="also write the results as JSON")
-    p_dkp.set_defaults(func=cmd_dkp_check)
-
-    p_fock = sub.add_parser(
-        "fock", help="evaluate vacuum expectations over a relation table")
-    p_fock.add_argument("table", help="relation table file")
-    p_fock.add_argument("--word", metavar="SYMBOLS",
-                        help="operator word, e.g. 'c ddag'")
-    p_fock.add_argument("--gram", metavar="PATH",
-                        help="file of creator words, one state per line")
-    p_fock.add_argument("--json", metavar="PATH",
-                        help="also write the results as JSON")
-    p_fock.set_defaults(func=cmd_fock)
-
-    return parser
+_USAGE = "spinstat [-h] [--version] command ..."
 
 
-def _normalize_argv(argv: list[str]) -> list[str]:
-    """Join ``--metric -+++`` into one token so the leading dash of the
-    signature is not mistaken for an option."""
-    out = []
+def _command_usage(command: str) -> str:
+    _, _, positional, options = _COMMANDS[command]
+    parts = ["spinstat", command, "[-h]"]
+    parts += [f"[{opt} {metavar}]" if metavar else f"[{opt}]"
+              for opt, (metavar, _) in options.items()]
+    if positional:
+        parts.append(positional[0])
+    return " ".join(parts)
+
+
+def _help() -> str:
+    lines = [f"usage: {_USAGE}", "",
+             "Exact spin-statistics analysis of first-order field Lagrangians.",
+             "", "commands:"]
+    for command, (_, summary, positional, options) in _COMMANDS.items():
+        lines += [f"  {_command_usage(command)}", f"      {summary}"]
+        rows = [positional] if positional else []
+        rows += [(f"{opt} {metavar}" if metavar else opt, text)
+                 for opt, (metavar, text) in options.items()]
+        lines += [f"      {name:<22}{text}" for name, text in rows]
+    lines += ["", "options:",
+              "  -h, --help  show this help message and exit",
+              "  --version   show program's version number and exit"]
+    return "\n".join(lines) + "\n"
+
+
+def _exit_with_help():
+    sys.stdout.write(_help())
+    raise SystemExit(0)
+
+
+def _usage_error(usage: str, message: str):
+    sys.stderr.write(f"usage: {usage}\nspinstat: error: {message}\n")
+    raise SystemExit(1)
+
+
+def parse_argv(argv):
+    """Read a command line into the command's function and its arguments.
+
+    Options come in any order, before or after the positional, as
+    ``--opt VALUE`` or ``--opt=VALUE``; a valued option takes the next
+    token even when it starts with ``-``, and a repeated option keeps its
+    last value.  ``-h``/``--help`` prints the help and a leading
+    ``--version`` the version, both exiting 0; a usage error writes the
+    usage line and the error to stderr and exits 1.  Long options are
+    never abbreviated.
+    """
     tokens = iter(argv)
+    command = next(tokens, None)
+    if command in ("-h", "--help"):
+        _exit_with_help()
+    if command == "--version":
+        sys.stdout.write(f"spinstat {__version__}\n")
+        raise SystemExit(0)
+    if command is None:
+        _usage_error(_USAGE, "the following arguments are required: command")
+    if command.startswith("-"):
+        _usage_error(_USAGE, f"unrecognized arguments: {command}")
+    if command not in _COMMANDS:
+        choices = ", ".join(repr(c) for c in _COMMANDS)
+        _usage_error(_USAGE, f"argument command: invalid choice: "
+                             f"{command!r} (choose from {choices})")
+
+    run, _, positional, options = _COMMANDS[command]
+    usage = _command_usage(command)
+    values = {opt: None if metavar else False
+              for opt, (metavar, _) in options.items()}
+    given = []
     for tok in tokens:
-        if tok == "--metric":
+        if tok in ("-h", "--help"):
+            _exit_with_help()
+        if not tok.startswith("-") or tok == "-":
+            given.append(tok)
+            continue
+        opt, eq, value = tok.partition("=")
+        if opt not in options:
+            _usage_error(usage, f"unrecognized arguments: {tok}")
+        if options[opt][0] is None:
+            if eq:
+                _usage_error(usage, f"argument {opt}: ignored explicit "
+                                    f"argument {value!r}")
+            value = True
+        elif not eq:
             value = next(tokens, None)
             if value is None:
-                out.append(tok)
-            else:
-                out.append(f"--metric={value}")
-        else:
-            out.append(tok)
-    return out
+                _usage_error(usage, f"argument {opt}: expected one argument")
+        values[opt] = value
+
+    args = {opt[2:].replace("-", "_"): value for opt, value in values.items()}
+    if positional:
+        if not given:
+            _usage_error(usage, f"the following arguments are required: "
+                                f"{positional[0]}")
+        args[positional[0]] = given.pop(0)
+    if given:
+        _usage_error(usage, f"unrecognized arguments: {' '.join(given)}")
+    return run, SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_normalize_argv(list(argv)))
+    run, args = parse_argv(argv)
     try:
-        code = args.func(args)
+        code = run(args)
         sys.stdout.flush()
         return code
     except SelfCheckError as exc:

@@ -13,9 +13,9 @@ it in exact arithmetic.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .algebra import (
     ONE,
@@ -43,12 +43,15 @@ __all__ = [
 I = Scalar(0, 1)
 
 
-class FlavorSplit(NamedTuple):
-    """Outcome of testing a kinematic matrix for flavor antisymmetry."""
+class FlavorSplit(namedtuple(
+        "FlavorSplit", "is_flavor_antisymmetric block note",
+        defaults=(None, None))):
+    """Outcome of testing a kinematic matrix for flavor antisymmetry.
 
-    is_flavor_antisymmetric: bool
-    block: ExactMatrix | None = None
-    note: str | None = None
+    ``block`` is the flavor ExactMatrix or None, ``note`` a str or None.
+    """
+
+    __slots__ = ()
 
 
 def detect_flavor_antisymmetry(m: ExactMatrix) -> FlavorSplit:
@@ -83,20 +86,19 @@ def detect_flavor_antisymmetry(m: ExactMatrix) -> FlavorSplit:
     return FlavorSplit(True, ExactMatrix._from_rows(h, block))
 
 
-class FlavorDiagonalization(NamedTuple):
+class FlavorDiagonalization(namedtuple(
+        "FlavorDiagonalization",
+        "exact eigenvalues diagonal transformation column_norms_squared")):
     """Spectral data of an antisymmetric flavor matrix.
 
-    `transformation` holds unnormalized eigenvector columns with
-    rational-complex entries and `column_norms_squared` their squared
-    lengths, so unitarity reads V-dagger V = diag(norms) exactly.  Every
-    entry is exact, so `exact` is always true.
+    `eigenvalues` is a tuple of Scalar, `diagonal` an ExactMatrix.
+    `transformation` is an ExactMatrix of unnormalized eigenvector columns
+    with rational-complex entries and `column_norms_squared` a tuple of
+    Fraction, their squared lengths, so unitarity reads V-dagger V =
+    diag(norms) exactly.  Every entry is exact, so `exact` is always true.
     """
 
-    exact: bool
-    eigenvalues: tuple[Scalar, ...]
-    diagonal: ExactMatrix
-    transformation: ExactMatrix
-    column_norms_squared: tuple[Fraction, ...]
+    __slots__ = ()
 
 
 def diagonalize_flavor(lam: ExactMatrix) -> FlavorDiagonalization:
@@ -150,16 +152,19 @@ def _diagonalize(lam: ExactMatrix, split: FlavorSplit) -> FlavorDiagonalization:
     )
 
 
-class FlavorDiagnosis(NamedTuple):
-    """Full flavor verdict: sector signs, norm defect, and the witness."""
+class FlavorDiagnosis(namedtuple(
+        "FlavorDiagnosis",
+        "is_flavor_antisymmetric diagonalization sector_signs negative_norm"
+        " inverted_connection_attempt witness note",
+        defaults=(None,))):
+    """Full flavor verdict: sector signs, norm defect, and the witness.
 
-    is_flavor_antisymmetric: bool
-    diagonalization: FlavorDiagonalization | None
-    sector_signs: tuple[int, ...]
-    negative_norm: bool
-    inverted_connection_attempt: bool
-    witness: GramResult | None
-    note: str | None = None
+    ``diagonalization`` is a FlavorDiagonalization or None,
+    ``sector_signs`` a tuple of +1/-1, ``witness`` the GramResult of the
+    negative-norm state or None, and ``note`` a str or None.
+    """
+
+    __slots__ = ()
 
 
 def _inertia_signs(x: ExactMatrix) -> list[int]:

@@ -21,8 +21,8 @@ contraction, and the memo (``MAX_CONTRACTION_STATES``) as it grows.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import lcm
-from typing import NamedTuple
 
 from .algebra import (
     ExactMatrix,
@@ -308,9 +308,11 @@ def adjoint_word(word, table: RelationTable) -> tuple[str, ...]:
     return tuple(table.adjoint_of(s) for s in reversed(symbols))
 
 
-class GramResult(NamedTuple):
-    matrix: ExactMatrix
-    signature: tuple[int, int, int]
+class GramResult(namedtuple("GramResult", "matrix signature")):
+    """A Gram ExactMatrix and its signature, the (positive, negative,
+    zero) eigenvalue counts."""
+
+    __slots__ = ()
 
 
 def gram_matrix(states, table: RelationTable) -> GramResult:

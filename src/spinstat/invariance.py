@@ -12,10 +12,10 @@ pairs versus constraints.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import NamedTuple
 
 from .algebra import (
     DimensionError,
@@ -63,12 +63,12 @@ def class_for_statistics(statistics: str) -> SymmetryClass:
     return STATISTICS_CLASS[statistics]
 
 
-class InvarianceReport(NamedTuple):
+class InvarianceReport(namedtuple("InvarianceReport", "ok violations")):
     """Outcome of the exact rotation-invariance check, with the nonzero
-    entries of G^T K0 + K0 G listed per failing axis."""
+    entries of G^T K0 + K0 G listed per failing axis: ``violations`` is a
+    tuple of (axis name, tuple of (row, column)) pairs."""
 
-    ok: bool
-    violations: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
+    __slots__ = ()
 
     @property
     def failing_axes(self) -> tuple[str, ...]:
@@ -186,15 +186,18 @@ def momentum_map(k0: ExactMatrix, statistics: str) -> ExactMatrix:
             else kt + k0).scale(_HALF)
 
 
-class ConstraintSplit(NamedTuple):
-    """Partition of field components into canonical pairs and constraints."""
+class ConstraintSplit(namedtuple(
+        "ConstraintSplit",
+        "statistics canonical_indices constraint_indices nonsingular_block"
+        " momentum_map momentum_restricted")):
+    """Partition of field components into canonical pairs and constraints.
 
-    statistics: str
-    canonical_indices: tuple[int, ...]
-    constraint_indices: tuple[int, ...]
-    nonsingular_block: ExactMatrix | None
-    momentum_map: ExactMatrix
-    momentum_restricted: ExactMatrix | None
+    ``statistics`` is "bose" or "fermi"; the three matrices are
+    ExactMatrix, ``nonsingular_block`` and ``momentum_restricted`` None
+    when no component is canonical.
+    """
+
+    __slots__ = ()
 
 
 def constraint_split(k0: ExactMatrix, statistics: str) -> ConstraintSplit:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import pathlib
 import re
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .algebra import ExactMatrix, ParseError, Scalar, SymmetryClass
 from .invariance import required_symmetry
@@ -50,14 +50,15 @@ class TheoryParseError(ParseError):
     """A theory file error; line 0 marks an error of the whole file."""
 
 
-class FieldSpec(NamedTuple):
-    """One field line.  Every field is hermitian: the analysis assumes it."""
+class FieldSpec(namedtuple(
+        "FieldSpec", "name two_j flavors copies statistics",
+        defaults=(1, 1, "auto"))):
+    """One field line.  Every field is hermitian: the analysis assumes it.
 
-    name: str
-    two_j: int
-    flavors: int = 1
-    copies: int = 1
-    statistics: str = "auto"  # auto | bose | fermi
+    ``statistics`` is "auto", "bose" or "fermi".
+    """
+
+    __slots__ = ()
 
     @property
     def spin(self) -> Fraction:
@@ -82,14 +83,15 @@ class FieldSpec(NamedTuple):
         return self.flavors * self.copies * self.component_dimension
 
 
-class TheorySpec(NamedTuple):
-    """A parsed theory.  K0 is explicit exactly when ``explicit_matrix`` is
-    set; otherwise build_kinematic constructs it."""
+class TheorySpec(namedtuple(
+        "TheorySpec", "name fields explicit_matrix flavor_mode",
+        defaults=(None, "diagonal"))):
+    """A parsed theory.  K0 is explicit exactly when ``explicit_matrix``, an
+    ExactMatrix, is set; otherwise build_kinematic constructs it.
+    ``fields`` is a tuple of FieldSpec and ``flavor_mode`` "diagonal" or
+    "antisymmetric-pair"."""
 
-    name: str
-    fields: tuple[FieldSpec, ...]
-    explicit_matrix: ExactMatrix | None = None
-    flavor_mode: str = "diagonal"  # diagonal | antisymmetric-pair
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:
@@ -309,18 +311,24 @@ def _blockdiag(mats: list[ExactMatrix]) -> ExactMatrix:
     return ExactMatrix._from_rows(offset, entries)
 
 
-class KinematicMatrix(NamedTuple):
-    matrix: ExactMatrix
-    index_map: tuple[str, ...]
+class KinematicMatrix(namedtuple("KinematicMatrix", "matrix index_map")):
+    """K0 as an ExactMatrix, with the tuple of component labels that
+    names its rows."""
+
+    __slots__ = ()
 
 
-class KinematicBuild(NamedTuple):
-    """Outcome of build_kinematic: a matrix, or the reason there is none."""
+class KinematicBuild(namedtuple(
+        "KinematicBuild", "status kinematic note details",
+        defaults=(None, None, ()))):
+    """Outcome of build_kinematic: a matrix, or the reason there is none.
 
-    status: str  # built | no_form | not_unique
-    kinematic: KinematicMatrix | None = None
-    note: str | None = None
-    details: tuple[str, ...] = ()
+    ``status`` is "built", "no_form" or "not_unique"; ``kinematic`` is the
+    KinematicMatrix or None, ``note`` a str or None, and ``details`` a
+    tuple of str.
+    """
+
+    __slots__ = ()
 
 
 def _form_space_dims(f: FieldSpec) -> tuple[int, int]:

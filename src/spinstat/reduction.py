@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from collections import namedtuple
 from itertools import product
-from typing import NamedTuple
 
 from .algebra import ExactMatrix, Scalar, self_check
 from .model import KinematicMatrix
@@ -51,9 +51,9 @@ _I = Scalar(0, 1)
 _HALF = Scalar(Fraction(1, 2))
 
 
-class DerivativePolynomial(
-        NamedTuple("DerivativePolynomial", [("coefficients", tuple)])):
-    """Polynomial F(d_t) stored as Scalar coefficients by ascending power."""
+class DerivativePolynomial(namedtuple("DerivativePolynomial", "coefficients")):
+    """Polynomial F(d_t) stored as a tuple of Scalar coefficients by
+    ascending power."""
 
     __slots__ = ()
 
@@ -86,7 +86,10 @@ class DerivativePolynomial(
 
 
 
-class ReductionResult(NamedTuple):
+class ReductionResult(namedtuple(
+        "ReductionResult",
+        "polynomial auxiliary_fields momentum_combinations first_order_K0"
+        " potential")):
     """First-order rewrite of -(1/2) phi F(d_t) phi.
 
     The Lagrangian in the new variables is
@@ -99,13 +102,13 @@ class ReductionResult(NamedTuple):
     a total derivative.  ``momentum_combinations`` holds the alternating
     variational-derivative momenta, row i giving Pi_i as a combination of
     the auxiliaries; K equals its transpose exactly.
+
+    ``polynomial`` is the DerivativePolynomial, ``auxiliary_fields`` a
+    tuple of names, ``first_order_K0`` a KinematicMatrix, and the other
+    two fields ExactMatrix.
     """
 
-    polynomial: DerivativePolynomial
-    auxiliary_fields: tuple[str, ...]
-    momentum_combinations: ExactMatrix
-    first_order_K0: KinematicMatrix
-    potential: ExactMatrix
+    __slots__ = ()
 
 
 def _aux_labels(n: int) -> tuple[str, ...]:
@@ -255,20 +258,19 @@ def eliminate_auxiliaries(result: ReductionResult) -> DerivativePolynomial:
 # -- the five-component wave-operator form ---------------------------------
 
 
-class BetaSet(NamedTuple):
-    """The 5x5 Duffin-Kemmer matrices for a scalar field of mass ``mass``.
+class BetaSet(namedtuple(
+        "BetaSet", "betas metric psi_components psibar_components mass")):
+    """The 5x5 Duffin-Kemmer matrices for a scalar field of mass ``mass``,
+    a Fraction.
 
-    ``psi_components`` names the entries of the column vector the
-    first-order equation acts on and ``psibar_components`` the row vector
-    conjugate to it; the metric is the unique diagonal signature under
-    which the matrices close the standard trilinear algebra.
+    ``betas`` is a tuple of four ExactMatrix.  ``psi_components`` names
+    the entries of the column vector the first-order equation acts on and
+    ``psibar_components`` the row vector conjugate to it; the metric is
+    the unique diagonal ExactMatrix signature under which the matrices
+    close the standard trilinear algebra.
     """
 
-    betas: tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]
-    metric: ExactMatrix
-    psi_components: tuple[str, ...]
-    psibar_components: tuple[str, ...]
-    mass: Fraction
+    __slots__ = ()
 
     @property
     def beta0(self) -> ExactMatrix:
@@ -348,27 +350,29 @@ def duffin_kemmer_construct(mass) -> BetaSet:
     )
 
 
-class RelationCheck(NamedTuple):
+class RelationCheck(namedtuple(
+        "RelationCheck", "indices unweighted weighted")):
     """One index tuple of a trilinear identity, evaluated two ways.
 
-    ``unweighted`` is the identity with all metric factors dropped, the
-    shape the relations are usually quoted in; ``weighted`` restores the
-    metric entries.  The two agree wherever the relevant entry is +1.
+    ``unweighted`` is whether the identity holds with all metric factors
+    dropped, the shape the relations are usually quoted in; ``weighted``
+    restores the metric entries.  The two agree wherever the relevant
+    entry is +1.
     """
 
-    indices: tuple[int, ...]
-    unweighted: bool
-    weighted: bool
+    __slots__ = ()
 
 
-class DKPAlgebraReport(NamedTuple):
-    """Exhaustive evaluation of the trilinear algebra of a BetaSet."""
+class DKPAlgebraReport(namedtuple(
+        "DKPAlgebraReport",
+        "standard_failures cube sandwich square_sum distinct_sum")):
+    """Exhaustive evaluation of the trilinear algebra of a BetaSet.
 
-    standard_failures: tuple[tuple[int, int, int], ...]
-    cube: tuple[RelationCheck, ...]
-    sandwich: tuple[RelationCheck, ...]
-    square_sum: tuple[RelationCheck, ...]
-    distinct_sum: tuple[RelationCheck, ...]
+    ``standard_failures`` is a tuple of the failing index triples; each
+    other field is a tuple of RelationCheck.
+    """
+
+    __slots__ = ()
 
     @property
     def standard_holds(self) -> bool:
@@ -445,12 +449,12 @@ def verify_dkp_algebra(betas: BetaSet) -> DKPAlgebraReport:
     )
 
 
-class MomentumContractionCheck(NamedTuple):
-    """Result of the minimal-polynomial probe along a momentum vector."""
+class MomentumContractionCheck(namedtuple(
+        "MomentumContractionCheck", "k k_dot_k holds")):
+    """Result of the minimal-polynomial probe along a momentum vector:
+    ``k`` is a tuple of four Scalar, ``k_dot_k`` a Scalar."""
 
-    k: tuple[Scalar, Scalar, Scalar, Scalar]
-    k_dot_k: Scalar
-    holds: bool
+    __slots__ = ()
 
 
 def dkp_minimal_polynomial_check(betas: BetaSet, k) -> MomentumContractionCheck:

@@ -12,24 +12,14 @@ because every field is hermitian.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .algebra import ExactMatrix, MatrixText, self_check, symmetry_class
 from .flavor import FlavorDiagnosis, flavor_diagnosis
-from .invariance import (
-    ConstraintSplit,
-    InvarianceReport,
-    check_su2_invariance,
-    constraint_split,
-)
-from .model import KinematicBuild, TheorySpec, build_kinematic
-from .schwinger import (
-    SurfaceVariation,
-    TheoryVerdict,
-    spin_statistics_verdict,
-    surface_variation_consistency,
-)
+from .invariance import check_su2_invariance, constraint_split
+from .model import TheorySpec, build_kinematic
+from .schwinger import spin_statistics_verdict, surface_variation_consistency
 
 STATUSES = (
     "CONSISTENT",
@@ -44,18 +34,20 @@ class AmbiguousKinematicError(ValueError):
     """The automatic builder found several candidate kinematic forms."""
 
 
-class VerdictReport(NamedTuple):
-    """Everything the analysis derived about one theory."""
+class VerdictReport(namedtuple(
+        "VerdictReport",
+        "spec build verdict invariance statistics split surface"
+        " flavor_by_field status")):
+    """Everything the analysis derived about one theory.
 
-    spec: TheorySpec
-    build: KinematicBuild
-    verdict: TheoryVerdict
-    invariance: InvarianceReport | None
-    statistics: str | None
-    split: ConstraintSplit | None
-    surface: SurfaceVariation | None
-    flavor_by_field: tuple[tuple[str, FlavorDiagnosis], ...]
-    status: str
+    ``spec`` is the TheorySpec, ``build`` the KinematicBuild and
+    ``verdict`` the TheoryVerdict.  ``invariance`` (an InvarianceReport),
+    ``statistics`` (a str), ``split`` (a ConstraintSplit) and ``surface``
+    (a SurfaceVariation) may each be None.  ``flavor_by_field`` is a tuple
+    of (field name, FlavorDiagnosis) pairs.
+    """
+
+    __slots__ = ()
 
 
 def analyze_theory(spec: TheorySpec) -> VerdictReport:
@@ -229,7 +221,7 @@ def report_to_dict(report: VerdictReport) -> dict:
 
 
 def report_to_json(report: VerdictReport) -> str:
-    return json_text(report_to_dict(report)) + "\n"
+    return json_text(report_to_dict(report))
 
 
 _INDENT = "  "
@@ -254,12 +246,14 @@ def _encoder(depth: int) -> json.JSONEncoder:
 
 def json_text(payload) -> str:
     """The text ``json.dumps`` writes with a two-space indent, byte for
-    byte, for dicts with str keys, lists and JSON scalars.  An array of
+    byte, for dicts with str keys, lists and JSON scalars, and the newline
+    that ends a JSON file, appended in the same join.  An array of
     strings that need no escaping is joined directly, and a ``MatrixText``
     in one step for all its rows, unscanned; any other array of scalars
     goes to the C encoder in one call."""
     out: list[str] = []
     _write_json_value(payload, 0, out)
+    out.append("\n")
     return "".join(out)
 
 

@@ -10,7 +10,7 @@ on K0 yields, per field, the statistics the theory can support.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .algebra import ExactMatrix, SymmetryClass, symmetry_class
 from .invariance import STATISTICS_CLASS, class_for_statistics, required_symmetry
@@ -26,9 +26,12 @@ __all__ = [
     "spin_statistics_verdict",
 ]
 
-class SurfaceVariation(NamedTuple):
-    consistent: bool
-    reason: str | None = None
+class SurfaceVariation(namedtuple(
+        "SurfaceVariation", "consistent reason", defaults=(None,))):
+    """Whether the surface variation implements the statistics, with the
+    reason, a str, when it does not."""
+
+    __slots__ = ()
 
 
 def surface_variation_consistency(k0: ExactMatrix, statistics: str) -> SurfaceVariation:
@@ -51,19 +54,22 @@ def surface_variation_consistency(k0: ExactMatrix, statistics: str) -> SurfaceVa
     return SurfaceVariation(False, f"generator commutes with all fields: {detail}")
 
 
-class StatisticsVerdict(NamedTuple):
-    field: str
-    spin: str
-    required_k0_symmetry: SymmetryClass
-    consistent_statistics: str | None
-    michel_parity: int
-    statistics_declared: str
-    contradiction: str | None
+class StatisticsVerdict(namedtuple(
+        "StatisticsVerdict",
+        "field spin required_k0_symmetry consistent_statistics michel_parity"
+        " statistics_declared contradiction")):
+    """The verdict on one field: ``field`` is its name and ``spin`` its
+    label, ``required_k0_symmetry`` a SymmetryClass and ``michel_parity``
+    +1 or -1.  ``consistent_statistics`` and ``contradiction`` are str or
+    None."""
+
+    __slots__ = ()
 
 
-class TheoryVerdict(NamedTuple):
-    status: str
-    verdicts: tuple[StatisticsVerdict, ...]
+class TheoryVerdict(namedtuple("TheoryVerdict", "status verdicts")):
+    """The theory's status, a str, and a tuple of StatisticsVerdict."""
+
+    __slots__ = ()
 
 
 def statistics_for_class(cls: SymmetryClass) -> str | None:

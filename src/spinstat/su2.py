@@ -14,9 +14,9 @@ row is m = -j.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .algebra import ExactMatrix, Scalar, _check_literal_size, self_check
 
@@ -69,15 +69,12 @@ def _b_squared(two_j: int, two_m: int) -> Fraction:
     return Fraction((two_j + two_m) * (two_j - two_m + 2), 4)
 
 
-class SpinGenerators(NamedTuple):
-    """Rotation generators for one irreducible spin, all Gaussian rational."""
+class SpinGenerators(namedtuple(
+        "SpinGenerators", "two_j jx jy jz jplus jminus")):
+    """Rotation generators for one irreducible spin, all Gaussian rational
+    ExactMatrix."""
 
-    two_j: int
-    jx: ExactMatrix
-    jy: ExactMatrix
-    jz: ExactMatrix
-    jplus: ExactMatrix
-    jminus: ExactMatrix
+    __slots__ = ()
 
     @property
     def generators(self) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
@@ -144,7 +141,8 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, f * n
 
 
-class HermitianBasis(NamedTuple):
+class HermitianBasis(namedtuple(
+        "HermitianBasis", "two_j change_of_basis generators form doubled")):
     """Basis data in which field components can be taken hermitian.
 
     ``generators`` are the three rotation generators in the new basis and
@@ -160,13 +158,12 @@ class HermitianBasis(NamedTuple):
     "old" means the pair (v, conj v), whose generator is the block diagonal
     of J and -conj(J); the same relation G = U^-1 blockdiag(J, -conj J) U
     holds and is what the tests pin down.
+
+    ``change_of_basis`` and ``form`` are ExactMatrix and ``generators`` a
+    tuple of three.
     """
 
-    two_j: int
-    change_of_basis: ExactMatrix
-    generators: tuple[ExactMatrix, ExactMatrix, ExactMatrix]
-    form: ExactMatrix
-    doubled: bool
+    __slots__ = ()
 
 
 def realify(m: ExactMatrix) -> ExactMatrix:

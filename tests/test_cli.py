@@ -423,7 +423,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 # each case: what `python -m spinstat` does, through the entry that freezes
 # the heap, must be what cli.main does in process: statuses 0, 2, 3 and 5,
-# a parse error, an argparse usage error and --version
+# a parse error, three usage errors and --version
 ENTRY_CASES = {
     "consistent": (0, ["analyze", str(THEORIES / "dirac.th")]),
     "contradiction": (2, ["analyze", str(GOLDEN / "contradiction.th")]),
@@ -431,6 +431,8 @@ ENTRY_CASES = {
     "not-invariant": (5, ["analyze", str(GOLDEN / "not_invariant.th")]),
     "parse-error": (1, ["analyze", "{bad}"]),
     "usage-error": (1, ["analyze"]),
+    "unknown-command": (1, ["bogus"]),
+    "unknown-option": (1, ["analyze", str(THEORIES / "dirac.th"), "--bogus"]),
     "version": (0, ["--version"]),
 }
 
@@ -438,7 +440,7 @@ ENTRY_CASES = {
 def _main_in_process(argv, capsys):
     try:
         code = cli.main(argv)
-    except SystemExit as exc:  # argparse's usage errors and --version
+    except SystemExit as exc:  # usage errors, --help and --version
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -494,3 +496,89 @@ def test_console_script_targets_the_process_entry():
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["spinstat"]
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is spinstat_main.run
+
+
+# -- the command-line grammar ---------------------------------------------------
+
+TOP_USAGE = "usage: spinstat [-h] [--version] command ..."
+ANALYZE_USAGE = "usage: spinstat analyze [-h] [--json PATH] spec"
+
+# each case: arguments, the usage line and the error line on stderr
+USAGE_ERRORS = {
+    "no-command": ([], TOP_USAGE,
+                   "the following arguments are required: command"),
+    "unknown-command": (["bogus"], TOP_USAGE,
+                        "argument command: invalid choice: 'bogus' "
+                        "(choose from 'analyze', 'dkp-check', 'fock')"),
+    "unknown-option": (["analyze", "x.th", "--bogus"], ANALYZE_USAGE,
+                       "unrecognized arguments: --bogus"),
+    "abbreviated-option": (
+        ["dkp-check", "--paper"],
+        "usage: spinstat dkp-check [-h] [--paper-relations] [--metric SIGNS] "
+        "[--json PATH]",
+        "unrecognized arguments: --paper"),
+    "missing-positional": (["analyze"], ANALYZE_USAGE,
+                           "the following arguments are required: spec"),
+    "extra-positional": (["analyze", "a.th", "b.th"], ANALYZE_USAGE,
+                         "unrecognized arguments: b.th"),
+    "missing-value": (
+        ["fock", "t.rel", "--word"],
+        "usage: spinstat fock [-h] [--word SYMBOLS] [--gram PATH] "
+        "[--json PATH] table",
+        "argument --word: expected one argument"),
+    "flag-with-value": (
+        ["dkp-check", "--paper-relations=yes"],
+        "usage: spinstat dkp-check [-h] [--paper-relations] [--metric SIGNS] "
+        "[--json PATH]",
+        "argument --paper-relations: ignored explicit argument 'yes'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_error_exits_1_with_usage_and_error_lines(name, capsys):
+    args, usage, error = USAGE_ERRORS[name]
+    want = (1, "", f"{usage}\nspinstat: error: {error}\n")
+    assert _main_in_process(args, capsys) == want
+    proc = run_cli(*args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+@pytest.mark.parametrize("args", [["-h"], ["--help"],
+                                  ["analyze", "-h"], ["fock", "t.rel", "--help"]])
+def test_help_anywhere_lists_the_three_commands(args, capsys):
+    code, out, err = _main_in_process(args, capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith(TOP_USAGE + "\n")
+    for command in ("analyze", "dkp-check", "fock"):
+        assert f"\n  spinstat {command} [-h]" in out
+
+
+def _outputs(argv, capsys, path):
+    """Exit code, stdout and the --json file that one in-process call gives."""
+    code, out, err = _main_in_process(argv, capsys)
+    assert err == ""
+    return code, out, path.read_bytes()
+
+
+def test_option_spellings_and_positions_give_identical_output(tmp_path, capsys):
+    spec = str(THEORIES / "dirac.th")
+    out = tmp_path / "out.json"
+    spelled = [["analyze", spec, "--json", str(out)],
+               ["analyze", spec, f"--json={out}"],
+               ["analyze", "--json", str(out), spec],
+               ["analyze", "--json", "unused.json", spec, "--json", str(out)]]
+    results = [_outputs(argv, capsys, out) for argv in spelled]
+    assert results[0][0] == 0
+    assert all(r == results[0] for r in results)
+
+
+def test_metric_value_with_a_leading_dash_needs_no_equals_sign(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    spelled = [["dkp-check", "--metric", "-+++", "--json", str(out)],
+               ["dkp-check", "--metric=-+++", "--json", str(out)],
+               ["dkp-check", "--metric", "+---", "--metric", "-+++",
+                "--json", str(out)]]
+    results = [_outputs(argv, capsys, out) for argv in spelled]
+    assert results[0][0] == 2
+    assert "metric -+++" in results[0][1]
+    assert all(r == results[0] for r in results)

@@ -1,4 +1,4 @@
-"""The result records: immutable NamedTuples, and a light import."""
+"""The result records: immutable namedtuples, and a light import."""
 
 import os
 import pathlib
@@ -42,10 +42,15 @@ def test_records_are_immutable(cls):
     assert tuple(record) == tuple(range(len(cls._fields)))
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+# modules no command uses: argparse (with gettext and the locale its first
+# message lookup imports), typing, dataclasses and inspect
+NOT_IMPORTED = ("argparse", "dataclasses", "gettext", "inspect", "locale", "typing")
+
+
+def test_cli_import_loads_no_argparse_gettext_locale_typing_dataclasses_or_inspect():
     src = pathlib.Path(spinstat.__file__).resolve().parent.parent
     probe = ("import sys, spinstat.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             f"print(sorted(set({NOT_IMPORTED!r}) & set(sys.modules)))")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         capture_output=True, text=True,

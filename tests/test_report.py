@@ -225,4 +225,4 @@ json_payloads = st.recursive(
 
 @given(json_payloads)
 def test_json_text_matches_json_dumps(payload):
-    assert json_text(payload) == json.dumps(payload, indent=2)
+    assert json_text(payload) == json.dumps(payload, indent=2) + "\n"
