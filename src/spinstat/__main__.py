@@ -11,9 +11,8 @@ def run() -> int:
     The heap is frozen on the way out, also when ``cli.parse_argv`` exits
     early with ``SystemExit`` (a usage error, ``--help`` or ``--version``),
     so the interpreter's final collection skips every object still alive:
-    a sweep of json and all of spinstat that frees nothing the process
-    needs.  Refcount teardown, atexit and stdio flushing run as
-    before.  ``cli.main`` itself stays free of this side effect, because
+    a sweep of all of spinstat that frees nothing the process needs.
+    Refcount teardown, atexit and stdio flushing run as before.  ``cli.main`` itself stays free of this side effect, because
     tests call it in process.
     """
     try:

@@ -16,8 +16,7 @@ as an independent check.  No floating point enters any computation.
 from __future__ import annotations
 
 import enum
-import json
-from fractions import Fraction
+import sys
 from math import gcd, lcm
 
 __all__ = [
@@ -78,33 +77,50 @@ def self_check(condition: bool, message: str) -> None:
 MAX_LITERAL_DIGITS = 4300
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int, a literal, or any rational with
+    int ``numerator`` and ``denominator`` (a ``Fraction``), in lowest terms."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
     if isinstance(value, str):
-        _check_literal_size(value)
-        return _fraction_literal(value)
+        return _literal_ratio(value)
+    n = getattr(value, "numerator", None)
+    d = getattr(value, "denominator", None)
+    if isinstance(n, int) and isinstance(d, int) and d > 0:
+        g = gcd(n, d)
+        return n // g, d // g
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _fraction_literal(text: str) -> Fraction:
+def _literal_ratio(text: str) -> tuple[int, int]:
+    """_read_literal, with a zero denominator as a ValueError."""
     try:
-        return Fraction(text)
+        return _read_literal(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _literal_ratio(text: str) -> tuple[int, int]:
+def _read_literal(text: str) -> tuple[int, int]:
     """(numerator, denominator) of a real literal in lowest terms, checked
-    for size first: a plain integer is read by int(), any other literal
-    by Fraction."""
+    for size first.  ``[+-]digits(/digits)?`` in ASCII is read by int();
+    any other text goes to ``Fraction``, imported only then, so the grammar
+    and its errors are Fraction's on every Python version.  A zero
+    denominator raises ZeroDivisionError."""
     _check_literal_size(text)
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if digits.isdigit() and digits.isascii():
-        return int(text), 1
-    x = _fraction_literal(text)
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if (digits.isdigit() and digits.isascii()
+            and (not slash or (den.isdigit() and den.isascii()))):
+        n = int(num)
+        if not slash:
+            return n, 1
+        d = int(den)
+        if not d:
+            raise ZeroDivisionError(f"zero denominator in {text!r}")
+        g = gcd(n, d)
+        return n // g, d // g
+    from fractions import Fraction
+    x = Fraction(text)
     return x.numerator, x.denominator
 
 
@@ -132,36 +148,44 @@ class Scalar:
     The form is canonical: d > 0 and gcd(a, b, d) == 1, so equal values
     hold equal ints and ``==`` compares three ints.  Every result is built
     by ``_make``, which does one gcd; no ``Fraction`` enters the
-    arithmetic.  ``re`` and ``im`` read the parts back as ``Fraction``.
+    arithmetic, and ``hash`` follows Python's numeric rule on the ints, so
+    ``hash(Scalar(q)) == hash(q)`` for every rational q.  ``re`` and ``im``
+    read the parts back as ``Fraction``, imported on first use; nothing in
+    the package calls them.
 
     The text form is ``a/b`` for real values and ``a/b+c/di`` (or ``-``)
     otherwise, e.g. ``-1/2``, ``0+1i``, ``3/4-2i``.  ``str`` emits the
     canonical form, each part written from the ints after one gcd;
     ``parse`` additionally tolerates spaces around the central sign and a
     bare imaginary part like ``2i`` or ``-i``.  It checks each part against
-    ``MAX_LITERAL_DIGITS``, then reads a plain integer with ``int`` and
-    any other literal with ``Fraction``.
+    ``MAX_LITERAL_DIGITS``, then reads ``[+-]digits(/digits)?`` with
+    ``int`` and any other literal with ``Fraction``.  The constructor
+    ``Scalar(re, im)`` takes each part as an int, such a literal, or a
+    rational like ``Fraction``.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        x, y = _as_fraction(re), _as_fraction(im)
-        # both parts are in lowest terms, so over their lcm gcd(a, b, d) == 1
-        d = lcm(x.denominator, y.denominator)
-        _set_a(self, x.numerator * (d // x.denominator))
-        _set_b(self, y.numerator * (d // y.denominator))
-        _set_d(self, d)
+        a, d = _ratio(re)
+        b, e = _ratio(im)
+        # both parts are in lowest terms, so over their lcm gcd(a, b, f) == 1
+        f = d if d == e else lcm(d, e)
+        _set_a(self, a * (f // d))
+        _set_b(self, b * (f // e))
+        _set_d(self, f)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._b, self._d)
 
     @staticmethod
@@ -197,13 +221,13 @@ class Scalar:
     def coerce(value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, int):
-            return _make(int(value), 0, 1)
-        if isinstance(value, Fraction):
-            return _make(value.numerator, 0, value.denominator)
         if isinstance(value, str):
             return Scalar.parse(value)
-        raise TypeError(f"cannot interpret {value!r} as a scalar")
+        try:
+            n, d = _ratio(value)
+        except TypeError:
+            raise TypeError(f"cannot interpret {value!r} as a scalar") from None
+        return _make(n, 0, d)
 
     # -- arithmetic ---------------------------------------------------
     #
@@ -290,10 +314,13 @@ class Scalar:
         return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        # equal values hash alike: Scalar(1) == 1, so hash(Scalar(1)) == hash(1)
+        # equal values hash alike: Scalar(q) == q, so hash(Scalar(q)) ==
+        # hash(q) for an int or a Fraction q, and a complex value hashes as
+        # the pair of its parts
         if not self._b:
-            return hash(self.re)
-        return hash((self.re, self.im))
+            return _rational_hash(self._a, self._d)
+        return hash((_rational_hash(self._a, self._d),
+                     _rational_hash(self._b, self._d)))
 
     def __bool__(self):
         return bool(self._a or self._b)
@@ -348,6 +375,27 @@ def _make(a: int, b: int, d: int) -> Scalar:
     return s
 
 
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for d > 0, by Python's rule for numeric hashes:
+    |n| times the inverse of d modulo the hash prime, with n's sign, and
+    ``sys.hash_info.inf`` when the prime divides the reduced d."""
+    if d == 1:
+        return hash(n)
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    try:
+        h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+    except ValueError:
+        h = sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
 def _ratio_text(n: int, d: int) -> str:
     """The text of the rational n/d (d > 0) as Fraction writes it, after
     one gcd."""
@@ -365,6 +413,7 @@ def _operand(value) -> Scalar | None:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
+HALF = _make(1, 0, 2)
 
 
 class SymmetryClass(enum.Enum):
@@ -459,6 +508,7 @@ class ExactMatrix:
     @staticmethod
     def loads(text: str) -> "ExactMatrix":
         """Parse the serialized form: a JSON nested array of scalar strings."""
+        import json
         try:
             nested = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -478,6 +528,7 @@ class ExactMatrix:
         return ExactMatrix._from_rows(len(nested[0]) if nested else 0, entries)
 
     def dumps(self) -> str:
+        import json
         return json.dumps(self.to_nested_strings())
 
     def to_nested_strings(self) -> MatrixText:
@@ -717,9 +768,8 @@ def symmetry_class(m: ExactMatrix) -> SymmetryClass:
 def symmetry_decompose(m: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, SymmetryClass]:
     """(sym, antisym, symmetry_class(m)): the two halves of a square matrix."""
     cls = symmetry_class(m)
-    half = Scalar(Fraction(1, 2))
     mt = m.transpose()
-    return (m + mt).scale(half), (m - mt).scale(half), cls
+    return (m + mt).scale(HALF), (m - mt).scale(HALF), cls
 
 
 def pivoted_elimination(m: ExactMatrix) -> tuple[tuple[int, ...], tuple[ExactMatrix, ...]]:
@@ -797,5 +847,5 @@ def hermitian_signature(m: ExactMatrix) -> tuple[int, int, int]:
     if not m.is_hermitian():
         raise NotHermitianError("signature is defined for hermitian matrices only")
     indices, blocks = pivoted_elimination(m)
-    positives = sum(1 if b.rows == 2 else int(b[0, 0].re > 0) for b in blocks)
+    positives = sum(1 if b.rows == 2 else int(b[0, 0]._a > 0) for b in blocks)
     return positives, len(indices) - positives, m.rows - len(indices)

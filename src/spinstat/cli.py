@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import __version__
@@ -55,9 +54,9 @@ _MOMENTA: tuple[tuple, ...] = (
     (0, 1, 0, 0),
     (2, 1, 1, 1),
     (1, 1, 0, 0),
-    (Fraction(1, 2), Fraction(1, 3), 0, 1),
+    (Scalar("1/2"), Scalar("1/3"), 0, 1),
     (3, -2, 1, -1),
-    (Fraction(-5, 2), 1, Fraction(3, 4), -2),
+    (Scalar("-5/2"), 1, Scalar("3/4"), -2),
     (1, 1, 1, 1),
 )
 

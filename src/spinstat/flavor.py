@@ -14,8 +14,8 @@ it in exact arithmetic.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .algebra import (
     ONE,
@@ -94,7 +94,7 @@ class FlavorDiagonalization(namedtuple(
     `eigenvalues` is a tuple of Scalar, `diagonal` an ExactMatrix.
     `transformation` is an ExactMatrix of unnormalized eigenvector columns
     with rational-complex entries and `column_norms_squared` a tuple of
-    Fraction, their squared lengths, so unitarity reads V-dagger V =
+    real Scalar, their squared lengths, so unitarity reads V-dagger V =
     diag(norms) exactly.  Every entry is exact, so `exact` is always true.
     """
 
@@ -121,14 +121,17 @@ def _diagonalize(lam: ExactMatrix, split: FlavorSplit) -> FlavorDiagonalization:
     h = lam.rows // 2
     w = [split.block[k, k] for k in range(h)] if split.is_flavor_antisymmetric else []
     if (not w or split.block != ExactMatrix.diagonal(w)
-            or not all(x.is_real and x.re > 0 for x in w)):
+            or not all(x.is_real and x._a > 0 for x in w)):
         raise ValueError(
             "flavor diagonalization needs a real antisymmetric pairing "
             "[[0, W], [-W, 0]] with W diagonal and positive")
 
-    # column e_k + phase*e_{h+k} has eigenvalue phase*w_k
-    order = ([(k, -I) for k in sorted(range(h), key=lambda k: (-w[k].re, k))]
-             + [(k, I) for k in sorted(range(h), key=lambda k: (w[k].re, k))])
+    # column e_k + phase*e_{h+k} has eigenvalue phase*w_k; the weights
+    # compare as their numerators over one common denominator
+    scale = lcm(*(x._d for x in w))
+    size = [x._a * (scale // x._d) for x in w]
+    order = ([(k, -I) for k in sorted(range(h), key=lambda k: (-size[k], k))]
+             + [(k, I) for k in sorted(range(h), key=lambda k: (size[k], k))])
     eigenvalues = [phase * w[k] for k, phase in order]
     # column t of V is e_k + phase*e_{h+k} for the t-th (k, phase)
     v_rows: list[dict[int, Scalar]] = [{} for _ in range(lam.rows)]
@@ -137,7 +140,7 @@ def _diagonalize(lam: ExactMatrix, split: FlavorSplit) -> FlavorDiagonalization:
         v_rows[h + k][t] = phase
     v_matrix = ExactMatrix._from_rows(lam.rows, v_rows)
     d_matrix = ExactMatrix.diagonal(eigenvalues)
-    norms = (Fraction(2),) * lam.rows
+    norms = (Scalar(2),) * lam.rows
     self_check(lam @ v_matrix == v_matrix @ d_matrix,
                "flavor eigenvectors fail the eigen-equation")
     self_check(v_matrix.dagger() @ v_matrix == ExactMatrix.diagonal(norms),

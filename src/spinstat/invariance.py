@@ -13,15 +13,15 @@ pairs versus constraints.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .algebra import (
+    HALF,
     DimensionError,
     ExactMatrix,
-    Scalar,
     SymmetryClass,
+    _make,
     pivoted_elimination,
     self_check,
     symmetry_class,
@@ -129,7 +129,7 @@ def _spin_block(two_j: int):
     generator is i times a real matrix (su2 checks this), so it is held
     as (D, G): h = i*G/D with G integer, G as one {column: int} mapping
     per row."""
-    gens = hermitian_basis(Fraction(two_j, 2)).generators
+    gens = hermitian_basis(_make(two_j, 0, 2)).generators
     scaled = []
     for h in gens:
         d = lcm(*(x._d for _, _, x in h.nonzeros()))
@@ -166,9 +166,6 @@ def _block_residual(row_block, col_block, entries):
     return tuple(out)
 
 
-_HALF = Scalar(Fraction(1, 2))
-
-
 def momentum_map(k0: ExactMatrix, statistics: str) -> ExactMatrix:
     """Coefficient matrix of the canonical momenta: the part of K0 that
     survives the variation, (K0^T - K0)/2 for bose and (K0^T + K0)/2 for
@@ -183,7 +180,7 @@ def momentum_map(k0: ExactMatrix, statistics: str) -> ExactMatrix:
         return ExactMatrix.zeros(k0.rows)
     kt = k0.transpose()
     return (kt - k0 if kept is SymmetryClass.ANTISYMMETRIC
-            else kt + k0).scale(_HALF)
+            else kt + k0).scale(HALF)
 
 
 class ConstraintSplit(namedtuple(

@@ -13,12 +13,11 @@ contributes four hermitian components).
 
 from __future__ import annotations
 
-import pathlib
+import os
 import re
 from collections import namedtuple
-from fractions import Fraction
 
-from .algebra import ExactMatrix, ParseError, Scalar, SymmetryClass
+from .algebra import ExactMatrix, ParseError, Scalar, SymmetryClass, _make
 from .invariance import required_symmetry
 from .su2 import as_two_j, hermitian_basis, spin_label
 
@@ -55,14 +54,15 @@ class FieldSpec(namedtuple(
         defaults=(1, 1, "auto"))):
     """One field line.  Every field is hermitian: the analysis assumes it.
 
-    ``statistics`` is "auto", "bose" or "fermi".
+    ``statistics`` is "auto", "bose" or "fermi".  ``spin`` is j as a
+    real Scalar, equal to ``Fraction(two_j, 2)`` and hashing like it.
     """
 
     __slots__ = ()
 
     @property
-    def spin(self) -> Fraction:
-        return Fraction(self.two_j, 2)
+    def spin(self) -> Scalar:
+        return _make(self.two_j, 0, 2)
 
     @property
     def spin_text(self) -> str:
@@ -190,9 +190,8 @@ def _parse_field(rest: str, line_no: int) -> FieldSpec:
     return FieldSpec(name, two_j, flavors, copies, statistics)
 
 
-def parse_theory(text: str, base_dir: str | pathlib.Path = ".") -> TheorySpec:
+def parse_theory(text: str, base_dir: str | os.PathLike = ".") -> TheorySpec:
     """Parse a theory description; explicit matrices load relative to base_dir."""
-    base = pathlib.Path(base_dir)
     name = None
     fields: list[FieldSpec] = []
     dimension = 0
@@ -250,9 +249,9 @@ def parse_theory(text: str, base_dir: str | pathlib.Path = ".") -> TheorySpec:
 
     matrix = None
     if explicit_path is not None:
-        path = base / explicit_path
         try:
-            matrix = ExactMatrix.loads(path.read_text())
+            with open(os.path.join(base_dir, explicit_path), encoding="utf-8") as fh:
+                matrix = ExactMatrix.loads(fh.read())
         except OSError as exc:
             raise TheoryParseError(0, f"cannot read matrix file {explicit_path!r}: {exc}")
         except ValueError as exc:

@@ -23,12 +23,11 @@ familiar 2x2 block [[0, i], [-i, 0]].
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from collections import namedtuple
 from itertools import product
 
-from .algebra import ExactMatrix, Scalar, self_check
+from .algebra import HALF, ExactMatrix, Scalar, self_check
 from .model import KinematicMatrix
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
 _ZERO = Scalar(0)
 _ONE = Scalar(1)
 _I = Scalar(0, 1)
-_HALF = Scalar(Fraction(1, 2))
 
 
 class DerivativePolynomial(namedtuple("DerivativePolynomial", "coefficients")):
@@ -129,7 +127,7 @@ def _momentum_matrix(coeff, n: int) -> ExactMatrix:
         for m in range(1, n + 1):
             j = i + m - 1
             c = coeff[j] if j <= n else _ZERO
-            row.append(c * _HALF if m % 2 == 0 else -c * _HALF)
+            row.append(c * HALF if m % 2 == 0 else -c * HALF)
         rows.append(row)
     return ExactMatrix(rows)
 
@@ -143,7 +141,7 @@ def _kinetic_matrix(coeff, n: int, half_deg: int) -> ExactMatrix:
             r = 2 * k - i + 1
             a[r - 1][i - 1] = a[r - 1][i - 1] + sign * coeff[2 * k]
     mat = ExactMatrix(a)
-    return (mat - mat.transpose()).scale(_HALF)
+    return (mat - mat.transpose()).scale(HALF)
 
 
 def _potential_matrix(coeff, n: int, half_deg: int) -> ExactMatrix:
@@ -261,7 +259,7 @@ def eliminate_auxiliaries(result: ReductionResult) -> DerivativePolynomial:
 class BetaSet(namedtuple(
         "BetaSet", "betas metric psi_components psibar_components mass")):
     """The 5x5 Duffin-Kemmer matrices for a scalar field of mass ``mass``,
-    a Fraction.
+    a real Scalar.
 
     ``betas`` is a tuple of four ExactMatrix.  ``psi_components`` names
     the entries of the column vector the first-order equation acts on and
@@ -291,12 +289,18 @@ def _beta_matrices() -> tuple[ExactMatrix, ...]:
     return beta0, beta1, beta2, beta3
 
 
-def _triple_products(b) -> dict[tuple[int, int, int], ExactMatrix]:
-    """b_mu b_nu b_lam for all 64 index triples, built on the 16 pair
-    products, so every trilinear identity reads its terms off one table."""
+@lru_cache(maxsize=4)
+def _triple_products(b: tuple[ExactMatrix, ...]):
+    """(t, sym): t maps each of the 64 index triples to b_mu b_nu b_lam,
+    built on the 16 pair products, and sym maps it to
+    b_mu b_nu b_lam + b_lam b_nu b_mu, so every trilinear identity reads
+    its terms off one table.  The tables are built once per beta tuple and
+    shared by every caller, which only reads them."""
     pairs = {(mu, nu): b[mu] @ b[nu] for mu, nu in product(range(4), repeat=2)}
-    return {(mu, nu, lam): pairs[mu, nu] @ b[lam]
-            for mu, nu, lam in product(range(4), repeat=3)}
+    t = {(mu, nu, lam): pairs[mu, nu] @ b[lam]
+         for mu, nu, lam in product(range(4), repeat=3)}
+    sym = {(mu, nu, lam): x + t[lam, nu, mu] for (mu, nu, lam), x in t.items()}
+    return t, sym
 
 
 def _standard_failures(b, sym, metric: ExactMatrix):
@@ -314,17 +318,23 @@ def _standard_failures(b, sym, metric: ExactMatrix):
 
 @lru_cache(maxsize=1)
 def _verified_metric() -> ExactMatrix:
-    """Scan all diagonal +-1 signatures; exactly one closes the algebra."""
+    """The one diagonal metric that closes the algebra.
+
+    At mu = nu = lam the standard relation reads b_mu^3 = g_mumu b_mu, so
+    with b_mu != 0 each g_mumu is read off the cube: no other diagonal
+    metric can close the algebra.  The candidate is then checked on all 64
+    triples."""
     betas = _beta_matrices()
-    t = _triple_products(betas)
-    sym = {(mu, nu, lam): x + t[lam, nu, mu] for (mu, nu, lam), x in t.items()}
-    survivors = []
-    for signs in product((1, -1), repeat=4):
-        metric = ExactMatrix.diagonal(signs)
-        if next(_standard_failures(betas, sym, metric), None) is None:
-            survivors.append(metric)
-    self_check(len(survivors) == 1, "metric signature must be unique")
-    return survivors[0]
+    t, sym = _triple_products(betas)
+    diagonal = []
+    for mu, b in enumerate(betas):
+        self_check(not b.is_zero(), "a beta matrix is zero")
+        i, j, x = next(b.nonzeros())
+        diagonal.append(t[mu, mu, mu][i, j] / x)
+    metric = ExactMatrix.diagonal(diagonal)
+    self_check(next(_standard_failures(betas, sym, metric), None) is None,
+               "the metric read off the cubes does not close the algebra")
+    return metric
 
 
 def duffin_kemmer_construct(mass) -> BetaSet:
@@ -334,8 +344,8 @@ def duffin_kemmer_construct(mass) -> BetaSet:
     spatial gradient; beta_0 couples only the first two, leaving the
     gradient components as constraints.
     """
-    mass = Fraction(mass)
-    if mass <= 0:
+    mass = Scalar.coerce(mass)
+    if not (mass.is_real and mass._a > 0):
         raise ValueError("mass must be positive")
     betas = _beta_matrices()
     self_check(betas[0].is_antisymmetric(), "beta0 is not antisymmetric")
@@ -401,8 +411,7 @@ def verify_dkp_algebra(betas: BetaSet) -> DKPAlgebraReport:
     the spatial matrices, whose cube is minus themselves.
     """
     b = betas.betas
-    t = _triple_products(b)
-    sym = {(mu, nu, lam): x + t[lam, nu, mu] for (mu, nu, lam), x in t.items()}
+    t, sym = _triple_products(tuple(b))
     failures = tuple(_standard_failures(b, sym, betas.metric))
 
     cube = []

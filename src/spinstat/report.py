@@ -11,9 +11,7 @@ because every field is hermitian.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
-from functools import lru_cache
 
 from .algebra import ExactMatrix, MatrixText, self_check, symmetry_class
 from .flavor import FlavorDiagnosis, flavor_diagnosis
@@ -225,9 +223,8 @@ def report_to_json(report: VerdictReport) -> str:
 
 
 _INDENT = "  "
-# a list holding only these exact types is encoded in one call
-_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 _STR = frozenset((str,))
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _plain(text: str) -> bool:
@@ -237,11 +234,21 @@ def _plain(text: str) -> bool:
             and '"' not in text and "\\" not in text)
 
 
-@lru_cache(maxsize=None)
-def _encoder(depth: int) -> json.JSONEncoder:
-    """The C-backed encoder whose item separator carries the newline and
-    the indent of the items at this depth."""
-    return json.JSONEncoder(separators=(",\n" + _INDENT * depth, ": "))
+def _scalar_text(value) -> str:
+    """The JSON text of a scalar as ``json.dumps`` writes it.  ``null``,
+    ``true``, ``false``, ints and strings that need no escaping are written
+    here; ``json`` is imported only for a string that needs escaping, a
+    float or any other type."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        if _plain(value):
+            return '"' + value + '"'
+    elif value is None or kind is bool:
+        return _CONSTANTS[value]
+    import json
+    return json.dumps(value)
 
 
 def json_text(payload) -> str:
@@ -249,8 +256,8 @@ def json_text(payload) -> str:
     byte, for dicts with str keys, lists and JSON scalars, and the newline
     that ends a JSON file, appended in the same join.  An array of
     strings that need no escaping is joined directly, and a ``MatrixText``
-    in one step for all its rows, unscanned; any other array of scalars
-    goes to the C encoder in one call."""
+    in one step for all its rows, unscanned; every other scalar is
+    written by ``_scalar_text``."""
     out: list[str] = []
     _write_json_value(payload, 0, out)
     out.append("\n")
@@ -265,7 +272,9 @@ def _write_json_value(value, depth: int, out: list[str]) -> None:
             return
         sep = "{" + inner
         for key, item in value.items():
-            out.append(sep + json.encoder.encode_basestring_ascii(key) + ": ")
+            if type(key) is not str:
+                raise TypeError(f"JSON keys must be str, not {key!r}")
+            out.append(sep + _scalar_text(key) + ": ")
             _write_json_value(item, depth + 1, out)
             sep = "," + inner
         out.append("\n" + _INDENT * depth + "}")
@@ -281,10 +290,8 @@ def _write_json_value(value, depth: int, out: list[str]) -> None:
             out.append(('"' + inner + "]," + inner + "[" + row_inner + '"').join(
                 map(('",' + row_inner + '"').join, value)))
             out.append('"' + inner + "]")
-        elif (types := set(map(type, value))) == _STR and _plain("".join(value)):
+        elif set(map(type, value)) == _STR and _plain("".join(value)):
             out.append("[" + inner + '"' + ('",' + inner + '"').join(value) + '"')
-        elif _JSON_SCALARS.issuperset(types):
-            out.append("[" + inner + _encoder(depth + 1).encode(value)[1:-1])
         else:
             sep = "[" + inner
             for item in value:
@@ -293,7 +300,7 @@ def _write_json_value(value, depth: int, out: list[str]) -> None:
                 sep = "," + inner
         out.append("\n" + _INDENT * depth + "]")
     else:
-        out.append(_encoder(depth).encode(value))
+        out.append(_scalar_text(value))
 
 
 def _field_lines(report: VerdictReport) -> list[str]:

@@ -15,10 +15,9 @@ row is m = -j.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import ExactMatrix, Scalar, _check_literal_size, self_check
+from .algebra import HALF, I, ExactMatrix, Scalar, _make, _ratio, _read_literal, self_check
 
 __all__ = [
     "SpinGenerators",
@@ -34,22 +33,23 @@ __all__ = [
 
 
 def as_two_j(j) -> int:
-    """Normalize a spin given as int, Fraction or '3/2' text to 2j; no
-    float is read as a spin."""
+    """Normalize a spin given as int, '3/2' text, a real Scalar or a
+    rational like Fraction to 2j; no float is read as a spin."""
     if isinstance(j, str):
-        _check_literal_size(j)
         try:
-            j = Fraction(j)
+            n, d = _read_literal(j)
         except ZeroDivisionError:
             raise ValueError(f"spin {j!r} has a zero denominator") from None
-    if isinstance(j, int):
-        two_j = 2 * j
-    elif isinstance(j, Fraction):
-        if j.denominator not in (1, 2):
-            raise ValueError(f"spin must be integer or half-integer, got {j}")
-        two_j = int(j * 2)
+    elif isinstance(j, Scalar) and j.is_real:
+        n, d = j._a, j._d
     else:
-        raise TypeError(f"cannot interpret {j!r} as a spin")
+        try:
+            n, d = _ratio(j)
+        except TypeError:
+            raise TypeError(f"cannot interpret {j!r} as a spin") from None
+    if d not in (1, 2):
+        raise ValueError(f"spin must be integer or half-integer, got {n}/{d}")
+    two_j = 2 * n // d
     if two_j < 0:
         raise ValueError("spin must be nonnegative")
     return two_j
@@ -64,9 +64,10 @@ def michel_parity(j) -> int:
     return 1 if as_two_j(j) % 2 == 0 else -1
 
 
-def _b_squared(two_j: int, two_m: int) -> Fraction:
-    """Ladder normalization squared, (j+m)(j-m+1), for weight m."""
-    return Fraction((two_j + two_m) * (two_j - two_m + 2), 4)
+def _b_squared(two_j: int, two_m: int) -> int:
+    """Ladder normalization squared, (j+m)(j-m+1), for weight m: both
+    factors are integers, so 2j+2m and 2j-2m+2 are even."""
+    return (two_j + two_m) * (two_j - two_m + 2) // 4
 
 
 class SpinGenerators(namedtuple(
@@ -88,7 +89,7 @@ def spin_generators(j) -> SpinGenerators:
     # weights by row: m = j - i  (two_m = two_j - 2i)
     two_ms = [two_j - 2 * i for i in range(n)]
 
-    jz = ExactMatrix.diagonal([Scalar(Fraction(tm, 2)) for tm in two_ms])
+    jz = ExactMatrix.diagonal([_make(tm, 0, 2) for tm in two_ms])
 
     plus_rows = [[Scalar(0)] * n for _ in range(n)]
     minus_rows = [[Scalar(0)] * n for _ in range(n)]
@@ -102,10 +103,8 @@ def spin_generators(j) -> SpinGenerators:
     jplus = ExactMatrix(plus_rows)
     jminus = ExactMatrix(minus_rows)
 
-    half = Scalar(Fraction(1, 2))
-    half_over_i = Scalar(0, Fraction(-1, 2))  # 1/(2i)
-    jx = (jplus + jminus).scale(half)
-    jy = (jplus - jminus).scale(half_over_i)
+    jx = (jplus + jminus).scale(HALF)
+    jy = (jplus - jminus).scale(-HALF * I)  # 1/(2i)
     return SpinGenerators(two_j, jx, jy, jz, jplus, jminus)
 
 
@@ -172,10 +171,10 @@ def realify(m: ExactMatrix) -> ExactMatrix:
     n, w = m.rows, m.cols
     entries: list[dict[int, Scalar]] = [{} for _ in range(2 * n)]
     for i, j, x in m.nonzeros():
-        if x.re:
-            entries[i][j] = entries[n + i][w + j] = Scalar(x.re)
-        if x.im:
-            q = Scalar(x.im)
+        if x._a:
+            entries[i][j] = entries[n + i][w + j] = _make(x._a, 0, x._d)
+        if x._b:
+            q = _make(x._b, 0, x._d)
             entries[i][w + j] = -q
             entries[n + i][j] = q
     return ExactMatrix._from_rows(2 * w, entries)
@@ -186,10 +185,10 @@ def _integer_spin_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatr
     copy).  The form is the diagonal ±U^T C U, so U^-1 = ±form^-1 U^T C."""
     j = two_j // 2
     n = two_j + 1
-    c = invariant_bilinear(Fraction(two_j, 2))
+    c = invariant_bilinear(_make(two_j, 0, 2))
 
     # real structure coefficients s_m = (-1)^m prod_{k<=m} b_k^2
-    s = {0: Fraction(1)}
+    s = {0: 1}
     for m in range(1, j + 1):
         s[m] = -_b_squared(two_j, 2 * m) * s[m - 1]
 
@@ -215,10 +214,10 @@ def _integer_spin_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatr
     rescale = []
     for i in range(n):
         w = form[i, i]
-        self_check(w.is_real and w.re > 0 and w.re.denominator == 1,
+        self_check(w.is_real and w._a > 0 and w._d == 1,
                    "integral-spin form weight is not a positive integer")
-        root, _ = _squarefree_split(int(w.re))
-        rescale.append(Scalar(Fraction(1, root)))
+        root, _ = _squarefree_split(w._a)
+        rescale.append(_make(1, 0, root))
     u = u @ ExactMatrix.diagonal(rescale)
     form = (u.transpose() @ c @ u).scale(sign)
     weights = [form[i, i] for i in range(n)]
@@ -246,7 +245,7 @@ def _half_integer_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatr
     t_inv = ExactMatrix.kron(ExactMatrix([[1, "0+1i"], [1, "0-1i"]]),
                              ExactMatrix.identity(n))
 
-    weights = [Fraction(1)] * n
+    weights = [1] * n
     for i in range(n - 2, -1, -1):
         # step from row i+1 (weight m-1) up to row i (weight m = j - i)
         weights[i] = weights[i + 1] * _b_squared(two_j, two_j - 2 * i)
@@ -254,13 +253,12 @@ def _half_integer_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatr
 
     rescale, reduced = [], []
     for w in w_entries:
-        self_check(w.denominator == 1 and w > 0,
-                   "half-integral metric weight is not a positive integer")
-        root, free = _squarefree_split(int(w))
-        rescale.append(Fraction(1, root))
-        reduced.append(Fraction(free))
-    s = ExactMatrix.diagonal([Scalar(x) for x in rescale])
-    form = ExactMatrix.diagonal([Scalar(x) for x in reduced])
+        self_check(w > 0, "half-integral metric weight is not positive")
+        root, free = _squarefree_split(w)
+        rescale.append(_make(1, 0, root))
+        reduced.append(free)
+    s = ExactMatrix.diagonal(rescale)
+    form = ExactMatrix.diagonal(reduced)
     u = t_inv @ s
     return u, s, form
 
@@ -272,7 +270,7 @@ def hermitian_basis(j) -> HermitianBasis:
 
 @lru_cache(maxsize=None)
 def _hermitian_basis_cached(two_j: int) -> HermitianBasis:
-    gens = spin_generators(Fraction(two_j, 2)).generators
+    gens = spin_generators(_make(two_j, 0, 2)).generators
     if two_j % 2 == 0:
         u, u_inv, form = _integer_spin_basis(two_j)
         new_gens = tuple(u_inv @ g @ u for g in gens)

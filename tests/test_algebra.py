@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -184,6 +185,84 @@ def test_scalar_literal_size_is_bounded_before_it_is_built():
                 "1/" + "3" * 4300, "1e99999999999999999999", "1+1e5000i"):
         with pytest.raises(ValueError, match="exceeds 4300 digits"):
             Scalar.parse(bad)
+
+
+# Real literals within the size bound: plain ratios (the fast path), decimals
+# with a short exponent, and short random text over the characters of the
+# grammar, Unicode digits included (Fraction reads them through int()).
+_digit_runs = st.text("0123456789", min_size=1, max_size=14)
+_ratio_literals = st.builds(
+    lambda sign, n, d: sign + n + ("" if d is None else "/" + d),
+    st.sampled_from(["", "+", "-"]), _digit_runs, st.none() | _digit_runs)
+_decimal_literals = st.builds(
+    lambda sign, n, frac, e: f"{sign}{n}.{frac}" + ("" if e is None else f"e{e}"),
+    st.sampled_from(["", "+", "-"]), _digit_runs, _digit_runs,
+    st.none() | st.integers(-60, 60))
+_rough_literals = st.text("0123456789+-/._ ٣١", max_size=12)
+literals = _ratio_literals | _decimal_literals | _rough_literals
+
+
+def _outcome(make, *args):
+    """The value made, or the text of the ValueError raised instead."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _fraction_of(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator reported as spinstat does."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+@given(literals, literals)
+def test_scalar_literals_agree_with_fraction(x, y):
+    # the value, or the very ValueError text that Fraction gives
+    want_x, want_y = _outcome(_fraction_of, x), _outcome(_fraction_of, y)
+    assert _outcome(Scalar, x) == want_x
+    # parse drops every space before it reads the literal
+    t = x.replace(" ", "")
+    want = _outcome(_fraction_of, t) if t else "ValueError: empty scalar literal"
+    assert _outcome(Scalar.parse, x) == want
+    got = _outcome(Scalar, x, y)
+    if isinstance(want_x, str) or isinstance(want_y, str):
+        assert got in (want_x, want_y)
+    else:
+        assert got._d > 0 and gcd(got._a, got._b, got._d) == 1
+        assert (got.re, got.im) == (want_x, want_y)
+
+
+@given(st.sampled_from(["", "-"]),
+       st.integers(MAX_LITERAL_DIGITS + 1, MAX_LITERAL_DIGITS + 50),
+       st.integers(1, MAX_LITERAL_DIGITS - 1),
+       st.integers(MAX_LITERAL_DIGITS + 1, 10**12))
+def test_scalar_refuses_oversized_literals_fraction_would_build(sign, digits, left, exponent):
+    # Fraction reads each of these; spinstat refuses them before any int is
+    # built, in both the constructor and parse, and accepts the bound itself
+    for text in (sign + "7" * digits, f"{sign}1e{exponent}", f"{sign}2.5E-{exponent}",
+                 sign + "1" * left + "/" + "3" * (digits - left)):
+        for make in (Scalar, Scalar.parse):
+            with pytest.raises(ValueError, match=f"exceeds {MAX_LITERAL_DIGITS} digits"):
+                make(text)
+    at_bound = sign + "7" * MAX_LITERAL_DIGITS
+    assert Scalar(at_bound) == Scalar.parse(at_bound) == Fraction(at_bound)
+
+
+_HASH_PRIME = sys.hash_info.modulus
+
+
+@given(st.integers(-10**30, 10**30),
+       st.integers(1, 10**30) | st.sampled_from([_HASH_PRIME, 3 * _HASH_PRIME]))
+def test_scalar_hash_is_the_hash_of_its_fraction_or_int(n, d):
+    # a denominator the hash prime divides hashes as sys.hash_info.inf
+    q = Fraction(n, d)
+    assert hash(Scalar(q)) == hash(q) == hash(Scalar.coerce(q))
+    assert hash(Scalar(n)) == hash(n)
+    if n:
+        assert hash(Scalar(q, n)) == hash((q, Fraction(n)))
 
 
 # -- ExactMatrix basics -----------------------------------------------------

@@ -57,3 +57,43 @@ def test_cli_import_loads_no_argparse_gettext_locale_typing_dataclasses_or_inspe
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# modules a command never needs: exact scalars run on ints, the JSON writer
+# on str, and file paths on os.path
+NEVER_RUN = ("decimal", "fractions", "json", "numbers", "pathlib")
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+CORPUS = pathlib.Path(spinstat.__file__).resolve().parent / "theories"
+
+# after cli.main returns (or exits on a usage error): its exit code and which
+# of the modules above the process loaded
+RUN_PROBE = """\
+import sys
+from spinstat import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(f"\\n{code} {sorted(set(NEVER_RUN) & set(sys.modules))}\\n")
+""".replace("NEVER_RUN", repr(NEVER_RUN))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", str(CORPUS / "dirac.th"), "--json", "{out}"], 0),
+    (["dkp-check", "--paper-relations", "--json", "{out}"], 0),
+    (["fock", str(GOLDEN / "fock.rel"), "--word", "a b adag bdag",
+      "--gram", str(GOLDEN / "fock_states.txt"), "--json", "{out}"], 0),
+    (["analyze", "--bogus"], 1),
+], ids=["analyze", "dkp-check", "fock", "usage-error"])
+def test_commands_run_without_fractions_decimal_numbers_json_or_pathlib(
+        argv, code, tmp_path):
+    src = pathlib.Path(spinstat.__file__).resolve().parent.parent
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", RUN_PROBE,
+         *(a.replace("{out}", str(out)) for a in argv)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{code} []"
+    assert out.exists() == (code == 0)
