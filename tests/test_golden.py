@@ -2,7 +2,8 @@
 
 Each case runs one command in process and compares its stdout and its
 ``--json`` file with the files under ``tests/golden/``.  The cases cover
-the shipped corpus, ``dkp-check --paper-relations``, two
+the shipped corpus, ``dkp-check --paper-relations`` under the metric the
+betas close and under ``-+++``, which they do not (the failure path), two
 antisymmetric-pair theories whose flavor block has repeated and
 fractional entries, which pins the order of the diagonalization columns,
 an explicit mixed K0 whose Bose split has constraints, an explicit K0
@@ -45,6 +46,7 @@ def _cases() -> dict[str, list[str]]:
                  "pair_spin4"):
         cases[name] = ["analyze", str(GOLDEN / f"{name}.th")]
     cases["dkp-check"] = ["dkp-check", "--paper-relations"]
+    cases["dkp-check-metric"] = ["dkp-check", "--paper-relations", "--metric", "-+++"]
     cases["fock"] = ["fock", str(GOLDEN / "fock.rel"), "--word", "a b adag bdag",
                      "--gram", str(GOLDEN / "fock_states.txt")]
     return cases
