@@ -137,6 +137,15 @@ def _check_literal_size(text: str) -> None:
     if magnitude.isdecimal():
         size += int(magnitude[:9])
     if size > MAX_LITERAL_DIGITS:
+        # Fraction's grammar sees no digit values, so it reads this text
+        # exactly when it reads it with every digit run cut to a single 1,
+        # which builds no large int: text that is no literal gets its error
+        import re
+        from fractions import Fraction
+        try:
+            Fraction(re.sub(r"\d+", "1", text))
+        except ValueError:
+            raise ValueError(f"Invalid literal for Fraction: {text!r}") from None
         shown = text if len(text) <= 24 else text[:20] + "..."
         raise ValueError(f"literal {shown!r} exceeds {MAX_LITERAL_DIGITS} digits "
                          f"(digits plus exponent)")
@@ -232,7 +241,7 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------
     #
     # Each operation takes the exact-type fast path first and coerces
-    # other operands (int, Fraction, str) only when that misses.
+    # other operands (int, Fraction) only when that misses.
 
     def __add__(self, o):
         if type(o) is not Scalar:
@@ -404,6 +413,10 @@ def _ratio_text(n: int, d: int) -> str:
 
 
 def _operand(value) -> Scalar | None:
+    """The other operand as a Scalar, or None for a str, as Fraction takes
+    none: ``==`` with text is then False and arithmetic a TypeError."""
+    if isinstance(value, str):
+        return None
     try:
         return Scalar.coerce(value)
     except TypeError:

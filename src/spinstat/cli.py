@@ -14,7 +14,7 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
-from .algebra import ExactMatrix, Scalar, SelfCheckError
+from .algebra import ONE, ExactMatrix, Scalar, SelfCheckError
 from .fock import (
     UnknownSymbolError,
     gram_matrix,
@@ -24,6 +24,7 @@ from .fock import (
 from .invariance import constraint_split
 from .model import parse_theory
 from .reduction import (
+    SHORTHAND_FAMILIES,
     duffin_kemmer_construct,
     dkp_minimal_polynomial_check,
     verify_dkp_algebra,
@@ -93,27 +94,6 @@ def _parse_metric(text: str) -> ExactMatrix:
     return ExactMatrix.diagonal([1 if c == "+" else -1 for c in text])
 
 
-def _metric_signature(metric: ExactMatrix) -> str:
-    one = Scalar(1)
-    return "".join("+" if metric[i, i] == one else "-" for i in range(4))
-
-
-def _check_json(check) -> dict:
-    return {
-        "indices": list(check.indices),
-        "unweighted": check.unweighted,
-        "weighted": check.weighted,
-    }
-
-
-_FAMILY_FORMS = (
-    ("cube", "beta_mu^3 = beta_mu"),
-    ("sandwich", "beta_mu beta_nu beta_mu = beta_mu"),
-    ("square_sum", "beta_mu beta_nu^2 + beta_nu^2 beta_mu = beta_mu"),
-    ("distinct_sum", "beta_mu beta_nu beta_lam + beta_lam beta_nu beta_mu = 0"),
-)
-
-
 def cmd_dkp_check(args) -> int:
     betas = duffin_kemmer_construct(1)
     if args.metric is not None:
@@ -127,94 +107,75 @@ def cmd_dkp_check(args) -> int:
     momenta = [dkp_minimal_polynomial_check(betas, k) for k in _MOMENTA]
     split = constraint_split(betas.beta0, "bose")
     labels = betas.psi_components
+    canonical = [labels[i] for i in split.canonical_indices]
+    constraints = [labels[i] for i in split.constraint_indices]
+    signature = "".join("+" if betas.metric[i, i] == ONE else "-" for i in range(4))
 
-    lines = [
-        f"duffin-kemmer check (5x5 betas, metric "
-        f"{_metric_signature(betas.metric)})"
-    ]
+    lines = [f"duffin-kemmer check (5x5 betas, metric {signature})"]
     if algebra.standard_holds:
         lines.append("standard trilinear relation: PASS (64 of 64 triples)")
     else:
         n = len(algebra.standard_failures)
         lines.append(f"standard trilinear relation: FAIL ({n} of 64 triples)")
 
+    shorthand = None
     if args.paper_relations:
-        lines.append("shorthand relations, metric factors dropped vs restored:")
-        for name, form in _FAMILY_FORMS:
-            checks = getattr(algebra, name)
-            raw = sum(1 for c in checks if c.unweighted)
-            weighted = sum(1 for c in checks if c.weighted)
-            total = len(checks)
-            lines.append(
-                f"  {name} ({form}): {raw}/{total} unweighted, "
-                f"{weighted}/{total} weighted")
         mismatches = algebra.unweighted_mismatches
+        lines.append("shorthand relations, metric factors dropped vs restored:")
+        shorthand, slip_lines = {}, []
+        for (name, form, *_), checks in zip(SHORTHAND_FAMILIES, algebra[1:]):
+            total = len(checks)
+            raw = sum(c.unweighted for c in checks)
+            weighted = sum(c.weighted for c in checks)
+            lines.append(f"  {name} ({form}): {raw}/{total} unweighted, "
+                         f"{weighted}/{total} weighted")
+            shorthand[name] = [c._asdict() for c in checks]
+            slips = [indices for family, indices in mismatches if family == name]
+            if slips:
+                slip_lines.append(f"    {name}: " + " ".join(
+                    "(" + ",".join(map(str, i)) + ")" for i in slips))
         lines.append(f"  unweighted mismatches: {len(mismatches)}")
-        by_family: dict[str, list[str]] = {}
-        for name, indices in mismatches:
-            by_family.setdefault(name, []).append(
-                "(" + ",".join(str(i) for i in indices) + ")")
-        for name, entries in by_family.items():
-            lines.append(f"    {name}: {' '.join(entries)}")
+        lines += slip_lines
+        shorthand["mismatches"] = [{"relation": name, "indices": indices}
+                                   for name, indices in mismatches]
 
-    bad = [c for c in momenta if not c.holds]
-    if not bad:
-        lines.append(
-            f"minimal polynomial (beta.k)^3 = (k.k)(beta.k): PASS "
-            f"({len(momenta)} of {len(momenta)} momenta)")
-    else:
-        lines.append(
-            f"minimal polynomial (beta.k)^3 = (k.k)(beta.k): FAIL "
-            f"({len(bad)} of {len(momenta)} momenta fail)")
-    for c in bad:
-        k_text = ", ".join(str(v) for v in c.k)
-        lines.append(f"  fails at k = ({k_text}), k.k = {c.k_dot_k}")
+    probes, fail_lines = [], []
+    for c in momenta:
+        k = [str(v) for v in c.k]
+        probes.append({"k": k, "k_dot_k": str(c.k_dot_k), "holds": c.holds})
+        if not c.holds:
+            fail_lines.append(f"  fails at k = ({', '.join(k)}), k.k = {c.k_dot_k}")
+    n = len(momenta)
+    lines.append("minimal polynomial (beta.k)^3 = (k.k)(beta.k): " + (
+        f"FAIL ({len(fail_lines)} of {n} momenta fail)" if fail_lines
+        else f"PASS ({n} of {n} momenta)"))
+    lines += fail_lines
 
-    canon = ", ".join(labels[i] for i in split.canonical_indices)
-    constr = ", ".join(labels[i] for i in split.constraint_indices)
     lines.append(
-        f"constraint split of beta0 (bose): canonical {canon}; "
-        f"constraints {constr}")
+        f"constraint split of beta0 (bose): canonical {', '.join(canonical)}; "
+        f"constraints {', '.join(constraints)}")
     print("\n".join(lines))
 
     if args.json:
-        shorthand = None
-        if args.paper_relations:
-            shorthand = {
-                name: [_check_json(c) for c in getattr(algebra, name)]
-                for name, _ in _FAMILY_FORMS
-            }
-            shorthand["mismatches"] = [
-                {"relation": name, "indices": list(indices)}
-                for name, indices in algebra.unweighted_mismatches
-            ]
-        payload = {
+        _write_json(args.json, {
             "metric": {
-                "signature": _metric_signature(betas.metric),
+                "signature": signature,
                 "diagonal": [str(betas.metric[i, i]) for i in range(4)],
             },
             "standard": {
                 "holds": algebra.standard_holds,
-                "failures": [list(t) for t in algebra.standard_failures],
+                "failures": algebra.standard_failures,
             },
             "shorthand": shorthand,
-            "minimal_polynomial": [
-                {
-                    "k": [str(v) for v in c.k],
-                    "k_dot_k": str(c.k_dot_k),
-                    "holds": c.holds,
-                }
-                for c in momenta
-            ],
+            "minimal_polynomial": probes,
             "constraint_split": {
-                "canonical": [labels[i] for i in split.canonical_indices],
-                "constraints": [labels[i] for i in split.constraint_indices],
+                "canonical": canonical,
+                "constraints": constraints,
                 "nonsingular_block":
                     split.nonsingular_block.to_nested_strings()
                     if split.nonsingular_block is not None else None,
             },
-        }
-        _write_json(args.json, payload)
+        })
 
     return 0 if algebra.standard_holds else 2
 

@@ -18,6 +18,7 @@ from functools import lru_cache
 from math import lcm
 
 from .algebra import (
+    I,
     ONE,
     DimensionError,
     ExactMatrix,
@@ -39,8 +40,6 @@ __all__ = [
     "sector_sign_analysis",
     "flavor_diagnosis",
 ]
-
-I = Scalar(0, 1)
 
 
 class FlavorSplit(namedtuple(

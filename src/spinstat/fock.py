@@ -25,6 +25,7 @@ from collections import namedtuple
 from math import lcm
 
 from .algebra import (
+    ZERO,
     ExactMatrix,
     NotHermitianError,
     ParseError,
@@ -70,7 +71,6 @@ MAX_GRAM_STATES = 128
 MAX_CONTRACTION_STATES = 2 ** 16
 
 _BRACKETS = frozenset(("commutator", "anticommutator"))
-_ZERO = Scalar(0)
 # numerator pairs of the empty word and of a word with no contraction
 _UNIT = (1, 0)
 _NULL = (0, 0)
@@ -297,7 +297,7 @@ def vacuum_expectation(word, table: RelationTable) -> Scalar:
     # whose creators are not half of it has no complete contraction
     pairs, odd = divmod(len(symbols), 2)
     if odd or sum(s in table.creators for s in symbols) != pairs:
-        return _ZERO
+        return ZERO
     re, im = _contract(table, {})(symbols)
     return _make(re, im, table.denominator ** pairs)
 

@@ -17,7 +17,7 @@ import os
 import re
 from collections import namedtuple
 
-from .algebra import ExactMatrix, ParseError, Scalar, SymmetryClass, _make
+from .algebra import I, ONE, ExactMatrix, ParseError, Scalar, SymmetryClass, _make
 from .invariance import required_symmetry
 from .su2 import as_two_j, hermitian_basis, spin_label
 
@@ -357,7 +357,7 @@ def _normalize_block(block: ExactMatrix, cls: SymmetryClass) -> ExactMatrix:
     lead = next((x for i, j, x in block.nonzeros() if j >= i), None)
     if lead is None:
         return block
-    target = Scalar(0, 1) if cls is SymmetryClass.ANTISYMMETRIC else Scalar(1)
+    target = I if cls is SymmetryClass.ANTISYMMETRIC else ONE
     return block.scale(target / lead)
 
 

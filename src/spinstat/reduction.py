@@ -27,7 +27,7 @@ from functools import lru_cache
 from collections import namedtuple
 from itertools import product
 
-from .algebra import HALF, ExactMatrix, Scalar, self_check
+from .algebra import HALF, I, ONE, ZERO, ExactMatrix, Scalar, self_check
 from .model import KinematicMatrix
 
 __all__ = [
@@ -37,17 +37,13 @@ __all__ = [
     "eliminate_auxiliaries",
     "BetaSet",
     "duffin_kemmer_construct",
+    "SHORTHAND_FAMILIES",
     "RelationCheck",
     "DKPAlgebraReport",
     "verify_dkp_algebra",
     "MomentumContractionCheck",
     "dkp_minimal_polynomial_check",
 ]
-
-_ZERO = Scalar(0)
-_ONE = Scalar(1)
-_I = Scalar(0, 1)
-
 
 class DerivativePolynomial(namedtuple("DerivativePolynomial", "coefficients")):
     """Polynomial F(d_t) stored as a tuple of Scalar coefficients by
@@ -75,7 +71,7 @@ class DerivativePolynomial(namedtuple("DerivativePolynomial", "coefficients")):
     def coefficient(self, power: int) -> Scalar:
         if 0 <= power < len(self.coefficients):
             return self.coefficients[power]
-        return _ZERO
+        return ZERO
 
     @property
     def is_even_function(self) -> bool:
@@ -126,7 +122,7 @@ def _momentum_matrix(coeff, n: int) -> ExactMatrix:
         row = []
         for m in range(1, n + 1):
             j = i + m - 1
-            c = coeff[j] if j <= n else _ZERO
+            c = coeff[j] if j <= n else ZERO
             row.append(c * HALF if m % 2 == 0 else -c * HALF)
         rows.append(row)
     return ExactMatrix(rows)
@@ -134,9 +130,9 @@ def _momentum_matrix(coeff, n: int) -> ExactMatrix:
 
 def _kinetic_matrix(coeff, n: int, half_deg: int) -> ExactMatrix:
     """Antisymmetrized coefficient matrix of sum_n p_n(xi) d_t xi_n."""
-    a = [[_ZERO] * n for _ in range(n)]
+    a = [[ZERO] * n for _ in range(n)]
     for i in range(1, half_deg + 1):
-        sign = _ONE if i % 2 == 1 else -_ONE
+        sign = ONE if i % 2 == 1 else -ONE
         for k in range(i, half_deg + 1):
             r = 2 * k - i + 1
             a[r - 1][i - 1] = a[r - 1][i - 1] + sign * coeff[2 * k]
@@ -147,15 +143,15 @@ def _kinetic_matrix(coeff, n: int, half_deg: int) -> ExactMatrix:
 def _potential_matrix(coeff, n: int, half_deg: int) -> ExactMatrix:
     """Symmetric M with H = (1/2) xi^T M xi, from the Legendre bookkeeping
     H = sum_n p_n xi_{n+1} - L restricted to its non-derivative terms."""
-    m = [[_ZERO] * n for _ in range(n)]
+    m = [[ZERO] * n for _ in range(n)]
     for i in range(1, half_deg + 1):
-        sign = _ONE if i % 2 == 1 else -_ONE
+        sign = ONE if i % 2 == 1 else -ONE
         for k in range(i, half_deg + 1):
             r, s = 2 * k - i, i
             m[r][s] = m[r][s] + sign * coeff[2 * k]
             m[s][r] = m[s][r] + sign * coeff[2 * k]
     for j in range(0, half_deg + 1):
-        sign = _ONE if j % 2 == 0 else -_ONE
+        sign = ONE if j % 2 == 0 else -ONE
         m[j][j] = m[j][j] + sign * coeff[2 * j]
     return ExactMatrix(m)
 
@@ -201,7 +197,7 @@ def ostrogradsky_reduce(f: DerivativePolynomial) -> ReductionResult:
 
 
 def _poly_add(a, b):
-    out = list(a) + [_ZERO] * (len(b) - len(a))
+    out = list(a) + [ZERO] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = out[i] + c
     while out and out[-1].is_zero:
@@ -228,9 +224,9 @@ def eliminate_auxiliaries(result: ReductionResult) -> DerivativePolynomial:
 
     def entry(r, c):
         # row r of (M - 2sK) as an ascending polynomial in s (1-based)
-        return _poly_add([m[r - 1, c - 1]], [_ZERO, -Scalar(2) * k0[r - 1, c - 1]])
+        return _poly_add([m[r - 1, c - 1]], [ZERO, -Scalar(2) * k0[r - 1, c - 1]])
 
-    exprs = {1: [_ONE]}
+    exprs = {1: [ONE]}
     for r in range(n, 1, -1):
         target = n - r + 2
         for c in range(target + 1, n + 1):
@@ -240,16 +236,16 @@ def eliminate_auxiliaries(result: ReductionResult) -> DerivativePolynomial:
             for power, coef in enumerate(entry(r, c)):
                 if coef.is_zero:
                     continue
-                acc = _poly_add(acc, [_ZERO] * power + _poly_scale(exprs[c], coef))
+                acc = _poly_add(acc, [ZERO] * power + _poly_scale(exprs[c], coef))
         pivot = entry(r, target)
         self_check(len(pivot) == 1, "pivot must be free of the symbol s")
-        exprs[target] = _poly_scale(acc, -_ONE / pivot[0])
+        exprs[target] = _poly_scale(acc, -ONE / pivot[0])
     alpha = []
     for c in range(1, n + 1):
         for power, coef in enumerate(entry(1, c)):
             if coef.is_zero:
                 continue
-            alpha = _poly_add(alpha, [_ZERO] * power + _poly_scale(exprs[c], coef))
+            alpha = _poly_add(alpha, [ZERO] * power + _poly_scale(exprs[c], coef))
     return DerivativePolynomial(tuple(alpha))
 
 
@@ -276,17 +272,16 @@ class BetaSet(namedtuple(
 
 
 def _beta_matrices() -> tuple[ExactMatrix, ...]:
-    def sparse(entries):
-        rows = [[_ZERO] * 5 for _ in range(5)]
-        for (r, c), v in entries.items():
-            rows[r][c] = v
-        return ExactMatrix(rows)
+    """beta_mu couples the field with component mu + 1 alone: beta_0
+    antisymmetrically, i above the diagonal, and each spatial beta_k
+    symmetrically, with -i on both sides."""
+    def beta(mu, upper, lower):
+        rows = [{} for _ in range(5)]
+        rows[0][mu + 1] = upper
+        rows[mu + 1][0] = lower
+        return ExactMatrix._from_rows(5, rows)
 
-    beta0 = sparse({(0, 1): _I, (1, 0): -_I})
-    beta1 = sparse({(0, 2): -_I, (2, 0): -_I})
-    beta2 = sparse({(0, 3): -_I, (3, 0): -_I})
-    beta3 = sparse({(0, 4): -_I, (4, 0): -_I})
-    return beta0, beta1, beta2, beta3
+    return (beta(0, I, -I),) + tuple(beta(k, -I, -I) for k in (1, 2, 3))
 
 
 @lru_cache(maxsize=4)
@@ -349,7 +344,7 @@ def duffin_kemmer_construct(mass) -> BetaSet:
         raise ValueError("mass must be positive")
     betas = _beta_matrices()
     self_check(betas[0].is_antisymmetric(), "beta0 is not antisymmetric")
-    self_check(all(b.scale(-_I).is_real() for b in betas),
+    self_check(all(b.scale(-I).is_real() for b in betas),
                "a beta matrix is not i times a real matrix")
     return BetaSet(
         betas=betas,
@@ -360,14 +355,27 @@ def duffin_kemmer_construct(mass) -> BetaSet:
     )
 
 
+# The shorthand families of the trilinear relation: name, metric-free text,
+# the index pattern of the family's triples (each index numbered by its first
+# appearance), and the multiple of beta_mu that the text sets the left side
+# b_mu b_nu b_lam + b_lam b_nu b_mu equal to (it writes a doubled term once).
+SHORTHAND_FAMILIES = (
+    ("cube", "beta_mu^3 = beta_mu", (0, 0, 0), 2),
+    ("sandwich", "beta_mu beta_nu beta_mu = beta_mu", (0, 1, 0), 2),
+    ("square_sum", "beta_mu beta_nu^2 + beta_nu^2 beta_mu = beta_mu", (0, 1, 1), 1),
+    ("distinct_sum", "beta_mu beta_nu beta_lam + beta_lam beta_nu beta_mu = 0",
+     (0, 1, 2), 0),
+)
+
+
 class RelationCheck(namedtuple(
         "RelationCheck", "indices unweighted weighted")):
     """One index tuple of a trilinear identity, evaluated two ways.
 
     ``unweighted`` is whether the identity holds with all metric factors
     dropped, the shape the relations are usually quoted in; ``weighted``
-    restores the metric entries.  The two agree wherever the relevant
-    entry is +1.
+    restores them: it is whether the standard relation holds at the
+    check's index triple.
     """
 
     __slots__ = ()
@@ -375,11 +383,12 @@ class RelationCheck(namedtuple(
 
 class DKPAlgebraReport(namedtuple(
         "DKPAlgebraReport",
-        "standard_failures cube sandwich square_sum distinct_sum")):
+        ["standard_failures"] + [name for name, *_ in SHORTHAND_FAMILIES])):
     """Exhaustive evaluation of the trilinear algebra of a BetaSet.
 
     ``standard_failures`` is a tuple of the failing index triples; each
-    other field is a tuple of RelationCheck.
+    other field is a tuple of RelationCheck, one field per entry of
+    SHORTHAND_FAMILIES.
     """
 
     __slots__ = ()
@@ -392,12 +401,9 @@ class DKPAlgebraReport(namedtuple(
     def unweighted_mismatches(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
         """Index tuples where the metric-free shorthand breaks but the
         weighted identity holds; these are sign slips, not algebra errors."""
-        found = []
-        for name in ("cube", "sandwich", "square_sum", "distinct_sum"):
-            for check in getattr(self, name):
-                if check.weighted and not check.unweighted:
-                    found.append((name, check.indices))
-        return tuple(found)
+        return tuple((name, check.indices)
+                     for (name, *_), checks in zip(SHORTHAND_FAMILIES, self[1:])
+                     for check in checks if check.weighted and not check.unweighted)
 
 
 def verify_dkp_algebra(betas: BetaSet) -> DKPAlgebraReport:
@@ -406,56 +412,29 @@ def verify_dkp_algebra(betas: BetaSet) -> DKPAlgebraReport:
 
     The standard relation is
         b_mu b_nu b_lam + b_lam b_nu b_mu = g_munu b_lam + g_lamnu b_mu.
-    Its specializations carry metric factors the shorthand forms drop:
-    the cube is b_mu^3 = g_mumu b_mu, so the metric-free cube fails for
-    the spatial matrices, whose cube is minus themselves.
+    At a family's triples, with g_munu = 0 off the diagonal, it is the
+    weighted shorthand: 2 b_mu^3 = 2 g_mumu b_mu at (mu,mu,mu) (so the
+    metric-free cube fails for the spatial matrices, whose cube is minus
+    themselves), 2 b_mu b_nu b_mu = 0 at (mu,nu,mu), the square sum =
+    g_nunu b_mu at (mu,nu,nu), the sum = 0 at distinct indices.  2X = 2Y
+    exactly when X = Y, so each weighted check is whether its triple did
+    not fail; only the metric-free side is compared per check.
     """
     b = betas.betas
-    t, sym = _triple_products(tuple(b))
+    _, sym = _triple_products(tuple(b))
     failures = tuple(_standard_failures(b, sym, betas.metric))
-
-    cube = []
-    for mu in range(4):
-        cubed = t[mu, mu, mu]
-        cube.append(RelationCheck(
-            indices=(mu,),
-            unweighted=cubed == b[mu],
-            weighted=cubed == b[mu].scale(betas.metric[mu, mu]),
-        ))
-
-    sandwich = []
-    square_sum = []
-    for mu, nu in product(range(4), repeat=2):
-        if mu == nu:
-            continue
-        mid = t[mu, nu, mu]
-        sandwich.append(RelationCheck(
-            indices=(mu, nu),
-            unweighted=mid == b[mu],
-            weighted=mid.is_zero(),
-        ))
-        squares = t[mu, nu, nu] + t[nu, nu, mu]
-        square_sum.append(RelationCheck(
-            indices=(mu, nu),
-            unweighted=squares == b[mu],
-            weighted=squares == b[mu].scale(betas.metric[nu, nu]),
-        ))
-
-    distinct = []
-    for mu, nu, lam in product(range(4), repeat=3):
-        if len({mu, nu, lam}) != 3:
-            continue
-        vanished = sym[mu, nu, lam].is_zero()
-        distinct.append(RelationCheck(
-            indices=(mu, nu, lam), unweighted=vanished, weighted=vanished))
-
-    return DKPAlgebraReport(
-        standard_failures=failures,
-        cube=tuple(cube),
-        sandwich=tuple(sandwich),
-        square_sum=tuple(square_sum),
-        distinct_sum=tuple(distinct),
-    )
+    failed = set(failures)
+    families = {pattern: ([x.scale(multiple) for x in b], [])
+                for _, _, pattern, multiple in SHORTHAND_FAMILIES}
+    for triple, lhs in sym.items():
+        pattern = tuple(map(triple.index, triple))
+        if pattern in families:
+            rhs, checks = families[pattern]
+            checks.append(RelationCheck(
+                indices=tuple(dict.fromkeys(triple)),
+                unweighted=lhs == rhs[triple[0]],
+                weighted=triple not in failed))
+    return DKPAlgebraReport(failures, *(tuple(c) for _, c in families.values()))
 
 
 class MomentumContractionCheck(namedtuple(
@@ -477,12 +456,10 @@ def dkp_minimal_polynomial_check(betas: BetaSet, k) -> MomentumContractionCheck:
     comps = tuple(Scalar.coerce(x) for x in k)
     if len(comps) != 4:
         raise ValueError("momentum vector needs exactly 4 components")
-    contracted = ExactMatrix.zeros(5)
-    for mu in range(4):
-        contracted = contracted + betas.betas[mu].scale(comps[mu])
-    square = _ZERO
-    for mu in range(4):
-        square = square + betas.metric[mu, mu] * comps[mu] * comps[mu]
+    contracted, square = ExactMatrix.zeros(5), ZERO
+    for mu, x in enumerate(comps):
+        contracted = contracted + betas.betas[mu].scale(x)
+        square = square + betas.metric[mu, mu] * x * x
     cubed = contracted @ contracted @ contracted
     return MomentumContractionCheck(
         k=comps,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import HALF, I, ExactMatrix, Scalar, _make, _ratio, _read_literal, self_check
+from .algebra import HALF, I, ONE, ZERO, ExactMatrix, Scalar, _make, _ratio, _read_literal, self_check
 
 __all__ = [
     "SpinGenerators",
@@ -91,12 +91,12 @@ def spin_generators(j) -> SpinGenerators:
 
     jz = ExactMatrix.diagonal([_make(tm, 0, 2) for tm in two_ms])
 
-    plus_rows = [[Scalar(0)] * n for _ in range(n)]
-    minus_rows = [[Scalar(0)] * n for _ in range(n)]
+    plus_rows = [[ZERO] * n for _ in range(n)]
+    minus_rows = [[ZERO] * n for _ in range(n)]
     for i, tm in enumerate(two_ms):
         if i > 0:
             # raising e_m -> e_{m+1}: row i-1, column i, entry 1
-            plus_rows[i - 1][i] = Scalar(1)
+            plus_rows[i - 1][i] = ONE
         if i < n - 1:
             # lowering e_m -> b_m^2 e_{m-1}: row i+1, column i
             minus_rows[i + 1][i] = Scalar(_b_squared(two_j, tm))
@@ -117,7 +117,7 @@ def invariant_bilinear(j) -> ExactMatrix:
     """
     two_j = as_two_j(j)
     n = two_j + 1
-    rows = [[Scalar(0)] * n for _ in range(n)]
+    rows = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         rows[i][n - 1 - i] = Scalar((-1) ** i)
     return ExactMatrix(rows)
@@ -193,15 +193,15 @@ def _integer_spin_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatr
         s[m] = -_b_squared(two_j, 2 * m) * s[m - 1]
 
     def e(two_m):
-        vec = [Scalar(0)] * n
-        vec[(two_j - two_m) // 2] = Scalar(1)
+        vec = [ZERO] * n
+        vec[(two_j - two_m) // 2] = ONE
         return vec
 
     columns = []
     for m in range(j, 0, -1):
         sm = Scalar(s[m])
         plus = [a + sm * b for a, b in zip(e(2 * m), e(-2 * m))]
-        minus = [Scalar(0, 1) * (a - sm * b) for a, b in zip(e(2 * m), e(-2 * m))]
+        minus = [I * (a - sm * b) for a, b in zip(e(2 * m), e(-2 * m))]
         columns.append(plus)
         columns.append(minus)
     columns.append(e(0))
@@ -280,13 +280,12 @@ def _hermitian_basis_cached(two_j: int) -> HermitianBasis:
 
     u, s, form = _half_integer_basis(two_j)
     s_inv = ExactMatrix.diagonal([1 / s[i, i] for i in range(s.rows)])
-    one_i = Scalar(0, 1)
     new_gens = []
     for g in gens:
         # group action on the realified components is realify(-iJ); keep the
         # generator in the i*(real) convention so both parities look alike
-        action = realify(g.scale(-one_i))
-        new_gens.append((s_inv @ action @ s).scale(one_i))
+        action = realify(g.scale(-I))
+        new_gens.append((s_inv @ action @ s).scale(I))
     new_gens = tuple(new_gens)
     self_check(all(g.is_imaginary() for g in new_gens),
                "half-integral realification failed")

@@ -34,6 +34,10 @@ type:
 - sector signs read one by one off the sign of each eigenvalue's
   imaginary part check the inertia rule of
   ``flavor.sector_sign_analysis``;
+- each shorthand family of the beta algebra, metric-free and
+  metric-weighted, evaluated straight from the beta products and the
+  metric, checks ``reduction.verify_dkp_algebra``, which reads the
+  weighted column off the standard relation;
 - the ``dense_*`` functions redo the matrix kernels on plain nested lists
   of scalars, every zero stored, which checks the sparse storage of
   ``ExactMatrix``;
@@ -43,7 +47,7 @@ type:
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass
 from spinstat.flavor import FlavorDiagonalization, FlavorSplit
@@ -440,6 +444,52 @@ def eigenvalue_sector_signs(diagonalization: FlavorDiagonalization) -> tuple[int
     """One sign per eigenvalue: +1 for -i*mu, -1 for +i*mu, 0 for zero."""
     return tuple(1 if v.im < 0 else -1 if v.im > 0 else 0
                  for v in diagonalization.eigenvalues)
+
+
+def dkp_algebra_by_family(betas, metric: ExactMatrix):
+    """(standard failures, cube, sandwich, square sum, distinct sum) of the
+    four betas under a diagonal metric, each family a tuple of
+    (indices, unweighted, weighted), every form multiplied out on its own:
+
+    - cube b_mu^3 = b_mu, weighted b_mu^3 = g_mumu b_mu;
+    - sandwich b_mu b_nu b_mu = b_mu, weighted = 0 (mu != nu);
+    - square sum b_mu b_nu^2 + b_nu^2 b_mu = b_mu, weighted = g_nunu b_mu;
+    - distinct sum b_mu b_nu b_lam + b_lam b_nu b_mu = 0 either way.
+    """
+    b = betas
+    zero = ExactMatrix.zeros(5)
+
+    def g(mu):
+        return metric[mu, mu]
+
+    failures = []
+    for mu, nu, lam in product(range(4), repeat=3):
+        lhs = b[mu] @ b[nu] @ b[lam] + b[lam] @ b[nu] @ b[mu]
+        rhs = zero
+        if mu == nu:
+            rhs = rhs + b[lam].scale(g(nu))
+        if lam == nu:
+            rhs = rhs + b[mu].scale(g(nu))
+        if lhs != rhs:
+            failures.append((mu, nu, lam))
+
+    cube = tuple(((mu,), b[mu] @ b[mu] @ b[mu] == b[mu],
+                  b[mu] @ b[mu] @ b[mu] == b[mu].scale(g(mu)))
+                 for mu in range(4))
+    pairs = [(mu, nu) for mu, nu in product(range(4), repeat=2) if mu != nu]
+    sandwich = tuple(((mu, nu), b[mu] @ b[nu] @ b[mu] == b[mu],
+                      b[mu] @ b[nu] @ b[mu] == zero) for mu, nu in pairs)
+    square_sum = []
+    for mu, nu in pairs:
+        squares = b[mu] @ b[nu] @ b[nu] + b[nu] @ b[nu] @ b[mu]
+        square_sum.append(((mu, nu), squares == b[mu],
+                           squares == b[mu].scale(g(nu))))
+    distinct = []
+    for mu, nu, lam in product(range(4), repeat=3):
+        if len({mu, nu, lam}) == 3:
+            vanished = b[mu] @ b[nu] @ b[lam] + b[lam] @ b[nu] @ b[mu] == zero
+            distinct.append(((mu, nu, lam), vanished, vanished))
+    return (tuple(failures), cube, sandwich, tuple(square_sum), tuple(distinct))
 
 
 # -- dense reference for the sparse matrix storage --------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spinstat.algebra import (
@@ -114,6 +114,18 @@ def test_scalar_mixed_coercion():
     assert Scalar(3) / Fraction(3, 2) == Scalar(2)
 
 
+def test_scalar_takes_text_as_fraction_does():
+    # the constructors read literals; the operators, like Fraction's, do not
+    assert Scalar("1/2") == Scalar.coerce("1/2") == Fraction(1, 2)
+    for text in ("x", "1", "1/2", ""):
+        assert Scalar(1) != text and not Scalar(1) == text
+        assert (Fraction(1) == text) is False
+        for op in ("+", "-", "*", "/"):
+            for expr in (f"Scalar(1) {op} text", f"text {op} Scalar(1)"):
+                with pytest.raises(TypeError):
+                    eval(expr)
+
+
 def test_scalar_hash_agrees_with_equal_numbers():
     assert len({Scalar(1), 1}) == 1
     assert hash(Scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
@@ -211,13 +223,25 @@ def _outcome(make, *args):
 
 
 def _fraction_of(text: str) -> Fraction:
-    """Fraction(text), with a zero denominator reported as spinstat does."""
+    """Fraction(text), with a zero denominator reported as spinstat does
+    and a literal of more than MAX_LITERAL_DIGITS digits plus exponent
+    refused."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    mantissa, _, exponent = text.lower().partition("e")
+    if sum(map(str.isdecimal, mantissa)) + abs(int(exponent or 0)) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"literal {text!r} exceeds {MAX_LITERAL_DIGITS} digits "
+                         f"(digits plus exponent)")
+    return value
 
 
+# Text with a long exponent that is no literal gets Fraction's own error;
+# Fraction reads "92e96_09" from Python 3.11 on, and spinstat then refuses
+# it by its size.
+@example("e5491260", "92e96_09")
+@example(".e5", "1")
 @given(literals, literals)
 def test_scalar_literals_agree_with_fraction(x, y):
     # the value, or the very ValueError text that Fraction gives

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import dkp_algebra_by_family
 from spinstat.algebra import ExactMatrix, Scalar
 from spinstat.invariance import constraint_split
 from spinstat.reduction import (
@@ -410,6 +411,17 @@ def test_unweighted_mismatch_inventory():
     assert names.count("sandwich") == 12
     assert names.count("square_sum") == 9
     assert names.count("distinct_sum") == 0
+
+
+def test_dkp_algebra_matches_the_family_by_family_oracle():
+    # every diagonal metric with entries in {1, -1, 2, 0}: the closing one,
+    # wrong signs, a wrong scale and a missing entry, each family weighted
+    # against its own multiplied-out form
+    bs = duffin_kemmer_construct(1)
+    for diagonal in itertools.product((1, -1, 2, 0), repeat=4):
+        metric = ExactMatrix.diagonal(diagonal)
+        report = verify_dkp_algebra(bs._replace(metric=metric))
+        assert report == dkp_algebra_by_family(bs.betas, metric), diagonal
 
 
 # -- independent Fraction-pair arithmetic oracle ----------------------------
