@@ -137,9 +137,9 @@ def _check_literal_size(text: str) -> None:
     if magnitude.isdecimal():
         size += int(magnitude[:9])
     if size > MAX_LITERAL_DIGITS:
-        # Fraction's grammar sees no digit values, so it reads this text
-        # exactly when it reads it with every digit run cut to a single 1,
-        # which builds no large int: text that is no literal gets its error
+        # Fraction's grammar looks at no digit's value or count, so it reads
+        # this text exactly when it reads it with each digit run cut to one
+        # 1, which builds no large int: text that is no literal gets its error
         import re
         from fractions import Fraction
         try:

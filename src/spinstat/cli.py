@@ -133,7 +133,7 @@ def cmd_dkp_check(args) -> int:
             slips = [indices for family, indices in mismatches if family == name]
             if slips:
                 slip_lines.append(f"    {name}: " + " ".join(
-                    "(" + ",".join(map(str, i)) + ")" for i in slips))
+                    "(" + ",".join(map(str, indices)) + ")" for indices in slips))
         lines.append(f"  unweighted mismatches: {len(mismatches)}")
         lines += slip_lines
         shorthand["mismatches"] = [{"relation": name, "indices": indices}
@@ -145,10 +145,10 @@ def cmd_dkp_check(args) -> int:
         probes.append({"k": k, "k_dot_k": str(c.k_dot_k), "holds": c.holds})
         if not c.holds:
             fail_lines.append(f"  fails at k = ({', '.join(k)}), k.k = {c.k_dot_k}")
-    n = len(momenta)
+    count = len(momenta)
     lines.append("minimal polynomial (beta.k)^3 = (k.k)(beta.k): " + (
-        f"FAIL ({len(fail_lines)} of {n} momenta fail)" if fail_lines
-        else f"PASS ({n} of {n} momenta)"))
+        f"FAIL ({len(fail_lines)} of {count} momenta fail)" if fail_lines
+        else f"PASS ({count} of {count} momenta)"))
     lines += fail_lines
 
     lines.append(
