@@ -230,6 +230,56 @@ def test_half_integer_change_of_basis_conjugates_generators(two_j):
         assert u_inv @ doubled @ h.change_of_basis == new
 
 
+# 2j -> the nonzeros (row, column, text) of change_of_basis and of the three
+# generators, in row-major order: the bases every invariance check and
+# every auto-built K0 reads, pinned entry by entry
+PINNED_BASES = {
+    1: (
+        [(0, 0, "1"), (0, 2, "0+1i"), (1, 1, "1"), (1, 3, "0+1i"), (2, 0, "1"),
+         (2, 2, "0-1i"), (3, 1, "1"), (3, 3, "0-1i")],
+        [(0, 3, "0+1/2i"), (1, 2, "0+1/2i"), (2, 1, "0-1/2i"),
+         (3, 0, "0-1/2i")],
+        [(0, 1, "0-1/2i"), (1, 0, "0+1/2i"), (2, 3, "0-1/2i"),
+         (3, 2, "0+1/2i")],
+        [(0, 2, "0+1/2i"), (1, 3, "0-1/2i"), (2, 0, "0-1/2i"),
+         (3, 1, "0+1/2i")],
+    ),
+    2: (
+        [(0, 0, "1/2"), (0, 1, "0+1/2i"), (1, 2, "1"), (2, 0, "-1"),
+         (2, 1, "0+1i")],
+        [(1, 2, "0-1i"), (2, 1, "0+1i")],
+        [(0, 2, "0-1i"), (2, 0, "0+1i")],
+        [(0, 1, "0+1i"), (1, 0, "0-1i")],
+    ),
+    3: (
+        [(0, 0, "1/6"), (0, 4, "0+1/6i"), (1, 1, "1/2"), (1, 5, "0+1/2i"),
+         (2, 2, "1"), (2, 6, "0+1i"), (3, 3, "1"), (3, 7, "0+1i"),
+         (4, 0, "1/6"), (4, 4, "0-1/6i"), (5, 1, "1/2"), (5, 5, "0-1/2i"),
+         (6, 2, "1"), (6, 6, "0-1i"), (7, 3, "1"), (7, 7, "0-1i")],
+        [(0, 5, "0+3/2i"), (1, 4, "0+1/2i"), (1, 6, "0+1i"), (2, 5, "0+1i"),
+         (2, 7, "0+1/2i"), (3, 6, "0+3/2i"), (4, 1, "0-3/2i"),
+         (5, 0, "0-1/2i"), (5, 2, "0-1i"), (6, 1, "0-1i"), (6, 3, "0-1/2i"),
+         (7, 2, "0-3/2i")],
+        [(0, 1, "0-3/2i"), (1, 0, "0+1/2i"), (1, 2, "0-1i"), (2, 1, "0+1i"),
+         (2, 3, "0-1/2i"), (3, 2, "0+3/2i"), (4, 5, "0-3/2i"),
+         (5, 4, "0+1/2i"), (5, 6, "0-1i"), (6, 5, "0+1i"), (6, 7, "0-1/2i"),
+         (7, 6, "0+3/2i")],
+        [(0, 4, "0+3/2i"), (1, 5, "0+1/2i"), (2, 6, "0-1/2i"),
+         (3, 7, "0-3/2i"), (4, 0, "0-3/2i"), (5, 1, "0-1/2i"),
+         (6, 2, "0+1/2i"), (7, 3, "0+3/2i")],
+    ),
+}
+
+
+@pytest.mark.parametrize("two_j", sorted(PINNED_BASES))
+def test_hermitian_basis_pinned_entries(two_j):
+    h = hermitian_basis(Fraction(two_j, 2))
+    n = 2 * (two_j + 1) if two_j % 2 else two_j + 1
+    for m, want in zip((h.change_of_basis, *h.generators), PINNED_BASES[two_j]):
+        assert m.shape == (n, n)
+        assert [(r, c, str(x)) for r, c, x in m.nonzeros()] == want
+
+
 def test_realify_hand_value():
     m = ExactMatrix([["1+2i"]])
     assert realify(m) == ExactMatrix([[1, -2], [2, 1]])
