@@ -15,7 +15,6 @@ as an independent check.  No floating point enters any computation.
 
 from __future__ import annotations
 
-import enum
 import sys
 from math import gcd, lcm
 
@@ -429,14 +428,24 @@ I = Scalar(0, 1)
 HALF = _make(1, 0, 2)
 
 
-class SymmetryClass(enum.Enum):
-    ZERO = "Zero"
-    SYMMETRIC = "Symmetric"
-    ANTISYMMETRIC = "Antisymmetric"
-    MIXED = "Mixed"
+class SymmetryClass:
+    """The symmetry of a square matrix: one of the four constants ZERO,
+    SYMMETRIC, ANTISYMMETRIC and MIXED, compared with ``is``.  ``name`` is
+    the constant's name."""
 
-    def __str__(self):
-        return self.value
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self):
+        return f"SymmetryClass.{self.name}"
+
+
+SymmetryClass.ZERO = SymmetryClass("ZERO")
+SymmetryClass.SYMMETRIC = SymmetryClass("SYMMETRIC")
+SymmetryClass.ANTISYMMETRIC = SymmetryClass("ANTISYMMETRIC")
+SymmetryClass.MIXED = SymmetryClass("MIXED")
 
 
 class MatrixText(list):
@@ -751,6 +760,16 @@ def _add_into(target: dict, source: dict, factor: Scalar | None = None) -> None:
                 del target[c]
         else:
             target[c] = x
+
+
+def _blockdiag(mats: list[ExactMatrix]) -> ExactMatrix:
+    """The square blocks on the diagonal, each stored row shifted by the
+    block's offset; no zero block is built."""
+    entries, offset = [], 0
+    for m in mats:
+        entries.extend({offset + c: x for c, x in row.items()} for row in m._rows)
+        offset += m.cols
+    return ExactMatrix._from_rows(offset, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ contributes four hermitian components).
 from __future__ import annotations
 
 import os
-import re
 from collections import namedtuple
 
-from .algebra import I, ONE, ExactMatrix, ParseError, Scalar, SymmetryClass, _make
+from .algebra import I, ONE, ExactMatrix, ParseError, Scalar, SymmetryClass, _blockdiag, _make
 from .invariance import required_symmetry
 from .su2 import as_two_j, hermitian_basis, spin_label
 
@@ -42,7 +41,14 @@ MAX_DIMENSION = 1024
 NOTE_NO_FORM = "no valid kinematic form; field doubling required"
 NOTE_NOT_UNIQUE = "kinematic form not unique; specify explicitly"
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+# the field rules that parse_theory and _check_spec both apply
+_STATISTICS = ("auto", "bose", "fermi")
+_FLAVOR_MODES = ("diagonal", "antisymmetric-pair")
+
+
+def _is_name(text: str) -> bool:
+    """A theory or field name: an ASCII letter or _, then letters, digits, _."""
+    return text.isascii() and text.isidentifier()
 
 
 class TheoryParseError(ParseError):
@@ -149,7 +155,7 @@ def _parse_field(rest: str, line_no: int) -> FieldSpec:
     if not tokens:
         raise TheoryParseError(line_no, "field needs a name")
     name = tokens[0]
-    if not _NAME_RE.match(name):
+    if not _is_name(name):
         raise TheoryParseError(line_no, f"bad field name {name!r}")
     attrs: dict[str, str] = {}
     for tok in tokens[1:]:
@@ -182,7 +188,7 @@ def _parse_field(rest: str, line_no: int) -> FieldSpec:
             "both creation and annihilation parts; model a complex field as "
             "a doubled hermitian pair instead")
     statistics = attrs.pop("statistics", "auto")
-    if statistics not in ("auto", "bose", "fermi"):
+    if statistics not in _STATISTICS:
         raise TheoryParseError(
             line_no, f"statistics must be auto, bose or fermi, got {statistics!r}")
     if attrs:
@@ -209,7 +215,7 @@ def parse_theory(text: str, base_dir: str | os.PathLike = ".") -> TheorySpec:
         if directive == "theory":
             if name is not None:
                 raise TheoryParseError(line_no, "duplicate theory line")
-            if not _NAME_RE.match(rest):
+            if not _is_name(rest):
                 raise TheoryParseError(line_no, f"bad theory name {rest!r}")
             name = rest
         elif directive == "field":
@@ -237,7 +243,7 @@ def parse_theory(text: str, base_dir: str | os.PathLike = ".") -> TheorySpec:
             if seen_flavor:
                 raise TheoryParseError(line_no, "duplicate flavor line")
             seen_flavor = True
-            if rest not in ("diagonal", "antisymmetric-pair"):
+            if rest not in _FLAVOR_MODES:
                 raise TheoryParseError(
                     line_no, f"flavor must be diagonal or antisymmetric-pair, got {rest!r}")
             flavor_mode = rest
@@ -267,7 +273,16 @@ def _check_spec(spec: TheorySpec) -> None:
     rules and bounds.  Each failure is a TheoryParseError of line 0."""
     if not spec.fields:
         raise TheoryParseError(0, "theory has no fields")
+    if spec.flavor_mode not in _FLAVOR_MODES:
+        raise TheoryParseError(
+            0, f"flavor must be diagonal or antisymmetric-pair, got {spec.flavor_mode!r}")
+    names = set()
     for f in spec.fields:
+        if not _is_name(f.name):
+            raise TheoryParseError(0, f"bad field name {f.name!r}")
+        if f.name in names:
+            raise TheoryParseError(0, f"duplicate field {f.name!r}")
+        names.add(f.name)
         if not 0 <= f.two_j <= MAX_TWO_J:
             raise TheoryParseError(
                 0, f"field {f.name}: spin {spin_label(f.two_j)} is outside "
@@ -275,6 +290,10 @@ def _check_spec(spec: TheorySpec) -> None:
         if f.flavors < 1 or f.copies < 1:
             raise TheoryParseError(
                 0, f"field {f.name}: flavors and copies must be >= 1")
+        if f.statistics not in _STATISTICS:
+            raise TheoryParseError(
+                0, f"field {f.name}: statistics must be auto, bose or fermi, "
+                   f"got {f.statistics!r}")
     dimension = spec.dimension
     if dimension > MAX_DIMENSION:
         raise TheoryParseError(
@@ -298,16 +317,6 @@ def _check_spec(spec: TheorySpec) -> None:
 
 
 # -- kinematic construction --------------------------------------------------
-
-
-def _blockdiag(mats: list[ExactMatrix]) -> ExactMatrix:
-    """The square blocks on the diagonal, each stored row shifted by the
-    block's offset; no zero block is built."""
-    entries, offset = [], 0
-    for m in mats:
-        entries.extend({offset + c: x for c, x in row.items()} for row in m._rows)
-        offset += m.cols
-    return ExactMatrix._from_rows(offset, entries)
 
 
 class KinematicMatrix(namedtuple("KinematicMatrix", "matrix index_map")):

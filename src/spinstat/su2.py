@@ -17,7 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import HALF, I, ONE, ZERO, ExactMatrix, Scalar, _make, _ratio, _read_literal, self_check
+from .algebra import (HALF, I, ONE, ZERO, ExactMatrix, Scalar, _blockdiag, _make, _ratio,
+                      _read_literal, self_check)
 
 __all__ = [
     "SpinGenerators",
@@ -28,7 +29,6 @@ __all__ = [
     "spin_generators",
     "invariant_bilinear",
     "hermitian_basis",
-    "realify",
 ]
 
 
@@ -144,19 +144,17 @@ class HermitianBasis(namedtuple(
         "HermitianBasis", "two_j change_of_basis generators form doubled")):
     """Basis data in which field components can be taken hermitian.
 
-    ``generators`` are the three rotation generators in the new basis and
-    are purely imaginary in both parity cases (i times a real matrix), which
-    is what hermiticity of the components requires.  ``form`` is the
-    invariant symmetric bilinear in the new basis: a positive diagonal
-    matrix with squarefree integer entries (the identity whenever the
-    weights square-reduce away, e.g. spins 0, 1/2 and 1).
-
     ``change_of_basis`` U maps new coordinates to old ones (columns are the
-    new basis vectors).  For integral spin "old" is the rationalized ladder
-    basis and G = U^-1 J U.  For half-integral spin the space doubles and
-    "old" means the pair (v, conj v), whose generator is the block diagonal
-    of J and -conj(J); the same relation G = U^-1 blockdiag(J, -conj J) U
-    holds and is what the tests pin down.
+    new basis vectors), and every generator is G = U^-1 J' U.  For integral
+    spin "old" is the rationalized ladder basis and J' = J.  For
+    half-integral spin the space doubles: "old" is the pair (v, conj v),
+    "new" is (Re v, Im v) rescaled, and J' = blockdiag(J, -conj J).
+
+    ``generators`` are purely imaginary in both parity cases (i times a real
+    matrix), which is what hermiticity of the components requires.
+    ``form`` is the invariant symmetric bilinear in the new basis: a
+    positive diagonal matrix with squarefree integer entries (the identity
+    whenever the weights square-reduce away, e.g. spins 0, 1/2 and 1).
 
     ``change_of_basis`` and ``form`` are ExactMatrix and ``generators`` a
     tuple of three.
@@ -165,24 +163,10 @@ class HermitianBasis(namedtuple(
     __slots__ = ()
 
 
-def realify(m: ExactMatrix) -> ExactMatrix:
-    """Real 2n x 2n matrix [[P, -Q], [Q, P]] acting on (Re v, Im v), for
-    m = P + iQ, written entry by entry from the stored entries of m."""
-    n, w = m.rows, m.cols
-    entries: list[dict[int, Scalar]] = [{} for _ in range(2 * n)]
-    for i, j, x in m.nonzeros():
-        if x._a:
-            entries[i][j] = entries[n + i][w + j] = _make(x._a, 0, x._d)
-        if x._b:
-            q = _make(x._b, 0, x._d)
-            entries[i][w + j] = -q
-            entries[n + i][j] = q
-    return ExactMatrix._from_rows(2 * w, entries)
-
-
-def _integer_spin_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """Change of basis U, its inverse and the form for integral spin (single
-    copy).  The form is the diagonal ±U^T C U, so U^-1 = ±form^-1 U^T C."""
+def _integer_spin_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, list[int]]:
+    """U, U^-1 and the weights for integral spin (single copy).  The form
+    W = ±U^T C U is diagonal with positive integer weights, so
+    U^-1 = ±W^-1 U^T C."""
     j = two_j // 2
     n = two_j + 1
     c = invariant_bilinear(_make(two_j, 0, 2))
@@ -209,58 +193,33 @@ def _integer_spin_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatr
 
     sign = Scalar((-1) ** j)
     form = (u.transpose() @ c @ u).scale(sign)
-
-    # square-reduce the diagonal weights by rescaling basis vectors
-    rescale = []
-    for i in range(n):
-        w = form[i, i]
-        self_check(w.is_real and w._a > 0 and w._d == 1,
-                   "integral-spin form weight is not a positive integer")
-        root, _ = _squarefree_split(w._a)
-        rescale.append(_make(1, 0, root))
-    u = u @ ExactMatrix.diagonal(rescale)
-    form = (u.transpose() @ c @ u).scale(sign)
     weights = [form[i, i] for i in range(n)]
-    self_check(form == ExactMatrix.diagonal(weights),
-               "integral-spin form is not diagonal")
+    self_check(form == ExactMatrix.diagonal(weights)
+               and all(w.is_real and w._d == 1 for w in weights),
+               "integral-spin form is not an integer diagonal")
     form_inv = ExactMatrix.diagonal([1 / w for w in weights])
     u_inv = (form_inv @ u.transpose() @ c).scale(sign)
-    self_check(u_inv @ u == ExactMatrix.identity(n),
-               "integral-spin change of basis has no inverse read off the form")
-    return u, u_inv, form
+    return u, u_inv, [w._a for w in weights]
 
 
-def _half_integer_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """Doubling data for half-integral spin: (U, rescale S, form).
+def _half_integer_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, list[int]]:
+    """U, U^-1 and the weights for half-integral spin.
 
     Components of a hermitian field live on the real and imaginary parts of
-    the complex representation space.  In the rationalized ladder basis the
-    invariant metric weights obey w_{m+1} = b_{m+1}^2 w_m with w_{-j} = 1;
-    they repeat on both halves of the doubled space and get square-reduced
-    by the diagonal rescale S.  U maps the final coordinates back to the
-    (v, conj v) pair.
+    the complex representation space: U maps (Re v, Im v) to (v, conj v),
+    U = [[1, i], [1, -i]] (x) 1 and U^-1 = 1/2 [[1, 1], [-i, i]] (x) 1.  In
+    the rationalized ladder basis the invariant metric weights obey
+    w_{m+1} = b_{m+1}^2 w_m with w_{-j} = 1; they repeat on both halves.
     """
     n = two_j + 1
-    # (v, conj v) from (Re v, Im v): v = x + iy, conj v = x - iy
-    t_inv = ExactMatrix.kron(ExactMatrix([[1, "0+1i"], [1, "0-1i"]]),
-                             ExactMatrix.identity(n))
-
+    one = ExactMatrix.identity(n)
+    u = ExactMatrix.kron(ExactMatrix([[1, I], [1, -I]]), one)
+    u_inv = ExactMatrix.kron(ExactMatrix([[HALF, HALF], [-HALF * I, HALF * I]]), one)
     weights = [1] * n
     for i in range(n - 2, -1, -1):
         # step from row i+1 (weight m-1) up to row i (weight m = j - i)
         weights[i] = weights[i + 1] * _b_squared(two_j, two_j - 2 * i)
-    w_entries = weights + weights
-
-    rescale, reduced = [], []
-    for w in w_entries:
-        self_check(w > 0, "half-integral metric weight is not positive")
-        root, free = _squarefree_split(w)
-        rescale.append(_make(1, 0, root))
-        reduced.append(free)
-    s = ExactMatrix.diagonal(rescale)
-    form = ExactMatrix.diagonal(reduced)
-    u = t_inv @ s
-    return u, s, form
+    return u, u_inv, weights + weights
 
 
 def hermitian_basis(j) -> HermitianBasis:
@@ -271,22 +230,21 @@ def hermitian_basis(j) -> HermitianBasis:
 @lru_cache(maxsize=None)
 def _hermitian_basis_cached(two_j: int) -> HermitianBasis:
     gens = spin_generators(_make(two_j, 0, 2)).generators
-    if two_j % 2 == 0:
-        u, u_inv, form = _integer_spin_basis(two_j)
-        new_gens = tuple(u_inv @ g @ u for g in gens)
-        self_check(all(g.is_imaginary() for g in new_gens),
-                   "integral-spin hermitian basis failed")
-        return HermitianBasis(two_j, u, new_gens, form, doubled=False)
+    doubled = two_j % 2 == 1
+    if doubled:
+        u, u_inv, weights = _half_integer_basis(two_j)
+        gens = [_blockdiag([g, -g.conjugate()]) for g in gens]
+    else:
+        u, u_inv, weights = _integer_spin_basis(two_j)
 
-    u, s, form = _half_integer_basis(two_j)
-    s_inv = ExactMatrix.diagonal([1 / s[i, i] for i in range(s.rows)])
-    new_gens = []
-    for g in gens:
-        # group action on the realified components is realify(-iJ); keep the
-        # generator in the i*(real) convention so both parities look alike
-        action = realify(g.scale(-I))
-        new_gens.append((s_inv @ action @ s).scale(I))
-    new_gens = tuple(new_gens)
+    # square-reduce the weights by rescaling the basis vectors
+    self_check(all(w > 0 for w in weights), "metric weight is not positive")
+    roots, free = zip(*map(_squarefree_split, weights))
+    u = u @ ExactMatrix.diagonal([_make(1, 0, r) for r in roots])
+    u_inv = ExactMatrix.diagonal(roots) @ u_inv
+    self_check(u_inv @ u == ExactMatrix.identity(u.rows),
+               "change of basis and its closed-form inverse disagree")
+    new_gens = tuple(u_inv @ g @ u for g in gens)
     self_check(all(g.is_imaginary() for g in new_gens),
-               "half-integral realification failed")
-    return HermitianBasis(two_j, u, new_gens, form, doubled=True)
+               "hermitian basis generators are not imaginary")
+    return HermitianBasis(two_j, u, new_gens, ExactMatrix.diagonal(free), doubled)

@@ -526,11 +526,6 @@ def dense_kron(a, b):
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 
 
-def dense_block(grid):
-    return [sum((m[i] for m in band), start=[])
-            for band in grid for i in range(len(band[0]))]
-
-
 def dense_submatrix(a, rows, cols):
     return [[a[i][j] for j in cols] for i in rows]
 

@@ -198,9 +198,20 @@ PAIR = "antisymmetric-pair"
     (TheorySpec("t", (FieldSpec("a", 0, MAX_DIMENSION), FieldSpec("b", 0))),
      f"theory has {MAX_DIMENSION + 1} components, over the supported "
      f"maximum {MAX_DIMENSION}"),
+    # the field rules of the grammar: before them, statistics "boson" raised
+    # a bare KeyError, flavor mode "pairs" was analyzed as diagonal, and a
+    # name with a space and a repeated name were analyzed as given
+    (TheorySpec("t", (FieldSpec("a", 3, 1, 1, "boson"),)),
+     "field a: statistics must be auto, bose or fermi, got 'boson'"),
+    (TheorySpec("t", (FieldSpec("a", 0, 2),), flavor_mode="pairs"),
+     "flavor must be diagonal or antisymmetric-pair, got 'pairs'"),
+    (TheorySpec("t", (FieldSpec("a b", 0),)), "bad field name 'a b'"),
+    (TheorySpec("t", (FieldSpec("a", 0), FieldSpec("a", 2))),
+     "duplicate field 'a'"),
 ], ids=["pair-flavors", "no-fields", "pair-explicit", "matrix-shape",
         "flavors-zero", "copies-zero", "spin-over", "spin-negative",
-        "dimension-over"])
+        "dimension-over", "statistics-unknown", "flavor-mode-unknown",
+        "name-bad", "name-duplicate"])
 def test_spec_built_in_code_meets_the_theory_checks(spec, message):
     # the rules and bounds parse_theory applies hold for a spec that never
     # passed through it, each a TheoryParseError at line 0

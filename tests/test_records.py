@@ -43,8 +43,9 @@ def test_records_are_immutable(cls):
 
 
 # modules no command uses: argparse (with gettext and the locale its first
-# message lookup imports), typing, dataclasses and inspect
-NOT_IMPORTED = ("argparse", "dataclasses", "gettext", "inspect", "locale", "typing")
+# message lookup imports), typing, dataclasses, inspect, enum and re
+NOT_IMPORTED = ("argparse", "dataclasses", "enum", "gettext", "inspect", "locale", "re",
+                "typing")
 
 
 def test_cli_import_loads_no_argparse_gettext_locale_typing_dataclasses_or_inspect():

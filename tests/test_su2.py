@@ -1,10 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from oracles import charpoly, dense_block, dense_inverse, invariant_form_space
+from oracles import charpoly, dense_inverse, invariant_form_space
 from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass, symmetry_decompose
 from spinstat.invariance import required_symmetry
 from spinstat.su2 import (
@@ -12,7 +10,6 @@ from spinstat.su2 import (
     hermitian_basis,
     invariant_bilinear,
     michel_parity,
-    realify,
     spin_generators,
     spin_label,
 )
@@ -278,30 +275,6 @@ def test_hermitian_basis_pinned_entries(two_j):
     for m, want in zip((h.change_of_basis, *h.generators), PINNED_BASES[two_j]):
         assert m.shape == (n, n)
         assert [(r, c, str(x)) for r, c, x in m.nonzeros()] == want
-
-
-def test_realify_hand_value():
-    m = ExactMatrix([["1+2i"]])
-    assert realify(m) == ExactMatrix([[1, -2], [2, 1]])
-
-
-small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-# about half the entries zero, half of the rest real or imaginary
-entries = st.one_of(st.just(Scalar(0)), st.just(Scalar(0)),
-                    st.builds(Scalar, small_fractions, small_fractions))
-
-
-@given(st.integers(1, 5), st.integers(1, 5), st.data())
-def test_realify_matches_the_dense_block(rows, cols, data):
-    m = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
-                           min_size=rows, max_size=rows))
-    p = [[Scalar(x.re) for x in row] for row in m]
-    q = [[Scalar(x.im) for x in row] for row in m]
-    minus_q = [[-x for x in row] for row in q]
-    want = ExactMatrix(dense_block([[p, minus_q], [q, p]]))
-    got = realify(ExactMatrix(m))
-    assert got == want and hash(got) == hash(want)
-    assert all(x for row in got._rows for x in row.values())
 
 
 # -- invariant form spaces ---------------------------------------------------
