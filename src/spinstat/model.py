@@ -41,7 +41,7 @@ MAX_DIMENSION = 1024
 NOTE_NO_FORM = "no valid kinematic form; field doubling required"
 NOTE_NOT_UNIQUE = "kinematic form not unique; specify explicitly"
 
-# the field rules that parse_theory and _check_spec both apply
+# the rules that parse_theory and _check_spec both apply
 _STATISTICS = ("auto", "bose", "fermi")
 _FLAVOR_MODES = ("diagonal", "antisymmetric-pair")
 
