@@ -9,8 +9,16 @@ rather than with rows x cols.  One pivoted symmetric elimination,
 ``pivoted_elimination``, inverts its 1x1 and 2x2 pivot blocks in closed
 form and yields the canonical principal index set of the constraint
 split and, by Sylvester's law of inertia, every hermitian signature.
-``ExactMatrix.rank`` is a plain forward elimination, kept apart from it
-as an independent check.  No floating point enters any computation.
+``ExactMatrix.modular_rank`` is the cheap certificate beside it: a
+forward elimination of the matrix's image in GF(q), for the fixed 61-bit
+prime q = 2**61 - 31 (1 mod 4, so i maps to a square root of -1), on
+machine-size ints with no gcd.  The image is a ring homomorphism, so the
+modular rank never exceeds the exact one, and a square matrix of full
+modular rank is invertible; it decides every nonsingular momentum map and
+every flavor inertia without an exact elimination.  ``ExactMatrix.rank``
+is the exact forward elimination, for singular maps and unlucky primes.
+Neither shares code with the pivoting they check.  No floating point
+enters any computation.
 """
 
 from __future__ import annotations
@@ -385,6 +393,11 @@ def _make(a: int, b: int, d: int) -> Scalar:
 
 _HASH_MODULUS = sys.hash_info.modulus
 
+# ExactMatrix.modular_rank works in GF(MODULUS): 2**61 - 31, the largest
+# prime below 2**61 that is 1 mod 4, so -1 has the square root MODULAR_I
+MODULUS = 0x1FFFFFFFFFFFFFE1
+MODULAR_I = 583529827753931384
+
 
 def _rational_hash(n: int, d: int) -> int:
     """hash(Fraction(n, d)) for d > 0, by Python's rule for numeric hashes:
@@ -743,6 +756,54 @@ class ExactMatrix:
                     kept[lead] = row
                     break
                 _add_into(row, kept[lead], -row[lead] / kept[lead][lead])
+        return len(kept)
+
+    def modular_rank(self) -> int | None:
+        """The rank of the matrix's image in GF(q) for the prime
+        q = MODULUS, with i sent to MODULAR_I, or None when q divides a
+        denominator.
+
+        The map (a + b*i)/d -> (a + b*MODULAR_I) * d^-1 mod q is a ring
+        homomorphism from the Gaussian rationals whose denominators q does
+        not divide, so a minor that is nonzero mod q is nonzero exactly:
+        the result never exceeds ``rank()``, and a square matrix whose
+        modular rank is its size is invertible.  It comes out too low only
+        when every nonzero minor of the top size maps to zero.  The
+        elimination follows ``rank``'s, on plain ints with no gcd: each
+        row is reduced against the rows kept so far, keyed by their
+        leading column, and a kept row's lead is inverted the first time
+        a later row needs it."""
+        q = MODULUS
+        kept: dict[int, dict[int, int]] = {}
+        lead_inverses: dict[int, int] = {}
+        for source in self._rows:
+            row = {}
+            for c, x in source.items():
+                v = x._a + x._b * MODULAR_I
+                if x._d != 1:
+                    if not x._d % q:
+                        return None
+                    v *= pow(x._d, -1, q)
+                v %= q
+                if v:
+                    row[c] = v
+            while row:
+                lead = min(row)
+                pivot = kept.get(lead)
+                if pivot is None:
+                    kept[lead] = row
+                    break
+                inverse = lead_inverses.get(lead)
+                if inverse is None:
+                    inverse = lead_inverses[lead] = pow(pivot[lead], -1, q)
+                # factor * y is nonzero mod q, so only a stored entry cancels
+                factor = q - row[lead] * inverse % q
+                for c, y in pivot.items():
+                    v = (row.get(c, 0) + factor * y) % q
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
         return len(kept)
 
 

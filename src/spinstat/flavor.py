@@ -5,7 +5,8 @@ the full matrix block off-diagonal, [[0, M], [-M, 0]].  Diagonalizing that
 flavor structure splits the theory into sectors whose kinematic terms carry
 opposite signs, and the minus sector is a Hilbert space with negative-norm
 states.  This module detects the pattern, reads the sector signs off the
-inertia of the hermitian form i*K0 (no eigenvalues needed), writes down
+inertia of the hermitian form i*K0 (for a real antisymmetric K0 it
+follows from the rank alone, so no eigenvalue is needed), writes down
 the diagonalization in closed form for the diagonal pairings the builder
 emits, and attaches the concrete one-quantum negative-norm witness; all of
 it in exact arithmetic.
@@ -237,9 +238,12 @@ def flavor_diagnosis(k0: ExactMatrix, spin=None) -> FlavorDiagnosis:
     arguments intact: every sector sign is +1 by the normalization
     convention and there is nothing to diagonalize.  For a real
     antisymmetric K0 the sector signs are the inertia of the hermitian
-    form i*K0.  They need no eigenvalues, so they are exact for any such
-    K0; the diagonalization is attached when K0 has the shape
-    diagonalize_flavor handles.
+    form i*K0.  The eigenvalues of K0 come in pairs +-i*mu, so that
+    inertia is (r/2, r/2, n - r) for the rank r of K0: r is read off
+    ExactMatrix.modular_rank when it is full, else off the exact rank, and
+    checked to be even.  No eigenvalue is needed, so the signs are exact
+    for any such K0; the diagonalization is attached when K0 has the
+    shape diagonalize_flavor handles.
     """
     split = detect_flavor_antisymmetry(k0)
     if not split.is_flavor_antisymmetric:
@@ -264,7 +268,13 @@ def flavor_diagnosis(k0: ExactMatrix, spin=None) -> FlavorDiagnosis:
             note="flavor block is not a real symmetric form; "
                  "sector diagonalization not attempted",
         )
-    signs = _inertia_signs(k0)
+    n = k0.rows
+    rank = k0.modular_rank()
+    if rank != n:
+        rank = k0.rank()
+    self_check(rank % 2 == 0, "a real antisymmetric kinematic matrix has odd rank")
+    half = rank // 2
+    signs = [1] * half + [0] * (n - rank) + [-1] * half
     try:
         diagonalization, note = _diagonalize(k0, split), None
     except ValueError:

@@ -271,6 +271,8 @@ def _check_spec(spec: TheorySpec) -> None:
     """The checks of a whole theory, shared by parse_theory and
     build_kinematic, so that a spec built in code is held to the grammar's
     rules and bounds.  Each failure is a TheoryParseError of line 0."""
+    if not isinstance(spec.name, str) or not _is_name(spec.name):
+        raise TheoryParseError(0, f"bad theory name {spec.name!r}")
     if not spec.fields:
         raise TheoryParseError(0, "theory has no fields")
     if spec.flavor_mode not in _FLAVOR_MODES:
@@ -278,11 +280,16 @@ def _check_spec(spec: TheorySpec) -> None:
             0, f"flavor must be diagonal or antisymmetric-pair, got {spec.flavor_mode!r}")
     names = set()
     for f in spec.fields:
-        if not _is_name(f.name):
+        if not isinstance(f.name, str) or not _is_name(f.name):
             raise TheoryParseError(0, f"bad field name {f.name!r}")
         if f.name in names:
             raise TheoryParseError(0, f"duplicate field {f.name!r}")
         names.add(f.name)
+        for key in ("two_j", "flavors", "copies"):
+            value = getattr(f, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TheoryParseError(
+                    0, f"field {f.name}: {key} must be an int, got {value!r}")
         if not 0 <= f.two_j <= MAX_TWO_J:
             raise TheoryParseError(
                 0, f"field {f.name}: spin {spin_label(f.two_j)} is outside "

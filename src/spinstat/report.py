@@ -224,6 +224,7 @@ def report_to_json(report: VerdictReport) -> str:
 
 _INDENT = "  "
 _STR = frozenset((str,))
+_INT = frozenset((int,))
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
@@ -255,7 +256,8 @@ def json_text(payload) -> str:
     """The text ``json.dumps`` writes with a two-space indent, byte for
     byte, for dicts with str keys, lists and JSON scalars, and the newline
     that ends a JSON file, appended in the same join.  An array of
-    strings that need no escaping is joined directly, and a ``MatrixText``
+    strings that need no escaping, or of ints (not bools), is joined
+    directly, and a ``MatrixText``
     in one step for all its rows, unscanned; every other scalar is
     written by ``_scalar_text``."""
     out: list[str] = []
@@ -290,8 +292,10 @@ def _write_json_value(value, depth: int, out: list[str]) -> None:
             out.append(('"' + inner + "]," + inner + "[" + row_inner + '"').join(
                 map(('",' + row_inner + '"').join, value)))
             out.append('"' + inner + "]")
-        elif set(map(type, value)) == _STR and _plain("".join(value)):
+        elif (kinds := set(map(type, value))) == _STR and _plain("".join(value)):
             out.append("[" + inner + '"' + ('",' + inner + '"').join(value) + '"')
+        elif kinds == _INT:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)))
         else:
             sep = "[" + inner
             for item in value:

@@ -1,6 +1,8 @@
 import json
+import pathlib
 import sys
 from fractions import Fraction
+from importlib import resources
 from math import gcd
 
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from spinstat.algebra import (
     MAX_LITERAL_DIGITS,
+    MODULAR_I,
+    MODULUS,
     DimensionError,
     ExactMatrix,
     Scalar,
@@ -18,6 +22,8 @@ from spinstat.algebra import (
     symmetry_class,
     symmetry_decompose,
 )
+from spinstat.model import parse_theory
+from spinstat.report import analyze_theory
 from oracles import (
     FractionPair,
     charpoly,
@@ -713,6 +719,88 @@ def rank_cases(draw):
 @given(rank_cases())
 def test_rank_matches_the_dense_pivot_count(a):
     assert ExactMatrix(a).rank() == len(dense_rref(a)[1])
+
+
+gaussian_entries = st.one_of(st.just(Scalar(0)), st.builds(
+    lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)),
+    st.integers(-10, 10), st.integers(-10, 10), st.sampled_from([1, 2, 3, 7])))
+
+
+@st.composite
+def modular_rank_cases(draw):
+    """Gaussian-rational matrices up to 8x8, parts of numerators within 10
+    and denominators 1, 2, 3 or 7, some with rows inserted as sums or
+    differences of other rows, so that the rank falls short."""
+    r, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    a = [[draw(gaussian_entries) for _ in range(c)] for _ in range(r)]
+    for _ in range(draw(st.integers(0, min(2, 8 - r)))):
+        x, y = draw(st.sampled_from(a)), draw(st.sampled_from(a))
+        sign = draw(st.sampled_from([1, -1]))
+        a.insert(draw(st.integers(0, len(a))), [u + sign * v for u, v in zip(x, y)])
+    return a
+
+
+@given(modular_rank_cases())
+def test_modular_rank_matches_the_dense_pivot_count(a):
+    # the modular rank falls short only when every nonzero minor of the top
+    # size maps to zero; the image of a Gaussian integer vanishes only when
+    # it is a multiple of one fixed Gaussian prime of norm q, which minors
+    # of entries this small are with a chance of about 1/q each
+    assert ExactMatrix(a).modular_rank() == len(dense_rref(a)[1])
+
+
+def test_modular_rank_of_a_denominator_the_prime_divides_is_none():
+    assert ExactMatrix([[Scalar(Fraction(1, MODULUS))]]).modular_rank() is None
+    assert ExactMatrix([[1, 0], [0, Scalar(0, Fraction(3, 2 * MODULUS))]]).modular_rank() is None
+    # a numerator divisible by q is only a zero of the image
+    assert ExactMatrix([[MODULUS, 0], [0, 1]]).modular_rank() == 1
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the prime bases up to 37, deterministic below
+    3.3 * 10**24."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_modular_constants():
+    assert MODULUS < 2**61 and _is_prime(MODULUS) and MODULUS % 4 == 1
+    assert not any(_is_prime(n) for n in range(MODULUS + 4, 2**61, 4))
+    assert (MODULAR_I * MODULAR_I + 1) % MODULUS == 0
+
+
+GOLDEN_THEORIES = sorted(
+    [*pathlib.Path(__file__).parent.joinpath("golden").glob("*.th"),
+     *pathlib.Path(str(resources.files("spinstat") / "theories")).glob("*.th")])
+
+
+@pytest.mark.parametrize("short", [lambda m: None, lambda m: m.rows - 1],
+                         ids=["none", "one-short"])
+def test_exact_fallback_gives_every_golden_split_and_flavor_diagnosis(short):
+    # with the modular rank made useless (q divides a denominator) or too
+    # low (an unlucky prime), every split and flavor diagnosis comes from
+    # the exact eliminations, and equals the one the modular rank decides
+    specs = [parse_theory(path.read_text(), base_dir=str(path.parent))
+             for path in GOLDEN_THEORIES]
+    want = [analyze_theory(spec) for spec in specs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExactMatrix, "modular_rank", short)
+        got = [analyze_theory(spec) for spec in specs]
+    assert len(specs) == 12
+    for w, g in zip(want, got):
+        assert (g.split, g.flavor_by_field) == (w.split, w.flavor_by_field)
 
 
 @given(hermitian_matrices())

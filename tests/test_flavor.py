@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import eigenvalue_sector_signs, flavor_antisymmetry_by_quadrants
@@ -257,6 +257,36 @@ def test_inertia_rule_matches_the_eigenvalue_rule_off_the_pairing(parts):
         ExactMatrix.identity(n), (Fraction(1),) * n)
     assert (sector_sign_analysis(diagonalization).sector_signs
             == eigenvalue_sector_signs(diagonalization))
+
+
+@st.composite
+def symmetric_pairings(draw):
+    """Real symmetric flavor blocks W up to 4x4, half of them a sum of
+    rank-one terms c u u^T, fewer than the size above size 1, so singular."""
+    n = draw(st.integers(1, 4))
+    entries = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    if draw(st.booleans()):
+        w = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                w[i][j] = w[j][i] = draw(entries)
+        return ExactMatrix(w)
+    w = ExactMatrix.zeros(n)
+    for _ in range(draw(st.integers(1, max(1, n - 1)))):
+        u = ExactMatrix([[draw(entries)] for _ in range(n)])
+        w = w + (u @ u.transpose()).scale(draw(entries))
+    return w
+
+
+@given(symmetric_pairings())
+def test_sector_signs_are_the_inertia_of_i_k0(w):
+    # the signs are read off the rank of K0 = [[0, W], [-W, 0]]; the
+    # inertia of the hermitian form i*K0, by elimination, must agree
+    assume(not w.is_zero())  # a zero K0 has no flavor pattern to diagnose
+    k0 = flavor_pair(w)
+    positives, negatives, zeros = hermitian_signature(k0.scale(I))
+    want = (1,) * positives + (0,) * zeros + (-1,) * negatives
+    assert flavor_diagnosis(k0).sector_signs == want
 
 
 def test_appendix_flow_finds_the_negative_sector():

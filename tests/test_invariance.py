@@ -421,8 +421,9 @@ def test_dropped_pivot_raises_self_check_error(drop_last_pivot):
     # written without assert statements so it also checks under python -O
     with pytest.raises(SelfCheckError, match="full-rank principal block"):
         constraint_split(wave_operator_kinematic(), "bose")
+    # singular, so the split runs the pivoting rather than the full-rank path
     with pytest.raises(SelfCheckError, match="no pivot"):
-        constraint_split(ExactMatrix([[1]]), "fermi")
+        constraint_split(ExactMatrix([[1, 0], [0, 0]]), "fermi")
 
 
 @pytest.fixture
@@ -467,6 +468,23 @@ def test_full_pivot_set_of_a_singular_map_raises_self_check_error(
         constraint_split(wave_operator_kinematic(), "bose")
 
 
+@pytest.fixture
+def claim_full_modular_rank(monkeypatch):
+    """Make the modular rank report every matrix as invertible, as a
+    defect in its elimination could."""
+    monkeypatch.setattr(ExactMatrix, "modular_rank", lambda m: m.rows)
+
+
+def test_full_rank_claim_on_odd_bose_map_raises_self_check_error(
+        claim_full_modular_rank):
+    # written without assert statements so it also checks under python -O;
+    # an antisymmetric map of odd size is singular, so its claimed full
+    # rank contradicts the parity
+    k0 = ExactMatrix([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])
+    with pytest.raises(SelfCheckError, match="odd size"):
+        constraint_split(k0, "bose")
+
+
 def test_self_check_error_is_not_a_value_error():
     assert not issubclass(SelfCheckError, ValueError)
 
@@ -480,9 +498,10 @@ def test_self_check_survives_python_O():
     nodes = [f"{__file__}::{name}" for name in (
         "test_dropped_pivot_raises_self_check_error",
         "test_singular_pivot_set_raises_self_check_error",
-        "test_full_pivot_set_of_a_singular_map_raises_self_check_error")]
+        "test_full_pivot_set_of_a_singular_map_raises_self_check_error",
+        "test_full_rank_claim_on_odd_bose_map_raises_self_check_error")]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *nodes],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "3 passed" in proc.stdout
+    assert "4 passed" in proc.stdout

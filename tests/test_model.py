@@ -208,10 +208,23 @@ PAIR = "antisymmetric-pair"
     (TheorySpec("t", (FieldSpec("a b", 0),)), "bad field name 'a b'"),
     (TheorySpec("t", (FieldSpec("a", 0), FieldSpec("a", 2))),
      "duplicate field 'a'"),
+    # the theory name and the field types: before them, theory "a b" was
+    # analyzed as given, field name 3 raised a bare AttributeError, and a
+    # float 2j or flavors count a bare TypeError
+    (TheorySpec("a b", (FieldSpec("x", 0),)), "bad theory name 'a b'"),
+    (TheorySpec(None, (FieldSpec("x", 0),)), "bad theory name None"),
+    (TheorySpec("t", (FieldSpec(3, 0),)), "bad field name 3"),
+    (TheorySpec("t", (FieldSpec("x", 1.0),)),
+     "field x: two_j must be an int, got 1.0"),
+    (TheorySpec("t", (FieldSpec("x", 0, flavors=2.0),)),
+     "field x: flavors must be an int, got 2.0"),
+    (TheorySpec("t", (FieldSpec("x", 0, copies=True),)),
+     "field x: copies must be an int, got True"),
 ], ids=["pair-flavors", "no-fields", "pair-explicit", "matrix-shape",
         "flavors-zero", "copies-zero", "spin-over", "spin-negative",
         "dimension-over", "statistics-unknown", "flavor-mode-unknown",
-        "name-bad", "name-duplicate"])
+        "name-bad", "name-duplicate", "theory-name-bad", "theory-name-none",
+        "name-not-str", "two-j-float", "flavors-float", "copies-bool"])
 def test_spec_built_in_code_meets_the_theory_checks(spec, message):
     # the rules and bounds parse_theory applies hold for a spec that never
     # passed through it, each a TheoryParseError at line 0

@@ -6,7 +6,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import spinstat
@@ -206,7 +206,9 @@ def test_nonsingular_block_shares_the_kinematic_rows_only_when_it_is_k0():
 
 # nested dicts and lists, empty ones at every depth, lists that hold only
 # scalars (the one-call path), lists of strings only (the joined path,
-# when no string needs escaping), lists of such lists, matrix rows as
+# when no string needs escaping), lists of ints only (the other joined
+# path: negative, past 2**64, and mixed with bools, which take the
+# item-by-item path), lists of such lists, matrix rows as
 # _matrix_json returns them (the MatrixText path), whole reports, and
 # lists that mix scalars and containers
 json_payloads = st.recursive(
@@ -214,6 +216,8 @@ json_payloads = st.recursive(
     | st.sampled_from([report_to_dict(r) for r in (ALL_CANONICAL, WITH_CONSTRAINTS)]),
     lambda inner: (st.lists(inner, max_size=5)
                    | st.lists(json_scalars, max_size=5)
+                   | st.lists(st.integers(), min_size=1, max_size=5)
+                   | st.lists(st.integers(-2**70, 2**70) | st.booleans(), max_size=5)
                    | st.lists(plain_strings, max_size=5)
                    | st.lists(plain_strings | escaped_strings, max_size=5)
                    | st.lists(st.lists(plain_strings, max_size=3), max_size=4)
@@ -224,5 +228,7 @@ json_payloads = st.recursive(
 
 
 @given(json_payloads)
+@example({"canonical_indices": [0, -3, 2**64 + 1]})
+@example([[1, True, -2**65], [False, 0]])
 def test_json_text_matches_json_dumps(payload):
     assert json_text(payload) == json.dumps(payload, indent=2) + "\n"
