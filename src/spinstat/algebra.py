@@ -9,16 +9,16 @@ rather than with rows x cols.  One pivoted symmetric elimination,
 ``pivoted_elimination``, inverts its 1x1 and 2x2 pivot blocks in closed
 form and yields the canonical principal index set of the constraint
 split and, by Sylvester's law of inertia, every hermitian signature.
-``ExactMatrix.modular_rank`` is the cheap certificate beside it: a
-forward elimination of the matrix's image in GF(q), for the fixed 61-bit
-prime q = 2**61 - 31 (1 mod 4, so i maps to a square root of -1), on
-machine-size ints with no gcd.  The image is a ring homomorphism, so the
-modular rank never exceeds the exact one, and a square matrix of full
-modular rank is invertible; it decides every nonsingular momentum map and
-every flavor inertia without an exact elimination.  ``ExactMatrix.rank``
-is the exact forward elimination, for singular maps and unlucky primes.
-Neither shares code with the pivoting they check.  No floating point
-enters any computation.
+``ExactMatrix.rank`` is the one rank every check takes, and it shares
+no code with the pivoting it checks.  It first runs
+``ExactMatrix.modular_rank``: a forward elimination of the matrix's
+image in GF(q), for the fixed 61-bit prime q = 2**61 - 31 (1 mod 4, so
+i maps to a square root of -1), on machine-size ints with no gcd.  The
+image is a ring homomorphism, so the modular rank never exceeds the
+exact one, and when it is full it is the rank; a nonsingular momentum
+map or flavor form is decided without an exact elimination.  Only a
+rank-deficient matrix, or an unlucky prime, pays for the exact forward
+elimination.  No floating point enters any computation.
 """
 
 from __future__ import annotations
@@ -543,13 +543,12 @@ class ExactMatrix:
     @staticmethod
     def loads(text: str) -> "ExactMatrix":
         """Parse the serialized form: a JSON nested array of scalar strings."""
-        import json
-        try:
-            nested = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"matrix text is not valid JSON: {exc}") from exc
-        if not isinstance(nested, list) or not all(isinstance(r, list) for r in nested):
-            raise ValueError("matrix JSON must be a nested array")
+        return ExactMatrix._from_nesting(_json_nesting(text))
+
+    @staticmethod
+    def _from_nesting(nested: list) -> "ExactMatrix":
+        """The matrix of a nested array from _json_nesting, its entries
+        converted before its shape is checked."""
         try:
             # the literal "0", most entries of a sparse K0 file, is a zero
             # without a parse; every other entry is coerced as by the
@@ -558,9 +557,7 @@ class ExactMatrix:
                         if v != "0" and (x := Scalar.coerce(v))} for row in nested]
         except TypeError as exc:  # a float, null or nested entry
             raise ValueError(str(exc)) from None
-        if nested and any(len(row) != len(nested[0]) for row in nested):
-            raise DimensionError("ragged rows")
-        return ExactMatrix._from_rows(len(nested[0]) if nested else 0, entries)
+        return ExactMatrix._from_rows(_nesting_shape(nested)[1], entries)
 
     def dumps(self) -> str:
         import json
@@ -744,9 +741,13 @@ class ExactMatrix:
     # -- elimination --------------------------------------------------
 
     def rank(self) -> int:
-        """Forward elimination: each row is reduced against the rows kept
-        so far, keyed by their leading column, until it leads in a new
-        column (kept) or cancels to zero."""
+        """``modular_rank()`` when that is full, else the exact forward
+        elimination: each row is reduced against the rows kept so far,
+        keyed by their leading column, until it leads in a new column
+        (kept) or cancels to zero."""
+        full = min(self.rows, self.cols)
+        if self.modular_rank() == full:
+            return full
         kept: dict[int, dict] = {}
         for source in self._rows:
             row = dict(source)
@@ -805,6 +806,27 @@ class ExactMatrix:
                     else:
                         del row[c]
         return len(kept)
+
+
+def _json_nesting(text: str) -> list:
+    """The nested array of a serialized matrix, its entries unconverted."""
+    import json
+    try:
+        nested = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"matrix text is not valid JSON: {exc}") from exc
+    if not isinstance(nested, list) or not all(isinstance(r, list) for r in nested):
+        raise ValueError("matrix JSON must be a nested array")
+    return nested
+
+
+def _nesting_shape(nested: list) -> tuple[int, int]:
+    """(rows, columns) of a nested array from _json_nesting; rows of
+    unequal length raise DimensionError."""
+    cols = len(nested[0]) if nested else 0
+    if any(len(row) != cols for row in nested):
+        raise DimensionError("ragged rows")
+    return len(nested), cols
 
 
 def _add_into(target: dict, source: dict, factor: Scalar | None = None) -> None:

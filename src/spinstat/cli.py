@@ -73,11 +73,10 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        text = fh.read()
     base_dir = os.path.dirname(os.path.abspath(args.spec))
     try:
-        spec = parse_theory(text, base_dir=base_dir)
+        with open(args.spec, encoding="utf-8") as fh:
+            spec = parse_theory(fh.read(), base_dir=base_dir)
         report = analyze_theory(spec)
     except ValueError as exc:
         return _fail(str(exc))

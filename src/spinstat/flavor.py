@@ -239,9 +239,8 @@ def flavor_diagnosis(k0: ExactMatrix, spin=None) -> FlavorDiagnosis:
     convention and there is nothing to diagonalize.  For a real
     antisymmetric K0 the sector signs are the inertia of the hermitian
     form i*K0.  The eigenvalues of K0 come in pairs +-i*mu, so that
-    inertia is (r/2, r/2, n - r) for the rank r of K0: r is read off
-    ExactMatrix.modular_rank when it is full, else off the exact rank, and
-    checked to be even.  No eigenvalue is needed, so the signs are exact
+    inertia is (r/2, r/2, n - r) for the rank r of K0, which is checked
+    to be even.  No eigenvalue is needed, so the signs are exact
     for any such K0; the diagonalization is attached when K0 has the
     shape diagonalize_flavor handles.
     """
@@ -269,9 +268,7 @@ def flavor_diagnosis(k0: ExactMatrix, spin=None) -> FlavorDiagnosis:
                  "sector diagonalization not attempted",
         )
     n = k0.rows
-    rank = k0.modular_rank()
-    if rank != n:
-        rank = k0.rank()
+    rank = k0.rank()
     self_check(rank % 2 == 0, "a real antisymmetric kinematic matrix has odd rank")
     half = rank // 2
     signs = [1] * half + [0] * (n - rank) + [-1] * half

@@ -202,56 +202,41 @@ def constraint_split(k0: ExactMatrix, statistics: str) -> ConstraintSplit:
 
     The momentum map P (see momentum_map) annihilates pure-constraint
     directions; the canonical indices are a principal set on which P is
-    invertible.  When P has full rank modulo the prime of
-    ExactMatrix.modular_rank, P is invertible, so every index is
-    canonical and no exact elimination runs; under bose P is
-    antisymmetric, so it then has even size, which is checked.  Otherwise
-    the canonical indices are the pivot indices of
-    algebra.pivoted_elimination: the first active nonzero diagonal entry,
-    else the first nonzero off-diagonal pair in row order.  The returned
-    nonsingular_block is K0 itself restricted to those indices, which for
-    a wave-operator matrix with three spatial-gradient constraints comes
-    out as the familiar 2x2 core.
+    invertible.  The rank r of P (ExactMatrix.rank) comes first; under
+    bose P is antisymmetric, so r must be even.  When r is the size of P,
+    every index is canonical.  Otherwise the canonical indices are the
+    pivot indices of algebra.pivoted_elimination (the first active
+    nonzero diagonal entry, else the first nonzero off-diagonal pair in
+    row order), checked by ranks that share no code with the pivoting:
+    there are r of them, and P restricted to them has rank r.  The
+    returned nonsingular_block is K0 itself restricted to those indices,
+    which for a wave-operator matrix with three spatial-gradient
+    constraints comes out as the familiar 2x2 core.
     """
     if not k0.is_square:
         raise ValueError("kinematic matrix must be square")
     p = momentum_map(k0, statistics)
     n = k0.rows
-    if p.modular_rank() == n:
-        self_check(statistics == "fermi" or n % 2 == 0,
-                   "modular rank claims an antisymmetric momentum map of "
-                   "odd size is invertible")
+    r = p.rank()
+    self_check(statistics == "fermi" or r % 2 == 0,
+               "an antisymmetric momentum map has odd rank, i.e. a "
+               "nonsingular principal block of odd size")
+    if r == n:
         return ConstraintSplit(statistics, tuple(range(n)), (), k0, p, p)
     canonical = pivoted_elimination(p)[0]
-    chosen = set(canonical)
-    constraint = [i for i in range(n) if i not in chosen]
-
-    if canonical:
-        # dual check by rank, forward eliminations that share no code with
-        # the pivoting: the principal block it chose is full rank (modulo
-        # the prime, else exactly) and as large as the rank of P
-        size = len(canonical)
-        if constraint:
-            restricted = p.principal(canonical)
-            block = k0.principal(canonical)
-            full_rank = ((restricted.modular_rank() == size
-                          or restricted.rank() == size) and p.rank() == size)
-        else:  # the block is P itself, so one elimination decides both
-            restricted = p
-            block = k0
-            full_rank = p.rank() == size
-        self_check(full_rank, "pivoted elimination missed a full-rank "
-                              "principal block of the momentum map")
-    else:
-        restricted = None
-        block = None
-        self_check(p.is_zero(), "pivoted elimination found no pivot in a "
-                                "nonzero momentum map")
+    if not canonical:
+        self_check(not r, "pivoted elimination found no pivot in a nonzero "
+                          "momentum map")
+        return ConstraintSplit(statistics, (), tuple(range(n)), None, p, None)
+    restricted = p.principal(canonical)
+    self_check(len(canonical) == r and restricted.rank() == r,
+               "pivoted elimination missed a full-rank principal block of "
+               "the momentum map")
     return ConstraintSplit(
         statistics=statistics,
-        canonical_indices=tuple(canonical),
-        constraint_indices=tuple(constraint),
-        nonsingular_block=block,
+        canonical_indices=canonical,
+        constraint_indices=tuple(sorted(set(range(n)).difference(canonical))),
+        nonsingular_block=k0.principal(canonical),
         momentum_map=p,
         momentum_restricted=restricted,
     )

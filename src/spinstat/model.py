@@ -16,7 +16,8 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 
-from .algebra import I, ONE, ExactMatrix, ParseError, Scalar, SymmetryClass, _blockdiag, _make
+from .algebra import (I, ONE, ExactMatrix, ParseError, Scalar, SymmetryClass, _blockdiag,
+                      _json_nesting, _make, _nesting_shape)
 from .invariance import required_symmetry
 from .su2 import as_two_j, hermitian_basis, spin_label
 
@@ -41,14 +42,10 @@ MAX_DIMENSION = 1024
 NOTE_NO_FORM = "no valid kinematic form; field doubling required"
 NOTE_NOT_UNIQUE = "kinematic form not unique; specify explicitly"
 
-# the rules that parse_theory and _check_spec both apply
-_STATISTICS = ("auto", "bose", "fermi")
-_FLAVOR_MODES = ("diagonal", "antisymmetric-pair")
 
-
-def _is_name(text: str) -> bool:
+def _is_name(text) -> bool:
     """A theory or field name: an ASCII letter or _, then letters, digits, _."""
-    return text.isascii() and text.isidentifier()
+    return isinstance(text, str) and text.isascii() and text.isidentifier()
 
 
 class TheoryParseError(ParseError):
@@ -154,9 +151,6 @@ def _parse_field(rest: str, line_no: int) -> FieldSpec:
     tokens = rest.split()
     if not tokens:
         raise TheoryParseError(line_no, "field needs a name")
-    name = tokens[0]
-    if not _is_name(name):
-        raise TheoryParseError(line_no, f"bad field name {name!r}")
     attrs: dict[str, str] = {}
     for tok in tokens[1:]:
         if "=" not in tok:
@@ -172,15 +166,8 @@ def _parse_field(rest: str, line_no: int) -> FieldSpec:
         two_j = as_two_j(attrs.pop("spin"))
     except (ValueError, TypeError) as exc:
         raise TheoryParseError(line_no, str(exc)) from exc
-    if two_j > MAX_TWO_J:
-        raise TheoryParseError(
-            line_no, f"spin {spin_label(two_j)} exceeds the supported maximum "
-            f"{spin_label(MAX_TWO_J)}")
-
     flavors = _parse_count(attrs.pop("flavors", "1"), line_no, "flavors")
     copies = _parse_count(attrs.pop("copies", "1"), line_no, "copies")
-    if flavors < 1 or copies < 1:
-        raise TheoryParseError(line_no, "flavors and copies must be >= 1")
     if not _parse_bool(attrs.pop("hermitian", "true"), line_no, "hermitian"):
         raise TheoryParseError(
             line_no,
@@ -188,22 +175,19 @@ def _parse_field(rest: str, line_no: int) -> FieldSpec:
             "both creation and annihilation parts; model a complex field as "
             "a doubled hermitian pair instead")
     statistics = attrs.pop("statistics", "auto")
-    if statistics not in _STATISTICS:
-        raise TheoryParseError(
-            line_no, f"statistics must be auto, bose or fermi, got {statistics!r}")
     if attrs:
         raise TheoryParseError(line_no, f"unknown field attribute {sorted(attrs)[0]!r}")
-    return FieldSpec(name, two_j, flavors, copies, statistics)
+    return FieldSpec(tokens[0], two_j, flavors, copies, statistics)
 
 
 def parse_theory(text: str, base_dir: str | os.PathLike = ".") -> TheorySpec:
-    """Parse a theory description; explicit matrices load relative to base_dir."""
+    """Parse a theory description; explicit matrices load relative to
+    base_dir, once _check_spec has passed the theory's rules."""
     name = None
     fields: list[FieldSpec] = []
-    dimension = 0
     explicit_path: str | None = None
     flavor_mode = "diagonal"
-    seen_kinematic = seen_flavor = False
+    lines: dict = {}  # of each directive, and of each field by its index
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -213,102 +197,113 @@ def parse_theory(text: str, base_dir: str | os.PathLike = ".") -> TheorySpec:
         rest = rest.strip()
 
         if directive == "theory":
-            if name is not None:
+            if "theory" in lines:
                 raise TheoryParseError(line_no, "duplicate theory line")
-            if not _is_name(rest):
-                raise TheoryParseError(line_no, f"bad theory name {rest!r}")
             name = rest
+            lines["theory"] = line_no
         elif directive == "field":
-            f = _parse_field(rest, line_no)
-            if any(existing.name == f.name for existing in fields):
-                raise TheoryParseError(line_no, f"duplicate field {f.name!r}")
-            dimension += f.block_dimension
-            if dimension > MAX_DIMENSION:
-                raise TheoryParseError(
-                    line_no, f"theory has {dimension} components, over the "
-                    f"supported maximum {MAX_DIMENSION}")
-            fields.append(f)
+            lines[len(fields)] = line_no
+            fields.append(_parse_field(rest, line_no))
         elif directive == "kinematic":
-            if seen_kinematic:
+            if "kinematic" in lines:
                 raise TheoryParseError(line_no, "duplicate kinematic line")
-            seen_kinematic = True
+            lines["kinematic"] = line_no
             if rest.startswith("explicit"):
                 explicit_path = rest[len("explicit"):].strip()
                 if not explicit_path:
                     raise TheoryParseError(line_no, "kinematic explicit needs a path")
+                lines["explicit"] = line_no
             elif rest != "auto":
                 raise TheoryParseError(
                     line_no, f"kinematic must be auto or explicit <path>, got {rest!r}")
         elif directive == "flavor":
-            if seen_flavor:
+            if "flavor" in lines:
                 raise TheoryParseError(line_no, "duplicate flavor line")
-            seen_flavor = True
-            if rest not in _FLAVOR_MODES:
-                raise TheoryParseError(
-                    line_no, f"flavor must be diagonal or antisymmetric-pair, got {rest!r}")
+            lines["flavor"] = line_no
             flavor_mode = rest
         else:
             raise TheoryParseError(line_no, f"unknown directive {directive!r}")
 
     if name is None:
         raise TheoryParseError(0, "missing theory line")
-
-    matrix = None
+    spec = TheorySpec(name, tuple(fields), None, flavor_mode)
+    _check_spec(spec, lines)
     if explicit_path is not None:
-        try:
-            with open(os.path.join(base_dir, explicit_path), encoding="utf-8") as fh:
-                matrix = ExactMatrix.loads(fh.read())
-        except OSError as exc:
-            raise TheoryParseError(0, f"cannot read matrix file {explicit_path!r}: {exc}")
-        except ValueError as exc:
-            raise TheoryParseError(0, f"bad matrix file {explicit_path!r}: {exc}")
-    spec = TheorySpec(name, tuple(fields), matrix, flavor_mode)
-    _check_spec(spec)
+        spec = spec._replace(explicit_matrix=_read_matrix(
+            base_dir, explicit_path, spec.dimension))
     return spec
 
 
-def _check_spec(spec: TheorySpec) -> None:
-    """The checks of a whole theory, shared by parse_theory and
-    build_kinematic, so that a spec built in code is held to the grammar's
-    rules and bounds.  Each failure is a TheoryParseError of line 0."""
-    if not isinstance(spec.name, str) or not _is_name(spec.name):
-        raise TheoryParseError(0, f"bad theory name {spec.name!r}")
+def _read_matrix(base_dir, path: str, dimension: int) -> ExactMatrix:
+    """The explicit K0 in the file at path; its shape is checked on the
+    JSON nesting, before any entry is converted."""
+    try:
+        with open(os.path.join(base_dir, path), encoding="utf-8") as fh:
+            nested = _json_nesting(fh.read())
+        shape = _nesting_shape(nested)
+        if shape == (dimension, dimension):
+            return ExactMatrix._from_nesting(nested)
+    except OSError as exc:
+        raise TheoryParseError(0, f"cannot read matrix file {path!r}: {exc}")
+    except ValueError as exc:
+        raise TheoryParseError(0, f"bad matrix file {path!r}: {exc}")
+    raise _shape_error(*shape, dimension)
+
+
+def _shape_error(rows: int, cols: int, dimension: int) -> TheoryParseError:
+    return TheoryParseError(0, f"explicit matrix is {rows}x{cols} but the "
+                               f"theory has {dimension} components")
+
+
+def _check_spec(spec: TheorySpec, lines=None) -> None:
+    """The theory's rules, for parse_theory and build_kinematic alike.
+    ``lines`` holds the line of each directive of a file, and of each
+    field by its index; an "explicit" line states an explicit matrix not
+    yet read.  Each failure is a TheoryParseError of the line that
+    ``lines`` gives its theory name, flavor mode or field, else of line 0."""
+    lines = lines or {}
+    line = lines.get
+    if not _is_name(spec.name):
+        raise TheoryParseError(line("theory", 0), f"bad theory name {spec.name!r}")
     if not spec.fields:
         raise TheoryParseError(0, "theory has no fields")
-    if spec.flavor_mode not in _FLAVOR_MODES:
+    if spec.flavor_mode not in ("diagonal", "antisymmetric-pair"):
         raise TheoryParseError(
-            0, f"flavor must be diagonal or antisymmetric-pair, got {spec.flavor_mode!r}")
+            line("flavor", 0), f"flavor must be diagonal or antisymmetric-pair, "
+                               f"got {spec.flavor_mode!r}")
     names = set()
-    for f in spec.fields:
-        if not isinstance(f.name, str) or not _is_name(f.name):
-            raise TheoryParseError(0, f"bad field name {f.name!r}")
+    dimension = 0
+    for k, f in enumerate(spec.fields):
+        at = line(k, 0)
+        if not _is_name(f.name):
+            raise TheoryParseError(at, f"bad field name {f.name!r}")
         if f.name in names:
-            raise TheoryParseError(0, f"duplicate field {f.name!r}")
+            raise TheoryParseError(at, f"duplicate field {f.name!r}")
         names.add(f.name)
         for key in ("two_j", "flavors", "copies"):
             value = getattr(f, key)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TheoryParseError(
-                    0, f"field {f.name}: {key} must be an int, got {value!r}")
+                    at, f"field {f.name}: {key} must be an int, got {value!r}")
         if not 0 <= f.two_j <= MAX_TWO_J:
             raise TheoryParseError(
-                0, f"field {f.name}: spin {spin_label(f.two_j)} is outside "
-                   f"the supported range 0 to {spin_label(MAX_TWO_J)}")
+                at, f"field {f.name}: spin {spin_label(f.two_j)} is outside "
+                    f"the supported range 0 to {spin_label(MAX_TWO_J)}")
         if f.flavors < 1 or f.copies < 1:
             raise TheoryParseError(
-                0, f"field {f.name}: flavors and copies must be >= 1")
-        if f.statistics not in _STATISTICS:
+                at, f"field {f.name}: flavors and copies must be >= 1")
+        if f.statistics not in ("auto", "bose", "fermi"):
             raise TheoryParseError(
-                0, f"field {f.name}: statistics must be auto, bose or fermi, "
-                   f"got {f.statistics!r}")
-    dimension = spec.dimension
-    if dimension > MAX_DIMENSION:
-        raise TheoryParseError(
-            0, f"theory has {dimension} components, over the supported "
-               f"maximum {MAX_DIMENSION}")
+                at, f"field {f.name}: statistics must be auto, bose or fermi, "
+                    f"got {f.statistics!r}")
+        dimension += f.block_dimension
+        if dimension > MAX_DIMENSION:
+            raise TheoryParseError(
+                at, f"theory has {dimension} components, over the supported "
+                    f"maximum {MAX_DIMENSION}")
     matrix = spec.explicit_matrix
     if spec.flavor_mode == "antisymmetric-pair":
-        if matrix is not None:
+        if matrix is not None or "explicit" in lines:
             raise TheoryParseError(
                 0, "choose one way to fix the flavor structure: "
                    "antisymmetric-pair and an explicit matrix conflict")
@@ -318,9 +313,7 @@ def _check_spec(spec: TheorySpec) -> None:
                     0, f"antisymmetric-pair needs flavors=2 on every field "
                        f"({f.name} has {f.flavors})")
     if matrix is not None and matrix.shape != (dimension, dimension):
-        raise TheoryParseError(
-            0, f"explicit matrix is {matrix.rows}x{matrix.cols} but the "
-               f"theory has {dimension} components")
+        raise _shape_error(matrix.rows, matrix.cols, dimension)
 
 
 # -- kinematic construction --------------------------------------------------

@@ -721,6 +721,17 @@ def test_rank_matches_the_dense_pivot_count(a):
     assert ExactMatrix(a).rank() == len(dense_rref(a)[1])
 
 
+@pytest.mark.parametrize("short", [lambda m: None, lambda m: min(m.rows, m.cols) - 1],
+                         ids=["none", "one-short"])
+@given(a=rank_cases())
+def test_exact_rank_matches_the_dense_pivot_count(short, a):
+    # with the modular rank made useless (q divides a denominator) or too
+    # low (an unlucky prime), every rank comes from the exact elimination
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExactMatrix, "modular_rank", short)
+        assert ExactMatrix(a).rank() == len(dense_rref(a)[1])
+
+
 gaussian_entries = st.one_of(st.just(Scalar(0)), st.builds(
     lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)),
     st.integers(-10, 10), st.integers(-10, 10), st.sampled_from([1, 2, 3, 7])))

@@ -109,6 +109,16 @@ def test_missing_file_exits_1():
     assert "error:" in proc.stderr
 
 
+def test_theory_file_that_is_not_utf8_exits_1_without_traceback(tmp_path):
+    bad = tmp_path / "bad.th"
+    bad.write_bytes(b"theory t\nfield \xff spin=0\n")
+    proc = run_cli("analyze", str(bad))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_parse_error_exits_1(tmp_path):
     bad = tmp_path / "bad.th"
     bad.write_text("theory t\nfield phi spin=7/3\n")

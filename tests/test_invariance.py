@@ -485,6 +485,26 @@ def test_full_rank_claim_on_odd_bose_map_raises_self_check_error(
         constraint_split(k0, "bose")
 
 
+@pytest.fixture
+def claim_odd_rank(monkeypatch):
+    """Make the rank of a rank-deficient matrix come out one too high, as a
+    defect in the exact elimination could."""
+    real = ExactMatrix.rank
+
+    def one_more(m):
+        r = real(m)
+        return r + 1 if r < min(m.rows, m.cols) else r
+
+    monkeypatch.setattr(ExactMatrix, "rank", one_more)
+
+
+def test_odd_rank_of_a_singular_bose_map_raises_self_check_error(claim_odd_rank):
+    # written without assert statements so it also checks under python -O;
+    # the wave operator's antisymmetric P has rank 2 of 4, claimed as 3
+    with pytest.raises(SelfCheckError, match="odd size"):
+        constraint_split(wave_operator_kinematic(), "bose")
+
+
 def test_self_check_error_is_not_a_value_error():
     assert not issubclass(SelfCheckError, ValueError)
 
@@ -499,9 +519,10 @@ def test_self_check_survives_python_O():
         "test_dropped_pivot_raises_self_check_error",
         "test_singular_pivot_set_raises_self_check_error",
         "test_full_pivot_set_of_a_singular_map_raises_self_check_error",
-        "test_full_rank_claim_on_odd_bose_map_raises_self_check_error")]
+        "test_full_rank_claim_on_odd_bose_map_raises_self_check_error",
+        "test_odd_rank_of_a_singular_bose_map_raises_self_check_error")]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *nodes],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "4 passed" in proc.stdout
+    assert "5 passed" in proc.stdout

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import invariant_form_space, theory_generators, two_loop_build_kinematic
-from spinstat.algebra import ExactMatrix, ParseError
+from spinstat.algebra import ExactMatrix, ParseError, Scalar
 from spinstat.model import (
     MAX_DIMENSION,
     MAX_TWO_J,
@@ -61,36 +61,41 @@ def test_parse_full_attribute_set():
     assert spec.dimension == 2 * 8
 
 
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("field phi spin=0\n", "missing theory"),
-        ("theory t\n", "no fields"),
-        ("theory t\ntheory u\nfield a spin=0\n", "duplicate theory"),
-        ("theory t\nfield a spin=0\nfield a spin=1\n", "duplicate field"),
-        ("theory t\nfield a spin=2/3\n", "integer or half-integer"),
-        ("theory t\nfield a spin=9/2\n", "exceeds the supported maximum"),
-        ("theory t\nfield a spin=1/0\n", "line 2: spin '1/0' has a zero denominator"),
-        # refused before the integer is built, not while printing it
-        ("theory t\nfield a spin=1e100000\n",
-         "line 2: literal '1e100000' exceeds 4300 digits"),
-        ("theory t\nfield x spin=1 copies=2 flavors=99999999999\n",
-         "line 2: theory has 599999999994 components, over the supported maximum"),
-        ("theory t\nfield a spin=0 hermitian=false\n", "annihilation"),
-        ("theory t\nfield a spin=0 statistics=maybe\n", "statistics"),
-        ("theory t\nfield a spin=0 charge=1\n", "unknown field attribute"),
-        ("theory t\nfield a spin=0\nbanana split\n", "unknown directive"),
-        ("theory t\nfield a spin=0\nkinematic auto\nkinematic auto\n", "duplicate kinematic"),
-        ("theory t\nfield a spin=0\nflavor sideways\n", "flavor must be"),
-        ("theory t\nfield a spin=0\nflavor antisymmetric-pair\n", "flavors=2"),
-        ("theory t\nfield a spin=0 flavors=0\n", ">= 1"),
-        ("theory t\nfield a spin=0\nkinematic explicit\n", "needs a path"),
-    ],
-)
-def test_parse_errors(text, fragment):
+# text, a fragment of the error, and the line it names (0: the whole file)
+PARSE_ERRORS = [
+    ("field phi spin=0\n", "missing theory", 0),
+    ("theory t\n", "no fields", 0),
+    ("theory t\ntheory u\nfield a spin=0\n", "duplicate theory", 2),
+    ("theory t\nfield a spin=0\nfield a spin=1\n", "duplicate field", 3),
+    ("theory t\nfield a spin=2/3\n", "integer or half-integer", 2),
+    ("theory t\nfield a spin=9/2\n", "outside the supported range", 2),
+    ("theory t\nfield a spin=1/0\n", "line 2: spin '1/0' has a zero denominator", 2),
+    # refused before the integer is built, not while printing it
+    ("theory t\nfield a spin=1e100000\n",
+     "line 2: literal '1e100000' exceeds 4300 digits", 2),
+    ("theory t\nfield x spin=1 copies=2 flavors=99999999999\n",
+     "line 2: theory has 599999999994 components, over the supported maximum", 2),
+    ("theory t\nfield a spin=0 hermitian=false\n", "annihilation", 2),
+    ("theory t\nfield a spin=0 statistics=maybe\n", "statistics", 2),
+    ("theory t\nfield a spin=0 charge=1\n", "unknown field attribute", 2),
+    ("theory t\nfield a spin=0\nbanana split\n", "unknown directive", 3),
+    ("theory t\nfield a spin=0\nkinematic auto\nkinematic auto\n",
+     "duplicate kinematic", 4),
+    ("theory t\nfield a spin=0\nflavor sideways\n", "flavor must be", 3),
+    ("theory t\nfield a spin=0\nflavor antisymmetric-pair\n", "flavors=2", 0),
+    ("theory t\nfield a spin=0 flavors=0\n", ">= 1", 2),
+    ("theory t\nfield a spin=0\nkinematic explicit\n", "needs a path", 3),
+]
+
+
+# a case's id names its text and fragment, not its line
+@pytest.mark.parametrize("text,fragment,line", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in PARSE_ERRORS])
+def test_parse_errors(text, fragment, line):
     with pytest.raises(TheoryParseError) as err:
         parse(text)
     assert fragment in str(err.value)
+    assert err.value.line == line
 
 
 def test_parse_error_reports_line_number():
@@ -161,6 +166,26 @@ def test_explicit_matrix_loads_and_validates(tmp_path):
               base_dir=tmp_path)
 
 
+def test_explicit_matrix_shape_is_refused_before_any_entry_is_read(
+        tmp_path, monkeypatch):
+    (tmp_path / "k.json").write_text('[["1/3", "0", "2"], ["0", "1", "0"], ["2", "0", "1"]]')
+
+    def refuse(value):
+        raise AssertionError(f"entry {value!r} converted")
+
+    monkeypatch.setattr(Scalar, "coerce", staticmethod(refuse))
+    with pytest.raises(TheoryParseError) as err:
+        parse("theory t\nfield phi spin=0 copies=2\nkinematic explicit k.json\n",
+              base_dir=tmp_path)
+    assert str(err.value) == ("line 0: explicit matrix is 3x3 but the theory "
+                              "has 2 components")
+    # a ragged file is refused by its rows too
+    (tmp_path / "k.json").write_text('[["1", "0"], ["0", "1", "0"]]')
+    with pytest.raises(TheoryParseError, match="bad matrix file 'k.json': ragged rows"):
+        parse("theory t\nfield phi spin=0 copies=2\nkinematic explicit k.json\n",
+              base_dir=tmp_path)
+
+
 def test_antisymmetric_pair_conflicts_with_explicit(tmp_path):
     (tmp_path / "k.json").write_text('[["0", "1"], ["-1", "0"]]')
     with pytest.raises(TheoryParseError) as err:
@@ -170,6 +195,11 @@ def test_antisymmetric_pair_conflicts_with_explicit(tmp_path):
             base_dir=tmp_path,
         )
     assert "conflict" in str(err.value)
+    # refused from the directives, before the matrix file is read
+    with pytest.raises(TheoryParseError, match="conflict"):
+        parse("theory t\nfield phi spin=0 flavors=2\n"
+              "flavor antisymmetric-pair\nkinematic explicit missing.json\n",
+              base_dir=tmp_path)
 
 
 PAIR = "antisymmetric-pair"
