@@ -549,12 +549,24 @@ class ExactMatrix:
     def _from_nesting(nested: list) -> "ExactMatrix":
         """The matrix of a nested array from _json_nesting, its entries
         converted before its shape is checked."""
+        parsed: dict[str, Scalar] = {}
+
+        def convert(v):
+            # coerced as by the dense constructor, each distinct string
+            # literal once
+            if not isinstance(v, str):
+                return Scalar.coerce(v)
+            x = parsed.get(v)
+            if x is None:
+                x = parsed[v] = Scalar.coerce(v)
+            return x
+
         try:
             # the literal "0", most entries of a sparse K0 file, is a zero
-            # without a parse; every other entry is coerced as by the
-            # dense constructor and dropped if it is zero ("-0", "0/3")
+            # without a parse; every other entry is converted and dropped
+            # if it is zero ("-0", "0/3")
             entries = [{c: x for c, v in enumerate(row)
-                        if v != "0" and (x := Scalar.coerce(v))} for row in nested]
+                        if v != "0" and (x := convert(v))} for row in nested]
         except TypeError as exc:  # a float, null or nested entry
             raise ValueError(str(exc)) from None
         return ExactMatrix._from_rows(_nesting_shape(nested)[1], entries)

@@ -13,9 +13,12 @@ with p pairs is a numerator pair (re, im) over D**p, and one ``Scalar`` is
 built per word.  Under anticommutators the recursion signs each term by
 the parity of its position instead of multiplying a running sign.  A word
 whose creators are not half of it is 0 without any contraction, and so is
-a Gram entry between states of different quanta counts; the entries of a
-Gram matrix share one memo.  Word length (``MAX_WORD_SYMBOLS``) and the
-number of Gram states (``MAX_GRAM_STATES``) are bounded before any
+a Gram entry between states of different quanta counts.  States that
+permute one multiset of creators are one Fock vector times an exchange
+sign, so a Gram matrix is contracted and its signature eliminated only
+between one representative state per multiset, sharing one memo, and the
+other entries are signed copies.  Word length (``MAX_WORD_SYMBOLS``) and
+the number of Gram states (``MAX_GRAM_STATES``) are bounded before any
 contraction, and the memo (``MAX_CONTRACTION_STATES``) as it grows.
 """
 
@@ -54,8 +57,9 @@ __all__ = [
 MAX_WORD_SYMBOLS = 256
 
 # most states in one Gram matrix, checked before any contraction.  The
-# exact signature is cubic in the state count: 128 dense 3-quantum states
-# over 12 modes, pair values in -3..3, take about 9-10 s (Python 3.11,
+# exact signature is cubic in the number of exchange classes, at most the
+# state count: 128 random dense 3-quantum states over 12 modes (108
+# classes), pair values in -3..3, take about 3.7-4.5 s (Python 3.11,
 # 2 cores), nearly all of it the signature, and each doubling costs about
 # 8x more.  That is 8x the 16 states of the largest perfbench
 # Gram matrix and leaves room for a 64-state bound workload.
@@ -67,7 +71,7 @@ MAX_GRAM_STATES = 128
 # values on dense tables are permanents, and the word a1..ak a1dag..akdag
 # on a dense table needs 2**k - 1 entries.  k = 16 takes about 1.1 s and
 # 25 MB (Python 3.11, 2 cores).  On perfbench gram-signature a long word
-# needs 12 entries and a 16-state Gram matrix at most 143 (seeds 11-20).
+# needs 12 entries and a 16-state Gram matrix at most 93 (seeds 11-20).
 MAX_CONTRACTION_STATES = 2 ** 16
 
 _BRACKETS = frozenset(("commutator", "anticommutator"))
@@ -169,6 +173,7 @@ def parse_relation_table(text: str) -> RelationTable:
     bracket = None
     pairs = []
     declared: set[tuple[str, str]] = set()
+    values: dict[str, Scalar] = {}  # each distinct literal is parsed once
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -196,10 +201,13 @@ def parse_relation_table(text: str) -> RelationTable:
                 raise ParseError(
                     line_no,
                     "second pair symbol is the creator and must end in 'dag'")
-            try:
-                value = Scalar.parse("".join(tokens[4:]))
-            except ValueError as exc:
-                raise ParseError(line_no, f"bad pair value: {exc}") from None
+            literal = "".join(tokens[4:])
+            value = values.get(literal)
+            if value is None:
+                try:
+                    value = values[literal] = Scalar.parse(literal)
+                except ValueError as exc:
+                    raise ParseError(line_no, f"bad pair value: {exc}") from None
             if (a, c) in declared:
                 raise ParseError(line_no, f"duplicate pair declaration {a} {c}")
             declared.add((a, c))
@@ -322,14 +330,27 @@ def gram_matrix(states, table: RelationTable) -> GramResult:
     bra+ket word, twice the longest state, by ``MAX_WORD_SYMBOLS``, before
     any contraction.  A bra is all annihilators and a ket all creators, so
     states with different quanta counts have entry 0 and are not
-    contracted.  Each bra adjoint(word_m) is built once per row, and all
-    entries share one contraction memo, since a memo key is a whole
-    subword; ``MAX_CONTRACTION_STATES`` bounds it over the whole matrix.
-    Every entry within a sector is computed, not half of it plus
-    conjugates, so a table that contradicts its own adjoint structure
-    shows up as a non-hermitian matrix, which the signature rejects once.
-    The signature is computed exactly; a negative entry in it is the
-    negative-norm witness.
+    contracted.
+
+    States are grouped by their sorted creators; the first state of each
+    class in input order represents it.  A Wick value is a permanent
+    (commutators) or a determinant (anticommutators) in the bra's
+    annihilators and the ket's creators, so G_mn = s_m s_n H_(rep m)(rep n)
+    for the matrix H between representatives, where s is 1 under
+    commutators and the parity of the state's permutation of its
+    representative under anticommutators (a state with a repeated creator
+    is then the zero vector, whose sign is never seen).  Only H is
+    contracted: each bra is built once per representative, and all its
+    entries share one memo, since a memo key is a whole subword;
+    ``MAX_CONTRACTION_STATES`` bounds it over the whole matrix.  G is
+    C^T H C for a C of full row rank, so by Sylvester's law of inertia its
+    signature is that of H plus one zero per state beyond its class's
+    first, and only H is eliminated.  Every entry of H within a sector is
+    computed, not half of it plus conjugates, and H is hermitian exactly
+    when G is, so a table that contradicts its own adjoint structure shows
+    up as a non-hermitian matrix, which the signature rejects once.  The
+    signature is exact; a negative entry in it is the negative-norm
+    witness.
     """
     words = list(states)
     if not words:
@@ -349,24 +370,58 @@ def gram_matrix(states, table: RelationTable) -> GramResult:
         raise ValueError(
             f"bra and ket of a {longest}-quantum state have {2 * longest} "
             f"symbols, over the supported maximum {MAX_WORD_SYMBOLS}")
+    # each state's exchange class, keyed by its sorted creators, and its
+    # sign relative to the class representative, the first such state
+    fermi = table.bracket == "anticommutator"
+    classes: dict[tuple[str, ...], int] = {}
+    reps = []
+    members = []
+    for w in words:
+        key = tuple(sorted(w))
+        k = classes.setdefault(key, len(reps))
+        if k == len(reps):
+            reps.append(w)
+        # a Fermi state with a repeated creator is the zero vector, so
+        # its sign is never seen
+        odd = fermi and len(set(w)) == len(w) and (
+            _inversions(w) + _inversions(reps[k])) % 2
+        members.append((k, -1 if odd else 1))
     contract = _contract(table, {})
     rows = []
-    for m in words:
+    for m in reps:
         bra = adjoint_word(m, table)
         quanta = len(m)
         denominator = table.denominator ** quanta
         row = {}
-        for j, n in enumerate(words):
+        for j, n in enumerate(reps):
             if len(n) == quanta:
                 re, im = contract(bra + n)
                 if re or im:
                     row[j] = _make(re, im, denominator)
         rows.append(row)
-    matrix = ExactMatrix._from_rows(len(words), rows)
+    reduced = ExactMatrix._from_rows(len(reps), rows)
+    matrix = reduced if len(reps) == len(words) else ExactMatrix._from_rows(
+        len(words), [_signed_row(rows[k], s, members) for k, s in members])
     try:
-        signature = hermitian_signature(matrix)
+        positives, negatives, zeros = hermitian_signature(reduced)
     except NotHermitianError:
         raise ValueError(
             "gram matrix came out non-hermitian; the relation table is not "
             "consistent with its own adjoint structure") from None
-    return GramResult(matrix, signature)
+    return GramResult(matrix, (positives, negatives, zeros + len(words) - len(reps)))
+
+
+def _inversions(word: tuple[str, ...]) -> int:
+    """Pairs of positions of `word` whose symbols are out of sorted order."""
+    return sum(x > y for i, x in enumerate(word) for y in word[i + 1:])
+
+
+def _signed_row(row: dict, sign: int, members) -> dict:
+    """The Gram row of a state with this sign, from its representative's
+    row over the classes: entry n is sign * s_n * row[class of n]."""
+    signed = {}
+    for n, (k, s) in enumerate(members):
+        x = row.get(k)
+        if x is not None:
+            signed[n] = x if s == sign else -x
+    return signed

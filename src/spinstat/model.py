@@ -202,8 +202,11 @@ def parse_theory(text: str, base_dir: str | os.PathLike = ".") -> TheorySpec:
             name = rest
             lines["theory"] = line_no
         elif directive == "field":
-            lines[len(fields)] = line_no
-            fields.append(_parse_field(rest, line_no))
+            # every field has a component, so _check_spec refuses the first
+            # MAX_DIMENSION + 1 fields already; later field lines are skipped
+            if len(fields) <= MAX_DIMENSION:
+                lines[len(fields)] = line_no
+                fields.append(_parse_field(rest, line_no))
         elif directive == "kinematic":
             if "kinematic" in lines:
                 raise TheoryParseError(line_no, "duplicate kinematic line")

@@ -12,7 +12,7 @@ import pytest
 
 from spinstat import __main__ as spinstat_main
 from spinstat import cli, fock
-from spinstat.algebra import ExactMatrix
+from spinstat.algebra import MODULUS, ExactMatrix
 from spinstat.fock import MAX_GRAM_STATES
 
 THEORIES = resources.files("spinstat") / "theories"
@@ -174,6 +174,26 @@ def test_explicit_matrix_relative_to_theory_file(tmp_path):
     jsonschema.validate(report, SCHEMA)
     assert report["kinematic"]["mode"] == "explicit"
     assert report["status"] == "CONSISTENT"
+
+
+@pytest.mark.parametrize("entry", [str(MODULUS), f"1/{MODULUS}"])
+def test_explicit_matrix_the_modular_rank_cannot_see(entry, tmp_path):
+    # K0 = [[0, x], [-x, 0]] with x = q or 1/q for the prime q of
+    # ExactMatrix.modular_rank: its image mod q is 0 or undefined, so the
+    # constraint split takes the exact rank, with no patching
+    k0 = ExactMatrix([["0", entry], [f"-{entry}", "0"]])
+    assert k0.modular_rank() in (0, None)
+    (tmp_path / "k0.mat").write_text(k0.dumps())
+    th = tmp_path / "modq.th"
+    th.write_text("theory modq\nfield phi spin=0 copies=2\n"
+                  "kinematic explicit k0.mat\n")
+    proc, out = analyze_json(th, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "canonical components: phi.c0.0, phi.c1.0\n" in proc.stdout
+    assert "constraint components: none\n" in proc.stdout
+    report = json.loads(out.read_text())
+    assert report["status"] == "CONSISTENT"
+    assert report["kinematic"]["matrix"] == k0.to_nested_strings()
 
 
 def test_explicit_matrix_invariance_violations_reported(tmp_path):

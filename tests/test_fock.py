@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import wick_gram_entry
+from oracles import descartes_signature, wick_gram_entry
 from spinstat import fock
 from spinstat.algebra import ExactMatrix, ParseError, Scalar
 from spinstat.fock import (
@@ -872,6 +872,51 @@ def test_gram_entries_match_the_wick_oracle(data):
             expected = wick_gram_entry(pairing, m, n, fermi)
             assert result.matrix[r, c] == expected
             assert vacuum_expectation(adjoint_word(m, table) + n, table) == expected
+
+
+@st.composite
+def exchange_states(draw, creators):
+    """Creator words of 1-3 quanta, repeated creators allowed, and permuted
+    copies of some of them, shuffled: several states share one exchange
+    class, and a copy may come before the word it permutes."""
+    words = [tuple(draw(st.lists(st.sampled_from(creators),
+                                 min_size=quanta, max_size=quanta)))
+             for quanta in draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))]
+    copies = [tuple(draw(st.permutations(draw(st.sampled_from(words)))))
+              for _ in range(draw(st.integers(1, 4)))]
+    return draw(st.permutations(words + copies))
+
+
+@given(st.data())
+def test_gram_by_exchange_class_matches_the_wick_oracle(data):
+    """Permuted copies get their exchange-signed entries, and each state
+    beyond its class's first adds one zero to the signature."""
+    table, pairing = data.draw(hermitian_pairings())
+    states = data.draw(exchange_states(sorted(table.creators)))
+    fermi = table.bracket == "anticommutator"
+    expected = ExactMatrix([[wick_gram_entry(pairing, m, n, fermi) for n in states]
+                            for m in states])
+    result = gram_matrix(states, table)
+    assert result.matrix == expected
+    assert result.signature == descartes_signature(expected)
+
+
+@pytest.mark.parametrize("bracket", ["commutator", "anticommutator"])
+@pytest.mark.parametrize("pairs,states", [
+    # a non-real norm, met only by the class of two permuted states
+    ("pair a adag = 0+1i\npair b bdag = 1\n",
+     [("adag", "bdag"), ("bdag", "adag")]),
+    # [b, cdag] = [c, bdag] = i, not conjugates: the entries between the
+    # classes of adag bdag and adag cdag are not mirrored
+    ("pair a adag = 1\npair b bdag = 1\npair c cdag = 1\n"
+     "pair b cdag = 0+1i\npair c bdag = 0+1i\n",
+     [("bdag", "adag"), ("adag", "cdag"), ("adag", "bdag"), ("cdag", "adag")]),
+])
+def test_gram_with_permuted_copies_rejects_self_inconsistent_table(
+        bracket, pairs, states):
+    table = parse_relation_table(f"bracket = {bracket}\n{pairs}")
+    with pytest.raises(ValueError, match="non-hermitian"):
+        gram_matrix(states, table)
 
 
 def test_gram_of_unknown_symbol():

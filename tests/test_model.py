@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import invariant_form_space, theory_generators, two_loop_build_kinematic
+from spinstat import model
 from spinstat.algebra import ExactMatrix, ParseError, Scalar
 from spinstat.model import (
     MAX_DIMENSION,
@@ -125,6 +126,25 @@ def test_dimension_bound_counts_the_running_total():
         parse(text + "field c spin=0\n")
     assert err.value.line == 4
     assert f"{MAX_DIMENSION + 1} components" in str(err.value)
+
+
+def test_fields_past_the_dimension_bound_are_not_built(monkeypatch):
+    # each field has a component, so the refusal at the (MAX_DIMENSION + 1)-th
+    # field line needs no later field
+    built = []
+
+    def counting(rest, line_no):
+        built.append(line_no)
+        return parse_field(rest, line_no)
+
+    parse_field = model._parse_field
+    monkeypatch.setattr(model, "_parse_field", counting)
+    fields = "".join(f"field f{k} spin=0\n" for k in range(MAX_DIMENSION + 100))
+    with pytest.raises(TheoryParseError) as err:
+        parse("theory t\n" + fields)
+    assert err.value.line == MAX_DIMENSION + 2
+    assert f"{MAX_DIMENSION + 1} components" in str(err.value)
+    assert len(built) == MAX_DIMENSION + 1
 
 
 def test_explicit_matrix_loads_and_validates(tmp_path):
