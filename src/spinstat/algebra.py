@@ -54,7 +54,8 @@ class NotHermitianError(ValueError):
 class ParseError(ValueError):
     """Bad input text, with the number of the line at fault in ``.line``.
 
-    Both input grammars, theories and relation tables, raise it.  The text
+    Both input grammars, theories and relation tables, raise it, and so does
+    a ``RelationTable`` built in code that breaks a table rule.  The text
     starts with ``line N:``; an error of the whole text rather than of one
     line has ``.line`` None and no prefix.
     """
@@ -62,6 +63,16 @@ class ParseError(ValueError):
     def __init__(self, line_no: int | None, message: str):
         super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line = line_no
+
+
+def _numbered_lines(text: str):
+    """(line number, text) of each line that holds anything once its ``#``
+    comment and outer blanks are dropped: the one comment and blank-line
+    rule of theories, relation tables and states files."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
 
 
 class SelfCheckError(Exception):

@@ -14,7 +14,7 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
-from .algebra import ONE, ExactMatrix, Scalar, SelfCheckError
+from .algebra import ONE, ExactMatrix, Scalar, SelfCheckError, _numbered_lines
 from .fock import (
     UnknownSymbolError,
     gram_matrix,
@@ -30,19 +30,12 @@ from .reduction import (
     verify_dkp_algebra,
 )
 from .report import (
+    STATUSES,
     analyze_theory,
     json_text,
     render_text,
     report_to_dict,
 )
-
-_EXIT_BY_STATUS = {
-    "CONSISTENT": 0,
-    "NO_KINEMATIC_TERM": 0,
-    "CONTRADICTION": 2,
-    "REJECTED_NEGATIVE_NORM": 3,
-    "NOT_ROTATION_INVARIANT": 5,
-}
 
 # A derived result failed its independent check: a defect in spinstat,
 # not in the input.
@@ -83,7 +76,7 @@ def cmd_analyze(args) -> int:
     sys.stdout.write(render_text(report))
     if args.json:
         _write_json(args.json, report_to_dict(report))
-    return _EXIT_BY_STATUS[report.status]
+    return STATUSES[report.status]
 
 
 def _parse_metric(text: str) -> ExactMatrix:
@@ -181,12 +174,7 @@ def cmd_dkp_check(args) -> int:
 
 def _read_states(path: str) -> list[tuple[str, ...]]:
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    states = []
-    for line in lines:
-        line = line.split("#", 1)[0].strip()
-        if line:
-            states.append(tuple(line.split()))
+        states = [tuple(line.split()) for _, line in _numbered_lines(fh.read())]
     if not states:
         raise ValueError(f"no states found in {path}")
     return states

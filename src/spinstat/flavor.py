@@ -159,12 +159,14 @@ class FlavorDiagnosis(namedtuple(
         "FlavorDiagnosis",
         "is_flavor_antisymmetric diagonalization sector_signs negative_norm"
         " inverted_connection_attempt witness note",
-        defaults=(None,))):
+        defaults=(None, (), False, False, None, None))):
     """Full flavor verdict: sector signs, norm defect, and the witness.
 
     ``diagonalization`` is a FlavorDiagonalization or None,
     ``sector_signs`` a tuple of +1/-1, ``witness`` the GramResult of the
-    negative-norm state or None, and ``note`` a str or None.
+    negative-norm state or None, and ``note`` a str or None.  The defaults
+    are those of a matrix that is not diagnosed: no diagonalization, no
+    signs, no negative norm, no inversion, no witness and no note.
     """
 
     __slots__ = ()
@@ -246,27 +248,12 @@ def flavor_diagnosis(k0: ExactMatrix, spin=None) -> FlavorDiagnosis:
     """
     split = detect_flavor_antisymmetry(k0)
     if not split.is_flavor_antisymmetric:
-        signs = (1, 1) if k0.rows % 2 == 0 else ()
-        return FlavorDiagnosis(
-            is_flavor_antisymmetric=False,
-            diagonalization=None,
-            sector_signs=signs,
-            negative_norm=False,
-            inverted_connection_attempt=False,
-            witness=None,
-            note=split.note,
-        )
+        if k0.rows % 2:  # no sectors
+            return FlavorDiagnosis(False, note=split.note)
+        return FlavorDiagnosis(False, sector_signs=(1, 1))
     if not k0.is_antisymmetric() or not k0.is_real():
-        return FlavorDiagnosis(
-            is_flavor_antisymmetric=True,
-            diagonalization=None,
-            sector_signs=(),
-            negative_norm=False,
-            inverted_connection_attempt=False,
-            witness=None,
-            note="flavor block is not a real symmetric form; "
-                 "sector diagonalization not attempted",
-        )
+        return FlavorDiagnosis(True, note="flavor block is not a real symmetric "
+                                          "form; sector diagonalization not attempted")
     n = k0.rows
     rank = k0.rank()
     self_check(rank % 2 == 0, "a real antisymmetric kinematic matrix has odd rank")

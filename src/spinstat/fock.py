@@ -34,6 +34,7 @@ from .algebra import (
     ParseError,
     Scalar,
     _make,
+    _numbered_lines,
     hermitian_signature,
 )
 
@@ -98,29 +99,18 @@ class RelationTable:
     back to the pair partner: a table that declares only ``pair c ddag`` is
     the hermitian-identified presentation where d = c.  ``denominator`` is
     the lcm of the pair-value denominators, over which the contraction
-    holds every value as a Gaussian-integer numerator.
+    holds every value as a Gaussian-integer numerator.  A table that breaks
+    a rule of ``_check_table`` raises its ``ParseError`` at line None.
     """
 
     def __init__(self, bracket: str, pairs) -> None:
-        if bracket not in _BRACKETS:
-            raise ValueError(
-                f"bracket must be commutator or anticommutator, got {bracket!r}")
+        pairs = tuple(pairs)
+        _check_table(bracket, pairs)
         self.bracket = bracket
         self.pairs: tuple[tuple[str, str, Scalar], ...] = tuple(
             (a, c, Scalar.coerce(v)) for a, c, v in pairs)
-
         self.annihilators: frozenset[str] = frozenset(a for a, _, _ in self.pairs)
         self.creators: frozenset[str] = frozenset(c for _, c, _ in self.pairs)
-        overlap = self.annihilators & self.creators
-        if overlap:
-            raise ValueError(
-                f"symbol declared as both annihilator and creator: {sorted(overlap)[0]}")
-
-        declared: set[tuple[str, str]] = set()
-        for a, c, _ in self.pairs:
-            if (a, c) in declared:
-                raise ValueError(f"duplicate pair declaration {a} {c}")
-            declared.add((a, c))
 
         self._partners: dict[str, list[str]] = {}
         for a, c, _ in self.pairs:
@@ -163,21 +153,41 @@ class RelationTable:
             f"{len(set(partners))} distinct pair partners")
 
 
+def _check_table(bracket: str, pairs, lines=None) -> None:
+    """The rules of a relation table, for RelationTable and
+    parse_relation_table alike.  ``lines`` holds the line of the bracket
+    (key 0) and of each pair (by its number from 1); each failure is a
+    ParseError at the line it gives there, else at line None.  The
+    parser's naming rule keeps the two sides apart, so only a table built
+    in code can declare a symbol on both."""
+    line = (lines or {}).get
+    if bracket not in _BRACKETS:
+        raise ParseError(
+            line(0), f"bracket must be commutator or anticommutator, got {bracket!r}")
+    overlap = {a for a, _, _ in pairs} & {c for _, c, _ in pairs}
+    if overlap:
+        raise ParseError(
+            None, f"symbol declared as both annihilator and creator: {sorted(overlap)[0]}")
+    declared: set[tuple[str, str]] = set()
+    for k, (a, c, _) in enumerate(pairs, start=1):
+        if (a, c) in declared:
+            raise ParseError(line(k), f"duplicate pair declaration {a} {c}")
+        declared.add((a, c))
+
+
 def parse_relation_table(text: str) -> RelationTable:
     """Parse the line format: ``bracket = <kind>`` and ``pair <a> <cdag> = <value>``.
 
-    A malformed line, an unknown bracket kind or a repeated pair raises
-    ``ParseError`` with its line number; a table without a bracket line or
-    without pairs raises it with line None.
+    A malformed line raises ``ParseError`` with its line number, and so,
+    once every line is read, does an unknown bracket kind or a repeated
+    pair; a table without a bracket line or without pairs raises it with
+    line None.
     """
     bracket = None
     pairs = []
-    declared: set[tuple[str, str]] = set()
+    lines = {}  # of the bracket (key 0) and of each pair by its number
     values: dict[str, Scalar] = {}  # each distinct literal is parsed once
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _numbered_lines(text):
         tokens = line.split()
         if tokens[0] == "bracket":
             if len(tokens) != 3 or tokens[1] != "=":
@@ -185,10 +195,7 @@ def parse_relation_table(text: str) -> RelationTable:
             if bracket is not None:
                 raise ParseError(line_no, "duplicate bracket line")
             bracket = tokens[2]
-            if bracket not in _BRACKETS:
-                raise ParseError(
-                    line_no, f"bracket must be commutator or anticommutator, "
-                             f"got {bracket!r}")
+            lines[0] = line_no
         elif tokens[0] == "pair":
             if len(tokens) < 5 or tokens[3] != "=":
                 raise ParseError(line_no, "expected 'pair <a> <cdag> = <value>'")
@@ -208,16 +215,15 @@ def parse_relation_table(text: str) -> RelationTable:
                     value = values[literal] = Scalar.parse(literal)
                 except ValueError as exc:
                     raise ParseError(line_no, f"bad pair value: {exc}") from None
-            if (a, c) in declared:
-                raise ParseError(line_no, f"duplicate pair declaration {a} {c}")
-            declared.add((a, c))
             pairs.append((a, c, value))
+            lines[len(pairs)] = line_no
         else:
             raise ParseError(line_no, f"unknown directive {tokens[0]!r}")
     if bracket is None:
         raise ParseError(None, "relation table needs a 'bracket = ...' line")
     if not pairs:
         raise ParseError(None, "relation table declares no pairs")
+    _check_table(bracket, pairs, lines)
     return RelationTable(bracket, pairs)
 
 

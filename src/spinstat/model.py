@@ -17,7 +17,7 @@ import os
 from collections import namedtuple
 
 from .algebra import (I, ONE, ExactMatrix, ParseError, Scalar, SymmetryClass, _blockdiag,
-                      _json_nesting, _make, _nesting_shape)
+                      _json_nesting, _make, _nesting_shape, _numbered_lines)
 from .invariance import required_symmetry
 from .su2 import as_two_j, hermitian_basis, spin_label
 
@@ -189,10 +189,7 @@ def parse_theory(text: str, base_dir: str | os.PathLike = ".") -> TheorySpec:
     flavor_mode = "diagonal"
     lines: dict = {}  # of each directive, and of each field by its index
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _numbered_lines(text):
         directive, _, rest = line.partition(" ")
         rest = rest.strip()
 
@@ -233,13 +230,13 @@ def parse_theory(text: str, base_dir: str | os.PathLike = ".") -> TheorySpec:
     _check_spec(spec, lines)
     if explicit_path is not None:
         spec = spec._replace(explicit_matrix=_read_matrix(
-            base_dir, explicit_path, spec.dimension))
+            base_dir, explicit_path, spec.dimension, lines["explicit"]))
     return spec
 
 
-def _read_matrix(base_dir, path: str, dimension: int) -> ExactMatrix:
-    """The explicit K0 in the file at path; its shape is checked on the
-    JSON nesting, before any entry is converted."""
+def _read_matrix(base_dir, path: str, dimension: int, line_no: int) -> ExactMatrix:
+    """The explicit K0 in the file at path, named on line line_no; its
+    shape is checked on the JSON nesting, before any entry is converted."""
     try:
         with open(os.path.join(base_dir, path), encoding="utf-8") as fh:
             nested = _json_nesting(fh.read())
@@ -247,15 +244,15 @@ def _read_matrix(base_dir, path: str, dimension: int) -> ExactMatrix:
         if shape == (dimension, dimension):
             return ExactMatrix._from_nesting(nested)
     except OSError as exc:
-        raise TheoryParseError(0, f"cannot read matrix file {path!r}: {exc}")
+        raise TheoryParseError(line_no, f"cannot read matrix file {path!r}: {exc}")
     except ValueError as exc:
-        raise TheoryParseError(0, f"bad matrix file {path!r}: {exc}")
-    raise _shape_error(*shape, dimension)
+        raise TheoryParseError(line_no, f"bad matrix file {path!r}: {exc}")
+    raise _shape_error(line_no, *shape, dimension)
 
 
-def _shape_error(rows: int, cols: int, dimension: int) -> TheoryParseError:
-    return TheoryParseError(0, f"explicit matrix is {rows}x{cols} but the "
-                               f"theory has {dimension} components")
+def _shape_error(line_no: int, rows: int, cols: int, dimension: int) -> TheoryParseError:
+    return TheoryParseError(line_no, f"explicit matrix is {rows}x{cols} but the "
+                                     f"theory has {dimension} components")
 
 
 def _check_spec(spec: TheorySpec, lines=None) -> None:
@@ -263,7 +260,8 @@ def _check_spec(spec: TheorySpec, lines=None) -> None:
     ``lines`` holds the line of each directive of a file, and of each
     field by its index; an "explicit" line states an explicit matrix not
     yet read.  Each failure is a TheoryParseError of the line that
-    ``lines`` gives its theory name, flavor mode or field, else of line 0."""
+    ``lines`` gives its theory name, flavor mode, field or explicit
+    matrix, else of line 0."""
     lines = lines or {}
     line = lines.get
     if not _is_name(spec.name):
@@ -305,18 +303,19 @@ def _check_spec(spec: TheorySpec, lines=None) -> None:
                 at, f"theory has {dimension} components, over the supported "
                     f"maximum {MAX_DIMENSION}")
     matrix = spec.explicit_matrix
+    explicit = line("explicit", 0)
     if spec.flavor_mode == "antisymmetric-pair":
         if matrix is not None or "explicit" in lines:
             raise TheoryParseError(
-                0, "choose one way to fix the flavor structure: "
-                   "antisymmetric-pair and an explicit matrix conflict")
-        for f in spec.fields:
+                explicit, "choose one way to fix the flavor structure: "
+                          "antisymmetric-pair and an explicit matrix conflict")
+        for k, f in enumerate(spec.fields):
             if f.flavors != 2:
                 raise TheoryParseError(
-                    0, f"antisymmetric-pair needs flavors=2 on every field "
-                       f"({f.name} has {f.flavors})")
+                    line(k, 0), f"antisymmetric-pair needs flavors=2 on every "
+                                f"field ({f.name} has {f.flavors})")
     if matrix is not None and matrix.shape != (dimension, dimension):
-        raise _shape_error(matrix.rows, matrix.cols, dimension)
+        raise _shape_error(explicit, matrix.rows, matrix.cols, dimension)
 
 
 # -- kinematic construction --------------------------------------------------

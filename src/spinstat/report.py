@@ -19,13 +19,15 @@ from .invariance import check_su2_invariance, constraint_split
 from .model import TheorySpec, build_kinematic
 from .schwinger import spin_statistics_verdict, surface_variation_consistency
 
-STATUSES = (
-    "CONSISTENT",
-    "CONTRADICTION",
-    "REJECTED_NEGATIVE_NORM",
-    "NO_KINEMATIC_TERM",
-    "NOT_ROTATION_INVARIANT",
-)
+# every status a report can have, with the exit code of `spinstat analyze`
+# that reports it
+STATUSES = {
+    "CONSISTENT": 0,
+    "CONTRADICTION": 2,
+    "REJECTED_NEGATIVE_NORM": 3,
+    "NO_KINEMATIC_TERM": 0,
+    "NOT_ROTATION_INVARIANT": 5,
+}
 
 
 class AmbiguousKinematicError(ValueError):

@@ -134,19 +134,14 @@ def spin_statistics_verdict(spec: TheorySpec, build: KinematicBuild) -> TheoryVe
     term cannot be built at all is reported as having none.  `build` is
     the outcome of building the theory's kinematic matrix.
     """
-    verdicts = []
-    for f, idx in spec.field_ranges():
-        block = None
-        if build.status == "built":
-            block = build.kinematic.matrix.principal(idx)
-        verdicts.append(_field_verdict(f, block))
+    k0 = build.kinematic.matrix if build.status == "built" else None
+    verdicts = tuple(_field_verdict(f, None if k0 is None else k0.principal(idx))
+                     for f, idx in spec.field_ranges())
 
     if any(v.contradiction for v in verdicts):
         status = "CONTRADICTION"
-    elif build.status == "no_form":
-        status = "NO_KINEMATIC_TERM"
-    elif build.status == "built" and build.kinematic.matrix.is_zero():
+    elif build.status == "no_form" or (k0 is not None and k0.is_zero()):
         status = "NO_KINEMATIC_TERM"
     else:
         status = "CONSISTENT"
-    return TheoryVerdict(status, tuple(verdicts))
+    return TheoryVerdict(status, verdicts)

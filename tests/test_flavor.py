@@ -355,6 +355,16 @@ def test_flavor_diagonal_theory_keeps_positive_signs():
     assert not diagnosis.negative_norm
     assert diagnosis.witness is None
     assert diagnosis.diagonalization is None
+    # the whole record, every field spelled out
+    assert diagnosis == FlavorDiagnosis(
+        is_flavor_antisymmetric=False,
+        diagonalization=None,
+        sector_signs=(1, 1),
+        negative_norm=False,
+        inverted_connection_attempt=False,
+        witness=None,
+        note=None,
+    )
 
 
 def test_complex_pattern_is_flagged_but_not_diagonalized():
@@ -363,6 +373,17 @@ def test_complex_pattern_is_flagged_but_not_diagonalized():
     assert diagnosis.sector_signs == ()
     assert not diagnosis.negative_norm
     assert "not attempted" in diagnosis.note
+    # the whole record, every field spelled out
+    assert diagnosis == FlavorDiagnosis(
+        is_flavor_antisymmetric=True,
+        diagonalization=None,
+        sector_signs=(),
+        negative_norm=False,
+        inverted_connection_attempt=False,
+        witness=None,
+        note="flavor block is not a real symmetric form; "
+             "sector diagonalization not attempted",
+    )
 
 
 def test_odd_dimension_diagnosis_has_no_sectors():
@@ -370,3 +391,6 @@ def test_odd_dimension_diagnosis_has_no_sectors():
     assert not diagnosis.is_flavor_antisymmetric
     assert diagnosis.sector_signs == ()
     assert "odd dimension" in diagnosis.note
+    assert diagnosis == FlavorDiagnosis(
+        False, None, (), False, False, None,
+        "odd dimension cannot split into two flavors")

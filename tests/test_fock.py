@@ -261,6 +261,10 @@ def test_parse_reports_the_line_of_a_bad_pair_value(value):
     ("bracket = commutator\nrelation a b = 1", 2),
     ("bracket = poisson\npair a adag = 1", 1),
     ("bracket = commutator\npair a adag = 1\n\npair a adag = 2", 4),
+    # the table's rules run once every line is read, so a grammar error on
+    # a later line wins over a rule error on an earlier one
+    ("bracket = poisson\npair a b = 1", 2),
+    ("bracket = commutator\npair a adag = 1\npair a adag = 2\nrelation", 4),
     ("pair a adag = 1", None),
     ("bracket = commutator", None),
 ])
@@ -272,14 +276,23 @@ def test_every_parse_error_is_typed_and_carries_its_line(text, line):
     assert str(err.value).startswith(f"line {line}: ") == (line is not None)
 
 
-def test_table_rejects_bad_bracket_kind():
-    with pytest.raises(ValueError, match="commutator or anticommutator"):
-        RelationTable("poisson", [("a", "adag", 1)])
-
-
-def test_table_rejects_duplicate_pair():
-    with pytest.raises(ValueError, match="duplicate pair"):
-        RelationTable("commutator", [("a", "adag", 1), ("a", "adag", 2)])
+@pytest.mark.parametrize("bracket,pairs,text,line", [
+    ("poisson", [("a", "adag", 1)], "bracket = poisson\npair a adag = 1", 1),
+    ("commutator", [("a", "adag", 1), ("a", "adag", 2)],
+     "bracket = commutator\npair a adag = 1\n# again\npair a adag = 2", 4),
+], ids=["bracket-kind", "duplicate-pair"])
+def test_each_table_rule_refuses_built_and_parsed_tables_alike(bracket, pairs, text, line):
+    # one check holds the rules: a table built in code gets its text at
+    # line None, the parsed one the same text at the line at fault; both
+    # are ValueErrors
+    with pytest.raises(ParseError) as built:
+        RelationTable(bracket, pairs)
+    with pytest.raises(ParseError) as parsed:
+        parse_relation_table(text)
+    assert isinstance(built.value, ValueError)
+    assert built.value.line is None
+    assert parsed.value.line == line
+    assert str(parsed.value) == f"line {line}: {built.value}"
 
 
 def test_table_rejects_symbol_on_both_sides():

@@ -146,6 +146,12 @@ def test_every_theory_parses_to_a_verdict_or_fails_at_its_line(text):
     except AmbiguousKinematicError:
         return
     assert report.status in STATUSES
+    # a surface variation is judged only when every field block has the
+    # class its statistics keeps, so K0 has that class or is mixed and its
+    # momentum map is not zero: the verdict is always consistent
+    if report.surface is not None:
+        assert report.surface.consistent
+        assert report.split.canonical_indices
 
 
 @settings(max_examples=300)
@@ -155,8 +161,17 @@ def test_a_wrong_field_value_fails_at_its_line(case):
     try:
         parse_theory(text, base_dir=GOLDEN)
     except TheoryParseError as exc:
-        # the field's own line, or line 0 for a rule of the whole theory
-        assert exc.line in (0, line)
+        # the faulty field's own line, or the line of what a rule of the
+        # whole theory refuses: a field without the pair's flavors=2, or
+        # the kinematic line of an explicit matrix the pair or the
+        # theory's dimension conflicts with
+        directive = text.splitlines()[exc.line - 1].split()[0] if exc.line else None
+        if "flavors=2" in str(exc):
+            assert directive == "field"
+        elif "explicit matrix" in str(exc):
+            assert directive == "kinematic"
+        else:
+            assert exc.line == line
 
 
 # -- relation tables ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,10 @@ from spinstat.model import (
 )
 from spinstat.report import analyze_theory
 from spinstat.su2 import hermitian_basis
+
+
+# explicit matrix paths of the parse-error cases resolve here
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def parse(text, base_dir="."):
@@ -83,7 +88,15 @@ PARSE_ERRORS = [
     ("theory t\nfield a spin=0\nkinematic auto\nkinematic auto\n",
      "duplicate kinematic", 4),
     ("theory t\nfield a spin=0\nflavor sideways\n", "flavor must be", 3),
-    ("theory t\nfield a spin=0\nflavor antisymmetric-pair\n", "flavors=2", 0),
+    # the rules of the pair and of an explicit matrix name the field or
+    # the kinematic line they refuse; mixed_constraints.k0 is 4x4
+    ("theory t\nfield a spin=0\nflavor antisymmetric-pair\n", "flavors=2", 2),
+    ("theory t\nfield a spin=0 flavors=2\nkinematic explicit mixed_constraints.k0\n"
+     "flavor antisymmetric-pair\n", "antisymmetric-pair and an explicit matrix conflict", 3),
+    ("theory t\nfield a spin=0\nkinematic explicit mixed_constraints.k0\n",
+     "explicit matrix is 4x4 but the theory has 1 components", 3),
+    ("theory t\nfield a spin=0\n\nkinematic explicit missing.k0\n",
+     "cannot read matrix file 'missing.k0'", 4),
     ("theory t\nfield a spin=0 flavors=0\n", ">= 1", 2),
     ("theory t\nfield a spin=0\nkinematic explicit\n", "needs a path", 3),
 ]
@@ -94,7 +107,7 @@ PARSE_ERRORS = [
     pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in PARSE_ERRORS])
 def test_parse_errors(text, fragment, line):
     with pytest.raises(TheoryParseError) as err:
-        parse(text)
+        parse(text, base_dir=GOLDEN)
     assert fragment in str(err.value)
     assert err.value.line == line
 
@@ -197,7 +210,7 @@ def test_explicit_matrix_shape_is_refused_before_any_entry_is_read(
     with pytest.raises(TheoryParseError) as err:
         parse("theory t\nfield phi spin=0 copies=2\nkinematic explicit k.json\n",
               base_dir=tmp_path)
-    assert str(err.value) == ("line 0: explicit matrix is 3x3 but the theory "
+    assert str(err.value) == ("line 3: explicit matrix is 3x3 but the theory "
                               "has 2 components")
     # a ragged file is refused by its rows too
     (tmp_path / "k.json").write_text('[["1", "0"], ["0", "1", "0"]]')
@@ -215,8 +228,10 @@ def test_antisymmetric_pair_conflicts_with_explicit(tmp_path):
             base_dir=tmp_path,
         )
     assert "conflict" in str(err.value)
-    # refused from the directives, before the matrix file is read
-    with pytest.raises(TheoryParseError, match="conflict"):
+    assert err.value.line == 3
+    # refused from the directives, before the matrix file is read, at the
+    # kinematic line
+    with pytest.raises(TheoryParseError, match="^line 4: .*conflict"):
         parse("theory t\nfield phi spin=0 flavors=2\n"
               "flavor antisymmetric-pair\nkinematic explicit missing.json\n",
               base_dir=tmp_path)

@@ -13,6 +13,7 @@ import spinstat
 from spinstat.algebra import ExactMatrix, Scalar
 from spinstat.model import parse_theory
 from spinstat.report import (
+    STATUSES,
     AmbiguousKinematicError,
     _matrix_json,
     analyze_theory,
@@ -28,6 +29,12 @@ SCHEMA = json.loads(
 
 def analyze(text):
     return analyze_theory(parse_theory(text))
+
+
+def test_the_status_table_names_every_status_of_the_schema():
+    # STATUSES maps each status to the exit code that reports it
+    assert set(STATUSES) == set(SCHEMA["properties"]["status"]["enum"])
+    assert set(STATUSES.values()) == {0, 2, 3, 5}
 
 
 def test_consistent_scalar_pair():
