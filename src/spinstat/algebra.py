@@ -634,6 +634,11 @@ class ExactMatrix:
             for i in row_idx])
 
     def principal(self, idx) -> "ExactMatrix":
+        """The block on the rows and columns idx; the whole index range in
+        order is the matrix itself, which is immutable, so it is shared."""
+        idx = list(idx)
+        if self.is_square and idx == list(range(self.rows)):
+            return self
         return self.submatrix(idx, idx)
 
     def __iter__(self):

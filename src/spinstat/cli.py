@@ -14,7 +14,7 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
-from .algebra import ONE, ExactMatrix, Scalar, SelfCheckError, _numbered_lines
+from .algebra import ONE, ExactMatrix, ParseError, Scalar, SelfCheckError, _numbered_lines
 from .fock import (
     UnknownSymbolError,
     gram_matrix,
@@ -172,12 +172,16 @@ def cmd_dkp_check(args) -> int:
     return 0 if algebra.standard_holds else 2
 
 
-def _read_states(path: str) -> list[tuple[str, ...]]:
+def _read_states(path: str) -> tuple[list[int], list[tuple[str, ...]]]:
+    """The line number and the symbols of each state in the file at path."""
+    lines, states = [], []
     with open(path, encoding="utf-8") as fh:
-        states = [tuple(line.split()) for _, line in _numbered_lines(fh.read())]
+        for line_no, line in _numbered_lines(fh.read()):
+            lines.append(line_no)
+            states.append(tuple(line.split()))
     if not states:
         raise ValueError(f"no states found in {path}")
-    return states
+    return lines, states
 
 
 def cmd_fock(args) -> int:
@@ -205,8 +209,13 @@ def cmd_fock(args) -> int:
                 "vacuum_expectation": str(value),
             }
         if args.gram is not None:
-            states = _read_states(args.gram)
-            result = gram_matrix(states, table)
+            lines, states = _read_states(args.gram)
+            try:
+                result = gram_matrix(states, table)
+            except ValueError as exc:
+                if not hasattr(exc, "state"):
+                    raise
+                raise ParseError(lines[exc.state], str(exc)) from None
             print(f"gram matrix ({len(states)} states):")
             for row in result.matrix.to_nested_strings():
                 print("  " + "  ".join(row))

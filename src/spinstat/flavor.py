@@ -21,10 +21,12 @@ from math import lcm
 from .algebra import (
     I,
     ONE,
+    ZERO,
     DimensionError,
     ExactMatrix,
     Scalar,
     SymmetryClass,
+    _add_into,
     hermitian_signature,
     self_check,
     symmetry_class,
@@ -139,17 +141,32 @@ def _diagonalize(lam: ExactMatrix, split: FlavorSplit) -> FlavorDiagonalization:
         v_rows[k][t] = ONE
         v_rows[h + k][t] = phase
     v_matrix = ExactMatrix._from_rows(lam.rows, v_rows)
-    d_matrix = ExactMatrix.diagonal(eigenvalues)
     norms = (Scalar(2),) * lam.rows
-    self_check(lam @ v_matrix == v_matrix @ d_matrix,
-               "flavor eigenvectors fail the eigen-equation")
-    self_check(v_matrix.dagger() @ v_matrix == ExactMatrix.diagonal(norms),
+    # both checks run per column, on its two entries: columns t and s of V
+    # meet only on a shared k, where (V-dagger V)[t, s] is
+    # 1 + conj(phase_t)*phase_s, and lam v_t is lam's column k plus phase
+    # times its column h+k
+    sharing: dict[int, list[tuple[int, Scalar]]] = {}
+    for t, (k, phase) in enumerate(order):
+        sharing.setdefault(k, []).append((t, phase))
+    self_check(all(ONE + p.conjugate() * q == (norms[t] if t == s else ZERO)
+                   for pairs in sharing.values() for t, p in pairs for s, q in pairs),
                "flavor eigenvectors fail V-dagger V = diag(norms)")
+    columns = lam.transpose()._rows
+
+    def image(k, phase):
+        column = dict(columns[k])
+        _add_into(column, columns[h + k], phase)
+        return column
+
+    self_check(all(image(k, phase) == {k: x, h + k: phase * x}
+                   for (k, phase), x in zip(order, eigenvalues)),
+               "flavor eigenvectors fail the eigen-equation")
 
     return FlavorDiagonalization(
         exact=True,
         eigenvalues=tuple(eigenvalues),
-        diagonal=d_matrix,
+        diagonal=ExactMatrix.diagonal(eigenvalues),
         transformation=v_matrix,
         column_norms_squared=norms,
     )

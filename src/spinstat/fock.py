@@ -332,11 +332,13 @@ class GramResult(namedtuple("GramResult", "matrix signature")):
 def gram_matrix(states, table: RelationTable) -> GramResult:
     """Gram matrix G_mn = <0| adjoint(word_m) word_n |0> of creator words.
 
-    The state count is bounded by ``MAX_GRAM_STATES``, and the longest
-    bra+ket word, twice the longest state, by ``MAX_WORD_SYMBOLS``, before
-    any contraction.  A bra is all annihilators and a ket all creators, so
-    states with different quanta counts have entry 0 and are not
-    contracted.
+    The state count is bounded by ``MAX_GRAM_STATES``, and each bra+ket
+    word, twice its state, by ``MAX_WORD_SYMBOLS``, before any
+    contraction.  The first state, in input order, that is too long or
+    holds a symbol other than a declared creator raises the ValueError of
+    its first broken rule, with the state's index in ``.state``.  A bra
+    is all annihilators and a ket all creators, so states with different
+    quanta counts have entry 0 and are not contracted.
 
     States are grouped by their sorted creators; the first state of each
     class in input order represents it.  A Wick value is a permanent
@@ -365,17 +367,20 @@ def gram_matrix(states, table: RelationTable) -> GramResult:
         raise ValueError(
             f"{len(words)} gram states, over the supported maximum "
             f"{MAX_GRAM_STATES}")
-    words = [_check_word(w, table) for w in words]
-    for w in words:
-        for s in w:
-            if s not in table.creators:
+    for n, w in enumerate(words):
+        try:
+            words[n] = w = _check_word(w, table)
+            for s in w:
+                if s not in table.creators:
+                    raise ValueError(
+                        f"gram states must be creator words; {s!r} is not a creator")
+            if 2 * len(w) > MAX_WORD_SYMBOLS:
                 raise ValueError(
-                    f"gram states must be creator words; {s!r} is not a creator")
-    longest = max(map(len, words))
-    if 2 * longest > MAX_WORD_SYMBOLS:
-        raise ValueError(
-            f"bra and ket of a {longest}-quantum state have {2 * longest} "
-            f"symbols, over the supported maximum {MAX_WORD_SYMBOLS}")
+                    f"bra and ket of a {len(w)}-quantum state have {2 * len(w)} "
+                    f"symbols, over the supported maximum {MAX_WORD_SYMBOLS}")
+        except ValueError as exc:
+            exc.state = n
+            raise
     # each state's exchange class, keyed by its sorted creators, and its
     # sign relative to the class representative, the first such state
     fermi = table.bracket == "anticommutator"

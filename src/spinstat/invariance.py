@@ -185,13 +185,11 @@ def momentum_map(k0: ExactMatrix, statistics: str) -> ExactMatrix:
 
 class ConstraintSplit(namedtuple(
         "ConstraintSplit",
-        "statistics canonical_indices constraint_indices nonsingular_block"
-        " momentum_map momentum_restricted")):
+        "statistics canonical_indices constraint_indices nonsingular_block")):
     """Partition of field components into canonical pairs and constraints.
 
-    ``statistics`` is "bose" or "fermi"; the three matrices are
-    ExactMatrix, ``nonsingular_block`` and ``momentum_restricted`` None
-    when no component is canonical.
+    ``statistics`` is "bose" or "fermi"; ``nonsingular_block`` is an
+    ExactMatrix, None when no component is canonical.
     """
 
     __slots__ = ()
@@ -212,23 +210,31 @@ def constraint_split(k0: ExactMatrix, statistics: str) -> ConstraintSplit:
     returned nonsingular_block is K0 itself restricted to those indices,
     which for a wave-operator matrix with three spatial-gradient
     constraints comes out as the familiar 2x2 core.
+
+    A K0 of the class the statistics keeps has P = -K0 (bose) or K0
+    (fermi).  Negation is the congruence by -1, so -K0 has K0's rank,
+    pivot set and principal blocks up to sign: such a K0 is ranked,
+    pivoted and restricted itself, and its restricted block is the
+    nonsingular_block.  P is built only for a K0 of another class.
     """
     if not k0.is_square:
         raise ValueError("kinematic matrix must be square")
-    p = momentum_map(k0, statistics)
+    kept = symmetry_class(k0) is class_for_statistics(statistics)
+    p = k0 if kept else momentum_map(k0, statistics)
     n = k0.rows
     r = p.rank()
     self_check(statistics == "fermi" or r % 2 == 0,
                "an antisymmetric momentum map has odd rank, i.e. a "
                "nonsingular principal block of odd size")
     if r == n:
-        return ConstraintSplit(statistics, tuple(range(n)), (), k0, p, p)
+        return ConstraintSplit(statistics, tuple(range(n)), (), k0)
     canonical = pivoted_elimination(p)[0]
     if not canonical:
         self_check(not r, "pivoted elimination found no pivot in a nonzero "
                           "momentum map")
-        return ConstraintSplit(statistics, (), tuple(range(n)), None, p, None)
-    restricted = p.principal(canonical)
+        return ConstraintSplit(statistics, (), tuple(range(n)), None)
+    block = k0.principal(canonical)
+    restricted = block if kept else p.principal(canonical)
     self_check(len(canonical) == r and restricted.rank() == r,
                "pivoted elimination missed a full-rank principal block of "
                "the momentum map")
@@ -236,7 +242,5 @@ def constraint_split(k0: ExactMatrix, statistics: str) -> ConstraintSplit:
         statistics=statistics,
         canonical_indices=canonical,
         constraint_indices=tuple(sorted(set(range(n)).difference(canonical))),
-        nonsingular_block=k0.principal(canonical),
-        momentum_map=p,
-        momentum_restricted=restricted,
+        nonsingular_block=block,
     )

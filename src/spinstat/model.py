@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
+from stat import S_ISREG
 
 from .algebra import (I, ONE, ExactMatrix, ParseError, Scalar, SymmetryClass, _blockdiag,
                       _json_nesting, _make, _nesting_shape, _numbered_lines)
@@ -38,6 +39,12 @@ MAX_TWO_J = 8
 # their nonzeros, so the bound limits time, not memory: analyze_theory on
 # `field x spin=7/2 flavors=64` (dim 1024) takes about 0.2 s on a 2-core host
 MAX_DIMENSION = 1024
+# largest explicit matrix file, in bytes, checked by os.stat before the file
+# is read: room for a dim-1024 K0 whose json.dumps entries have up to 12
+# characters.  Reading and JSON-parsing a file at the bound takes about
+# 0.15 s for such a matrix and 0.8 s for 8 million one-digit entries on a
+# 2-core host
+MAX_MATRIX_BYTES = 1 << 24
 
 NOTE_NO_FORM = "no valid kinematic form; field doubling required"
 NOTE_NOT_UNIQUE = "kinematic form not unique; specify explicitly"
@@ -236,17 +243,28 @@ def parse_theory(text: str, base_dir: str | os.PathLike = ".") -> TheorySpec:
 
 def _read_matrix(base_dir, path: str, dimension: int, line_no: int) -> ExactMatrix:
     """The explicit K0 in the file at path, named on line line_no; its
-    shape is checked on the JSON nesting, before any entry is converted."""
+    size is checked before it is read, and its shape on the JSON nesting,
+    before any entry is converted.  Only a regular file has a size to
+    check: a FIFO or a device reports 0 and could block or never end."""
+    full = os.path.join(base_dir, path)
     try:
-        with open(os.path.join(base_dir, path), encoding="utf-8") as fh:
-            nested = _json_nesting(fh.read())
-        shape = _nesting_shape(nested)
-        if shape == (dimension, dimension):
-            return ExactMatrix._from_nesting(nested)
+        info = os.stat(full)
+        regular = S_ISREG(info.st_mode)
+        if regular and info.st_size <= MAX_MATRIX_BYTES:
+            with open(full, encoding="utf-8") as fh:
+                nested = _json_nesting(fh.read())
+            shape = _nesting_shape(nested)
+            if shape == (dimension, dimension):
+                return ExactMatrix._from_nesting(nested)
     except OSError as exc:
         raise TheoryParseError(line_no, f"cannot read matrix file {path!r}: {exc}")
     except ValueError as exc:
         raise TheoryParseError(line_no, f"bad matrix file {path!r}: {exc}")
+    if not regular:
+        raise TheoryParseError(line_no, f"matrix file {path!r} is not a regular file")
+    if info.st_size > MAX_MATRIX_BYTES:
+        raise TheoryParseError(line_no, f"matrix file {path!r} has {info.st_size} "
+                                        f"bytes, over the maximum {MAX_MATRIX_BYTES}")
     raise _shape_error(line_no, *shape, dimension)
 
 

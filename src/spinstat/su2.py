@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import (HALF, I, ONE, ZERO, ExactMatrix, Scalar, _blockdiag, _make, _ratio,
+from .algebra import (HALF, I, ONE, ExactMatrix, Scalar, _blockdiag, _make, _ratio,
                       _read_literal, self_check)
 
 __all__ = [
@@ -90,18 +90,12 @@ def spin_generators(j) -> SpinGenerators:
     two_ms = [two_j - 2 * i for i in range(n)]
 
     jz = ExactMatrix.diagonal([_make(tm, 0, 2) for tm in two_ms])
-
-    plus_rows = [[ZERO] * n for _ in range(n)]
-    minus_rows = [[ZERO] * n for _ in range(n)]
-    for i, tm in enumerate(two_ms):
-        if i > 0:
-            # raising e_m -> e_{m+1}: row i-1, column i, entry 1
-            plus_rows[i - 1][i] = ONE
-        if i < n - 1:
-            # lowering e_m -> b_m^2 e_{m-1}: row i+1, column i
-            minus_rows[i + 1][i] = Scalar(_b_squared(two_j, tm))
-    jplus = ExactMatrix(plus_rows)
-    jminus = ExactMatrix(minus_rows)
+    # raising e_m -> e_{m+1} puts 1 at row i-1, column i, and lowering
+    # e_m -> b_m^2 e_{m-1} puts b_m^2 at row i+1, column i; b_m^2 vanishes
+    # only at m = -j, the last column, so no zero is stored
+    jplus = ExactMatrix._from_rows(n, [{i + 1: ONE} for i in range(n - 1)] + [{}])
+    jminus = ExactMatrix._from_rows(n, [{}] + [
+        {i: Scalar(_b_squared(two_j, two_ms[i]))} for i in range(n - 1)])
 
     jx = (jplus + jminus).scale(HALF)
     jy = (jplus - jminus).scale(-HALF * I)  # 1/(2i)
@@ -115,12 +109,8 @@ def invariant_bilinear(j) -> ExactMatrix:
     C[i, 2j-i] = (-1)^i; it satisfies J^T C + C J = 0 exactly for all three
     generators and C^T = (-1)^(2j) C, which is the whole parity story.
     """
-    two_j = as_two_j(j)
-    n = two_j + 1
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][n - 1 - i] = Scalar((-1) ** i)
-    return ExactMatrix(rows)
+    n = as_two_j(j) + 1
+    return ExactMatrix._from_rows(n, [{n - 1 - i: Scalar((-1) ** i)} for i in range(n)])
 
 
 # -- hermitian component basis ----------------------------------------------
@@ -171,25 +161,19 @@ def _integer_spin_basis(two_j: int) -> tuple[ExactMatrix, ExactMatrix, list[int]
     n = two_j + 1
     c = invariant_bilinear(_make(two_j, 0, 2))
 
-    # real structure coefficients s_m = (-1)^m prod_{k<=m} b_k^2
-    s = {0: 1}
+    # columns 2t and 2t+1, t = j - m, are e_m + s_m e_{-m} and
+    # i(e_m - s_m e_{-m}) for m = j..1, with the real structure coefficients
+    # s_m = (-1)^m prod_{k<=m} b_k^2, and the last column is e_0; e_m is row
+    # j - m, so each row holds one or two entries
+    rows = [{} for _ in range(n)]
+    rows[j] = {n - 1: ONE}
+    s = 1
     for m in range(1, j + 1):
-        s[m] = -_b_squared(two_j, 2 * m) * s[m - 1]
-
-    def e(two_m):
-        vec = [ZERO] * n
-        vec[(two_j - two_m) // 2] = ONE
-        return vec
-
-    columns = []
-    for m in range(j, 0, -1):
-        sm = Scalar(s[m])
-        plus = [a + sm * b for a, b in zip(e(2 * m), e(-2 * m))]
-        minus = [I * (a - sm * b) for a, b in zip(e(2 * m), e(-2 * m))]
-        columns.append(plus)
-        columns.append(minus)
-    columns.append(e(0))
-    u = ExactMatrix(columns).transpose()
+        s *= -_b_squared(two_j, 2 * m)
+        sm, t = Scalar(s), 2 * (j - m)
+        rows[j - m] = {t: ONE, t + 1: I}
+        rows[j + m] = {t: sm, t + 1: -I * sm}
+    u = ExactMatrix._from_rows(n, rows)
 
     sign = Scalar((-1) ** j)
     form = (u.transpose() @ c @ u).scale(sign)

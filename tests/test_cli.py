@@ -13,7 +13,7 @@ import pytest
 from spinstat import __main__ as spinstat_main
 from spinstat import cli, fock
 from spinstat.algebra import MODULUS, ExactMatrix
-from spinstat.fock import MAX_GRAM_STATES
+from spinstat.fock import MAX_GRAM_STATES, MAX_WORD_SYMBOLS
 
 THEORIES = resources.files("spinstat") / "theories"
 SCHEMA = json.loads(
@@ -413,6 +413,34 @@ def test_fock_too_many_gram_states_exits_1(bose_table, tmp_path):
     assert proc.stderr.startswith(
         f"error: {MAX_GRAM_STATES + 1} gram states, over the supported maximum")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("state", [
+    "cdag",                                            # unknown symbol
+    "adag a",                                          # not a creator
+    " ".join(["adag"] * (MAX_WORD_SYMBOLS // 2 + 1)),  # bra+ket too long
+], ids=["unknown", "annihilator", "too-long"])
+def test_fock_gram_refusal_names_the_state_line(bose_table, tmp_path, capsys, state):
+    # the comment and the blank line keep their numbers, so the bad state,
+    # the second one, is on line 4; the text is gram_matrix's own
+    states = tmp_path / "states.txt"
+    states.write_text(f"adag\n# a comment\n\n{state}\nbdag\n")
+    with pytest.raises(ValueError) as direct:
+        fock.gram_matrix([("adag",), tuple(state.split()), ("bdag",)],
+                         fock.parse_relation_table(bose_table.read_text()))
+    assert direct.value.state == 1
+    assert cli.main(["fock", str(bose_table), "--gram", str(states)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 4: {direct.value}\n"
+
+
+def test_fock_gram_unknown_symbol_message(bose_table, tmp_path):
+    states = tmp_path / "states.txt"
+    states.write_text("adag\nbdag\ncdag\n")
+    proc = run_cli("fock", str(bose_table), "--gram", str(states))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: line 3: unknown operator symbol 'cdag'\n"
 
 
 def test_fock_over_the_contraction_bound_exits_1(bose_table, monkeypatch, capsys):

@@ -6,7 +6,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import eigenvalue_sector_signs, flavor_antisymmetry_by_quadrants
-from spinstat.algebra import DimensionError, ExactMatrix, Scalar, hermitian_signature
+from spinstat import flavor
+from spinstat.algebra import (DimensionError, ExactMatrix, Scalar, SelfCheckError,
+                              hermitian_signature)
 from spinstat.flavor import (
     FlavorDiagnosis,
     FlavorDiagonalization,
@@ -229,6 +231,29 @@ def test_diagonalization_rejects_rectangles():
 def test_diagonalization_needs_a_positive_diagonal_pairing(block):
     with pytest.raises(ValueError, match="diagonal and positive"):
         diagonalize_flavor(flavor_pair(block))
+
+
+def test_wrong_phase_raises_self_check_error(monkeypatch):
+    # written without assert statements so it also checks under python -O;
+    # with 2i for i each eigenvector e_k + 2i*e_{h+k} has squared norm 5
+    monkeypatch.setattr(flavor, "I", Scalar(0, 2))
+    with pytest.raises(SelfCheckError, match="V-dagger V"):
+        diagonalize_flavor(flavor_pair(ExactMatrix.diagonal([1, 3])))
+
+
+def test_wrong_eigenvalue_raises_self_check_error(monkeypatch):
+    # written without assert statements so it also checks under python -O;
+    # the detection hands over twice the pairing, so each eigenvector is
+    # right but its eigenvalue is doubled
+    real = flavor.detect_flavor_antisymmetry
+
+    def doubled(lam):
+        split = real(lam)
+        return split._replace(block=split.block.scale(2))
+
+    monkeypatch.setattr(flavor, "detect_flavor_antisymmetry", doubled)
+    with pytest.raises(SelfCheckError, match="eigen-equation"):
+        diagonalize_flavor(flavor_pair(ExactMatrix.diagonal([1, 3])))
 
 
 # -- sector signs and the full diagnosis -------------------------------------------

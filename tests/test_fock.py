@@ -418,6 +418,24 @@ def test_word_length_is_bounded_before_any_contraction():
         gram_matrix([state], table)
 
 
+def test_gram_refusal_names_the_first_state_at_fault():
+    table = RelationTable("commutator", [("a", "adag", 1)])
+    long_state = ("adag",) * (MAX_WORD_SYMBOLS // 2 + 1)
+    cases = [
+        ([("adag",), ("a",), ("b",)], 1, "'a' is not a creator"),
+        ([("adag",), ("b",), ("a",)], 1, "unknown operator symbol 'b'"),
+        ([long_state, ("adag",) * (MAX_WORD_SYMBOLS + 1)], 0,
+         f"bra and ket of a {len(long_state)}-quantum state"),
+    ]
+    for states, index, text in cases:
+        with pytest.raises(ValueError, match=text) as err:
+            gram_matrix(states, table)
+        assert err.value.state == index
+    with pytest.raises(UnknownSymbolError) as err:
+        gram_matrix([("b",)], table)
+    assert err.value.state == 0
+
+
 def test_gram_state_count_is_bounded_before_any_contraction():
     table = RelationTable("commutator", [("a", "adag", 1)])
     states = [("adag",)] * (MAX_GRAM_STATES + 1)

@@ -15,7 +15,8 @@ from oracles import (
     whole_space_invariance,
 )
 from spinstat import cli, invariance
-from spinstat.algebra import ExactMatrix, Scalar, SelfCheckError, SymmetryClass
+from spinstat.algebra import (ExactMatrix, Scalar, SelfCheckError, SymmetryClass,
+                              pivoted_elimination)
 from spinstat.invariance import (
     ConstraintSplit,
     InvarianceReport,
@@ -26,7 +27,7 @@ from spinstat.invariance import (
 )
 from spinstat.model import FieldSpec, TheorySpec, build_kinematic, parse_theory
 from spinstat.su2 import hermitian_basis
-from test_algebra import any_mirrored_matrix
+from test_algebra import any_mirrored_matrix, classed_matrices
 
 # -- strategies -------------------------------------------------------------
 
@@ -314,7 +315,7 @@ def test_zero_momentum_map_means_all_constraints():
     assert split.canonical_indices == ()
     assert split.constraint_indices == (0, 1, 2, 3)
     assert split.nonsingular_block is None
-    assert split.momentum_restricted is None
+    assert momentum_map(ExactMatrix.identity(4), "bose") == ExactMatrix.zeros(4)
 
 
 def test_full_rank_antisymmetric_has_no_constraints():
@@ -329,7 +330,7 @@ def test_symmetric_split_uses_pair_pivot():
     k = ExactMatrix([[Scalar(0), Scalar(1)], [Scalar(1), Scalar(0)]])
     split = constraint_split(k, "fermi")
     assert split.canonical_indices == (0, 1)
-    assert split.momentum_restricted == k
+    assert momentum_map(k, "fermi").principal(split.canonical_indices) == k
 
 
 def test_single_diagonal_pivot():
@@ -367,8 +368,9 @@ def test_split_is_the_pivot_set_not_the_leftmost_invertible_set():
     split = constraint_split(k, "fermi")
     assert split.canonical_indices == (0, 2)
     assert split.constraint_indices == (1,)
-    assert split.momentum_restricted == k.principal((0, 2))
-    assert split.momentum_restricted.rank() == 2
+    restricted = momentum_map(k, "fermi").principal(split.canonical_indices)
+    assert restricted == k.principal((0, 2))
+    assert restricted.rank() == 2
     assert k.principal((0, 1)).rank() == 2
 
 
@@ -385,12 +387,12 @@ def test_majorana_statistics_decide_dynamics():
 @given(hermitian_matrices(), st.sampled_from(["bose", "fermi"]))
 def test_split_counts_match_rank(m, statistics):
     split = constraint_split(m, statistics)
-    p = split.momentum_map
+    p = momentum_map(m, statistics)
     assert len(split.canonical_indices) == len(dense_rref([list(r) for r in p])[1])
     combined = sorted(split.canonical_indices + split.constraint_indices)
     assert combined == list(range(m.rows))
     if split.canonical_indices:
-        restricted = [list(r) for r in split.momentum_restricted]
+        restricted = [list(r) for r in p.principal(split.canonical_indices)]
         assert dense_inverse(restricted) is not None
     assert constraint_split(m, statistics) == split
 
@@ -398,8 +400,55 @@ def test_split_counts_match_rank(m, statistics):
 def test_split_result_shape():
     split = constraint_split(wave_operator_kinematic(), "bose")
     assert isinstance(split, ConstraintSplit)
+    assert split._fields == ("statistics", "canonical_indices",
+                             "constraint_indices", "nonsingular_block")
     assert split.statistics == "bose"
-    assert split.momentum_map == -wave_operator_kinematic()
+    assert momentum_map(wave_operator_kinematic(), "bose") == -wave_operator_kinematic()
+
+
+@given(classed_matrices(), st.sampled_from(["bose", "fermi"]))
+def test_split_matches_a_split_of_the_built_momentum_map(k0, statistics):
+    # zero, symmetric, antisymmetric and mostly mixed K0s, so each
+    # statistics meets K0s of the class it keeps, of the class it drops,
+    # zero ones and mixed ones; a K0 of the kept class is split in place,
+    # every other one through its momentum map, and both must agree with
+    # pivoting the built (K0^T -+ K0)/2
+    canonical = pivoted_elimination(momentum_map_by_transpose(k0, statistics))[0]
+    split = constraint_split(k0, statistics)
+    assert split.canonical_indices == canonical
+    assert split.constraint_indices == tuple(
+        i for i in range(k0.rows) if i not in canonical)
+    assert split.nonsingular_block == (k0.principal(canonical) if canonical else None)
+
+
+def test_kept_class_split_shares_k0():
+    k = ExactMatrix([[0, 1], [-1, 0]])
+    assert constraint_split(k, "bose").nonsingular_block is k
+    assert k.principal(range(2)) is k
+    assert k.principal((0, 1)) is k
+    assert k.principal((1, 0)) == ExactMatrix([[0, -1], [1, 0]])
+
+
+def test_kept_class_split_builds_only_its_block(monkeypatch):
+    # the wave operator has the class bose keeps: it is neither negated
+    # nor transposed, and restricted once, to the nonsingular block
+    k = wave_operator_kinematic()
+    restricted = []
+    real = ExactMatrix.submatrix
+
+    def counting(m, rows, cols):
+        restricted.append(m)
+        return real(m, rows, cols)
+
+    def refuse(m):
+        raise AssertionError("a copy of K0 built")
+
+    monkeypatch.setattr(ExactMatrix, "submatrix", counting)
+    monkeypatch.setattr(ExactMatrix, "__neg__", refuse)
+    monkeypatch.setattr(ExactMatrix, "transpose", refuse)
+    split = constraint_split(k, "bose")
+    assert split.canonical_indices == (0, 1)
+    assert len(restricted) == 1 and restricted[0] is k
 
 
 # -- self-checks --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 import pathlib
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from spinstat import model
 from spinstat.algebra import ExactMatrix, ParseError, Scalar
 from spinstat.model import (
     MAX_DIMENSION,
+    MAX_MATRIX_BYTES,
     MAX_TWO_J,
     NOTE_NO_FORM,
     NOTE_NOT_UNIQUE,
@@ -217,6 +219,42 @@ def test_explicit_matrix_shape_is_refused_before_any_entry_is_read(
     with pytest.raises(TheoryParseError, match="bad matrix file 'k.json': ragged rows"):
         parse("theory t\nfield phi spin=0 copies=2\nkinematic explicit k.json\n",
               base_dir=tmp_path)
+
+
+def test_explicit_matrix_file_over_the_byte_bound_is_not_read(tmp_path, monkeypatch):
+    # os.truncate makes a sparse file of that size; no byte of it is written
+    # or read, since the refusal needs only its size
+    path = tmp_path / "k.json"
+    path.write_text('[["0", "1"], ["-1", "0"]]')
+    os.truncate(path, MAX_MATRIX_BYTES + 1)
+
+    def refuse(text):
+        raise AssertionError("matrix text parsed")
+
+    monkeypatch.setattr(model, "_json_nesting", refuse)
+    with pytest.raises(TheoryParseError) as err:
+        parse("theory t\nfield phi spin=0 copies=2\nkinematic explicit k.json\n",
+              base_dir=tmp_path)
+    assert err.value.line == 3
+    assert str(err.value) == (f"line 3: matrix file 'k.json' has {MAX_MATRIX_BYTES + 1} "
+                              f"bytes, over the maximum {MAX_MATRIX_BYTES}")
+    # a file at the bound is read
+    os.truncate(path, MAX_MATRIX_BYTES)
+    with pytest.raises(AssertionError, match="matrix text parsed"):
+        parse("theory t\nfield phi spin=0 copies=2\nkinematic explicit k.json\n",
+              base_dir=tmp_path)
+
+
+def test_explicit_matrix_path_that_is_no_regular_file_is_not_opened(tmp_path):
+    # a FIFO reports size 0 and would block the open until a writer came;
+    # a directory has no matrix either
+    os.mkfifo(tmp_path / "pipe.json")
+    (tmp_path / "dir.json").mkdir()
+    for name in ("pipe.json", "dir.json"):
+        with pytest.raises(TheoryParseError) as err:
+            parse(f"theory t\nfield phi spin=0\nkinematic explicit {name}\n",
+                  base_dir=tmp_path)
+        assert str(err.value) == f"line 3: matrix file {name!r} is not a regular file"
 
 
 def test_antisymmetric_pair_conflicts_with_explicit(tmp_path):

@@ -108,6 +108,36 @@ def test_bilinear_pinned_matrices():
 
 
 @pytest.mark.parametrize("two_j", ALL_TWO_J)
+def test_generators_and_bilinear_match_their_dense_definitions(two_j):
+    # every entry written out, zeros included: row i has weight m_i = j - i,
+    # J+ e_m = e_{m+1}, J- e_m = (j+m)(j-m+1) e_{m-1}, Jx = (J+ + J-)/2,
+    # Jy = (J+ - J-)/(2i), and C is the alternating antidiagonal
+    j = Fraction(two_j, 2)
+    n = two_j + 1
+    weight = [j - i for i in range(n)]
+    plus = [[1 if c == r + 1 else 0 for c in range(n)] for r in range(n)]
+    minus = [[(j + weight[c]) * (j - weight[c] + 1) if r == c + 1 else 0
+              for c in range(n)] for r in range(n)]
+    half, minus_half_i = Scalar(Fraction(1, 2)), Scalar(0, Fraction(-1, 2))
+    dense = {
+        "jplus": plus,
+        "jminus": minus,
+        "jx": [[half * (p + q) for p, q in zip(*rows)] for rows in zip(plus, minus)],
+        "jy": [[minus_half_i * (p - q) for p, q in zip(*rows)]
+               for rows in zip(plus, minus)],
+        "jz": [[weight[r] if r == c else 0 for c in range(n)] for r in range(n)],
+    }
+    g = spin_generators(j)
+    form = invariant_bilinear(j)
+    assert form == ExactMatrix([[(-1) ** r if c == n - 1 - r else 0 for c in range(n)]
+                                for r in range(n)])
+    for name, rows in dense.items():
+        assert getattr(g, name) == ExactMatrix(rows), name
+    for m in (form, *(getattr(g, name) for name in dense)):
+        assert all(x for _, _, x in m.nonzeros())  # no zero stored
+
+
+@pytest.mark.parametrize("two_j", ALL_TWO_J)
 def test_bilinear_invariance_exact(two_j):
     j = Fraction(two_j, 2)
     g = spin_generators(j)
