@@ -15,12 +15,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .algebra import ONE, ExactMatrix, ParseError, Scalar, SelfCheckError, _numbered_lines
-from .fock import (
-    UnknownSymbolError,
-    gram_matrix,
-    parse_relation_table,
-    vacuum_expectation,
-)
+from .fock import gram_matrix, parse_relation_table, vacuum_expectation
 from .invariance import constraint_split
 from .model import parse_theory
 from .reduction import (
@@ -216,17 +211,18 @@ def cmd_fock(args) -> int:
                 if not hasattr(exc, "state"):
                     raise
                 raise ParseError(lines[exc.state], str(exc)) from None
+            matrix = result.matrix.to_nested_strings()
             print(f"gram matrix ({len(states)} states):")
-            for row in result.matrix.to_nested_strings():
+            for row in matrix:
                 print("  " + "  ".join(row))
             p, n, z = result.signature
             print(f"signature: ({p}, {n}, {z})")
             payload["gram"] = {
                 "states": [list(s) for s in states],
-                "matrix": result.matrix.to_nested_strings(),
+                "matrix": matrix,
                 "signature": [p, n, z],
             }
-    except (UnknownSymbolError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
 
     if args.json:

@@ -268,7 +268,7 @@ def flavor_diagnosis(k0: ExactMatrix, spin=None) -> FlavorDiagnosis:
         if k0.rows % 2:  # no sectors
             return FlavorDiagnosis(False, note=split.note)
         return FlavorDiagnosis(False, sector_signs=(1, 1))
-    if not k0.is_antisymmetric() or not k0.is_real():
+    if symmetry_class(k0) is not SymmetryClass.ANTISYMMETRIC or not k0.is_real():
         return FlavorDiagnosis(True, note="flavor block is not a real symmetric "
                                           "form; sector diagonalization not attempted")
     n = k0.rows

@@ -112,16 +112,14 @@ class RelationTable:
         self.annihilators: frozenset[str] = frozenset(a for a, _, _ in self.pairs)
         self.creators: frozenset[str] = frozenset(c for _, c, _ in self.pairs)
 
-        self._partners: dict[str, list[str]] = {}
-        for a, c, _ in self.pairs:
-            self._partners.setdefault(a, []).append(c)
-            self._partners.setdefault(c, []).append(a)
-
-        # each nonzero pair value (A + B*i) / denominator as (A, B), keyed
-        # by annihilator, then creator
+        # each symbol's pair partners, and each nonzero pair value
+        # (A + B*i) / denominator as (A, B), keyed by annihilator, then creator
         self.denominator: int = lcm(*(v._d for _, _, v in self.pairs))
+        self._partners: dict[str, list[str]] = {}
         self._numerators: dict[str, dict[str, tuple[int, int]]] = {}
         for a, c, v in self.pairs:
+            self._partners.setdefault(a, []).append(c)
+            self._partners.setdefault(c, []).append(a)
             if v:
                 scale = self.denominator // v._d
                 self._numerators.setdefault(a, {})[c] = (v._a * scale, v._b * scale)
@@ -400,7 +398,7 @@ def gram_matrix(states, table: RelationTable) -> GramResult:
     contract = _contract(table, {})
     rows = []
     for m in reps:
-        bra = adjoint_word(m, table)
+        bra = tuple(table.adjoint_of(s) for s in reversed(m))
         quanta = len(m)
         denominator = table.denominator ** quanta
         row = {}

@@ -435,6 +435,26 @@ def test_fock_gram_refusal_names_the_state_line(bose_table, tmp_path, capsys, st
     assert captured.err == f"error: line 4: {direct.value}\n"
 
 
+def test_fock_gram_renders_its_matrix_once(tmp_path, capsys, monkeypatch):
+    # the printed rows and the JSON matrix are one conversion to strings
+    rendered = []
+    to_nested_strings = ExactMatrix.to_nested_strings
+
+    def counting(m):
+        rendered.append(m)
+        return to_nested_strings(m)
+
+    monkeypatch.setattr(ExactMatrix, "to_nested_strings", counting)
+    golden = pathlib.Path(__file__).parent / "golden"
+    out = tmp_path / "fock.json"
+    assert cli.main(["fock", str(golden / "fock.rel"), "--word", "a b adag bdag",
+                     "--gram", str(golden / "fock_states.txt"),
+                     "--json", str(out)]) == 0
+    assert len(rendered) == 1
+    assert capsys.readouterr().out == (golden / "fock.txt").read_text()
+    assert out.read_bytes() == (golden / "fock.json").read_bytes()
+
+
 def test_fock_gram_unknown_symbol_message(bose_table, tmp_path):
     states = tmp_path / "states.txt"
     states.write_text("adag\nbdag\ncdag\n")

@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import eigenvalue_sector_signs, flavor_antisymmetry_by_quadrants
-from spinstat import flavor
+from spinstat import flavor, report
 from spinstat.algebra import (DimensionError, ExactMatrix, Scalar, SelfCheckError,
                               hermitian_signature)
 from spinstat.flavor import (
@@ -17,6 +17,7 @@ from spinstat.flavor import (
     flavor_diagnosis,
     sector_sign_analysis,
 )
+from spinstat.model import parse_theory
 
 I = Scalar(0, 1)
 
@@ -370,6 +371,31 @@ def test_irrational_pairing_signs_are_exact():
     assert diagnosis.witness.signature == (0, 1, 0)
     assert diagnosis.diagonalization is None
     assert "no diagonalization attached" in diagnosis.note
+
+
+@pytest.mark.parametrize("spin", ["0", "1", "2", "4"])
+def test_pair_diagnosis_runs_no_mirror_scan_of_k0(monkeypatch, spin):
+    # the verdict and the split have classified this same K0 already, and
+    # the matrix keeps its class, so the diagnosis scans no mirror entry
+    diagnosed, scans = [], []
+    is_antisymmetric = ExactMatrix.is_antisymmetric
+
+    def counting(m):
+        if diagnosed:
+            scans.append(m)
+        return is_antisymmetric(m)
+
+    def diagnosing(k0, spin=None):
+        diagnosed.append(k0)
+        return flavor_diagnosis(k0, spin)
+
+    monkeypatch.setattr(ExactMatrix, "is_antisymmetric", counting)
+    monkeypatch.setattr(report, "flavor_diagnosis", diagnosing)
+    result = report.analyze_theory(parse_theory(
+        f"theory t\nfield x spin={spin} flavors=2\nflavor antisymmetric-pair\n"))
+    assert diagnosed == [result.build.kinematic.matrix]
+    assert result.flavor_by_field[0][1].negative_norm
+    assert scans == []
 
 
 def test_flavor_diagonal_theory_keeps_positive_signs():

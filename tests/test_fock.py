@@ -328,6 +328,23 @@ def test_adjoint_ambiguity_is_an_error():
         table.adjoint_of("c")
 
 
+def test_gram_matrix_checks_each_state_once(monkeypatch):
+    # each bra is built from the symbols of its checked state, so no state
+    # goes through the word check a second time
+    states = [("adag",), ("bdag", "adag"), ("adag", "bdag"), ("bdag",)]
+    expected = gram_matrix(states, BOSE_DIAG)
+    checked = []
+    check_word = fock._check_word
+
+    def counting(word, table):
+        checked.append(tuple(word))
+        return check_word(word, table)
+
+    monkeypatch.setattr(fock, "_check_word", counting)
+    assert gram_matrix(states, BOSE_DIAG) == expected
+    assert checked == states
+
+
 def test_adjoint_word_reverses_and_conjugates():
     assert adjoint_word(("a", "a", "bdag"), BOSE_CROSS) == ("b", "adag", "adag")
     assert adjoint_word((), BOSE_CROSS) == ()
