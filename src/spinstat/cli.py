@@ -15,9 +15,15 @@ from types import SimpleNamespace
 
 from . import __version__
 from .algebra import ONE, ExactMatrix, ParseError, Scalar, SelfCheckError, _numbered_lines
-from .fock import gram_matrix, parse_relation_table, vacuum_expectation
+from .fock import (
+    MAX_STATES_BYTES,
+    MAX_TABLE_BYTES,
+    gram_matrix,
+    parse_relation_table,
+    vacuum_expectation,
+)
 from .invariance import constraint_split
-from .model import parse_theory
+from .model import MAX_THEORY_BYTES, parse_theory
 from .reduction import (
     SHORTHAND_FAMILIES,
     duffin_kemmer_construct,
@@ -55,6 +61,17 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _read_text(path: str, limit: int, kind: str) -> str:
+    """The UTF-8 text of the file at path, reading at most limit + 1
+    bytes, so a longer file is refused without reading the rest.  A pipe
+    such as /dev/stdin, which os.stat cannot size, is bounded the same way."""
+    with open(path, "rb") as fh:
+        data = fh.read(limit + 1)
+    if len(data) > limit:
+        raise ValueError(f"{kind} {path!r} is over the maximum {limit} bytes")
+    return data.decode("utf-8")
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json_text(payload))
@@ -63,8 +80,8 @@ def _write_json(path: str, payload: dict) -> None:
 def cmd_analyze(args) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.spec))
     try:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec = parse_theory(fh.read(), base_dir=base_dir)
+        spec = parse_theory(_read_text(args.spec, MAX_THEORY_BYTES, "theory file"),
+                            base_dir=base_dir)
         report = analyze_theory(spec)
     except ValueError as exc:
         return _fail(str(exc))
@@ -170,10 +187,9 @@ def cmd_dkp_check(args) -> int:
 def _read_states(path: str) -> tuple[list[int], list[tuple[str, ...]]]:
     """The line number and the symbols of each state in the file at path."""
     lines, states = [], []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in _numbered_lines(fh.read()):
-            lines.append(line_no)
-            states.append(tuple(line.split()))
+    for line_no, line in _numbered_lines(_read_text(path, MAX_STATES_BYTES, "states file")):
+        lines.append(line_no)
+        states.append(tuple(line.split()))
     if not states:
         raise ValueError(f"no states found in {path}")
     return lines, states
@@ -183,8 +199,8 @@ def cmd_fock(args) -> int:
     if args.word is None and args.gram is None:
         return _fail("fock needs --word and/or --gram")
     try:
-        with open(args.table, encoding="utf-8") as fh:
-            table = parse_relation_table(fh.read())
+        table = parse_relation_table(
+            _read_text(args.table, MAX_TABLE_BYTES, "relation table"))
     except ValueError as exc:
         return _fail(str(exc))
 

@@ -49,6 +49,8 @@ __all__ = [
     "gram_matrix",
     "MAX_WORD_SYMBOLS",
     "MAX_GRAM_STATES",
+    "MAX_TABLE_BYTES",
+    "MAX_STATES_BYTES",
     "MAX_CONTRACTION_STATES",
 ]
 
@@ -65,6 +67,16 @@ MAX_WORD_SYMBOLS = 256
 # 8x more.  That is 8x the 16 states of the largest perfbench
 # Gram matrix and leaves room for a 64-state bound workload.
 MAX_GRAM_STATES = 128
+
+# largest relation table and states file, in bytes, each read as one more
+# byte at most.  A table at its bound holds about 41 000 one-digit pairs
+# and takes about 0.2 s to read and parse; the perfbench tables are under
+# 1 KiB.  The states bound is room for MAX_GRAM_STATES states of
+# MAX_WORD_SYMBOLS / 2 symbols, each of up to 15 characters and a
+# separator; a file at it of one-symbol lines takes about 0.04 s to read
+# and split before MAX_GRAM_STATES refuses it (Python 3.11, 2 cores)
+MAX_TABLE_BYTES = 1 << 20
+MAX_STATES_BYTES = 1 << 18
 
 # most memoized subwords in one vacuum expectation or one Gram matrix,
 # whose entries share one memo, checked as the memo grows.  Each entry is

@@ -17,8 +17,9 @@ import os
 from collections import namedtuple
 from stat import S_ISREG
 
-from .algebra import (I, ONE, ExactMatrix, ParseError, Scalar, SymmetryClass, _blockdiag,
-                      _json_nesting, _make, _nesting_shape, _numbered_lines)
+from .algebra import (MAX_LITERAL_DIGITS, I, ONE, ExactMatrix, ParseError, Scalar,
+                      SymmetryClass, _blockdiag, _json_nesting, _make, _nesting_shape,
+                      _numbered_lines)
 from .invariance import required_symmetry
 from .su2 import as_two_j, hermitian_basis, spin_label
 
@@ -45,6 +46,20 @@ MAX_DIMENSION = 1024
 # 0.15 s for such a matrix and 0.8 s for 8 million one-digit entries on a
 # 2-core host
 MAX_MATRIX_BYTES = 1 << 24
+# a smaller explicit matrix file bound for a theory of n components,
+# checked by os.stat with MAX_MATRIX_BYTES: room for n**2 entries of
+# MATRIX_ENTRY_BYTES each, two literal parts (real and imaginary) of up to
+# MAX_LITERAL_DIGITS digits, each with a sign and a '/', then the 'i', two
+# quotes and the ', ' before the next entry, plus MATRIX_SPACE_BYTES of
+# brackets, line breaks and indentation.  From n = 45 on, MAX_MATRIX_BYTES
+# is the smaller; at n = 2 this bound is 99972 bytes
+MATRIX_ENTRY_BYTES = 2 * (MAX_LITERAL_DIGITS + 2) + 5
+MATRIX_SPACE_BYTES = 1 << 16
+# largest theory file, in bytes, read as one more byte at most: every
+# theory within MAX_DIMENSION, with room for comments.  Reading and
+# parsing a file at the bound takes about 0.03 s on a 2-core host, field
+# lines (refused at the 1025th) or comments alike
+MAX_THEORY_BYTES = 1 << 20
 
 NOTE_NO_FORM = "no valid kinematic form; field doubling required"
 NOTE_NOT_UNIQUE = "kinematic form not unique; specify explicitly"
@@ -241,16 +256,24 @@ def parse_theory(text: str, base_dir: str | os.PathLike = ".") -> TheorySpec:
     return spec
 
 
+def _matrix_byte_bound(dimension: int) -> int:
+    """Largest explicit matrix file for a theory of this many components."""
+    return min(MAX_MATRIX_BYTES,
+               dimension * dimension * MATRIX_ENTRY_BYTES + MATRIX_SPACE_BYTES)
+
+
 def _read_matrix(base_dir, path: str, dimension: int, line_no: int) -> ExactMatrix:
     """The explicit K0 in the file at path, named on line line_no; its
-    size is checked before it is read, and its shape on the JSON nesting,
-    before any entry is converted.  Only a regular file has a size to
-    check: a FIFO or a device reports 0 and could block or never end."""
+    size is checked against the theory's dimension before it is read, and
+    its shape on the JSON nesting, before any entry is converted.  Only a
+    regular file has a size to check: a FIFO or a device reports 0 and
+    could block or never end."""
     full = os.path.join(base_dir, path)
+    limit = _matrix_byte_bound(dimension)
     try:
         info = os.stat(full)
         regular = S_ISREG(info.st_mode)
-        if regular and info.st_size <= MAX_MATRIX_BYTES:
+        if regular and info.st_size <= limit:
             with open(full, encoding="utf-8") as fh:
                 nested = _json_nesting(fh.read())
             shape = _nesting_shape(nested)
@@ -262,9 +285,12 @@ def _read_matrix(base_dir, path: str, dimension: int, line_no: int) -> ExactMatr
         raise TheoryParseError(line_no, f"bad matrix file {path!r}: {exc}")
     if not regular:
         raise TheoryParseError(line_no, f"matrix file {path!r} is not a regular file")
-    if info.st_size > MAX_MATRIX_BYTES:
+    if info.st_size > limit:
+        # a file over MAX_MATRIX_BYTES is refused by it, whatever the theory
+        if info.st_size > MAX_MATRIX_BYTES:
+            limit = MAX_MATRIX_BYTES
         raise TheoryParseError(line_no, f"matrix file {path!r} has {info.st_size} "
-                                        f"bytes, over the maximum {MAX_MATRIX_BYTES}")
+                                        f"bytes, over the maximum {limit}")
     raise _shape_error(line_no, *shape, dimension)
 
 

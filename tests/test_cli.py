@@ -13,7 +13,8 @@ import pytest
 from spinstat import __main__ as spinstat_main
 from spinstat import cli, fock
 from spinstat.algebra import MODULUS, ExactMatrix
-from spinstat.fock import MAX_GRAM_STATES, MAX_WORD_SYMBOLS
+from spinstat.fock import MAX_GRAM_STATES, MAX_STATES_BYTES, MAX_TABLE_BYTES, MAX_WORD_SYMBOLS
+from spinstat.model import MAX_THEORY_BYTES
 
 THEORIES = resources.files("spinstat") / "theories"
 SCHEMA = json.loads(
@@ -413,6 +414,55 @@ def test_fock_too_many_gram_states_exits_1(bose_table, tmp_path):
     assert proc.stderr.startswith(
         f"error: {MAX_GRAM_STATES + 1} gram states, over the supported maximum")
     assert "Traceback" not in proc.stderr
+
+
+# file kind -> (its byte bound, its text within bounds, the command line
+# that reads it from the path given last)
+BOUNDED_INPUTS = {
+    "theory file": (MAX_THEORY_BYTES, "theory t\nfield phi spin=0 copies=2\n",
+                    lambda table, path: ["analyze", path]),
+    "relation table": (MAX_TABLE_BYTES, "bracket = commutator\npair a adag = 1\n",
+                       lambda table, path: ["fock", path, "--word", "a adag"]),
+    "states file": (MAX_STATES_BYTES, "adag\nadag adag\n",
+                    lambda table, path: ["fock", table, "--gram", path]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDED_INPUTS))
+def test_input_file_over_its_byte_bound_exits_1(bose_table, tmp_path, capsys, kind):
+    # a comment pads the file to its bound, which is read and used; one
+    # byte more is refused with one error line that names file and bound
+    limit, text, argv = BOUNDED_INPUTS[kind]
+    path = tmp_path / "input"
+    path.write_bytes(text.encode() + b"#" * (limit - len(text) - 1) + b"\n")
+    assert path.stat().st_size == limit
+    assert cli.main(argv(str(bose_table), str(path))) == 0
+    assert capsys.readouterr().err == ""
+    path.write_bytes(text.encode() + b"#" * (limit - len(text)) + b"\n")
+    assert cli.main(argv(str(bose_table), str(path))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {kind} {str(path)!r} is over the maximum {limit} bytes\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("kind", sorted(BOUNDED_INPUTS))
+def test_endless_input_is_refused_after_its_bound(bose_table, capsys, kind):
+    # /dev/zero never ends, so only a read that stops one byte past the
+    # bound returns at all
+    limit, _, argv = BOUNDED_INPUTS[kind]
+    assert cli.main(argv(str(bose_table), "/dev/zero")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {kind} '/dev/zero' is over the maximum {limit} bytes\n")
+
+
+def test_theory_piped_through_stdin_is_analyzed():
+    # a pipe has no size to stat; the bounded read takes it as it comes
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinstat", "analyze", "/dev/stdin"],
+        input=(THEORIES / "majorana.th").read_text(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "status: CONSISTENT" in proc.stdout
 
 
 @pytest.mark.parametrize("state", [

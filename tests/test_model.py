@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import invariant_form_space, theory_generators, two_loop_build_kinematic
 from spinstat import model
-from spinstat.algebra import ExactMatrix, ParseError, Scalar
+from spinstat.algebra import MAX_LITERAL_DIGITS, ExactMatrix, ParseError, Scalar
 from spinstat.model import (
     MAX_DIMENSION,
     MAX_MATRIX_BYTES,
@@ -238,11 +239,42 @@ def test_explicit_matrix_file_over_the_byte_bound_is_not_read(tmp_path, monkeypa
     assert err.value.line == 3
     assert str(err.value) == (f"line 3: matrix file 'k.json' has {MAX_MATRIX_BYTES + 1} "
                               f"bytes, over the maximum {MAX_MATRIX_BYTES}")
-    # a file at the bound is read
+    # a file at the bound is read where the theory's dimension allows it:
+    # from 45 components on, MAX_MATRIX_BYTES is the smaller bound
     os.truncate(path, MAX_MATRIX_BYTES)
     with pytest.raises(AssertionError, match="matrix text parsed"):
-        parse("theory t\nfield phi spin=0 copies=2\nkinematic explicit k.json\n",
+        parse("theory t\nfield phi spin=0 copies=64\nkinematic explicit k.json\n",
               base_dir=tmp_path)
+
+
+def test_explicit_matrix_file_over_the_dimension_bound_is_not_read(tmp_path, monkeypatch):
+    # two components bound the file far below MAX_MATRIX_BYTES
+    limit = model._matrix_byte_bound(2)
+    assert limit == 4 * model.MATRIX_ENTRY_BYTES + model.MATRIX_SPACE_BYTES
+    assert model._matrix_byte_bound(44) < MAX_MATRIX_BYTES == model._matrix_byte_bound(45)
+    theory = "theory t\nfield phi spin=0 copies=2\nkinematic explicit k.json\n"
+    # the bound leaves room for entries whose two parts have
+    # MAX_LITERAL_DIGITS digits each, written with indentation
+    half = MAX_LITERAL_DIGITS // 2
+    part = "9" * half + "/" + "7" * half
+    big = f"-{part}+{part}i"
+    (tmp_path / "k.json").write_text(json.dumps([[big, big], [big, big]], indent=4))
+    assert os.path.getsize(tmp_path / "k.json") < limit
+    assert parse(theory, base_dir=tmp_path).explicit_matrix[0, 0] == Scalar.parse(big)
+
+    def refuse(text):
+        raise AssertionError("matrix text parsed")
+
+    monkeypatch.setattr(model, "_json_nesting", refuse)
+    path = tmp_path / "k.json"
+    os.truncate(path, limit + 1)
+    with pytest.raises(TheoryParseError) as err:
+        parse(theory, base_dir=tmp_path)
+    assert str(err.value) == (f"line 3: matrix file 'k.json' has {limit + 1} "
+                              f"bytes, over the maximum {limit}")
+    os.truncate(path, limit)
+    with pytest.raises(AssertionError, match="matrix text parsed"):
+        parse(theory, base_dir=tmp_path)
 
 
 def test_explicit_matrix_path_that_is_no_regular_file_is_not_opened(tmp_path):
