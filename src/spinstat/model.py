@@ -55,10 +55,10 @@ MAX_MATRIX_BYTES = 1 << 24
 # is the smaller; at n = 2 this bound is 99972 bytes
 MATRIX_ENTRY_BYTES = 2 * (MAX_LITERAL_DIGITS + 2) + 5
 MATRIX_SPACE_BYTES = 1 << 16
-# largest theory file, in bytes, read as one more byte at most: every
-# theory within MAX_DIMENSION, with room for comments.  Reading and
-# parsing a file at the bound takes about 0.03 s on a 2-core host, field
-# lines (refused at the 1025th) or comments alike
+# largest theory file, in bytes, read as one more byte at most: 1024
+# field lines of 40 bytes take 41 KiB, and the rest is room for comments.
+# Reading and parsing a file at the bound takes about 0.03 s on a 2-core
+# host, field lines (refused at the 1025th) or comments alike
 MAX_THEORY_BYTES = 1 << 20
 
 NOTE_NO_FORM = "no valid kinematic form; field doubling required"
