@@ -78,7 +78,10 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    base_dir = os.path.dirname(os.path.abspath(args.spec))
+    # a theory from a pipe has no directory of its own; its explicit
+    # matrix path is taken from the working directory
+    base_dir = (os.path.dirname(os.path.abspath(args.spec))
+                if os.path.isfile(args.spec) else os.getcwd())
     try:
         spec = parse_theory(_read_text(args.spec, MAX_THEORY_BYTES, "theory file"),
                             base_dir=base_dir)

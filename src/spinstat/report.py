@@ -17,7 +17,7 @@ from .algebra import ExactMatrix, MatrixText, self_check, symmetry_class
 from .flavor import FlavorDiagnosis, flavor_diagnosis
 from .invariance import check_su2_invariance, constraint_split
 from .model import TheorySpec, build_kinematic
-from .schwinger import spin_statistics_verdict, surface_variation_consistency
+from .schwinger import TheoryVerdict, field_verdict, surface_variation_consistency
 
 # every status a report can have, with the exit code of `spinstat analyze`
 # that reports it
@@ -55,51 +55,52 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
 
     Raises AmbiguousKinematicError when the builder cannot single out a
     kinematic form; every other outcome, including theories with no form
-    at all and theories rejected on norms, comes back as a report.  A K0
-    that fails the rotation-invariance check gets NOT_ROTATION_INVARIANT,
-    no statistics, and no constraint split or surface check, unless a
-    contradiction already decides the status.
+    at all and theories rejected on norms, comes back as a report.  Each
+    field's block of K0 is taken once and judged once, for its statistics
+    and, for flavor pairs, its norms.  The status is the first that holds
+    of CONTRADICTION, NOT_ROTATION_INVARIANT, REJECTED_NEGATIVE_NORM and
+    NO_KINEMATIC_TERM, else CONSISTENT.  A K0 that fails the invariance
+    check gets no statistics, and no constraint split or surface check.
     """
     build = build_kinematic(spec)
     if build.status == "not_unique":
         detail = f" (field {', '.join(build.details)})" if build.details else ""
         raise AmbiguousKinematicError(f"{build.note}{detail}")
 
-    verdict = spin_statistics_verdict(spec, build)
-    invariance = None
-    statistics = None
-    split = None
-    surface = None
+    k0 = build.kinematic.matrix if build.status == "built" else None
+    invariance = None if k0 is None else check_su2_invariance(k0, spec.block_layout())
+    invariant = invariance is None or invariance.ok
+    pairs = spec.flavor_mode == "antisymmetric-pair"
+    verdicts = []
     flavor_by_field: list[tuple[str, FlavorDiagnosis]] = []
+    for f, idx in spec.field_ranges():
+        block = None if k0 is None else k0.principal(idx)
+        verdicts.append(field_verdict(f, block, invariant))
+        if pairs and block is not None:
+            flavor_by_field.append((f.name, flavor_diagnosis(block, f.spin)))
 
-    if build.status == "built":
-        k0 = build.kinematic.matrix
-        invariance = check_su2_invariance(k0, spec.block_layout())
-        if not invariance.ok:  # the statistics assumes an invariant K0
-            verdict = verdict._replace(verdicts=tuple(
-                v._replace(consistent_statistics=None) for v in verdict.verdicts))
-        found = {v.consistent_statistics for v in verdict.verdicts}
-        if len(found) == 1:
-            statistics = found.pop()
-        if statistics is not None:
-            split = constraint_split(k0, statistics)
-            surface = surface_variation_consistency(k0, statistics)
-        if spec.flavor_mode == "antisymmetric-pair":
-            for f, idx in spec.field_ranges():
-                block = k0.principal(idx)
-                flavor_by_field.append((f.name, flavor_diagnosis(block, f.spin)))
+    found = {v.consistent_statistics for v in verdicts}
+    statistics = found.pop() if len(found) == 1 else None
+    split = surface = None
+    if statistics is not None:
+        split = constraint_split(k0, statistics)
+        surface = surface_variation_consistency(k0, statistics)
 
-    status = verdict.status
-    if status != "CONTRADICTION":
-        if invariance is not None and not invariance.ok:
-            status = "NOT_ROTATION_INVARIANT"
-        elif any(d.negative_norm for _, d in flavor_by_field):
-            status = "REJECTED_NEGATIVE_NORM"
+    if any(v.contradiction for v in verdicts):
+        status = "CONTRADICTION"
+    elif not invariant:
+        status = "NOT_ROTATION_INVARIANT"
+    elif any(d.negative_norm for _, d in flavor_by_field):
+        status = "REJECTED_NEGATIVE_NORM"
+    elif k0 is None or k0.is_zero():
+        status = "NO_KINEMATIC_TERM"
+    else:
+        status = "CONSISTENT"
 
     return VerdictReport(
         spec=spec,
         build=build,
-        verdict=verdict,
+        verdict=TheoryVerdict(status, tuple(verdicts)),
         invariance=invariance,
         statistics=statistics,
         split=split,

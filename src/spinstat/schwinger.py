@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from .algebra import ExactMatrix, SymmetryClass, symmetry_class
 from .invariance import STATISTICS_CLASS, class_for_statistics, required_symmetry
-from .model import FieldSpec, KinematicBuild, TheorySpec
+from .model import FieldSpec
 from .su2 import michel_parity
 
 __all__ = [
@@ -23,7 +23,7 @@ __all__ = [
     "StatisticsVerdict",
     "TheoryVerdict",
     "statistics_for_class",
-    "spin_statistics_verdict",
+    "field_verdict",
 ]
 
 class SurfaceVariation(namedtuple(
@@ -84,7 +84,18 @@ def _pinned_conflict(f: FieldSpec, required: SymmetryClass) -> str:
             f"{STATISTICS_CLASS[f.statistics].name.lower()} K0")
 
 
-def _field_verdict(f: FieldSpec, block: ExactMatrix | None) -> StatisticsVerdict:
+def field_verdict(f: FieldSpec, block: ExactMatrix | None,
+                  invariant: bool) -> StatisticsVerdict:
+    """The statistics verdict on one field, judged on its own diagonal
+    block of K0, or on None when the theory has no kinematic term.
+
+    Rotational invariance fixes which symmetry the spin allows, the block
+    supports the statistics of its own class, and the two agree exactly
+    when spin and statistics are paired the standard way.  A block of
+    the wrong class, or a declared statistics that fights the one the
+    block supports, is a contradiction.  The statistics is reported only
+    when K0 is `invariant`, since the derivation assumes it.
+    """
     required = required_symmetry(f.spin)
     natural = statistics_for_class(required)
     consistent: str | None = None
@@ -115,33 +126,8 @@ def _field_verdict(f: FieldSpec, block: ExactMatrix | None) -> StatisticsVerdict
         field=f.name,
         spin=f.spin_text,
         required_k0_symmetry=required,
-        consistent_statistics=consistent,
+        consistent_statistics=consistent if invariant else None,
         michel_parity=michel_parity(f.spin),
         statistics_declared=f.statistics,
         contradiction=contradiction,
     )
-
-
-def spin_statistics_verdict(spec: TheorySpec, build: KinematicBuild) -> TheoryVerdict:
-    """Per-field statistics verdicts and the aggregate status.
-
-    Each field is judged on its own diagonal kinematic block: the block
-    supports the statistics matching its transpose symmetry, rotational
-    invariance fixes which symmetry the spin allows, and the two agree
-    exactly when spin and statistics are paired the standard way.  A
-    declared statistics that fights the derivation, or a block of the
-    wrong class, raises the contradiction flag; a theory whose kinematic
-    term cannot be built at all is reported as having none.  `build` is
-    the outcome of building the theory's kinematic matrix.
-    """
-    k0 = build.kinematic.matrix if build.status == "built" else None
-    verdicts = tuple(_field_verdict(f, None if k0 is None else k0.principal(idx))
-                     for f, idx in spec.field_ranges())
-
-    if any(v.contradiction for v in verdicts):
-        status = "CONTRADICTION"
-    elif build.status == "no_form" or (k0 is not None and k0.is_zero()):
-        status = "NO_KINEMATIC_TERM"
-    else:
-        status = "CONSISTENT"
-    return TheoryVerdict(status, verdicts)

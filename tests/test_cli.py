@@ -465,6 +465,45 @@ def test_theory_piped_through_stdin_is_analyzed():
     assert "status: CONSISTENT" in proc.stdout
 
 
+def test_piped_theory_reads_its_explicit_matrix_from_the_working_directory(tmp_path):
+    # a pipe has no directory of its own, so the matrix path is taken
+    # from where the command runs, not from /dev
+    (tmp_path / "k.json").write_text('[["0", "1"], ["-1", "0"]]')
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinstat", "analyze", "/dev/stdin"],
+        input="theory t\nfield phi spin=0 copies=2\nkinematic explicit k.json\n",
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert "kinematic: 2x2 antisymmetric matrix (explicit)" in proc.stdout
+    assert "status: CONSISTENT" in proc.stdout
+
+
+@pytest.mark.parametrize("field, k0, axes, contradiction", [
+    ("field psi spin=1/2",
+     [["0", "1", "0", "0"], ["-1", "0", "0", "0"], ["0"] * 4, ["0"] * 4],
+     "x, z",
+     "kinematic block for psi is antisymmetric, supporting Bose, but spin "
+     "1/2 requires a symmetric block supporting Fermi"),
+    ("field psi spin=1/2 statistics=bose",
+     ExactMatrix.diagonal([1, 2, 1, 1]).to_nested_strings(),
+     "x, y, z",
+     "required symmetric K0 (half-integral spin) vs Bose requiring "
+     "antisymmetric K0"),
+], ids=["wrong-class", "pinned"])
+def test_contradiction_outranks_a_failed_invariance_check(
+        tmp_path, capsys, field, k0, axes, contradiction):
+    (tmp_path / "k.json").write_text(json.dumps(k0))
+    th = tmp_path / "t.th"
+    th.write_text(f"theory t\n{field}\nkinematic explicit k.json\n")
+    assert cli.main(["analyze", str(th)]) == 2
+    out = capsys.readouterr().out
+    assert "statistics undetermined" in out
+    assert f"  contradiction: {contradiction}\n" in out
+    assert f"rotation invariance: VIOLATED on axes {axes}\n" in out
+    assert out.endswith("status: CONTRADICTION\n")
+
+
 @pytest.mark.parametrize("state", [
     "cdag",                                            # unknown symbol
     "adag a",                                          # not a creator

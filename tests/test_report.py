@@ -101,6 +101,23 @@ def test_two_field_flavor_pair_diagnosed_per_field():
     assert doc["flavor"]["field"] == "phi"
 
 
+def test_each_field_block_is_extracted_once(monkeypatch):
+    # one block per field feeds both its verdict and its flavor diagnosis
+    sizes = []
+
+    def counting(self, row_idx, col_idx):
+        sizes.append(len(row_idx))
+        return submatrix(self, row_idx, col_idx)
+
+    submatrix = ExactMatrix.submatrix
+    monkeypatch.setattr(ExactMatrix, "submatrix", counting)
+    report = analyze(
+        "theory t\nfield a spin=1 flavors=2\nfield b spin=2 flavors=2\n"
+        "flavor antisymmetric-pair\n")
+    assert [name for name, _ in report.flavor_by_field] == ["a", "b"]
+    assert sizes == [6, 10]
+
+
 def test_contradiction_outranks_negative_norm():
     report = analyze(
         "theory t\nfield phi spin=0 flavors=2 statistics=fermi\n"

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from oracles import dense_inverse, kinematic_term_is_trivial
 from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass, symmetry_decompose
 from spinstat.invariance import constraint_split, momentum_map
-from spinstat.model import build_kinematic, parse_theory
+from spinstat.model import parse_theory
+from spinstat.report import analyze_theory
 from spinstat.schwinger import (
     SurfaceVariation,
-    spin_statistics_verdict,
     statistics_for_class,
     surface_variation_consistency,
 )
@@ -172,7 +172,7 @@ def test_statistics_for_class():
 
 def test_doubled_scalar_verdict():
     spec = parse_theory("theory t\nfield phi spin=0 copies=2")
-    result = spin_statistics_verdict(spec, build_kinematic(spec))
+    result = analyze_theory(spec).verdict
     assert result.status == "CONSISTENT"
     (v,) = result.verdicts
     assert v.field == "phi"
@@ -184,7 +184,7 @@ def test_doubled_scalar_verdict():
 
 def test_majorana_verdict():
     spec = parse_theory("theory t\nfield psi spin=1/2")
-    result = spin_statistics_verdict(spec, build_kinematic(spec))
+    result = analyze_theory(spec).verdict
     assert result.status == "CONSISTENT"
     (v,) = result.verdicts
     assert v.required_k0_symmetry is SymmetryClass.SYMMETRIC
@@ -197,7 +197,7 @@ def test_verdict_sweep_matches_spin_parity(two_j):
     spin = Fraction(two_j, 2)
     copies = 1 if two_j % 2 else 2
     spec = parse_theory(f"theory t\nfield f spin={spin} copies={copies}")
-    result = spin_statistics_verdict(spec, build_kinematic(spec))
+    result = analyze_theory(spec).verdict
     assert result.status == "CONSISTENT"
     (v,) = result.verdicts
     expected = "fermi" if two_j % 2 else "bose"
@@ -209,7 +209,7 @@ def test_verdict_sweep_matches_spin_parity(two_j):
 
 def test_pinned_wrong_statistics_contradicts():
     spec = parse_theory("theory t\nfield psi spin=1/2 statistics=bose")
-    result = spin_statistics_verdict(spec, build_kinematic(spec))
+    result = analyze_theory(spec).verdict
     assert result.status == "CONTRADICTION"
     (v,) = result.verdicts
     assert v.statistics_declared == "bose"
@@ -219,14 +219,14 @@ def test_pinned_wrong_statistics_contradicts():
 
 def test_pinned_right_statistics_is_fine():
     spec = parse_theory("theory t\nfield psi spin=1/2 statistics=fermi")
-    result = spin_statistics_verdict(spec, build_kinematic(spec))
+    result = analyze_theory(spec).verdict
     assert result.status == "CONSISTENT"
     assert result.verdicts[0].contradiction is None
 
 
 def test_single_scalar_has_no_kinematic_term():
     spec = parse_theory("theory t\nfield phi spin=0")
-    result = spin_statistics_verdict(spec, build_kinematic(spec))
+    result = analyze_theory(spec).verdict
     assert result.status == "NO_KINEMATIC_TERM"
     (v,) = result.verdicts
     assert v.consistent_statistics is None
@@ -238,7 +238,7 @@ def test_explicit_wrong_class_block_contradicts(tmp_path):
     matrix.write_text(ExactMatrix.identity(2).dumps())
     text = "theory t\nfield phi spin=0 copies=2\nkinematic explicit k.json"
     spec = parse_theory(text, base_dir=tmp_path)
-    result = spin_statistics_verdict(spec, build_kinematic(spec))
+    result = analyze_theory(spec).verdict
     assert result.status == "CONTRADICTION"
     (v,) = result.verdicts
     assert v.consistent_statistics is None
@@ -252,7 +252,7 @@ def test_explicit_mixed_block_contradicts(tmp_path):
     matrix.write_text(mixed.dumps())
     text = "theory t\nfield phi spin=0 copies=2\nkinematic explicit k.json"
     spec = parse_theory(text, base_dir=tmp_path)
-    result = spin_statistics_verdict(spec, build_kinematic(spec))
+    result = analyze_theory(spec).verdict
     assert result.status == "CONTRADICTION"
     (v,) = result.verdicts
     assert "mixes symmetry classes" in v.contradiction
@@ -261,7 +261,7 @@ def test_explicit_mixed_block_contradicts(tmp_path):
 def test_multi_field_verdicts_are_per_field():
     spec = parse_theory(
         "theory t\nfield phi spin=0 copies=2\nfield psi spin=1/2")
-    result = spin_statistics_verdict(spec, build_kinematic(spec))
+    result = analyze_theory(spec).verdict
     assert result.status == "CONSISTENT"
     by_name = {v.field: v for v in result.verdicts}
     assert by_name["phi"].consistent_statistics == "bose"
