@@ -77,11 +77,20 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(json_text(payload))
 
 
+def _theory_dir(path: str) -> str:
+    """The directory an explicit matrix path of the theory at path is
+    taken from.  A path that names a descriptor (/dev/stdin, /dev/fd/N,
+    /proc/self/fd/N) is resolved first, so a redirected file gives its
+    own directory; a pipe has none, and gives the working directory.  A
+    symlinked theory file keeps its link's directory."""
+    path = os.path.abspath(path)
+    if path == "/dev/stdin" or os.path.dirname(path) in ("/dev/fd", "/proc/self/fd"):
+        path = os.path.realpath(path)
+    return os.path.dirname(path) if os.path.isfile(path) else os.getcwd()
+
+
 def cmd_analyze(args) -> int:
-    # a theory from a pipe has no directory of its own; its explicit
-    # matrix path is taken from the working directory
-    base_dir = (os.path.dirname(os.path.abspath(args.spec))
-                if os.path.isfile(args.spec) else os.getcwd())
+    base_dir = _theory_dir(args.spec)
     try:
         spec = parse_theory(_read_text(args.spec, MAX_THEORY_BYTES, "theory file"),
                             base_dir=base_dir)

@@ -4,9 +4,11 @@ This is the glue between the parser and the checks: build the kinematic
 matrix, test rotation invariance, judge each field's statistics, split
 off the constraints and diagnose flavor-antisymmetric pairings.  The
 result is a single report object with a stable JSON rendering, so
-repeated runs on the same input are byte-identical.  Rendering also
-states each field's absorption-emission (Kirchoff) balance, which holds
-because every field is hermitian.
+repeated runs on the same input are byte-identical.  The report states
+only what the analysis derives from its input: the Kirchoff balance of
+every field (each is hermitian) and the surface variation where a
+statistics is set (the field blocks already have its class) hold for
+every theory the parser accepts, so neither is written.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .algebra import ExactMatrix, MatrixText, self_check, symmetry_class
 from .flavor import FlavorDiagnosis, flavor_diagnosis
 from .invariance import check_su2_invariance, constraint_split
 from .model import TheorySpec, build_kinematic
-from .schwinger import TheoryVerdict, field_verdict, surface_variation_consistency
+from .schwinger import TheoryVerdict, field_verdict
 
 # every status a report can have, with the exit code of `spinstat analyze`
 # that reports it
@@ -36,15 +38,14 @@ class AmbiguousKinematicError(ValueError):
 
 class VerdictReport(namedtuple(
         "VerdictReport",
-        "spec build verdict invariance statistics split surface"
-        " flavor_by_field status")):
+        "spec build verdict invariance statistics split flavor_by_field status")):
     """Everything the analysis derived about one theory.
 
     ``spec`` is the TheorySpec, ``build`` the KinematicBuild and
     ``verdict`` the TheoryVerdict.  ``invariance`` (an InvarianceReport),
-    ``statistics`` (a str), ``split`` (a ConstraintSplit) and ``surface``
-    (a SurfaceVariation) may each be None.  ``flavor_by_field`` is a tuple
-    of (field name, FlavorDiagnosis) pairs.
+    ``statistics`` (a str) and ``split`` (a ConstraintSplit) may each be
+    None.  ``flavor_by_field`` is a tuple of (field name, FlavorDiagnosis)
+    pairs.
     """
 
     __slots__ = ()
@@ -60,7 +61,7 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
     and, for flavor pairs, its norms.  The status is the first that holds
     of CONTRADICTION, NOT_ROTATION_INVARIANT, REJECTED_NEGATIVE_NORM and
     NO_KINEMATIC_TERM, else CONSISTENT.  A K0 that fails the invariance
-    check gets no statistics, and no constraint split or surface check.
+    check gets no statistics, and no constraint split.
     """
     build = build_kinematic(spec)
     if build.status == "not_unique":
@@ -81,10 +82,7 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
 
     found = {v.consistent_statistics for v in verdicts}
     statistics = found.pop() if len(found) == 1 else None
-    split = surface = None
-    if statistics is not None:
-        split = constraint_split(k0, statistics)
-        surface = surface_variation_consistency(k0, statistics)
+    split = None if statistics is None else constraint_split(k0, statistics)
 
     if any(v.contradiction for v in verdicts):
         status = "CONTRADICTION"
@@ -104,7 +102,6 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
         invariance=invariance,
         statistics=statistics,
         split=split,
-        surface=surface,
         flavor_by_field=tuple(flavor_by_field),
         status=status,
     )
@@ -147,12 +144,14 @@ def _flavor_json(name: str, d: FlavorDiagnosis) -> dict:
 
 
 def report_to_dict(report: VerdictReport) -> dict:
-    """JSON-ready dict with a fixed key order throughout."""
+    """JSON-ready dict with a fixed key order throughout.
+
+    The split's nonsingular block is not written: it is
+    ``kinematic.matrix`` on the rows and columns of
+    ``constraints.canonical_indices``."""
     spec = report.spec
     kin = report.build.kinematic
 
-    # Every field is hermitian, so it expands as a + adag in every mode and
-    # emits in exactly the modes it absorbs in: the Kirchoff lint holds.
     fields = []
     for v in report.verdict.verdicts:
         fields.append({
@@ -163,18 +162,16 @@ def report_to_dict(report: VerdictReport) -> dict:
             "michel_parity": v.michel_parity,
             "statistics_declared": v.statistics_declared,
             "contradiction": v.contradiction,
-            "kirchoff": {"compliant": True, "detail": None},
         })
 
     labels = kin.index_map if kin is not None else spec.index_map()
     matrix = kin.matrix if kin is not None else None
-    matrix_rows = _matrix_json(matrix)
     kinematic = {
         "mode": _kinematic_mode(spec),
         "build_status": report.build.status,
         "note": report.build.note,
         "index_map": list(labels),
-        "matrix": matrix_rows,
+        "matrix": _matrix_json(matrix),
         "symmetry": None,
         "statistics": report.statistics,
         "invariant": None if report.invariance is None else report.invariance.ok,
@@ -183,16 +180,10 @@ def report_to_dict(report: VerdictReport) -> dict:
             for axis, entries in
             (report.invariance.violations if report.invariance else ())
         ],
-        "surface_variation": None,
         "constraints": None,
     }
     if matrix is not None:
         kinematic["symmetry"] = symmetry_class(matrix).name
-    if report.surface is not None:
-        kinematic["surface_variation"] = {
-            "consistent": report.surface.consistent,
-            "reason": report.surface.reason,
-        }
     if report.split is not None:
         s = report.split
         kinematic["constraints"] = {
@@ -201,23 +192,15 @@ def report_to_dict(report: VerdictReport) -> dict:
             "canonical_labels": [labels[i] for i in s.canonical_indices],
             "constraint_indices": list(s.constraint_indices),
             "constraint_labels": [labels[i] for i in s.constraint_indices],
-            # with every index canonical the block is K0 itself, whose
-            # text is already written
-            "nonsingular_block": (matrix_rows if s.nonsingular_block is matrix
-                                  else _matrix_json(s.nonsingular_block)),
         }
 
-    flavor = None
-    if report.flavor_by_field:
-        name, diag = report.flavor_by_field[0]
-        flavor = _flavor_json(name, diag)
-
     return {
+        "schema_version": 2,
         "theory": spec.name,
         "status": report.status,
         "fields": fields,
         "kinematic": kinematic,
-        "flavor": flavor,
+        "flavor": [_flavor_json(name, d) for name, d in report.flavor_by_field],
     }
 
 
@@ -321,7 +304,6 @@ def _field_lines(report: VerdictReport) -> list[str]:
             f"michel parity {v.michel_parity:+d}")
         if v.contradiction:
             lines.append(f"  contradiction: {v.contradiction}")
-        lines.append("  kirchoff lint: compliant")
     return lines
 
 
@@ -344,10 +326,6 @@ def render_text(report: VerdictReport) -> str:
         else:
             axes = ", ".join(report.invariance.failing_axes)
             lines.append(f"rotation invariance: VIOLATED on axes {axes}")
-    if report.surface is not None:
-        word = "consistent" if report.surface.consistent else "inconsistent"
-        lines.append(
-            f"surface variation ({report.statistics}): {word}")
     if report.split is not None:
         labels = report.build.kinematic.index_map
         canon = ", ".join(labels[i] for i in report.split.canonical_indices)

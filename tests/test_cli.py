@@ -32,10 +32,14 @@ CORPUS = {
 }
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, **kwargs):
+    """Run ``python -m spinstat`` with args; kwargs such as cwd, input and
+    stdin go to subprocess.run.  PYTHONPATH is the package's absolute
+    source directory, so the command runs from any working directory."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
     return subprocess.run(
         [sys.executable, "-m", "spinstat", *args],
-        capture_output=True, text=True, cwd=cwd)
+        capture_output=True, text=True, env=env, **kwargs)
 
 
 def analyze_json(theory_path, tmp_path, name="out"):
@@ -83,13 +87,29 @@ def test_flavor_antisym_diagnosis_details(tmp_path):
         THEORIES / "scalar_flavor_antisym.th", tmp_path)
     assert proc.returncode == 3
     report = json.loads(out.read_text())
-    flavor = report["flavor"]
+    [flavor] = report["flavor"]
+    assert flavor["field"] == "phi"
     assert flavor["sector_signs"] == [1, -1]
     assert flavor["negative_norm"] is True
     assert flavor["inverted_connection_attempt"] is True
     assert flavor["witness"]["signature"] == [0, 1, 0]
     assert flavor["diagonalization"]["diagonal"] == [["0-1i", "0"], ["0", "0+1i"]]
     assert "negative-norm sector" in proc.stdout
+
+
+def test_every_diagnosed_flavor_pair_is_written_to_the_json(tmp_path):
+    th = tmp_path / "pairs.th"
+    th.write_text("theory pairs\nfield a spin=0 flavors=2\nfield b spin=0 flavors=2\n"
+                  "flavor antisymmetric-pair\n")
+    proc, out = analyze_json(th, tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "flavor sectors of a: signs (+1, -1)" in proc.stdout
+    assert "flavor sectors of b: signs (+1, -1)" in proc.stdout
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, SCHEMA)
+    assert report["schema_version"] == 2
+    assert [f["field"] for f in report["flavor"]] == ["a", "b"]
+    assert all(f["negative_norm"] for f in report["flavor"])
 
 
 def test_single_scalar_reports_missing_form(tmp_path):
@@ -214,13 +234,12 @@ def test_explicit_matrix_invariance_violations_reported(tmp_path):
         assert proc.returncode == 5, proc.stderr
         assert "VIOLATED" in proc.stdout
         assert "status: NOT_ROTATION_INVARIANT" in proc.stdout
-        # the statistics, the split and the surface check assume
-        # invariance, so they are withheld
+        # the statistics and the split assume invariance, so they are
+        # withheld
         assert "statistics undetermined" in proc.stdout
         assert "statistics Bose" not in proc.stdout
         assert "statistics Fermi" not in proc.stdout
         assert "canonical components" not in proc.stdout
-        assert "surface variation" not in proc.stdout
         report = json.loads(out.read_text())
         jsonschema.validate(report, SCHEMA)
         assert report["status"] == "NOT_ROTATION_INVARIANT"
@@ -229,7 +248,6 @@ def test_explicit_matrix_invariance_violations_reported(tmp_path):
         assert report["kinematic"]["statistics"] is None
         assert report["kinematic"]["invariant"] is False
         assert report["kinematic"]["constraints"] is None
-        assert report["kinematic"]["surface_variation"] is None
         axes = [v["axis"] for v in report["kinematic"]["invariance_violations"]]
         assert set(axes) <= {"x", "y", "z"} and axes
 
@@ -458,25 +476,52 @@ def test_endless_input_is_refused_after_its_bound(bose_table, capsys, kind):
 
 def test_theory_piped_through_stdin_is_analyzed():
     # a pipe has no size to stat; the bounded read takes it as it comes
-    proc = subprocess.run(
-        [sys.executable, "-m", "spinstat", "analyze", "/dev/stdin"],
-        input=(THEORIES / "majorana.th").read_text(), capture_output=True, text=True)
+    proc = run_cli("analyze", "/dev/stdin", input=(THEORIES / "majorana.th").read_text())
     assert proc.returncode == 0, proc.stderr
     assert "status: CONSISTENT" in proc.stdout
+
+
+EXPLICIT_PAIR = "theory t\nfield phi spin=0 copies=2\nkinematic explicit k.json\n"
 
 
 def test_piped_theory_reads_its_explicit_matrix_from_the_working_directory(tmp_path):
     # a pipe has no directory of its own, so the matrix path is taken
     # from where the command runs, not from /dev
     (tmp_path / "k.json").write_text('[["0", "1"], ["-1", "0"]]')
-    proc = subprocess.run(
-        [sys.executable, "-m", "spinstat", "analyze", "/dev/stdin"],
-        input="theory t\nfield phi spin=0 copies=2\nkinematic explicit k.json\n",
-        capture_output=True, text=True, cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])})
+    proc = run_cli("analyze", "/dev/stdin", input=EXPLICIT_PAIR, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "kinematic: 2x2 antisymmetric matrix (explicit)" in proc.stdout
     assert "status: CONSISTENT" in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_redirected_theory_reads_its_explicit_matrix_from_its_own_directory(tmp_path):
+    # /dev/stdin redirected from a file names that file, so the matrix
+    # path is taken from the theory's directory, not from /dev and not
+    # from the working directory, which holds no k.json
+    theory_dir, elsewhere = tmp_path / "theory", tmp_path / "elsewhere"
+    theory_dir.mkdir()
+    elsewhere.mkdir()
+    (theory_dir / "k.json").write_text('[["0", "1"], ["-1", "0"]]')
+    (theory_dir / "t.th").write_text(EXPLICIT_PAIR)
+    with open(theory_dir / "t.th") as fh:
+        proc = run_cli("analyze", "/dev/stdin", stdin=fh, cwd=elsewhere)
+    assert proc.returncode == 0, proc.stderr
+    assert "kinematic: 2x2 antisymmetric matrix (explicit)" in proc.stdout
+    assert "status: CONSISTENT" in proc.stdout
+
+
+def test_symlinked_theory_reads_its_explicit_matrix_from_the_link_directory(
+        tmp_path, capsys):
+    # the link's directory holds k.json and the target's does not
+    real, link = tmp_path / "real", tmp_path / "link"
+    real.mkdir()
+    link.mkdir()
+    (real / "t.th").write_text(EXPLICIT_PAIR)
+    (link / "t.th").symlink_to(real / "t.th")
+    (link / "k.json").write_text('[["0", "1"], ["-1", "0"]]')
+    assert cli.main(["analyze", str(link / "t.th")]) == 0
+    assert capsys.readouterr().out.endswith("status: CONSISTENT\n")
 
 
 @pytest.mark.parametrize("field, k0, axes, contradiction", [

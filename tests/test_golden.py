@@ -2,7 +2,8 @@
 
 Each case runs one command in process and compares its exit code with
 ``EXIT_CODES`` and its stdout and its ``--json`` file with the files under
-``tests/golden/``.  The cases cover
+``tests/golden/``; an ``analyze`` report must also validate against the
+report schema.  The cases cover
 the shipped corpus, ``dkp-check --paper-relations`` under the metric the
 betas close and under ``-+++``, which they do not (the failure path), two
 antisymmetric-pair theories whose flavor block has repeated and
@@ -19,17 +20,21 @@ Regenerate after an intended change of output with
 
 import contextlib
 import io
+import json
 import pathlib
 import sys
 import tempfile
 from importlib import resources
 
+import jsonschema
 import pytest
 
 from spinstat.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 THEORIES = resources.files("spinstat") / "theories"
+SCHEMA = json.loads(
+    (resources.files("spinstat") / "schemas" / "report.schema.json").read_text())
 CORPUS = (
     "dirac",
     "majorana",
@@ -79,6 +84,8 @@ def test_output_matches_golden(name, tmp_path):
     assert code == CASES[name][0]
     assert text == (GOLDEN / f"{name}.txt").read_bytes()
     assert payload == (GOLDEN / f"{name}.json").read_bytes()
+    if CASES[name][1][0] == "analyze":
+        jsonschema.validate(json.loads(payload), SCHEMA)
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from spinstat.algebra import ParseError
 from spinstat.fock import parse_relation_table
 from spinstat.model import TheoryParseError, parse_theory
 from spinstat.report import STATUSES, AmbiguousKinematicError, analyze_theory
+from spinstat.schwinger import surface_variation_consistency
 
 # explicit matrix paths resolve here
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -146,11 +147,13 @@ def test_every_theory_parses_to_a_verdict_or_fails_at_its_line(text):
     except AmbiguousKinematicError:
         return
     assert report.status in STATUSES
-    # a surface variation is judged only when every field block has the
-    # class its statistics keeps, so K0 has that class or is mixed and its
-    # momentum map is not zero: the verdict is always consistent
-    if report.surface is not None:
-        assert report.surface.consistent
+    # a statistics is set only when every field block has the class it
+    # keeps, so K0 has that class or is mixed and its momentum map is not
+    # zero: the surface variation is always consistent, which is why the
+    # report does not state it
+    if report.statistics is not None:
+        k0 = report.build.kinematic.matrix
+        assert surface_variation_consistency(k0, report.statistics).consistent
         assert report.split.canonical_indices
 
 

@@ -42,7 +42,6 @@ def test_consistent_scalar_pair():
     assert report.status == "CONSISTENT"
     assert report.statistics == "bose"
     assert report.invariance.ok
-    assert report.surface.consistent
     assert report.split.constraint_indices == ()
     assert report.flavor_by_field == ()
 
@@ -55,7 +54,7 @@ def test_mixed_statistics_theory_skips_global_split():
                for v in report.verdict.verdicts}
     assert by_name == {"phi": "bose", "psi": "fermi"}
     assert report.statistics is None
-    assert report.split is None and report.surface is None
+    assert report.split is None
     doc = report_to_dict(report)
     jsonschema.validate(doc, SCHEMA)
     assert doc["kinematic"]["symmetry"] == "MIXED"
@@ -98,7 +97,7 @@ def test_two_field_flavor_pair_diagnosed_per_field():
     assert all(d.sector_signs == (1, -1) for _, d in report.flavor_by_field)
     doc = report_to_dict(report)
     jsonschema.validate(doc, SCHEMA)
-    assert doc["flavor"]["field"] == "phi"
+    assert [f["field"] for f in doc["flavor"]] == ["phi", "chi"]
 
 
 def test_each_field_block_is_extracted_once(monkeypatch):
@@ -134,15 +133,6 @@ def test_half_integral_flavor_pair_is_ambiguous():
         analyze(
             "theory t\nfield psi spin=1/2 flavors=2\n"
             "flavor antisymmetric-pair\n")
-
-
-@pytest.mark.parametrize("flavors", [1, 2, 3])
-def test_field_expansion_passes_kirchoff(flavors):
-    # a hermitian field expands as a + adag in every flavor sector
-    report = analyze(f"theory t\nfield phi spin=0 flavors={flavors}\n")
-    doc = report_to_dict(report)
-    assert doc["fields"][0]["kirchoff"] == {"compliant": True, "detail": None}
-    assert "  kirchoff lint: compliant\n" in render_text(report)
 
 
 def test_every_public_name_resolves():
@@ -203,29 +193,39 @@ matrix_rows = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
         min_size=rc[0], max_size=rc[0]),
 ).map(lambda rows: _matrix_json(ExactMatrix(rows)))
 
-# two whole reports: one split with every index canonical, whose
-# nonsingular_block is K0 itself and shares its rows, and the golden mixed
-# K0 whose split has constraints, whose block is a principal submatrix
+# two whole reports: one split with every index canonical, and the golden
+# mixed K0 whose split has constraints
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ALL_CANONICAL = analyze("theory t\nfield phi spin=0 copies=2\n")
 WITH_CONSTRAINTS = analyze_theory(parse_theory(
     (GOLDEN / "mixed_constraints.th").read_text(), base_dir=GOLDEN))
 
 
-def test_nonsingular_block_shares_the_kinematic_rows_only_when_it_is_k0():
-    k0 = ALL_CANONICAL.build.kinematic.matrix
-    assert ALL_CANONICAL.split.nonsingular_block is k0
-    doc = report_to_dict(ALL_CANONICAL)["kinematic"]
-    assert doc["constraints"]["nonsingular_block"] is doc["matrix"]
-    assert doc["matrix"] == k0.to_nested_strings()
-
-    split = WITH_CONSTRAINTS.split
-    assert split.constraint_indices == (2, 3)
-    assert split.nonsingular_block is not WITH_CONSTRAINTS.build.kinematic.matrix
+def test_canonical_block_is_read_from_the_kinematic_matrix():
+    # the split's nonsingular block is not written: it is the matrix on
+    # the rows and columns of canonical_indices
+    assert WITH_CONSTRAINTS.split.constraint_indices == (2, 3)
     doc = report_to_dict(WITH_CONSTRAINTS)["kinematic"]
-    assert doc["constraints"]["nonsingular_block"] == [["0", "1"], ["-1", "0"]]
+    assert "nonsingular_block" not in doc["constraints"]
     assert doc["matrix"] == [["0", "1", "1", "2"], ["-1", "0", "0", "1"],
                              ["-1", "0", "0", "1"], ["2", "-1", "-1", "0"]]
+    canonical = doc["constraints"]["canonical_indices"]
+    assert [[doc["matrix"][i][j] for j in canonical] for i in canonical] == [
+        ["0", "1"], ["-1", "0"]]
+
+
+@pytest.mark.parametrize("change", [
+    lambda doc: doc.pop("schema_version"),
+    lambda doc: doc.update(schema_version=1),
+    lambda doc: doc.update(flavor=doc["flavor"][0]),
+], ids=["no-version", "version-1", "flavor-object"])
+def test_schema_refuses_a_report_without_the_v2_layout(change):
+    doc = report_to_dict(analyze(
+        "theory t\nfield phi spin=0 flavors=2\nflavor antisymmetric-pair\n"))
+    jsonschema.validate(doc, SCHEMA)
+    change(doc)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, SCHEMA)
 
 
 # nested dicts and lists, empty ones at every depth, lists that hold only
