@@ -39,6 +39,11 @@ __all__ = [
     "constraint_split",
 ]
 
+# block residuals held by _block_residual, the least recently used dropped
+# first.  An auto-built K0 of any spins needs a few; at most this many
+# blocks of a dense explicit K0 stay held after its check
+RESIDUAL_CACHE_SIZE = 64
+
 
 def required_symmetry(j) -> SymmetryClass:
     """Transpose symmetry class K0 must have for spin j.
@@ -83,16 +88,16 @@ def check_su2_invariance(k0: ExactMatrix, layout) -> InvarianceReport:
     with the hermitian-basis generator h of the block's spin on every
     block, so on the block pair (A, B) the residual is
     h_A^T K0[A, B] + K0[A, B] h_B.  It is computed only where K0[A, B]
-    has nonzeros, once per distinct (2j_A, 2j_B, entries) in a call, and
-    not at all between two spin-0 blocks, whose generators vanish.  Each
+    has nonzeros, once per distinct (2j_A, 2j_B, entries) while the
+    process holds it (_block_residual keeps the last RESIDUAL_CACHE_SIZE),
+    and not at all between two spin-0 blocks, whose generators vanish.  Each
     failing axis lists its nonzero residual positions in row-major order.
     """
-    blocks = [_spin_block(two_j) for two_j in layout]
     starts: list[int] = []
     where: list[tuple[int, int]] = []  # (block, local index) per component
-    for b, (size, _) in enumerate(blocks):
+    for b, two_j in enumerate(layout):
         starts.append(len(where))
-        where.extend((b, local) for local in range(size))
+        where.extend((b, local) for local in range(_spin_block(two_j)[0]))
     if k0.shape != (len(where), len(where)):
         raise DimensionError(
             f"the block layout has {len(where)} components but the kinematic "
@@ -108,13 +113,9 @@ def check_su2_invariance(k0: ExactMatrix, layout) -> InvarianceReport:
         if layout[a] or layout[b]:
             coupled.setdefault((a, b), []).append((r, c, x._a, x._b, x._d))
 
-    memo: dict[tuple, tuple[tuple[tuple[int, int], ...], ...]] = {}
     found: tuple[list[tuple[int, int]], ...] = ([], [], [])
     for (a, b), entries in coupled.items():
-        key = (layout[a], layout[b], tuple(entries))
-        residual = memo.get(key)
-        if residual is None:
-            residual = memo[key] = _block_residual(blocks[a], blocks[b], entries)
+        residual = _block_residual(layout[a], layout[b], tuple(entries))
         r0, c0 = starts[a], starts[b]
         for out, local in zip(found, residual):
             out.extend((r0 + r, c0 + c) for r, c in local)
@@ -140,9 +141,13 @@ def _spin_block(two_j: int):
     return gens[0].rows, tuple(scaled)
 
 
-def _block_residual(row_block, col_block, entries):
+@lru_cache(maxsize=RESIDUAL_CACHE_SIZE)
+def _block_residual(two_j_a: int, two_j_b: int, entries):
     """Per axis, the nonzero positions of h_A^T K + K h_B for the block K
-    given by its entries (row, column, a, b, d), the value (a + b*i)/d.
+    between a spin-two_j_a/2 and a spin-two_j_b/2 block, given by its
+    entries (row, column, a, b, d), the value (a + b*i)/d.  The key holds
+    the block's every entry, so two blocks share a residual only when
+    they are equal.
 
     With h = i*G/D and K = K'/L over the lcm L of K's denominators, the
     residual is i/(D_A*D_B*L) times D_B*G_A^T K' + D_A*K' G_B, which has
@@ -151,7 +156,7 @@ def _block_residual(row_block, col_block, entries):
     scale = lcm(*(d for _, _, _, _, d in entries))
     k = [(r, c, a * (scale // d), b * (scale // d)) for r, c, a, b, d in entries]
     out = []
-    for (da, ga), (db, gb) in zip(row_block[1], col_block[1]):
+    for (da, ga), (db, gb) in zip(_spin_block(two_j_a)[1], _spin_block(two_j_b)[1]):
         acc: dict[tuple[int, int], list[int]] = {}
         for r, c, re, im in k:
             for i, g in ga[r].items():  # (G_A^T K')[i, c] gains G_A[r, i] K'[r, c]

@@ -14,11 +14,12 @@ every theory the parser accepts, so neither is written.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
-from .algebra import ExactMatrix, MatrixText, self_check, symmetry_class
+from .algebra import ExactMatrix, MatrixText, _make, self_check, symmetry_class
 from .flavor import FlavorDiagnosis, flavor_diagnosis
 from .invariance import check_su2_invariance, constraint_split
-from .model import TheorySpec, build_kinematic
+from .model import MAX_TWO_J, TheorySpec, build_kinematic
 from .schwinger import TheoryVerdict, field_verdict
 
 # every status a report can have, with the exit code of `spinstat analyze`
@@ -30,6 +31,10 @@ STATUSES = {
     "NO_KINEMATIC_TERM": 0,
     "NOT_ROTATION_INVARIANT": 5,
 }
+
+# flavor diagnoses held by _pair_diagnosis: pair mode takes every field
+# block from the builder, which has one per spin
+PAIR_DIAGNOSIS_CACHE_SIZE = MAX_TWO_J + 1
 
 
 class AmbiguousKinematicError(ValueError):
@@ -78,7 +83,7 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
         block = None if k0 is None else k0.principal(idx)
         verdicts.append(field_verdict(f, block, invariant))
         if pairs and block is not None:
-            flavor_by_field.append((f.name, flavor_diagnosis(block, f.spin)))
+            flavor_by_field.append((f.name, _pair_diagnosis(block, f.two_j)))
 
     found = {v.consistent_statistics for v in verdicts}
     statistics = found.pop() if len(found) == 1 else None
@@ -105,6 +110,14 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
         flavor_by_field=tuple(flavor_by_field),
         status=status,
     )
+
+
+@lru_cache(maxsize=PAIR_DIAGNOSIS_CACHE_SIZE)
+def _pair_diagnosis(block: ExactMatrix, two_j: int) -> FlavorDiagnosis:
+    """flavor_diagnosis of a field's block of K0 at spin two_j/2.  The
+    diagnosis is immutable and depends on the block's entries and the spin
+    alone, not on the field's name, so fields of equal blocks share it."""
+    return flavor_diagnosis(block, _make(two_j, 0, 2))
 
 
 def _matrix_json(m: ExactMatrix | None) -> MatrixText | None:

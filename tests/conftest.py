@@ -1,4 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from spinstat import invariance, model, report
 
 settings.register_profile(
     "ci",
@@ -8,3 +11,22 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+# the per-spin caches of the analyze path; su2.hermitian_basis keeps its own
+ANALYZE_CACHES = (model._auto_block, invariance._block_residual, report._pair_diagnosis)
+
+
+@pytest.fixture
+def clear_analyze_caches():
+    """A function that empties the per-spin caches of the analyze path."""
+    def clear():
+        for cached in ANALYZE_CACHES:
+            cached.cache_clear()
+    return clear
+
+
+@pytest.fixture(autouse=True)
+def _empty_analyze_caches(clear_analyze_caches):
+    # each test starts with the caches empty, so a test that spies on a
+    # function they call sees every call, whatever test ran before it
+    clear_analyze_caches()

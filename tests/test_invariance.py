@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,8 +27,10 @@ from spinstat.invariance import (
     required_symmetry,
 )
 from spinstat.model import FieldSpec, TheorySpec, build_kinematic, parse_theory
+from spinstat.report import analyze_theory, report_to_json
 from spinstat.su2 import hermitian_basis
 from test_algebra import any_mirrored_matrix, classed_matrices
+from test_cli import run_cli
 
 # -- strategies -------------------------------------------------------------
 
@@ -111,6 +114,33 @@ def test_perturbed_kinematic_fails_invariance():
     assert not report.ok
     assert report.failing_axes
     assert set(report.failing_axes) <= {"x", "y", "z"}
+
+
+SPIN1_COPIES = "theory t\nfield x spin=1 copies=2\n"
+
+
+@pytest.mark.parametrize("explicit_first", [False, True])
+def test_block_residuals_are_held_by_every_entry(tmp_path, explicit_first):
+    # an explicit K0 equal to the auto one but for its first entry pair,
+    # doubled: still antisymmetric, not invariant, and with the same spins
+    # on the same blocks, so only the entries tell its residuals apart
+    nested = build_kinematic(theory(SPIN1_COPIES)).kinematic.matrix.to_nested_strings()
+    nested[0][3], nested[3][0] = "0+2i", "0-2i"
+    (tmp_path / "k.json").write_text(json.dumps(nested))
+    explicit = tmp_path / "explicit.th"
+    explicit.write_text(SPIN1_COPIES + "kinematic explicit k.json\n")
+    fresh = run_cli("analyze", str(explicit), "--json", str(tmp_path / "fresh.json"))
+    assert fresh.returncode == 5
+
+    texts = {"auto": SPIN1_COPIES, "explicit": explicit.read_text()}
+    order = ["explicit", "auto"] if explicit_first else ["auto", "explicit"]
+    reports = {kind: analyze_theory(parse_theory(texts[kind], base_dir=tmp_path))
+               for kind in order}
+    assert reports["auto"].status == "CONSISTENT"
+    assert reports["explicit"].status == "NOT_ROTATION_INVARIANT"
+    assert reports["explicit"].invariance.violations
+    assert (report_to_json(reports["explicit"])
+            == (tmp_path / "fresh.json").read_text())
 
 
 def test_scalar_generators_leave_anything_invariant():
