@@ -16,7 +16,7 @@ image in GF(q), for the fixed 61-bit prime q = 2**61 - 31 (1 mod 4, so
 i maps to a square root of -1), on machine-size ints with no gcd.  The
 image is a ring homomorphism, so the modular rank never exceeds the
 exact one, and when it is full it is the rank; a nonsingular momentum
-map or flavor form is decided without an exact elimination.  Only a
+map is decided without an exact elimination.  Only a
 rank-deficient matrix, or an unlucky prime, pays for the exact forward
 elimination.  No floating point enters any computation.
 """

@@ -5,11 +5,10 @@ the full matrix block off-diagonal, [[0, M], [-M, 0]].  Diagonalizing that
 flavor structure splits the theory into sectors whose kinematic terms carry
 opposite signs, and the minus sector is a Hilbert space with negative-norm
 states.  This module detects the pattern, reads the sector signs off the
-inertia of the hermitian form i*K0 (for a real antisymmetric K0 it
-follows from the rank alone, so no eigenvalue is needed), writes down
-the diagonalization in closed form for the diagonal pairings the builder
-emits, and attaches the concrete one-quantum negative-norm witness; all of
-it in exact arithmetic.
+inertia of the hermitian form i*K0 by elimination, so no eigenvalue is
+needed, writes down the diagonalization in closed form for the diagonal
+pairings the builder emits, and attaches the concrete one-quantum
+negative-norm witness; all of it in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -21,12 +20,10 @@ from math import lcm
 from .algebra import (
     I,
     ONE,
-    ZERO,
     DimensionError,
     ExactMatrix,
     Scalar,
     SymmetryClass,
-    _add_into,
     hermitian_signature,
     self_check,
     symmetry_class,
@@ -142,31 +139,16 @@ def _diagonalize(lam: ExactMatrix, split: FlavorSplit) -> FlavorDiagonalization:
         v_rows[h + k][t] = phase
     v_matrix = ExactMatrix._from_rows(lam.rows, v_rows)
     norms = (Scalar(2),) * lam.rows
-    # both checks run per column, on its two entries: columns t and s of V
-    # meet only on a shared k, where (V-dagger V)[t, s] is
-    # 1 + conj(phase_t)*phase_s, and lam v_t is lam's column k plus phase
-    # times its column h+k
-    sharing: dict[int, list[tuple[int, Scalar]]] = {}
-    for t, (k, phase) in enumerate(order):
-        sharing.setdefault(k, []).append((t, phase))
-    self_check(all(ONE + p.conjugate() * q == (norms[t] if t == s else ZERO)
-                   for pairs in sharing.values() for t, p in pairs for s, q in pairs),
+    diagonal = ExactMatrix.diagonal(eigenvalues)
+    self_check(v_matrix.dagger() @ v_matrix == ExactMatrix.diagonal(norms),
                "flavor eigenvectors fail V-dagger V = diag(norms)")
-    columns = lam.transpose()._rows
-
-    def image(k, phase):
-        column = dict(columns[k])
-        _add_into(column, columns[h + k], phase)
-        return column
-
-    self_check(all(image(k, phase) == {k: x, h + k: phase * x}
-                   for (k, phase), x in zip(order, eigenvalues)),
+    self_check(lam @ v_matrix == v_matrix @ diagonal,
                "flavor eigenvectors fail the eigen-equation")
 
     return FlavorDiagonalization(
         exact=True,
         eigenvalues=tuple(eigenvalues),
-        diagonal=ExactMatrix.diagonal(eigenvalues),
+        diagonal=diagonal,
         transformation=v_matrix,
         column_norms_squared=norms,
     )
@@ -257,11 +239,11 @@ def flavor_diagnosis(k0: ExactMatrix, spin=None) -> FlavorDiagnosis:
     arguments intact: every sector sign is +1 by the normalization
     convention and there is nothing to diagonalize.  For a real
     antisymmetric K0 the sector signs are the inertia of the hermitian
-    form i*K0.  The eigenvalues of K0 come in pairs +-i*mu, so that
-    inertia is (r/2, r/2, n - r) for the rank r of K0, which is checked
-    to be even.  No eigenvalue is needed, so the signs are exact
-    for any such K0; the diagonalization is attached when K0 has the
-    shape diagonalize_flavor handles.
+    form i*K0, the rule sector_sign_analysis applies to the diagonal.
+    The eigenvalues of K0 come in pairs +-i*mu, so the +1 and -1 counts
+    are checked to be equal.  No eigenvalue is needed, so the signs are
+    exact for any such K0; the diagonalization is attached when K0 has
+    the shape diagonalize_flavor handles.
     """
     split = detect_flavor_antisymmetry(k0)
     if not split.is_flavor_antisymmetric:
@@ -271,11 +253,9 @@ def flavor_diagnosis(k0: ExactMatrix, spin=None) -> FlavorDiagnosis:
     if symmetry_class(k0) is not SymmetryClass.ANTISYMMETRIC or not k0.is_real():
         return FlavorDiagnosis(True, note="flavor block is not a real symmetric "
                                           "form; sector diagonalization not attempted")
-    n = k0.rows
-    rank = k0.rank()
-    self_check(rank % 2 == 0, "a real antisymmetric kinematic matrix has odd rank")
-    half = rank // 2
-    signs = [1] * half + [0] * (n - rank) + [-1] * half
+    signs = _inertia_signs(k0)
+    self_check(signs.count(1) == signs.count(-1),
+               "a real antisymmetric kinematic matrix has unequal +1 and -1 sectors")
     try:
         diagonalization, note = _diagonalize(k0, split), None
     except ValueError:

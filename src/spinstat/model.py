@@ -63,9 +63,6 @@ MATRIX_SPACE_BYTES = 1 << 16
 # host, field lines (refused at the 1025th) or comments alike
 MAX_THEORY_BYTES = 1 << 20
 
-# auto field blocks held by _auto_block, one per (2j, class, pair mode)
-AUTO_BLOCK_CACHE_SIZE = (MAX_TWO_J + 1) * 2 * 2
-
 NOTE_NO_FORM = "no valid kinematic form; field doubling required"
 NOTE_NOT_UNIQUE = "kinematic form not unique; specify explicitly"
 
@@ -424,7 +421,7 @@ def _normalize_block(block: ExactMatrix, cls: SymmetryClass) -> ExactMatrix:
 _EPSILON = ExactMatrix([[0, 1], [-1, 0]])
 
 
-@lru_cache(maxsize=AUTO_BLOCK_CACHE_SIZE)
+@lru_cache(maxsize=None)
 def _auto_block(two_j: int, cls: SymmetryClass, pair: bool) -> ExactMatrix:
     """The auto-built block of one field of spin two_j/2 and class cls: the
     invariant form w, unique for copies = 1 (symmetric), or the symplectic

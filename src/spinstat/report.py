@@ -19,7 +19,7 @@ from functools import lru_cache
 from .algebra import ExactMatrix, MatrixText, _make, self_check, symmetry_class
 from .flavor import FlavorDiagnosis, flavor_diagnosis
 from .invariance import check_su2_invariance, constraint_split
-from .model import MAX_TWO_J, TheorySpec, build_kinematic
+from .model import TheorySpec, build_kinematic
 from .schwinger import TheoryVerdict, field_verdict
 
 # every status a report can have, with the exit code of `spinstat analyze`
@@ -31,10 +31,6 @@ STATUSES = {
     "NO_KINEMATIC_TERM": 0,
     "NOT_ROTATION_INVARIANT": 5,
 }
-
-# flavor diagnoses held by _pair_diagnosis: pair mode takes every field
-# block from the builder, which has one per spin
-PAIR_DIAGNOSIS_CACHE_SIZE = MAX_TWO_J + 1
 
 
 class AmbiguousKinematicError(ValueError):
@@ -112,11 +108,13 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
     )
 
 
-@lru_cache(maxsize=PAIR_DIAGNOSIS_CACHE_SIZE)
+@lru_cache(maxsize=None)
 def _pair_diagnosis(block: ExactMatrix, two_j: int) -> FlavorDiagnosis:
     """flavor_diagnosis of a field's block of K0 at spin two_j/2.  The
     diagnosis is immutable and depends on the block's entries and the spin
-    alone, not on the field's name, so fields of equal blocks share it."""
+    alone, not on the field's name, so fields of equal blocks share it.
+    Pair mode refuses an explicit K0, so every block is the builder's, one
+    per spin, and the cache holds at most one entry per spin."""
     return flavor_diagnosis(block, _make(two_j, 0, 2))
 
 

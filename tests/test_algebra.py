@@ -799,13 +799,17 @@ GOLDEN_THEORIES = sorted(
 
 @pytest.mark.parametrize("short", [lambda m: None, lambda m: m.rows - 1],
                          ids=["none", "one-short"])
-def test_exact_fallback_gives_every_golden_split_and_flavor_diagnosis(short):
+def test_exact_fallback_gives_every_golden_split_and_flavor_diagnosis(
+        short, clear_analyze_caches):
     # with the modular rank made useless (q divides a denominator) or too
-    # low (an unlucky prime), every split and flavor diagnosis comes from
-    # the exact eliminations, and equals the one the modular rank decides
+    # low (an unlucky prime), every split comes from the exact eliminations,
+    # and equals the one the modular rank decides.  The flavor diagnoses
+    # take no rank; with the caches cleared they are made again beside the
+    # patched rank, and must not change either
     specs = [parse_theory(path.read_text(), base_dir=str(path.parent))
              for path in GOLDEN_THEORIES]
     want = [analyze_theory(spec) for spec in specs]
+    clear_analyze_caches()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ExactMatrix, "modular_rank", short)
         got = [analyze_theory(spec) for spec in specs]

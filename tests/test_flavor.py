@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import eigenvalue_sector_signs, flavor_antisymmetry_by_quadrants
+from oracles import (dense_rref, eigenvalue_sector_signs,
+                     flavor_antisymmetry_by_quadrants)
 from spinstat import flavor, report
 from spinstat.algebra import (DimensionError, ExactMatrix, Scalar, SelfCheckError,
                               hermitian_signature)
@@ -257,6 +258,16 @@ def test_wrong_eigenvalue_raises_self_check_error(monkeypatch):
         diagonalize_flavor(flavor_pair(ExactMatrix.diagonal([1, 3])))
 
 
+def test_unbalanced_sector_signs_raise_self_check_error(monkeypatch):
+    # written without assert statements so it also checks under python -O;
+    # the inertia of i*K0 for a real antisymmetric K0 has as many positive
+    # as negative entries, so an elimination that reports (2, 0, 0) for
+    # the 2x2 pairing is caught
+    monkeypatch.setattr(flavor, "hermitian_signature", lambda m: (2, 0, 0))
+    with pytest.raises(SelfCheckError, match=r"unequal \+1 and -1 sectors"):
+        flavor_diagnosis(epsilon(), spin=0)
+
+
 # -- sector signs and the full diagnosis -------------------------------------------
 
 
@@ -306,13 +317,15 @@ def symmetric_pairings(draw):
 
 @given(symmetric_pairings())
 def test_sector_signs_are_the_inertia_of_i_k0(w):
-    # the signs are read off the rank of K0 = [[0, W], [-W, 0]]; the
-    # inertia of the hermitian form i*K0, by elimination, must agree
+    # the signs are the inertia of the hermitian form i*K0 for
+    # K0 = [[0, W], [-W, 0]]; with W real symmetric of rank r, i*K0 has
+    # eigenvalues +-mu for the r nonzero eigenvalues mu of W, so the
+    # inertia is (r, r, 2h - 2r), here with r from a dense Gauss-Jordan
     assume(not w.is_zero())  # a zero K0 has no flavor pattern to diagnose
-    k0 = flavor_pair(w)
-    positives, negatives, zeros = hermitian_signature(k0.scale(I))
-    want = (1,) * positives + (0,) * zeros + (-1,) * negatives
-    assert flavor_diagnosis(k0).sector_signs == want
+    h = w.rows
+    r = len(dense_rref([list(row) for row in w])[1])
+    want = (1,) * r + (0,) * (2 * h - 2 * r) + (-1,) * r
+    assert flavor_diagnosis(flavor_pair(w)).sector_signs == want
 
 
 def test_appendix_flow_finds_the_negative_sector():
