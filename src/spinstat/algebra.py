@@ -481,6 +481,10 @@ class MatrixText(list):
     __slots__ = ()
 
 
+# the _blocks of every matrix that _blockdiag did not build; never written
+_NO_BLOCKS: dict = {}
+
+
 class ExactMatrix:
     """Immutable matrix of ``Scalar`` entries, stored by its nonzeros.
 
@@ -495,10 +499,19 @@ class ExactMatrix:
     rule itself (``_add_into`` deletes entries that cancel, and a product
     of nonzero Gaussian rationals is nonzero), so ``_from_rows`` takes
     kernel rows as they are and makes them the matrix's own.
-    ``symmetry_class`` writes its answer once into ``_symmetry``.
+
+    The matrix is immutable, so a fact derived from it is written once
+    into its slot and read from there after: ``_symmetry`` holds
+    ``symmetry_class``'s answer, ``_rank`` the ``modular_rank`` (-1 when
+    q divides a denominator) and ``_hash`` the hash, each None until
+    first asked.  ``_blocks``, written by ``_blockdiag`` and empty
+    otherwise, maps the start index of each diagonal block to the block
+    itself; the class and the modular rank are then composed from the
+    blocks', and ``principal`` of exactly one block's range is that
+    block.
     """
 
-    __slots__ = ("rows", "cols", "_rows", "_symmetry")
+    __slots__ = ("rows", "cols", "_rows", "_symmetry", "_rank", "_hash", "_blocks")
 
     def __init__(self, rows):
         dense = [[Scalar.coerce(x) for x in row] for row in rows]
@@ -511,10 +524,13 @@ class ExactMatrix:
         rows = tuple(entries)
         if not rows or cols < 1:
             raise DimensionError("matrix needs at least one row and column")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_symmetry", None)
+        _set_row_count(self, len(rows))
+        _set_cols(self, cols)
+        _set_rows(self, rows)
+        _set_symmetry(self, None)
+        _set_rank(self, None)
+        _set_hash(self, None)
+        _set_blocks(self, _NO_BLOCKS)
 
     @staticmethod
     def _from_rows(cols: int, entries) -> "ExactMatrix":
@@ -634,9 +650,14 @@ class ExactMatrix:
             for i in row_idx])
 
     def principal(self, idx) -> "ExactMatrix":
-        """The block on the rows and columns idx; the whole index range in
-        order is the matrix itself, which is immutable, so it is shared."""
+        """The block on the rows and columns idx.  The range of one stored
+        diagonal block in order is that block, and the whole index range
+        in order the matrix itself; both are immutable, so they are
+        shared."""
         idx = list(idx)
+        block = self._blocks.get(idx[0]) if idx else None
+        if block is not None and idx == list(range(idx[0], idx[0] + block.rows)):
+            return block
         if self.is_square and idx == list(range(self.rows)):
             return self
         return self.submatrix(idx, idx)
@@ -650,7 +671,11 @@ class ExactMatrix:
         return self.shape == other.shape and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.shape, tuple(frozenset(row.items()) for row in self._rows)))
+        h = self._hash
+        if h is None:
+            h = hash((self.shape, tuple(frozenset(row.items()) for row in self._rows)))
+            _set_hash(self, h)
+        return h
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self)
@@ -790,7 +815,21 @@ class ExactMatrix:
     def modular_rank(self) -> int | None:
         """The rank of the matrix's image in GF(q) for the prime
         q = MODULUS, with i sent to MODULAR_I, or None when q divides a
-        denominator.
+        denominator.  It is kept in ``_rank``.  The image of a block
+        diagonal matrix is block diagonal, so its rank is the sum of the
+        blocks' ranks, and None when one of them is None."""
+        rank = self._rank
+        if rank is None:
+            if self._blocks:
+                ranks = [b.modular_rank() for b in self._blocks.values()]
+                rank = -1 if None in ranks else sum(ranks)
+            else:
+                rank = self._modular_elimination()
+            _set_rank(self, rank)
+        return None if rank < 0 else rank
+
+    def _modular_elimination(self) -> int:
+        """``modular_rank`` by elimination, with -1 for None.
 
         The map (a + b*i)/d -> (a + b*MODULAR_I) * d^-1 mod q is a ring
         homomorphism from the Gaussian rationals whose denominators q does
@@ -811,7 +850,7 @@ class ExactMatrix:
                 v = x._a + x._b * MODULAR_I
                 if x._d != 1:
                     if not x._d % q:
-                        return None
+                        return -1
                     v *= pow(x._d, -1, q)
                 v %= q
                 if v:
@@ -834,6 +873,16 @@ class ExactMatrix:
                     else:
                         del row[c]
         return len(kept)
+
+
+# the slots' own setters, which ExactMatrix.__setattr__ refuses to callers
+_set_row_count = ExactMatrix.rows.__set__
+_set_cols = ExactMatrix.cols.__set__
+_set_rows = ExactMatrix._rows.__set__
+_set_symmetry = ExactMatrix._symmetry.__set__
+_set_rank = ExactMatrix._rank.__set__
+_set_hash = ExactMatrix._hash.__set__
+_set_blocks = ExactMatrix._blocks.__set__
 
 
 def _json_nesting(text: str) -> list:
@@ -875,12 +924,16 @@ def _add_into(target: dict, source: dict, factor: Scalar | None = None) -> None:
 
 def _blockdiag(mats: list[ExactMatrix]) -> ExactMatrix:
     """The square blocks on the diagonal, each stored row shifted by the
-    block's offset; no zero block is built."""
-    entries, offset = [], 0
+    block's offset; no zero block is built.  The result keeps its blocks
+    by their offsets in ``_blocks``."""
+    entries, blocks, offset = [], {}, 0
     for m in mats:
         entries.extend({offset + c: x for c, x in row.items()} for row in m._rows)
+        blocks[offset] = m
         offset += m.cols
-    return ExactMatrix._from_rows(offset, entries)
+    matrix = ExactMatrix._from_rows(offset, entries)
+    _set_blocks(matrix, blocks)
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -891,12 +944,19 @@ def symmetry_class(m: ExactMatrix) -> SymmetryClass:
     """Zero, Symmetric, Antisymmetric or Mixed, tested in that order (the
     zero matrix is both symmetric and antisymmetric); each test compares
     mirrored entries in place, so neither half nor a transpose is built.
-    The matrix is immutable, so it is classified once and keeps the class."""
+    The matrix is immutable, so it is classified once and keeps the class.
+    A block diagonal matrix takes the one class of its nonzero blocks: zero
+    when it has none, mixed when they differ or one is mixed."""
     cls = m._symmetry
     if cls is None:
         if not m.is_square:
             raise DimensionError("symmetry classification needs a square matrix")
-        if m.is_zero():
+        if m._blocks:
+            found = {symmetry_class(b) for b in m._blocks.values()}
+            found.discard(SymmetryClass.ZERO)
+            cls = (found.pop() if len(found) == 1 else
+                   SymmetryClass.MIXED if found else SymmetryClass.ZERO)
+        elif m.is_zero():
             cls = SymmetryClass.ZERO
         elif m.is_symmetric():
             cls = SymmetryClass.SYMMETRIC
@@ -904,7 +964,7 @@ def symmetry_class(m: ExactMatrix) -> SymmetryClass:
             cls = SymmetryClass.ANTISYMMETRIC
         else:
             cls = SymmetryClass.MIXED
-        object.__setattr__(m, "_symmetry", cls)
+        _set_symmetry(m, cls)
     return cls
 
 

@@ -39,8 +39,8 @@ __all__ = [
 MAX_TWO_J = 8
 # largest total component count parse_theory accepts.  Matrices store only
 # their nonzeros, so the bound limits time, not memory: analyze_theory on
-# `field x spin=7/2 flavors=64` (dim 1024) takes about 3 ms in process and
-# warm, and report_to_json about 45 ms, on a 2-core host
+# `field x spin=7/2 flavors=64` (dim 1024) takes about 0.55 ms in process
+# and warm, and report_to_json about 45 ms, on a 2-core host
 MAX_DIMENSION = 1024
 # largest explicit matrix file, in bytes, checked by os.stat before the file
 # is read: room for a dim-1024 K0 whose json.dumps entries have up to 12
@@ -62,6 +62,11 @@ MATRIX_SPACE_BYTES = 1 << 16
 # Reading and parsing a file at the bound takes about 0.03 s on a 2-core
 # host, field lines (refused at the 1025th) or comments alike
 MAX_THEORY_BYTES = 1 << 20
+# field blocks held by _field_block, the least recently used dropped first.
+# Its key (2j, class, pair mode, flavors) has 1451 values that build,
+# each a block of up to MAX_DIMENSION rows; the 32 spin-0 blocks of dim 962
+# to 1024 take 9.1 MB (tracemalloc)
+FIELD_BLOCK_CACHE_SIZE = 32
 
 NOTE_NO_FORM = "no valid kinematic form; field doubling required"
 NOTE_NOT_UNIQUE = "kinematic form not unique; specify explicitly"
@@ -434,6 +439,17 @@ def _auto_block(two_j: int, cls: SymmetryClass, pair: bool) -> ExactMatrix:
     return ExactMatrix.kron(_EPSILON, block) if pair else block
 
 
+@lru_cache(maxsize=FIELD_BLOCK_CACHE_SIZE)
+def _field_block(two_j: int, cls: SymmetryClass, pair: bool, flavors: int) -> ExactMatrix:
+    """The auto-built block of one whole field: _blockdiag of _auto_block
+    once per flavor, or of the one pair block, so that the field block
+    keeps the auto block as its stored diagonal blocks.  Every analysis
+    of a field with this key takes the same object, with the facts it
+    keeps."""
+    block = _auto_block(two_j, cls, pair)
+    return _blockdiag([block] * (1 if pair else flavors))
+
+
 def build_kinematic(spec: TheorySpec) -> KinematicBuild:
     """Construct K0 for the theory, or report why that is impossible.
 
@@ -445,7 +461,10 @@ def build_kinematic(spec: TheorySpec) -> KinematicBuild:
     couples the two flavors through [[0, F], [-F, 0]] where F is the
     invariant of the opposite class, which is exactly the structure whose
     quantization is later rejected.  A spec that breaks a whole-theory
-    rule of parse_theory raises its TheoryParseError.
+    rule of parse_theory raises its TheoryParseError.  Each field's block
+    is the cached _field_block, and K0 the _blockdiag of the field blocks
+    (the one field block itself for one field), so every block the
+    analysis takes is stored in K0 with the facts it keeps.
     """
     _check_spec(spec)
     index_map = spec.index_map()
@@ -466,10 +485,6 @@ def build_kinematic(spec: TheorySpec) -> KinematicBuild:
             status, note = (("no_form", NOTE_NO_FORM) if dim == 0
                             else ("not_unique", NOTE_NOT_UNIQUE))
             return KinematicBuild(status, note=note, details=(f.name,))
-        block = _auto_block(f.two_j, cls, pair)
-        if pair:
-            blocks.append(block)
-        else:
-            blocks.extend([block] * f.flavors)
-    matrix = _blockdiag(blocks)
+        blocks.append(_field_block(f.two_j, cls, pair, f.flavors))
+    matrix = blocks[0] if len(blocks) == 1 else _blockdiag(blocks)
     return KinematicBuild("built", KinematicMatrix(matrix, index_map))

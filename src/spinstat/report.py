@@ -58,8 +58,9 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
     Raises AmbiguousKinematicError when the builder cannot single out a
     kinematic form; every other outcome, including theories with no form
     at all and theories rejected on norms, comes back as a report.  Each
-    field's block of K0 is taken once and judged once, for its statistics
-    and, for flavor pairs, its norms.  The status is the first that holds
+    field's block of K0 is taken once (of an auto K0, the field block
+    the builder stored) and judged once, for its statistics and, for
+    flavor pairs, its norms.  The status is the first that holds
     of CONTRADICTION, NOT_ROTATION_INVARIANT, REJECTED_NEGATIVE_NORM and
     NO_KINEMATIC_TERM, else CONSISTENT.  A K0 that fails the invariance
     check gets no statistics, and no constraint split.

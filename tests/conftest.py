@@ -12,8 +12,10 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
-# the per-spin caches of the analyze path; su2.hermitian_basis keeps its own
-ANALYZE_CACHES = (model._auto_block, invariance._block_residual, report._pair_diagnosis)
+# the per-spin and per-field caches of the analyze path; su2.hermitian_basis
+# keeps its own
+ANALYZE_CACHES = (model._auto_block, model._field_block, invariance._block_invariance,
+                  report._pair_diagnosis)
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from spinstat.algebra import (
     ExactMatrix,
     Scalar,
     SymmetryClass,
+    _blockdiag,
     hermitian_signature,
     pivoted_elimination,
     symmetry_class,
@@ -987,3 +988,67 @@ def test_symmetry_class_slot_is_not_writable_from_outside():
 def test_symmetry_class_rejects_non_square(f):
     with pytest.raises(DimensionError):
         f(ExactMatrix([[1, 0, 0], [0, 1, 0]]))
+
+
+# -- facts of a matrix with stored diagonal blocks ---------------------------
+
+BLOCK_KINDS = ("zero", "symmetric", "antisymmetric", "hermitian", "mixed", "singular")
+
+
+@st.composite
+def diagonal_blocks(draw):
+    """A square block of 1 to 3 rows with Gaussian-rational entries: zero,
+    symmetric, antisymmetric or hermitian by mirroring the upper
+    triangle, as drawn (mixed), or singular, its last row a multiple of
+    its first (a zero row at size 1)."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(BLOCK_KINDS))
+    rows = [[draw(gaussian_entries) for _ in range(n)] for _ in range(n)]
+    if kind == "zero":
+        rows = [[Scalar(0)] * n for _ in range(n)]
+    elif kind == "singular":
+        rows[-1] = [x * draw(gaussian_entries) for x in rows[0]] if n > 1 else [Scalar(0)]
+    elif kind != "mixed":
+        mirror = {"symmetric": lambda x: x, "antisymmetric": lambda x: -x,
+                  "hermitian": Scalar.conjugate}[kind]
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = mirror(rows[j][i])
+            if kind != "symmetric":
+                # the diagonal is its own mirror: zero or real
+                rows[i][i] = mirror(rows[i][i]) + rows[i][i]
+    return ExactMatrix(rows)
+
+
+@st.composite
+def blocked_matrices(draw):
+    """(_blockdiag of 1 to 4 diagonal blocks, the index range of each),
+    the first two sometimes stored as one nested _blockdiag, as the
+    builder stores a field's flavor blocks."""
+    blocks = draw(st.lists(diagonal_blocks(), min_size=1, max_size=4))
+    if len(blocks) > 1 and draw(st.booleans()):
+        blocks[:2] = [_blockdiag(blocks[:2])]
+    ranges, start = [], 0
+    for b in blocks:
+        ranges.append(range(start, start + b.rows))
+        start += b.rows
+    return _blockdiag(blocks), ranges
+
+
+@given(blocked_matrices())
+def test_facts_composed_from_stored_blocks_equal_the_flat_facts(case):
+    m, ranges = case
+    # the same rows with no stored block take the whole-matrix paths
+    flat = ExactMatrix._from_rows(m.cols, m._rows)
+    assert not flat._blocks and list(m._blocks) == [r.start for r in ranges]
+    assert m.modular_rank() == flat.modular_rank()
+    assert m.rank() == flat.rank()
+    assert symmetry_class(m) is symmetry_class(flat)
+    assert m == flat and hash(m) == hash(flat)
+    for r, block in zip(ranges, m._blocks.values()):
+        assert m.principal(r) is block
+        assert block == flat.submatrix(r, r) == flat.principal(r)
+    if len(ranges) > 1:
+        # a range over two stored blocks is cut as from the flat matrix
+        both = range(ranges[0].start, ranges[1].stop)
+        assert m.principal(both) == flat.submatrix(both, both)

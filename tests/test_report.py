@@ -2,16 +2,19 @@ import importlib
 import json
 import pathlib
 import pkgutil
+import tempfile
 from importlib import resources
 
 import jsonschema
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import spinstat
-from spinstat.algebra import ExactMatrix, Scalar
-from spinstat.model import parse_theory
+from spinstat import model
+from spinstat import report as report_module
+from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass
+from spinstat.model import build_kinematic, parse_theory
 from spinstat.report import (
     STATUSES,
     AmbiguousKinematicError,
@@ -101,20 +104,73 @@ def test_two_field_flavor_pair_diagnosed_per_field():
 
 
 def test_each_field_block_is_extracted_once(monkeypatch):
-    # one block per field feeds both its verdict and its flavor diagnosis
-    sizes = []
+    # one block per field feeds both its verdict and its flavor diagnosis,
+    # and it is the block the builder stored in K0, so no submatrix is cut
+    sizes, judged = [], []
 
     def counting(self, row_idx, col_idx):
         sizes.append(len(row_idx))
         return submatrix(self, row_idx, col_idx)
 
-    submatrix = ExactMatrix.submatrix
+    def judging(f, block, invariant):
+        judged.append(block)
+        return field_verdict(f, block, invariant)
+
+    submatrix, field_verdict = ExactMatrix.submatrix, report_module.field_verdict
     monkeypatch.setattr(ExactMatrix, "submatrix", counting)
+    monkeypatch.setattr(report_module, "field_verdict", judging)
     report = analyze(
         "theory t\nfield a spin=1 flavors=2\nfield b spin=2 flavors=2\n"
         "flavor antisymmetric-pair\n")
     assert [name for name, _ in report.flavor_by_field] == ["a", "b"]
-    assert sizes == [6, 10]
+    stored = list(report.build.kinematic.matrix._blocks.values())
+    assert len(judged) == len(stored) == 2
+    assert all(b is s for b, s in zip(judged, stored))
+    assert judged[0] is model._field_block(2, SymmetryClass.SYMMETRIC, True, 2)
+    assert sizes == []
+
+
+@st.composite
+def auto_theories(draw):
+    """Field lines of 1 to 3 fields, 2j from 0 to 8, flavors times copies at
+    most 4, statistics auto or pinned.  The copies a spin needs for a
+    unique form (2 for integral spin, 1 for half-integral) are drawn three
+    times in four."""
+    lines = []
+    for k in range(draw(st.integers(1, 3))):
+        two_j = draw(st.integers(0, 8))
+        needed = 1 if two_j % 2 else 2
+        copies = needed if draw(st.integers(0, 3)) else 3 - needed
+        flavors = draw(st.integers(1, 4 // copies))
+        statistics = draw(st.sampled_from(["auto", "auto", "bose", "fermi"]))
+        spin = f"{two_j}/2" if two_j % 2 else str(two_j // 2)
+        lines.append(f"field f{k} spin={spin} flavors={flavors} copies={copies} "
+                     f"statistics={statistics}\n")
+    return "theory t\n" + "".join(lines)
+
+
+@given(auto_theories())
+def test_auto_k0_analyzes_as_its_explicit_copy(text):
+    # the built K0 written out as `kinematic explicit` takes the
+    # whole-matrix paths: the verdicts must not tell the two apart
+    auto_spec = parse_theory(text)
+    assume(build_kinematic(auto_spec).status == "built")
+    auto = analyze_theory(auto_spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        pathlib.Path(tmp, "k.json").write_text(auto.build.kinematic.matrix.dumps())
+        explicit = analyze_theory(parse_theory(
+            text + "kinematic explicit k.json\n", base_dir=tmp))
+    assert not explicit.build.kinematic.matrix._blocks
+    assert explicit.status == auto.status
+    assert [(v.consistent_statistics, v.contradiction)
+            for v in explicit.verdict.verdicts] == [
+        (v.consistent_statistics, v.contradiction) for v in auto.verdict.verdicts]
+    assert explicit.invariance == auto.invariance
+    assert explicit.split == auto.split
+    want, got = report_to_dict(auto), report_to_dict(explicit)
+    assert (want["kinematic"].pop("mode"), got["kinematic"].pop("mode")) == (
+        "auto", "explicit")
+    assert json_text(got) == json_text(want)
 
 
 def test_contradiction_outranks_negative_norm():
