@@ -182,7 +182,8 @@ class Scalar:
 
     The text form is ``a/b`` for real values and ``a/b+c/di`` (or ``-``)
     otherwise, e.g. ``-1/2``, ``0+1i``, ``3/4-2i``.  ``str`` emits the
-    canonical form, each part written from the ints after one gcd;
+    canonical form: a real value straight from its ints, which are in
+    lowest terms, and each part of a complex one after one gcd;
     ``parse`` additionally tolerates spaces around the central sign and a
     bare imaginary part like ``2i`` or ``-i``.  It checks each part against
     ``MAX_LITERAL_DIGITS``, then reads ``[+-]digits(/digits)?`` with
@@ -371,11 +372,12 @@ class Scalar:
         return not self._a
 
     def __str__(self):
-        b, d = self._b, self._d
+        a, b, d = self._a, self._b, self._d
         if not b:
-            return _ratio_text(self._a, d)
+            # gcd(a, 0, d) == 1 is gcd(a, d) == 1: a/d is in lowest terms
+            return str(a) if d == 1 else f"{a}/{d}"
         sign = "+" if b > 0 else "-"
-        return f"{_ratio_text(self._a, d)}{sign}{_ratio_text(abs(b), d)}i"
+        return f"{_ratio_text(a, d)}{sign}{_ratio_text(abs(b), d)}i"
 
     def __repr__(self):
         return f"Scalar('{self}')"

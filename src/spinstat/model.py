@@ -143,18 +143,20 @@ class TheorySpec(namedtuple(
                      for _ in range(f.flavors * f.copies))
 
     def index_map(self) -> tuple[str, ...]:
-        labels = []
+        """The label of each component in index order,
+        ``name[.f<flavor>][.c<copy>].<component>``, the flavor part written
+        when a field has several flavors and the copy part when it has
+        several copies.  The labels depend on the fields alone.  Each
+        (field, flavor, copy) prefix is built once and extended with that
+        field's component texts."""
+        labels: list[str] = []
         for f in self.fields:
-            for fl in range(f.flavors):
-                for cp in range(f.copies):
-                    for comp in range(f.component_dimension):
-                        parts = [f.name]
-                        if f.flavors > 1:
-                            parts.append(f"f{fl}")
-                        if f.copies > 1:
-                            parts.append(f"c{cp}")
-                        parts.append(str(comp))
-                        labels.append(".".join(parts))
+            comps = [f".{c}" for c in range(f.component_dimension)]
+            flavors = [f".f{fl}" for fl in range(f.flavors)] if f.flavors > 1 else [""]
+            copies = [f".c{cp}" for cp in range(f.copies)] if f.copies > 1 else [""]
+            for fl in flavors:
+                for cp in copies:
+                    labels.extend(map((f.name + fl + cp).__add__, comps))
         return tuple(labels)
 
 

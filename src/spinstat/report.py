@@ -253,11 +253,12 @@ def _scalar_text(value) -> str:
 def json_text(payload) -> str:
     """The text ``json.dumps`` writes with a two-space indent, byte for
     byte, for dicts with str keys, lists and JSON scalars, and the newline
-    that ends a JSON file, appended in the same join.  An array of
-    strings that need no escaping, or of ints (not bools), is joined
-    directly, and a ``MatrixText``
-    in one step for all its rows, unscanned; every other scalar is
-    written by ``_scalar_text``."""
+    that ends a JSON file, appended in the same join.  A dict member whose
+    value is a string that needs no escaping, an int (not a bool), None or
+    a bool is written in one piece with its key.  An array of strings that
+    need no escaping, or of ints (not bools), is joined directly, and a
+    ``MatrixText`` in one step for all its rows, unscanned; every other
+    scalar is written by ``_scalar_text``."""
     out: list[str] = []
     _write_json_value(payload, 0, out)
     out.append("\n")
@@ -274,9 +275,18 @@ def _write_json_value(value, depth: int, out: list[str]) -> None:
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"JSON keys must be str, not {key!r}")
-            out.append(sep + _scalar_text(key) + ": ")
-            _write_json_value(item, depth + 1, out)
+            head = sep + ('"' + key + '": ' if _plain(key) else _scalar_text(key) + ": ")
             sep = "," + inner
+            kind = type(item)
+            if kind is str and _plain(item):
+                out.append(head + '"' + item + '"')
+            elif kind is int:
+                out.append(head + int.__repr__(item))
+            elif item is None or kind is bool:
+                out.append(head + _CONSTANTS[item])
+            else:
+                out.append(head)
+                _write_json_value(item, depth + 1, out)
         out.append("\n" + _INDENT * depth + "}")
     elif isinstance(value, (list, tuple)):
         if not value:

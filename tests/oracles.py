@@ -27,6 +27,8 @@ type:
   built (K0^T -+ K0)/2, which check the in-place mirror walks of
   ``ExactMatrix``, ``flavor.detect_flavor_antisymmetry`` and the
   class-driven ``invariance.momentum_map``;
+- component labels written one at a time, each joined from its parts,
+  check the per-prefix labels of ``model.TheorySpec.index_map``;
 - the kinematic builder with one loop per flavor mode, each repeating the
   form count, the exits and the normalization, checks the single loop of
   ``model.build_kinematic`` (it shares the builder's counting and
@@ -396,6 +398,25 @@ def momentum_map_by_transpose(k0: ExactMatrix, statistics: str) -> ExactMatrix:
     """(K0^T - K0)/2 for bose and (K0^T + K0)/2 for fermi, built."""
     kt = k0.transpose()
     return (kt - k0 if statistics == "bose" else kt + k0).scale(Scalar(Fraction(1, 2)))
+
+
+def index_labels(fields) -> tuple[str, ...]:
+    """The label of each component of the fields, in index order, each
+    joined from the field name, ``f<flavor>`` when there are several
+    flavors, ``c<copy>`` when there are several copies, and the component."""
+    labels = []
+    for f in fields:
+        for fl in range(f.flavors):
+            for cp in range(f.copies):
+                for comp in range(f.component_dimension):
+                    parts = [f.name]
+                    if f.flavors > 1:
+                        parts.append(f"f{fl}")
+                    if f.copies > 1:
+                        parts.append(f"c{cp}")
+                    parts.append(str(comp))
+                    labels.append(".".join(parts))
+    return tuple(labels)
 
 
 def two_loop_build_kinematic(spec) -> KinematicBuild:

@@ -91,6 +91,20 @@ def test_scalar_parse_rejects_garbage():
             Scalar.parse(bad)
 
 
+# parts of every sign, zero and units among them, and numerators and
+# denominators past 2**64
+text_parts = (st.fractions() | st.sampled_from([0, 1, -1]).map(Fraction)
+              | st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**80)))
+
+
+@given(text_parts, text_parts)
+def test_scalar_text_is_the_fraction_text_of_each_part(re, im):
+    # a real value is written from its ints without a gcd, a complex one
+    # part by part, each part as Fraction writes it
+    assert str(Scalar(re)) == str(re)
+    assert str(Scalar(re, im)) == str(FractionPair(re, im))
+
+
 @given(scalars)
 def test_scalar_text_roundtrip(x):
     assert Scalar.parse(str(x)) == x

@@ -235,6 +235,7 @@ def test_diagonalization_needs_a_positive_diagonal_pairing(block):
         diagonalize_flavor(flavor_pair(block))
 
 
+@pytest.mark.self_check
 def test_wrong_phase_raises_self_check_error(monkeypatch):
     # written without assert statements so it also checks under python -O;
     # with 2i for i each eigenvector e_k + 2i*e_{h+k} has squared norm 5
@@ -243,6 +244,7 @@ def test_wrong_phase_raises_self_check_error(monkeypatch):
         diagonalize_flavor(flavor_pair(ExactMatrix.diagonal([1, 3])))
 
 
+@pytest.mark.self_check
 def test_wrong_eigenvalue_raises_self_check_error(monkeypatch):
     # written without assert statements so it also checks under python -O;
     # the detection hands over twice the pairing, so each eigenvector is
@@ -258,6 +260,7 @@ def test_wrong_eigenvalue_raises_self_check_error(monkeypatch):
         diagonalize_flavor(flavor_pair(ExactMatrix.diagonal([1, 3])))
 
 
+@pytest.mark.self_check
 def test_unbalanced_sector_signs_raise_self_check_error(monkeypatch):
     # written without assert statements so it also checks under python -O;
     # the inertia of i*K0 for a real antisymmetric K0 has as many positive

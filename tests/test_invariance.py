@@ -539,6 +539,7 @@ def drop_last_pivot(monkeypatch):
     monkeypatch.setattr(invariance, "pivoted_elimination", dropped)
 
 
+@pytest.mark.self_check
 def test_dropped_pivot_raises_self_check_error(drop_last_pivot):
     # written without assert statements so it also checks under python -O
     with pytest.raises(SelfCheckError, match="full-rank principal block"):
@@ -563,6 +564,7 @@ def swap_in_a_constraint(monkeypatch):
     monkeypatch.setattr(invariance, "pivoted_elimination", swapped)
 
 
+@pytest.mark.self_check
 def test_singular_pivot_set_raises_self_check_error(swap_in_a_constraint):
     # written without assert statements so it also checks under python -O;
     # the wave operator's split (0, 1) becomes (0, 2), where P is zero
@@ -582,6 +584,7 @@ def claim_every_index(monkeypatch):
     monkeypatch.setattr(invariance, "pivoted_elimination", everything)
 
 
+@pytest.mark.self_check
 def test_full_pivot_set_of_a_singular_map_raises_self_check_error(
         claim_every_index):
     # written without assert statements so it also checks under python -O;
@@ -597,6 +600,7 @@ def claim_full_modular_rank(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "modular_rank", lambda m: m.rows)
 
 
+@pytest.mark.self_check
 def test_full_rank_claim_on_odd_bose_map_raises_self_check_error(
         claim_full_modular_rank):
     # written without assert statements so it also checks under python -O;
@@ -620,6 +624,7 @@ def claim_odd_rank(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "rank", one_more)
 
 
+@pytest.mark.self_check
 def test_odd_rank_of_a_singular_bose_map_raises_self_check_error(claim_odd_rank):
     # written without assert statements so it also checks under python -O;
     # the wave operator's antisymmetric P has rank 2 of 4, claimed as 3

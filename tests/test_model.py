@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import invariant_form_space, theory_generators, two_loop_build_kinematic
+from oracles import (
+    index_labels,
+    invariant_form_space,
+    theory_generators,
+    two_loop_build_kinematic,
+)
 from spinstat import model
 from spinstat.algebra import MAX_LITERAL_DIGITS, ExactMatrix, ParseError, Scalar
 from spinstat.model import (
@@ -24,7 +29,7 @@ from spinstat.model import (
     parse_theory,
 )
 from spinstat.report import analyze_theory
-from spinstat.su2 import hermitian_basis
+from spinstat.su2 import hermitian_basis, spin_label
 
 
 # explicit matrix paths of the parse-error cases resolve here
@@ -310,6 +315,7 @@ def test_antisymmetric_pair_conflicts_with_explicit(tmp_path):
 PAIR = "antisymmetric-pair"
 
 
+@pytest.mark.self_check
 @pytest.mark.parametrize("spec,message", [
     (TheorySpec("t", (FieldSpec("a", 0, 3, 1),), flavor_mode=PAIR),
      "antisymmetric-pair needs flavors=2 on every field (a has 3)"),
@@ -376,6 +382,21 @@ def test_index_map_layout():
     )
     spec2 = parse("theory t\nfield phi spin=0 flavors=2\n")
     assert spec2.index_map() == ("phi.f0.0", "phi.f1.0")
+
+
+# field names as the parser takes them: an ASCII letter or _, then letters,
+# digits and _
+field_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True)
+
+
+@given(st.lists(st.tuples(field_names, st.integers(0, MAX_TWO_J),
+                          st.integers(1, 3), st.integers(1, 3)),
+                min_size=1, max_size=3, unique_by=lambda f: f[0]))
+def test_index_map_matches_the_label_oracle(fields):
+    spec = parse("theory t\n" + "".join(
+        f"field {name} spin={spin_label(two_j)} flavors={flavors} copies={copies}\n"
+        for name, two_j, flavors, copies in fields))
+    assert spec.index_map() == index_labels(spec.fields)
 
 
 def test_block_layout_lists_each_flavor_and_copy_block():

@@ -284,15 +284,37 @@ def test_schema_refuses_a_report_without_the_v2_layout(change):
         jsonschema.validate(doc, SCHEMA)
 
 
+# dict members of every scalar kind: strings plain and escaped (written
+# inline with the key when plain), true and false beside the ints 1 and 0,
+# negative ints and ints past 2**64 (inline), floats with -0.0 and 1e300
+# and null; keys plain and escaped
+member_scalars = (plain_strings | escaped_strings | st.booleans() | st.integers()
+                  | st.floats() | st.none()
+                  | st.sampled_from([True, 1, False, 0, -1, 2**64 + 1, -2**70,
+                                     -0.0, 1e300, None]))
+members = st.dictionaries(plain_strings | escaped_strings, member_scalars,
+                          min_size=1, max_size=8)
+
+
+def nested(payload, depth):
+    """payload inside depth containers, a dict and a list in turn, each
+    beside a scalar member."""
+    for level in range(depth):
+        payload = {"up": payload, "level": level} if level % 2 else [payload, level]
+    return payload
+
+
 # nested dicts and lists, empty ones at every depth, lists that hold only
 # scalars (the one-call path), lists of strings only (the joined path,
 # when no string needs escaping), lists of ints only (the other joined
 # path: negative, past 2**64, and mixed with bools, which take the
 # item-by-item path), lists of such lists, matrix rows as
-# _matrix_json returns them (the MatrixText path), whole reports, and
-# lists that mix scalars and containers
+# _matrix_json returns them (the MatrixText path), whole reports, dicts
+# of scalar members, alone and 12 to 16 containers deep, and lists that
+# mix scalars and containers
 json_payloads = st.recursive(
-    json_scalars | matrix_rows
+    json_scalars | matrix_rows | members
+    | st.builds(nested, members, st.integers(12, 16))
     | st.sampled_from([report_to_dict(r) for r in (ALL_CANONICAL, WITH_CONSTRAINTS)]),
     lambda inner: (st.lists(inner, max_size=5)
                    | st.lists(json_scalars, max_size=5)
@@ -303,12 +325,17 @@ json_payloads = st.recursive(
                    | st.lists(st.lists(plain_strings, max_size=3), max_size=4)
                    | st.lists(st.lists(plain_strings | escaped_strings, max_size=3),
                               max_size=4)
-                   | st.dictionaries(st.text(max_size=5), inner, max_size=5)),
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=5)
+                   | st.dictionaries(plain_strings | escaped_strings,
+                                     member_scalars | inner, max_size=6)),
     max_leaves=40)
 
 
 @given(json_payloads)
 @example({"canonical_indices": [0, -3, 2**64 + 1]})
 @example([[1, True, -2**65], [False, 0]])
+@example(nested({"t": True, "1": 1, "f": False, "0": 0, "big": -2**70,
+                 "z": -0.0, "e": 1e300, "n": None, 'q"': 'a"b', "b\\": "c\\d",
+                 "\x1f": "\n", "\u00e9": "\u20ac"}, 12))
 def test_json_text_matches_json_dumps(payload):
     assert json_text(payload) == json.dumps(payload, indent=2) + "\n"
