@@ -1,9 +1,10 @@
 """Byte-for-byte golden outputs of the CLI.
 
-Each case runs one command in process and compares its exit code with
-``EXIT_CODES`` and its stdout and its ``--json`` file with the files under
-``tests/golden/``; an ``analyze`` report must also validate against the
-report schema.  The cases cover
+Each case of ``GOLDEN_CASES``, the table ``tests/stdlib_checks.py`` also
+runs under ``python -S``, runs one command in process and compares its
+exit code with the table's and its stdout and its ``--json`` file with the
+files under ``tests/golden/``; an ``analyze`` report must also validate
+against the report schema.  The cases cover
 the shipped corpus, ``dkp-check --paper-relations`` under the metric the
 betas close and under ``-+++``, which they do not (the failure path), two
 antisymmetric-pair theories whose flavor block has repeated and
@@ -35,43 +36,10 @@ import pytest
 from spinstat.cli import main
 from spinstat.model import parse_theory
 from spinstat.report import _pair_diagnosis, analyze_theory
+from stdlib_checks import GOLDEN, GOLDEN_CASES
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-THEORIES = resources.files("spinstat") / "theories"
 SCHEMA = json.loads(
     (resources.files("spinstat") / "schemas" / "report.schema.json").read_text())
-CORPUS = (
-    "dirac",
-    "majorana",
-    "scalar_charged",
-    "scalar_doubled",
-    "scalar_flavor_antisym",
-    "scalar_single",
-    "vector",
-)
-
-
-# every case exits 0 but these, as in the CI golden loop: REJECTED_NEGATIVE_NORM
-# (3), CONTRADICTION (2), NOT_ROTATION_INVARIANT (5), and a dkp-check whose
-# relations fail under the metric (2)
-EXIT_CODES = {"scalar_flavor_antisym": 3, "pair_spin2": 3, "pair_spin4": 3,
-              "contradiction": 2, "not_invariant": 5, "dkp-check-metric": 2}
-
-
-def _cases() -> dict[str, tuple[int, list[str]]]:
-    """name -> (exit code, argv)."""
-    cases = {name: ["analyze", str(THEORIES / f"{name}.th")] for name in CORPUS}
-    for name in ("contradiction", "mixed_constraints", "not_invariant", "pair_spin2",
-                 "pair_spin4"):
-        cases[name] = ["analyze", str(GOLDEN / f"{name}.th")]
-    cases["dkp-check"] = ["dkp-check", "--paper-relations"]
-    cases["dkp-check-metric"] = ["dkp-check", "--paper-relations", "--metric", "-+++"]
-    cases["fock"] = ["fock", str(GOLDEN / "fock.rel"), "--word", "a b adag bdag",
-                     "--gram", str(GOLDEN / "fock_states.txt")]
-    return {name: (EXIT_CODES.get(name, 0), argv) for name, argv in cases.items()}
-
-
-CASES = _cases()
 
 
 def run_case(name: str, workdir: pathlib.Path) -> tuple[int, bytes, bytes]:
@@ -79,21 +47,22 @@ def run_case(name: str, workdir: pathlib.Path) -> tuple[int, bytes, bytes]:
     out = workdir / f"{name}.json"
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = main([*CASES[name][1], "--json", str(out)])
+        code = main([*GOLDEN_CASES[name][1], "--json", str(out)])
     return code, stdout.getvalue().encode(), out.read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_output_matches_golden(name, tmp_path):
     code, text, payload = run_case(name, tmp_path)
-    assert code == CASES[name][0]
+    assert code == GOLDEN_CASES[name][0]
     assert text == (GOLDEN / f"{name}.txt").read_bytes()
     assert payload == (GOLDEN / f"{name}.json").read_bytes()
-    if CASES[name][1][0] == "analyze":
+    if GOLDEN_CASES[name][1][0] == "analyze":
         jsonschema.validate(json.loads(payload), SCHEMA)
 
 
-ANALYZE_CASES = sorted(name for name, (_, argv) in CASES.items() if argv[0] == "analyze")
+ANALYZE_CASES = sorted(name for name, (_, argv) in GOLDEN_CASES.items()
+                       if argv[0] == "analyze")
 
 
 def _renamed(spec):
@@ -112,7 +81,7 @@ def test_analyze_matches_golden_with_warm_and_cleared_caches(
     for other in ANALYZE_CASES:
         if other != name:
             run_case(other, tmp_path)
-    path = pathlib.Path(CASES[name][1][1])
+    path = pathlib.Path(GOLDEN_CASES[name][1][1])
     spec = parse_theory(path.read_text(), base_dir=path.parent)
     renamed = analyze_theory(_renamed(spec))
     hits = _pair_diagnosis.cache_info().hits
@@ -124,14 +93,14 @@ def test_analyze_matches_golden_with_warm_and_cleared_caches(
     clear_analyze_caches()
     cold = run_case(name, tmp_path)
     for code, text, payload in (warm, cold):
-        assert code == CASES[name][0]
+        assert code == GOLDEN_CASES[name][0]
         assert text == (GOLDEN / f"{name}.txt").read_bytes()
         assert payload == (GOLDEN / f"{name}.json").read_bytes()
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
+        for case in sorted(GOLDEN_CASES):
             _, text, payload = run_case(case, pathlib.Path(tmp))
             (GOLDEN / f"{case}.txt").write_bytes(text)
             (GOLDEN / f"{case}.json").write_bytes(payload)
