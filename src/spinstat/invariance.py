@@ -39,13 +39,6 @@ __all__ = [
     "constraint_split",
 ]
 
-# invariance reports held by _block_invariance, the least recently used
-# dropped first.  Its keys are the innermost stored blocks of the K0s
-# checked: of the builder's K0s, the 14 auto blocks that build, whose
-# entries take 54 KB with the generators they use (tracemalloc)
-BLOCK_INVARIANCE_CACHE_SIZE = 64
-
-
 def required_symmetry(j) -> SymmetryClass:
     """Transpose symmetry class K0 must have for spin j.
 
@@ -88,74 +81,21 @@ def check_su2_invariance(k0: ExactMatrix, layout) -> InvarianceReport:
     index order (``TheorySpec.block_layout``).  Each G is block diagonal,
     with the hermitian-basis generator h of the block's spin on every
     block, so on the block pair (A, B) the residual is
-    h_A^T K0[A, B] + K0[A, B] h_B.  A K0 that ``_blockdiag`` assembled
-    from stored blocks that end where layout blocks end has a zero
-    residual between two stored blocks, so each stored block is checked
-    on its own part of the layout, and its violations are shifted by its
-    offset.  A stored block that stores blocks of its own is checked the
-    same way, and one that stores none is checked once per distinct
-    (block, layout) while the process holds it (_block_invariance).  Any
-    other K0 is checked whole: the residual is computed only where
-    K0[A, B] has nonzeros, and not at all between two spin-0 blocks,
-    whose generators vanish.  Each failing axis lists its nonzero
-    residual positions in row-major order.
+    h_A^T K0[A, B] + K0[A, B] h_B.  It is computed only where K0[A, B]
+    has nonzeros, and not at all between two spin-0 blocks, whose
+    generators vanish.  Each failing axis lists its nonzero residual
+    positions in row-major order.
     """
     layout = tuple(layout)
-    sizes = [_spin_block(two_j)[0] for two_j in layout]
-    n = sum(sizes)
-    if k0.shape != (n, n):
-        raise DimensionError(
-            f"the block layout has {n} components but the kinematic "
-            f"matrix is {k0.rows}x{k0.cols}")
-    parts = _stored_parts(k0, layout, sizes)
-    if parts is None:
-        return _whole_invariance(k0, layout, sizes)
-    found: tuple[list[tuple[int, int]], ...] = ([], [], [])
-    for start, block, part in parts:
-        check = check_su2_invariance if block._blocks else _block_invariance
-        for axis, entries in check(block, part).violations:
-            found["xyz".index(axis)].extend((start + r, start + c) for r, c in entries)
-    # the stored blocks come in index order, so the lists are row-major
-    violations = tuple((axis, tuple(entries))
-                       for axis, entries in zip("xyz", found) if entries)
-    return InvarianceReport(not violations, violations)
-
-
-def _stored_parts(k0: ExactMatrix, layout: tuple, sizes: list[int]):
-    """(start, block, the block's part of the layout) for each stored
-    diagonal block of k0, or None when k0 stores none or a stored block
-    ends inside a layout block."""
-    if not k0._blocks:
-        return None
-    parts, first, end = [], 0, 0
-    for start, block in k0._blocks.items():
-        last = first
-        while end < start + block.rows:
-            end += sizes[last]
-            last += 1
-        if end != start + block.rows:
-            return None
-        parts.append((start, block, layout[first:last]))
-        first = last
-    return parts
-
-
-@lru_cache(maxsize=BLOCK_INVARIANCE_CACHE_SIZE)
-def _block_invariance(block: ExactMatrix, layout: tuple) -> InvarianceReport:
-    """check_su2_invariance of a stored diagonal block that stores no
-    blocks, on its part of the layout.  The key is the block, compared by
-    its entries (the builder's blocks are cached objects, found by
-    identity and their kept hash), and the layout."""
-    return check_su2_invariance(block, layout)
-
-
-def _whole_invariance(k0: ExactMatrix, layout: tuple, sizes: list[int]) -> InvarianceReport:
-    """check_su2_invariance on every nonzero of k0, by block pair."""
     starts: list[int] = []
     where: list[tuple[int, int]] = []  # (block, local index) per component
-    for b, size in enumerate(sizes):
+    for b, two_j in enumerate(layout):
         starts.append(len(where))
-        where.extend((b, local) for local in range(size))
+        where.extend((b, local) for local in range(_spin_block(two_j)[0]))
+    if k0.shape != (len(where), len(where)):
+        raise DimensionError(
+            f"the block layout has {len(where)} components but the kinematic "
+            f"matrix is {k0.rows}x{k0.cols}")
 
     # each entry as (row, column) in its block and the canonical ints
     # (a, b, d) of its value

@@ -20,8 +20,8 @@ from stat import S_ISREG
 
 from .algebra import (MAX_LITERAL_DIGITS, I, ONE, ExactMatrix, ParseError, Scalar,
                       SymmetryClass, _blockdiag, _json_nesting, _make, _nesting_shape,
-                      _numbered_lines)
-from .invariance import required_symmetry
+                      _numbered_lines, self_check)
+from .invariance import check_su2_invariance, required_symmetry
 from .su2 import as_two_j, hermitian_basis, spin_label
 
 __all__ = [
@@ -39,8 +39,9 @@ __all__ = [
 MAX_TWO_J = 8
 # largest total component count parse_theory accepts.  Matrices store only
 # their nonzeros, so the bound limits time, not memory: analyze_theory on
-# `field x spin=7/2 flavors=64` (dim 1024) takes about 0.55 ms in process
-# and warm, and report_to_json about 45 ms, on a 2-core host
+# `field x spin=7/2 flavors=64` (dim 1024) takes about 0.18 ms in process
+# and warm (2.4 ms on a process's first call), and report_to_json about
+# 45 ms, on a 2-core host
 MAX_DIMENSION = 1024
 # largest explicit matrix file, in bytes, checked by os.stat before the file
 # is read: room for a dim-1024 K0 whose json.dumps entries have up to 12
@@ -434,22 +435,29 @@ def _auto_block(two_j: int, cls: SymmetryClass, pair: bool) -> ExactMatrix:
     invariant form w, unique for copies = 1 (symmetric), or the symplectic
     pairing of two copies eps (x) w (antisymmetric), normalized; in pair
     mode eps (x) that block, coupling the two flavors.  It depends on the
-    key alone and is immutable, so it is built once per process."""
+    key alone and is immutable, so it is built once per process, and its
+    rotation invariance is checked then, on the block's own layout: every
+    auto K0 is block diagonal on these blocks, as the rotation generators
+    are, so it is invariant when they are."""
     w = hermitian_basis(_make(two_j, 0, 2)).form
     block = _normalize_block(
         ExactMatrix.kron(_EPSILON, w) if cls is SymmetryClass.ANTISYMMETRIC else w, cls)
-    return ExactMatrix.kron(_EPSILON, block) if pair else block
+    if pair:
+        block = ExactMatrix.kron(_EPSILON, block)
+    self_check(check_su2_invariance(block, (two_j,) * (block.rows // w.rows)).ok,
+               f"the auto-built spin-{spin_label(two_j)} block is not rotation invariant")
+    return block
 
 
 @lru_cache(maxsize=FIELD_BLOCK_CACHE_SIZE)
 def _field_block(two_j: int, cls: SymmetryClass, pair: bool, flavors: int) -> ExactMatrix:
-    """The auto-built block of one whole field: _blockdiag of _auto_block
-    once per flavor, or of the one pair block, so that the field block
-    keeps the auto block as its stored diagonal blocks.  Every analysis
-    of a field with this key takes the same object, with the facts it
-    keeps."""
+    """The auto-built block of one whole field: the one pair block or
+    _auto_block of a single flavor itself, else _blockdiag of _auto_block
+    once per flavor, which keeps it as its stored diagonal blocks.  Every
+    analysis of a field with this key takes the same object, with the
+    facts it keeps."""
     block = _auto_block(two_j, cls, pair)
-    return _blockdiag([block] * (1 if pair else flavors))
+    return block if pair or flavors == 1 else _blockdiag([block] * flavors)
 
 
 def build_kinematic(spec: TheorySpec) -> KinematicBuild:
@@ -466,7 +474,10 @@ def build_kinematic(spec: TheorySpec) -> KinematicBuild:
     rule of parse_theory raises its TheoryParseError.  Each field's block
     is the cached _field_block, and K0 the _blockdiag of the field blocks
     (the one field block itself for one field), so every block the
-    analysis takes is stored in K0 with the facts it keeps.
+    analysis takes is stored in K0 with the facts it keeps.  Every auto
+    block was checked rotation invariant when _auto_block built it, so an
+    auto K0 is invariant by construction; an explicit K0 is returned as
+    given, unchecked.
     """
     _check_spec(spec)
     index_map = spec.index_map()

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .algebra import ExactMatrix, MatrixText, _make, self_check, symmetry_class
 from .flavor import FlavorDiagnosis, flavor_diagnosis
-from .invariance import check_su2_invariance, constraint_split
+from .invariance import InvarianceReport, check_su2_invariance, constraint_split
 from .model import TheorySpec, build_kinematic
 from .schwinger import TheoryVerdict, field_verdict
 
@@ -60,10 +60,13 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
     at all and theories rejected on norms, comes back as a report.  Each
     field's block of K0 is taken once (of an auto K0, the field block
     the builder stored) and judged once, for its statistics and, for
-    flavor pairs, its norms.  The status is the first that holds
-    of CONTRADICTION, NOT_ROTATION_INVARIANT, REJECTED_NEGATIVE_NORM and
-    NO_KINEMATIC_TERM, else CONSISTENT.  A K0 that fails the invariance
-    check gets no statistics, and no constraint split.
+    flavor pairs, its norms.  Only an explicit K0 is checked for rotation
+    invariance here: an auto K0 is invariant by construction, since the
+    builder checked each of its blocks (model._auto_block).  The status
+    is the first that holds of CONTRADICTION, NOT_ROTATION_INVARIANT,
+    REJECTED_NEGATIVE_NORM and NO_KINEMATIC_TERM, else CONSISTENT.  A K0
+    that fails the invariance check gets no statistics, and no
+    constraint split.
     """
     build = build_kinematic(spec)
     if build.status == "not_unique":
@@ -71,7 +74,12 @@ def analyze_theory(spec: TheorySpec) -> VerdictReport:
         raise AmbiguousKinematicError(f"{build.note}{detail}")
 
     k0 = build.kinematic.matrix if build.status == "built" else None
-    invariance = None if k0 is None else check_su2_invariance(k0, spec.block_layout())
+    if k0 is None:
+        invariance = None
+    elif spec.explicit_matrix is None:
+        invariance = InvarianceReport(True, ())
+    else:
+        invariance = check_su2_invariance(k0, spec.block_layout())
     invariant = invariance is None or invariance.ok
     pairs = spec.flavor_mode == "antisymmetric-pair"
     verdicts = []
@@ -114,8 +122,9 @@ def _pair_diagnosis(block: ExactMatrix, two_j: int) -> FlavorDiagnosis:
     """flavor_diagnosis of a field's block of K0 at spin two_j/2.  The
     diagnosis is immutable and depends on the block's entries and the spin
     alone, not on the field's name, so fields of equal blocks share it.
-    Pair mode refuses an explicit K0, so every block is the builder's, one
-    per spin, and the cache holds at most one entry per spin."""
+    Pair mode refuses an explicit K0, so every block is the builder's pair
+    block (model._auto_block), one per spin, and the cache holds at most
+    one entry per spin."""
     return flavor_diagnosis(block, _make(two_j, 0, 2))
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from spinstat import invariance, model, report
+from spinstat import model, report
 
 settings.register_profile(
     "ci",
@@ -14,8 +14,7 @@ settings.load_profile("ci")
 
 # the per-spin and per-field caches of the analyze path; su2.hermitian_basis
 # keeps its own
-ANALYZE_CACHES = (model._auto_block, model._field_block, invariance._block_invariance,
-                  report._pair_diagnosis)
+ANALYZE_CACHES = (model._auto_block, model._field_block, report._pair_diagnosis)
 
 
 @pytest.fixture

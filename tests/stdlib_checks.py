@@ -291,7 +291,7 @@ def check_ambiguous_forms():
 
 
 def check_changed_entry_not_cached():
-    """An explicit K0 with one changed entry is not served from the auto K0's stored blocks (site-packages off)"""
+    """An explicit K0 one entry off an auto K0 is checked, not given the auto K0's invariant-by-construction report (site-packages off)"""
     # in one process, the auto K0 of a spin-1 field in two copies, then
     # the same K0 with its first entry pair doubled: the same spins on
     # the same blocks, so only the entries tell their residuals apart

@@ -244,7 +244,7 @@ def test_invariance_matches_the_whole_space_oracle(case):
     assert report == whole_space_invariance(k0, theory_generators(spec))
 
 
-# -- K0 with stored diagonal blocks ------------------------------------------
+# -- K0 assembled from diagonal blocks --------------------------------------
 
 OFFSET_THEORY = ("theory t\nfield phi spin=0 copies=2\n"
                  "field a spin=1 copies=2 flavors=2\nfield psi spin=1/2\n")
@@ -252,9 +252,10 @@ OFFSET_THEORY = ("theory t\nfield phi spin=0 copies=2\n"
 
 @pytest.mark.parametrize("flavor", [0, 1])
 def test_violations_of_a_stored_block_are_shifted_by_its_offset(flavor):
-    # the spin-1 auto block with one entry changed, stored as one flavor of
-    # a field block between invariant blocks: its violations must be where
-    # the flat copy of the same rows and the whole-space oracle put them
+    # the spin-1 auto block with one entry changed, placed by _blockdiag as
+    # one flavor of a field block between invariant blocks: its violations
+    # must be at its offset, where the flat copy of the same rows and the
+    # whole-space oracle put them
     spec = theory(OFFSET_THEORY)
     phi, a, psi = build_kinematic(spec).kinematic.matrix._blocks.values()
     auto = a._blocks[0]
@@ -273,14 +274,14 @@ def test_violations_of_a_stored_block_are_shifted_by_its_offset(flavor):
     start = phi.rows + flavor * auto.rows
     assert all(start <= i < start + auto.rows and start <= j < start + auto.rows
                for _, entries in report.violations for i, j in entries)
-    # a second check takes the invariant blocks' reports from the memo
+    # the check keeps no state: a second one gives the same report
     assert check_su2_invariance(k0, layout) == report
 
 
 def test_stored_blocks_that_end_inside_a_layout_block_are_checked_whole():
-    # one spin-1 block of three components over stored blocks of one and
-    # two rows: the stored blocks do not fit the layout, so K0 is checked
-    # as a whole, as its flat copy is
+    # one spin-1 block of three components over _blockdiag blocks of one
+    # and two rows that do not fit the layout: K0 is checked by its
+    # entries, as its flat copy is
     k0 = _blockdiag([ExactMatrix.diagonal([1]), ExactMatrix.diagonal([2, 3])])
     report = check_su2_invariance(k0, (2,))
     assert report == check_su2_invariance(ExactMatrix.diagonal([1, 2, 3]), (2,))

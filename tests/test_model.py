@@ -14,7 +14,8 @@ from oracles import (
     two_loop_build_kinematic,
 )
 from spinstat import model
-from spinstat.algebra import MAX_LITERAL_DIGITS, ExactMatrix, ParseError, Scalar
+from spinstat.algebra import (MAX_LITERAL_DIGITS, ExactMatrix, ParseError, Scalar,
+                              SelfCheckError)
 from spinstat.model import (
     MAX_DIMENSION,
     MAX_MATRIX_BYTES,
@@ -373,6 +374,31 @@ def test_spec_built_in_code_meets_the_theory_checks(spec, message):
         analyze_theory(spec)
     assert err.value.line == 0
     assert str(err.value) == f"line 0: {message}"
+
+
+@pytest.mark.self_check
+@pytest.mark.parametrize("text", [
+    "theory t\nfield psi spin=1/2\n",
+    "theory t\nfield a spin=1 copies=2 flavors=3\n",
+    "theory t\nfield a spin=1 flavors=2\nflavor antisymmetric-pair\n",
+], ids=["symmetric", "antisymmetric", "pair"])
+def test_non_invariant_auto_block_raises_self_check_error(monkeypatch, text):
+    # written without assert statements so it also checks under python -O;
+    # a builder that normalizes the form wrongly, with one entry doubled,
+    # is caught once, where _auto_block builds the block (the caches are
+    # empty, so it is built here)
+    normalize = model._normalize_block
+
+    def doubled(block, cls):
+        good = normalize(block, cls)
+        rows = [dict(row) for row in good._rows]
+        c, x = next(iter(rows[0].items()))
+        rows[0][c] = x * 2
+        return ExactMatrix._from_rows(good.cols, rows)
+
+    monkeypatch.setattr(model, "_normalize_block", doubled)
+    with pytest.raises(SelfCheckError, match="block is not rotation invariant"):
+        build_kinematic(parse(text))
 
 
 def test_index_map_layout():
