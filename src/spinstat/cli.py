@@ -35,7 +35,7 @@ from .report import (
     analyze_theory,
     json_text,
     render_text,
-    report_to_dict,
+    report_to_json,
 )
 
 # A derived result failed its independent check: a defect in spinstat,
@@ -72,9 +72,9 @@ def _read_text(path: str, limit: int, kind: str) -> str:
     return data.decode("utf-8")
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_json(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(payload))
+        fh.write(text)
 
 
 def _theory_dir(path: str) -> str:
@@ -99,7 +99,7 @@ def cmd_analyze(args) -> int:
         return _fail(str(exc))
     sys.stdout.write(render_text(report))
     if args.json:
-        _write_json(args.json, report_to_dict(report))
+        _write_json(args.json, report_to_json(report))
     return STATUSES[report.status]
 
 
@@ -173,7 +173,7 @@ def cmd_dkp_check(args) -> int:
     print("\n".join(lines))
 
     if args.json:
-        _write_json(args.json, {
+        _write_json(args.json, json_text({
             "metric": {
                 "signature": signature,
                 "diagonal": [str(betas.metric[i, i]) for i in range(4)],
@@ -191,7 +191,7 @@ def cmd_dkp_check(args) -> int:
                     split.nonsingular_block.to_nested_strings()
                     if split.nonsingular_block is not None else None,
             },
-        })
+        }))
 
     return 0 if algebra.standard_holds else 2
 
@@ -254,7 +254,7 @@ def cmd_fock(args) -> int:
         return _fail(str(exc))
 
     if args.json:
-        _write_json(args.json, payload)
+        _write_json(args.json, json_text(payload))
     return 0
 
 

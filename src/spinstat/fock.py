@@ -118,9 +118,19 @@ class RelationTable:
     def __init__(self, bracket: str, pairs) -> None:
         pairs = tuple(pairs)
         _check_table(bracket, pairs)
+        self._fill(bracket, tuple((a, c, Scalar.coerce(v)) for a, c, v in pairs))
+
+    @classmethod
+    def _checked(cls, bracket: str, pairs: tuple[tuple[str, str, Scalar], ...]):
+        """The table of pairs that ``_check_table`` has passed, each value
+        a Scalar already, neither checked nor coerced again."""
+        table = cls.__new__(cls)
+        table._fill(bracket, pairs)
+        return table
+
+    def _fill(self, bracket: str, pairs: tuple[tuple[str, str, Scalar], ...]) -> None:
         self.bracket = bracket
-        self.pairs: tuple[tuple[str, str, Scalar], ...] = tuple(
-            (a, c, Scalar.coerce(v)) for a, c, v in pairs)
+        self.pairs = pairs
         self.annihilators: frozenset[str] = frozenset(a for a, _, _ in self.pairs)
         self.creators: frozenset[str] = frozenset(c for _, c, _ in self.pairs)
 
@@ -234,7 +244,7 @@ def parse_relation_table(text: str) -> RelationTable:
     if not pairs:
         raise ParseError(None, "relation table declares no pairs")
     _check_table(bracket, pairs, lines)
-    return RelationTable(bracket, pairs)
+    return RelationTable._checked(bracket, tuple(pairs))
 
 
 def _check_word(word, table: RelationTable) -> tuple[str, ...]:

@@ -40,8 +40,9 @@ MAX_TWO_J = 8
 # largest total component count parse_theory accepts.  Matrices store only
 # their nonzeros, so the bound limits time, not memory: analyze_theory on
 # `field x spin=7/2 flavors=64` (dim 1024) takes about 0.18 ms in process
-# and warm (2.4 ms on a process's first call), and report_to_json about
-# 45 ms, on a 2-core host
+# and warm (2.4 ms on a process's first call), and report_to_json 41-58 ms
+# (48-68 ms before it wrote the report directly) on a 2-core host whose
+# speed drifts
 MAX_DIMENSION = 1024
 # largest explicit matrix file, in bytes, checked by os.stat before the file
 # is read: room for a dim-1024 K0 whose json.dumps entries have up to 12

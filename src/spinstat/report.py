@@ -3,8 +3,9 @@
 This is the glue between the parser and the checks: build the kinematic
 matrix, test rotation invariance, judge each field's statistics, split
 off the constraints and diagnose flavor-antisymmetric pairings.  The
-result is a single report object with a stable JSON rendering, so
-repeated runs on the same input are byte-identical.  The report states
+result is a single report object with a stable JSON rendering, which
+``report_to_json`` writes straight from it, so repeated runs on the same
+input are byte-identical.  The report states
 only what the analysis derives from its input: the Kirchoff balance of
 every field (each is hermitian) and the surface variation where a
 statistics is set (the field blocks already have its class) hold for
@@ -128,105 +129,116 @@ def _pair_diagnosis(block: ExactMatrix, two_j: int) -> FlavorDiagnosis:
     return flavor_diagnosis(block, _make(two_j, 0, 2))
 
 
-def _matrix_json(m: ExactMatrix | None) -> MatrixText | None:
-    return None if m is None else m.to_nested_strings()
-
-
 def _kinematic_mode(spec: TheorySpec) -> str:
     return "auto" if spec.explicit_matrix is None else "explicit"
 
 
-def _flavor_json(name: str, d: FlavorDiagnosis) -> dict:
-    out = {
-        "field": name,
-        "is_flavor_antisymmetric": d.is_flavor_antisymmetric,
-        "sector_signs": list(d.sector_signs),
-        "negative_norm": d.negative_norm,
-        "inverted_connection_attempt": d.inverted_connection_attempt,
-        "note": d.note,
-        "diagonalization": None,
-        "witness": None,
-    }
-    if d.diagonalization is not None:
-        dg = d.diagonalization
-        out["diagonalization"] = {
-            "exact": dg.exact,
-            "eigenvalues": [str(v) for v in dg.eigenvalues],
-            "diagonal": _matrix_json(dg.diagonal),
-            "transformation": _matrix_json(dg.transformation),
-            "column_norms_squared": [str(n) for n in dg.column_norms_squared],
-        }
-    if d.witness is not None:
-        out["witness"] = {
-            "matrix": d.witness.matrix.to_nested_strings(),
-            "signature": list(d.witness.signature),
-        }
-    return out
-
-
 def report_to_dict(report: VerdictReport) -> dict:
-    """JSON-ready dict with a fixed key order throughout.
-
-    The split's nonsingular block is not written: it is
-    ``kinematic.matrix`` on the rows and columns of
-    ``constraints.canonical_indices``."""
-    spec = report.spec
-    kin = report.build.kinematic
-
-    fields = []
-    for v in report.verdict.verdicts:
-        fields.append({
-            "name": v.field,
-            "spin": v.spin,
-            "required_k0_symmetry": v.required_k0_symmetry.name,
-            "consistent_statistics": v.consistent_statistics,
-            "michel_parity": v.michel_parity,
-            "statistics_declared": v.statistics_declared,
-            "contradiction": v.contradiction,
-        })
-
-    labels = kin.index_map if kin is not None else spec.index_map()
-    matrix = kin.matrix if kin is not None else None
-    kinematic = {
-        "mode": _kinematic_mode(spec),
-        "build_status": report.build.status,
-        "note": report.build.note,
-        "index_map": list(labels),
-        "matrix": _matrix_json(matrix),
-        "symmetry": None,
-        "statistics": report.statistics,
-        "invariant": None if report.invariance is None else report.invariance.ok,
-        "invariance_violations": [
-            {"axis": axis, "entries": [list(e) for e in entries]}
-            for axis, entries in
-            (report.invariance.violations if report.invariance else ())
-        ],
-        "constraints": None,
-    }
-    if matrix is not None:
-        kinematic["symmetry"] = symmetry_class(matrix).name
-    if report.split is not None:
-        s = report.split
-        kinematic["constraints"] = {
-            "statistics": s.statistics,
-            "canonical_indices": list(s.canonical_indices),
-            "canonical_labels": [labels[i] for i in s.canonical_indices],
-            "constraint_indices": list(s.constraint_indices),
-            "constraint_labels": [labels[i] for i in s.constraint_indices],
-        }
-
-    return {
-        "schema_version": 2,
-        "theory": spec.name,
-        "status": report.status,
-        "fields": fields,
-        "kinematic": kinematic,
-        "flavor": [_flavor_json(name, d) for name, d in report.flavor_by_field],
-    }
+    """The report's JSON parsed back: ``json.loads(report_to_json(report))``,
+    with the key order of the text, every matrix a list of lists of str."""
+    import json
+    return json.loads(report_to_json(report))
 
 
 def report_to_json(report: VerdictReport) -> str:
-    return json_text(report_to_dict(report))
+    """The schema-v2 JSON of the report, with a two-space indent as
+    ``json.dumps`` writes it, and the newline that ends a JSON file.
+
+    Each key, with its indent, is written as it is; each value goes
+    through the helper of its JSON kind, and each array through the
+    writer ``json_text`` uses for its shape.  The split's nonsingular
+    block is not written: it is ``kinematic.matrix`` on the rows and
+    columns of ``constraints.canonical_indices``."""
+    spec, build, split = report.spec, report.build, report.split
+    kin = build.kinematic
+    out = ['{\n  "schema_version": 2,\n  "theory": ' + _string(spec.name)
+           + ',\n  "status": ' + _string(report.status) + ',\n  "fields": ']
+    sep = "[\n    {"
+    for v in report.verdict.verdicts:
+        out.append(
+            sep + '\n      "name": ' + _string(v.field)
+            + ',\n      "spin": ' + _string(v.spin)
+            + ',\n      "required_k0_symmetry": "' + v.required_k0_symmetry.name
+            + '",\n      "consistent_statistics": ' + _string(v.consistent_statistics)
+            + ',\n      "michel_parity": ' + int.__repr__(v.michel_parity)
+            + ',\n      "statistics_declared": ' + _string(v.statistics_declared)
+            + ',\n      "contradiction": ' + _string(v.contradiction) + "\n    }")
+        sep = ",\n    {"
+    out.append("\n  ]" if report.verdict.verdicts else "[]")
+
+    labels = kin.index_map if kin is not None else spec.index_map()
+    matrix = kin.matrix if kin is not None else None
+    out.append(',\n  "kinematic": {\n    "mode": "' + _kinematic_mode(spec)
+               + '",\n    "build_status": ' + _string(build.status)
+               + ',\n    "note": ' + _string(build.note) + ',\n    "index_map": ')
+    _write_strings(labels, 2, out)
+    out.append(',\n    "matrix": ')
+    _write_matrix(matrix, 2, out)
+    invariance = report.invariance
+    out.append(
+        ',\n    "symmetry": '
+        + ("null" if matrix is None else '"' + symmetry_class(matrix).name + '"')
+        + ',\n    "statistics": ' + _string(report.statistics)
+        + ',\n    "invariant": ' + _CONSTANTS[None if invariance is None else invariance.ok]
+        + ',\n    "invariance_violations": ')
+    _write_json_value(
+        [{"axis": axis, "entries": [list(e) for e in entries]}
+         for axis, entries in (invariance.violations if invariance else ())], 2, out)
+    out.append(',\n    "constraints": ')
+    if split is None:
+        out.append("null")
+    else:
+        out.append('{\n      "statistics": ' + _string(split.statistics)
+                   + ',\n      "canonical_indices": ')
+        _write_ints(split.canonical_indices, 3, out)
+        out.append(',\n      "canonical_labels": ')
+        _write_strings([labels[i] for i in split.canonical_indices], 3, out)
+        out.append(',\n      "constraint_indices": ')
+        _write_ints(split.constraint_indices, 3, out)
+        out.append(',\n      "constraint_labels": ')
+        _write_strings([labels[i] for i in split.constraint_indices], 3, out)
+        out.append("\n    }")
+
+    out.append('\n  },\n  "flavor": ')
+    sep = "[\n    {"
+    for name, d in report.flavor_by_field:
+        out.append(sep + '\n      "field": ' + _string(name)
+                   + ',\n      "is_flavor_antisymmetric": '
+                   + _CONSTANTS[d.is_flavor_antisymmetric]
+                   + ',\n      "sector_signs": ')
+        _write_ints(d.sector_signs, 3, out)
+        out.append(',\n      "negative_norm": ' + _CONSTANTS[d.negative_norm]
+                   + ',\n      "inverted_connection_attempt": '
+                   + _CONSTANTS[d.inverted_connection_attempt]
+                   + ',\n      "note": ' + _string(d.note)
+                   + ',\n      "diagonalization": ')
+        dg = d.diagonalization
+        if dg is None:
+            out.append("null")
+        else:
+            out.append('{\n        "exact": ' + _CONSTANTS[dg.exact]
+                       + ',\n        "eigenvalues": ')
+            _write_strings([str(v) for v in dg.eigenvalues], 4, out)
+            out.append(',\n        "diagonal": ')
+            _write_matrix(dg.diagonal, 4, out)
+            out.append(',\n        "transformation": ')
+            _write_matrix(dg.transformation, 4, out)
+            out.append(',\n        "column_norms_squared": ')
+            _write_strings([str(n) for n in dg.column_norms_squared], 4, out)
+            out.append("\n      }")
+        out.append(',\n      "witness": ')
+        if d.witness is None:
+            out.append("null")
+        else:
+            out.append('{\n        "matrix": ')
+            _write_matrix(d.witness.matrix, 4, out)
+            out.append(',\n        "signature": ')
+            _write_ints(d.witness.signature, 4, out)
+            out.append("\n      }")
+        out.append("\n    }")
+        sep = ",\n    {"
+    out.append(("\n  ]" if report.flavor_by_field else "[]") + "\n}\n")
+    return "".join(out)
 
 
 _INDENT = "  "
@@ -259,15 +271,22 @@ def _scalar_text(value) -> str:
     return json.dumps(value)
 
 
+def _string(value: str | None) -> str:
+    """The JSON text of a str or None."""
+    if value is None:
+        return "null"
+    return '"' + value + '"' if _plain(value) else _scalar_text(value)
+
+
 def json_text(payload) -> str:
     """The text ``json.dumps`` writes with a two-space indent, byte for
     byte, for dicts with str keys, lists and JSON scalars, and the newline
     that ends a JSON file, appended in the same join.  A dict member whose
     value is a string that needs no escaping, an int (not a bool), None or
-    a bool is written in one piece with its key.  An array of strings that
-    need no escaping, or of ints (not bools), is joined directly, and a
-    ``MatrixText`` in one step for all its rows, unscanned; every other
-    scalar is written by ``_scalar_text``."""
+    a bool is written in one piece with its key.  An array of strings, or
+    of ints (not bools), and a ``MatrixText`` go to the writer of their
+    shape, which ``report_to_json`` shares; every other scalar is written
+    by ``_scalar_text``."""
     out: list[str] = []
     _write_json_value(payload, 0, out)
     out.append("\n")
@@ -275,11 +294,11 @@ def json_text(payload) -> str:
 
 
 def _write_json_value(value, depth: int, out: list[str]) -> None:
-    inner = "\n" + _INDENT * (depth + 1)
     if isinstance(value, dict):
         if not value:
             out.append("{}")
             return
+        inner = "\n" + _INDENT * (depth + 1)
         sep = "{" + inner
         for key, item in value.items():
             if type(key) is not str:
@@ -298,30 +317,75 @@ def _write_json_value(value, depth: int, out: list[str]) -> None:
                 _write_json_value(item, depth + 1, out)
         out.append("\n" + _INDENT * depth + "}")
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
         if type(value) is MatrixText:
-            # every row in one join, each row's entries in another, and the
-            # joined text appended as it is, never copied into a larger one
-            row_inner = inner + _INDENT
-            out.append("[" + inner + "[" + row_inner + '"')
-            out.append(('"' + inner + "]," + inner + "[" + row_inner + '"').join(
-                map(('",' + row_inner + '"').join, value)))
-            out.append('"' + inner + "]")
-        elif (kinds := set(map(type, value))) == _STR and _plain("".join(value)):
-            out.append("[" + inner + '"' + ('",' + inner + '"').join(value) + '"')
+            _write_matrix_text(value, depth, out)
+        elif (kinds := set(map(type, value))) == _STR:
+            _write_strings(value, depth, out)
         elif kinds == _INT:
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)))
+            _write_ints(value, depth, out)
         else:
-            sep = "[" + inner
-            for item in value:
-                out.append(sep)
-                _write_json_value(item, depth + 1, out)
-                sep = "," + inner
-        out.append("\n" + _INDENT * depth + "]")
+            _write_items(value, depth, out)
     else:
         out.append(_scalar_text(value))
+
+
+def _write_items(values, depth: int, out: list[str]) -> None:
+    """An array written item by item."""
+    if not values:
+        out.append("[]")
+        return
+    inner = "\n" + _INDENT * (depth + 1)
+    sep = "[" + inner
+    for item in values:
+        out.append(sep)
+        _write_json_value(item, depth + 1, out)
+        sep = "," + inner
+    out.append("\n" + _INDENT * depth + "]")
+
+
+def _write_strings(values, depth: int, out: list[str]) -> None:
+    """An array of str: in one join when none needs escaping."""
+    if not values:
+        out.append("[]")
+    elif _plain("".join(values)):
+        inner = "\n" + _INDENT * (depth + 1)
+        out.append("[" + inner + '"' + ('",' + inner + '"').join(values) + '"'
+                   + "\n" + _INDENT * depth + "]")
+    else:
+        _write_items(values, depth, out)
+
+
+def _write_ints(values, depth: int, out: list[str]) -> None:
+    """An array of int (not bool) in one join."""
+    if not values:
+        out.append("[]")
+        return
+    inner = "\n" + _INDENT * (depth + 1)
+    out.append("[" + inner + ("," + inner).join(map(int.__repr__, values))
+               + "\n" + _INDENT * depth + "]")
+
+
+def _write_matrix(m: ExactMatrix | None, depth: int, out: list[str]) -> None:
+    """The rows of m as ``to_nested_strings`` writes them, or null."""
+    if m is None:
+        out.append("null")
+    else:
+        _write_matrix_text(m.to_nested_strings(), depth, out)
+
+
+def _write_matrix_text(rows: MatrixText, depth: int, out: list[str]) -> None:
+    """Every row in one join, each row's entries in another, and the
+    joined text appended as it is, never copied into a larger one; no
+    entry is scanned, since none needs escaping."""
+    if not rows:
+        out.append("[]")
+        return
+    inner = "\n" + _INDENT * (depth + 1)
+    row_inner = inner + _INDENT
+    out.append("[" + inner + "[" + row_inner + '"')
+    out.append(('"' + inner + "]," + inner + "[" + row_inner + '"').join(
+        map(('",' + row_inner + '"').join, rows)))
+    out.append('"' + inner + "]\n" + _INDENT * depth + "]")
 
 
 def _field_lines(report: VerdictReport) -> list[str]:

@@ -44,14 +44,16 @@ type:
   of scalars, every zero stored, which checks the sparse storage of
   ``ExactMatrix``;
 - ``FractionPair`` does Gaussian-rational arithmetic on a pair of
-  ``Fraction`` parts, which checks the integer-backed ``Scalar``.
+  ``Fraction`` parts, which checks the integer-backed ``Scalar``;
+- the report as a dict built member by member, for ``json.dumps`` to
+  write, checks the direct writer ``report.report_to_json``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass
+from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass, symmetry_class
 from spinstat.flavor import FlavorDiagonalization, FlavorSplit
 from spinstat.invariance import InvarianceReport, required_symmetry
 from spinstat.model import (
@@ -611,3 +613,93 @@ def dense_pivoted_elimination(a):
                                start=Scalar(0)) if c in active else x
                        for c, x in enumerate(work[r])]
     return tuple(sorted(selected)), blocks
+
+
+def _matrix_json(m: ExactMatrix | None):
+    return None if m is None else m.to_nested_strings()
+
+
+def _flavor_json(name: str, d) -> dict:
+    out = {
+        "field": name,
+        "is_flavor_antisymmetric": d.is_flavor_antisymmetric,
+        "sector_signs": list(d.sector_signs),
+        "negative_norm": d.negative_norm,
+        "inverted_connection_attempt": d.inverted_connection_attempt,
+        "note": d.note,
+        "diagonalization": None,
+        "witness": None,
+    }
+    if d.diagonalization is not None:
+        dg = d.diagonalization
+        out["diagonalization"] = {
+            "exact": dg.exact,
+            "eigenvalues": [str(v) for v in dg.eigenvalues],
+            "diagonal": _matrix_json(dg.diagonal),
+            "transformation": _matrix_json(dg.transformation),
+            "column_norms_squared": [str(n) for n in dg.column_norms_squared],
+        }
+    if d.witness is not None:
+        out["witness"] = {
+            "matrix": d.witness.matrix.to_nested_strings(),
+            "signature": list(d.witness.signature),
+        }
+    return out
+
+
+def report_dict(report) -> dict:
+    """The schema-v2 report as a dict with a fixed key order throughout,
+    which ``json.dumps(..., indent=2)`` writes as the report JSON."""
+    spec = report.spec
+    kin = report.build.kinematic
+
+    fields = []
+    for v in report.verdict.verdicts:
+        fields.append({
+            "name": v.field,
+            "spin": v.spin,
+            "required_k0_symmetry": v.required_k0_symmetry.name,
+            "consistent_statistics": v.consistent_statistics,
+            "michel_parity": v.michel_parity,
+            "statistics_declared": v.statistics_declared,
+            "contradiction": v.contradiction,
+        })
+
+    labels = kin.index_map if kin is not None else spec.index_map()
+    matrix = kin.matrix if kin is not None else None
+    kinematic = {
+        "mode": "auto" if spec.explicit_matrix is None else "explicit",
+        "build_status": report.build.status,
+        "note": report.build.note,
+        "index_map": list(labels),
+        "matrix": _matrix_json(matrix),
+        "symmetry": None,
+        "statistics": report.statistics,
+        "invariant": None if report.invariance is None else report.invariance.ok,
+        "invariance_violations": [
+            {"axis": axis, "entries": [list(e) for e in entries]}
+            for axis, entries in
+            (report.invariance.violations if report.invariance else ())
+        ],
+        "constraints": None,
+    }
+    if matrix is not None:
+        kinematic["symmetry"] = symmetry_class(matrix).name
+    if report.split is not None:
+        s = report.split
+        kinematic["constraints"] = {
+            "statistics": s.statistics,
+            "canonical_indices": list(s.canonical_indices),
+            "canonical_labels": [labels[i] for i in s.canonical_indices],
+            "constraint_indices": list(s.constraint_indices),
+            "constraint_labels": [labels[i] for i in s.constraint_indices],
+        }
+
+    return {
+        "schema_version": 2,
+        "theory": spec.name,
+        "status": report.status,
+        "fields": fields,
+        "kinematic": kinematic,
+        "flavor": [_flavor_json(name, d) for name, d in report.flavor_by_field],
+    }

@@ -97,12 +97,31 @@ def check_no_heavy_imports():
     # -X importtime logs each module the process imports to stderr, one
     # line each, nested modules indented under the one that imports them
     heavy = re.compile(r"\| +(fractions|decimal|_decimal|numbers|json|enum|re)(\.[a-z_]+)?$")
-    for name in ("dirac", "dkp-check", "fock"):
-        _, log = spinstat(*GOLDEN_CASES[name][1], "--json", f"{name}.json",
+    # scalar_flavor_antisym writes the flavor section of a report
+    for name in ("dirac", "scalar_flavor_antisym", "dkp-check", "fock"):
+        code, argv = GOLDEN_CASES[name]
+        _, log = spinstat(*argv, "--json", f"{name}.json", code=code,
                           flags=("-S", "-X", "importtime"))
         expect(re.search(r"\| *spinstat\.cli$", log, re.M), f"{name}: no spinstat.cli")
         found = [line for line in log.splitlines() if heavy.search(line)]
         expect(not found, f"{name} imports {found}")
+    # not_invariant, the one report with invariance violations, reads its
+    # explicit K0 with json.loads; with json blocked once the report is
+    # made, its JSON must still come out as the golden one
+    out, _ = python("-c", _WRITE_BLOCKED, GOLDEN / "not_invariant.th")
+    same_as_golden(out.encode(), "not_invariant.json")
+
+
+# print the report JSON of the theory at argv[1], json blocked as it is written
+_WRITE_BLOCKED = """import os, sys
+from spinstat.model import parse_theory
+from spinstat.report import analyze_theory, report_to_json
+path = sys.argv[1]
+with open(path, encoding="utf-8") as fh:
+    report = analyze_theory(parse_theory(fh.read(), base_dir=os.path.dirname(path)))
+sys.modules["json"] = None
+sys.stdout.write(report_to_json(report))
+"""
 
 
 def check_usage_errors():

@@ -295,6 +295,26 @@ def test_each_table_rule_refuses_built_and_parsed_tables_alike(bracket, pairs, t
     assert str(parsed.value) == f"line {line}: {built.value}"
 
 
+def test_a_parsed_table_is_checked_once_and_equals_the_built_one(monkeypatch):
+    # the parser checks its table with line numbers and builds it without
+    # a second check; the table is the one the constructor builds
+    checks = []
+
+    def counting(*args):
+        checks.append(args)
+        return check(*args)
+
+    check = fock._check_table
+    monkeypatch.setattr(fock, "_check_table", counting)
+    parsed = parse_relation_table(
+        "bracket = anticommutator\npair a adag = 1/2\npair b bdag = -1+2i")
+    assert len(checks) == 1
+    built = RelationTable("anticommutator", [("a", "adag", Fraction(1, 2)),
+                                             ("b", "bdag", Scalar(-1, 2))])
+    assert len(checks) == 2
+    assert vars(parsed) == vars(built)
+
+
 def test_table_rejects_symbol_on_both_sides():
     with pytest.raises(ValueError, match="both annihilator and creator"):
         RelationTable("commutator", [("a", "bdag", 1), ("bdag", "cdag", 1)])

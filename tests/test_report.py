@@ -6,19 +6,22 @@ import tempfile
 from importlib import resources
 
 import jsonschema
+import oracles
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from stdlib_checks import GOLDEN_CASES
+from test_invariance import perturbed_invariant_forms
+from test_model import auto_theories as auto_specs
 
 import spinstat
 from spinstat import model
 from spinstat import report as report_module
-from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass
+from spinstat.algebra import ExactMatrix, Scalar, SymmetryClass, symmetry_class
 from spinstat.model import build_kinematic, parse_theory
 from spinstat.report import (
     STATUSES,
     AmbiguousKinematicError,
-    _matrix_json,
     analyze_theory,
     json_text,
     render_text,
@@ -241,13 +244,13 @@ def test_scalar_text_is_plain_ascii(x):
     assert set(text) <= set("0123456789/+-i")
 
 
-# matrix rows exactly as _matrix_json returns them, from sparse matrices of
-# any shape with real and complex entries
+# matrix rows exactly as to_nested_strings returns them, from sparse
+# matrices of any shape with real and complex entries
 matrix_rows = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
     lambda rc: st.lists(
         st.lists(st.just(Scalar(0)) | any_scalars, min_size=rc[1], max_size=rc[1]),
         min_size=rc[0], max_size=rc[0]),
-).map(lambda rows: _matrix_json(ExactMatrix(rows)))
+).map(lambda rows: ExactMatrix(rows).to_nested_strings())
 
 # two whole reports: one split with every index canonical, and the golden
 # mixed K0 whose split has constraints
@@ -309,7 +312,7 @@ def nested(payload, depth):
 # when no string needs escaping), lists of ints only (the other joined
 # path: negative, past 2**64, and mixed with bools, which take the
 # item-by-item path), lists of such lists, matrix rows as
-# _matrix_json returns them (the MatrixText path), whole reports, dicts
+# to_nested_strings returns them (the MatrixText path), whole reports, dicts
 # of scalar members, alone and 12 to 16 containers deep, and lists that
 # mix scalars and containers
 json_payloads = st.recursive(
@@ -339,3 +342,114 @@ json_payloads = st.recursive(
                  "\x1f": "\n", "\u00e9": "\u20ac"}, 12))
 def test_json_text_matches_json_dumps(payload):
     assert json_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+# -- the report writer against the dict oracle -------------------------------
+
+
+def oracle_json(report):
+    return json.dumps(oracles.report_dict(report), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (_, argv) in GOLDEN_CASES.items() if argv[0] == "analyze"))
+def test_report_json_matches_the_dict_oracle_on_every_golden_theory(name):
+    path = pathlib.Path(GOLDEN_CASES[name][1][1])
+    report = analyze_theory(parse_theory(path.read_text(), base_dir=path.parent))
+    assert report_to_json(report) == oracle_json(report)
+
+
+@st.composite
+def drawn_specs(draw):
+    """Theories of every report shape: auto K0s from field lines with
+    pinned statistics (some contradicted, some with no form), auto K0s
+    in either flavor mode, antisymmetric pairs of integral spin (negative
+    norms), an auto K0 handed back as an explicit one (invariant) or with
+    one entry and its mirror changed in the first field's block (mostly
+    not invariant), and explicit K0s built from invariant forms and often
+    changed at a few entries of any class."""
+    kind = draw(st.sampled_from(
+        ["lines", "auto", "pair", "explicit-copy", "explicit-changed", "explicit"]))
+    if kind == "lines":
+        return parse_theory(draw(auto_theories()))
+    if kind == "pair":
+        fields = "".join(
+            f"field f{k} spin={draw(st.integers(0, 4))} flavors=2 statistics="
+            f"{draw(st.sampled_from(['auto', 'bose', 'fermi']))}\n"
+            for k in range(draw(st.integers(1, 2))))
+        return parse_theory(f"theory t\n{fields}flavor antisymmetric-pair\n")
+    if kind == "explicit":
+        spec, k0 = draw(perturbed_invariant_forms())
+        return spec._replace(explicit_matrix=k0)
+    spec = draw(auto_specs())
+    if kind == "auto":
+        return spec
+    spec = spec._replace(flavor_mode="diagonal")
+    build = build_kinematic(spec)
+    assume(build.status == "built")
+    k0 = build.kinematic.matrix
+    if kind == "explicit-changed":
+        n = spec.fields[0].block_dimension
+        assume(n > 1)
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]))
+        sign = 1 if symmetry_class(k0.principal(range(n))) is SymmetryClass.SYMMETRIC else -1
+        rows = [list(k0.row(r)) for r in range(k0.rows)]
+        rows[i][j] += Scalar(1)
+        rows[j][i] += Scalar(sign)
+        k0 = ExactMatrix(rows)
+    return spec._replace(explicit_matrix=k0)
+
+
+@given(drawn_specs())
+def test_report_json_matches_the_dict_oracle_on_drawn_theories(spec):
+    try:
+        report = analyze_theory(spec)
+    except AmbiguousKinematicError:
+        assume(False)
+    assert report_to_json(report) == oracle_json(report)
+
+
+# texts JSON escapes: a quote, a backslash, control characters, DEL and
+# non-ASCII within and beyond the basic plane
+ESCAPED_TEXTS = ['say "hi"', "back\\slash", "tab\tnew\nline", "nul\x00", "del\x7f",
+                 "caf\u00e9", "\u20ac", "\U0001d11e"]
+PAIR_REPORT = analyze(
+    "theory t\nfield phi spin=0 flavors=2\nfield chi spin=0 flavors=2\n"
+    "flavor antisymmetric-pair\n")
+
+
+def _first_verdict(r, **change):
+    verdicts = r.verdict.verdicts
+    return r._replace(verdict=r.verdict._replace(
+        verdicts=(verdicts[0]._replace(**change),) + verdicts[1:]))
+
+
+def _first_flavor(r, name=None, **change):
+    (first, d), *rest = r.flavor_by_field
+    return r._replace(flavor_by_field=((name or first, d._replace(**change)), *rest))
+
+
+def _first_label(r, text):
+    kin = r.build.kinematic
+    return r._replace(build=r.build._replace(
+        kinematic=kin._replace(index_map=(text,) + kin.index_map[1:])))
+
+
+STRING_EDITS = {
+    "theory": lambda r, t: r._replace(spec=r.spec._replace(name=t)),
+    "field": lambda r, t: _first_verdict(r, field=t),
+    "contradiction": lambda r, t: _first_verdict(r, contradiction=t),
+    "build-note": lambda r, t: r._replace(build=r.build._replace(note=t)),
+    "flavor-field": lambda r, t: _first_flavor(r, name=t),
+    "flavor-note": lambda r, t: _first_flavor(r, note=t),
+    "label": _first_label,
+}
+
+
+@pytest.mark.parametrize("text", ESCAPED_TEXTS)
+@pytest.mark.parametrize("edit", sorted(STRING_EDITS))
+def test_report_json_escapes_strings_as_the_dict_oracle(edit, text):
+    # no parsed theory holds such a string; a report edited to hold one
+    # must still be written as json.dumps writes it
+    report = STRING_EDITS[edit](PAIR_REPORT, text)
+    assert report_to_json(report) == oracle_json(report)
